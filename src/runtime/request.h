@@ -12,8 +12,10 @@
 // deadline, branch_choice, expected_arrivals) are immutable after injection.
 // Each hops[k] is written only by module k's worker threads, which never
 // race each other on one request (a request is in at most one batch at k).
-// The terminal fields (fate, drop_module, finish) and merge_arrivals flip
-// under ServeRuntime's state mutex — cross-branch readers must go through
+// The terminal fields (fate, drop_module, drop_reason, finish) and
+// merge_arrivals flip under the request's fate stripe — one of
+// ServeRuntime's 16 striped fate locks, chosen by request id
+// (ServeRuntime::FateMutex) — so cross-branch readers must go through
 // ServeRuntime::IsTerminal rather than reading `fate` directly while a run
 // is live. The single-threaded simulator needs none of this.
 #ifndef PARD_RUNTIME_REQUEST_H_

@@ -68,7 +68,7 @@ void ServeModule::SpawnWorker(bool warm, SimTime now) {
     LockOrderGuard order(LockRank::kModule);
     std::lock_guard<std::mutex> lock(mu_);
     roster_.push_back(
-        std::make_unique<ServeWorker>(slot, /*cold=*/!warm, home, jitter));
+        std::make_unique<ServeWorker>(slot, /*cold=*/!warm, now, home, jitter));
     worker = roster_.back().get();
   }
   workers_.Spawn([this, worker] { WorkerLoop(worker); });
@@ -394,8 +394,10 @@ std::vector<RequestPtr> ServeModule::FormBatch(int home_shard, SimTime now) {
 void ServeModule::WorkerLoop(ServeWorker* w) {
   const ServeClock& clock = runtime_->clock();
   if (w->cold) {
-    // Model load: this slot serves only after its backend's cold start.
-    clock.SleepFor(w->slot.cold_start);
+    // Model load: this slot serves only after its backend's cold start,
+    // counted from provisioning (as the simulator counts it), not from
+    // whenever this thread first ran.
+    clock.SleepUntil(w->provisioned + w->slot.cold_start);
     if (w->kill.load(std::memory_order_acquire)) {
       return;  // Killed while warming; the fleet already logged kFailed.
     }
@@ -450,7 +452,7 @@ void ServeModule::WorkerLoop(ServeWorker* w) {
       while (w->hang_until.load(std::memory_order_acquire) > clock.Now() &&
              !w->kill.load(std::memory_order_acquire) &&
              !stopping_.load(std::memory_order_acquire)) {
-        clock.SleepFor(10 * kUsPerMs);
+        clock.SleepUntil(clock.Now() + 10 * kUsPerMs);
       }
       if (w->kill.load(std::memory_order_acquire)) {
         // Watchdog (or fault schedule) rescued the batch from the hang.
@@ -477,11 +479,12 @@ void ServeModule::WorkerLoop(ServeWorker* w) {
                                       slow_factor_.load(std::memory_order_relaxed));
     }
 
-    // "Execute" on the GPU: occupy this worker for the profiled duration in
-    // scaled wall time. Timestamps use the measured window, so scheduler
-    // overshoot is charged to the batch like real kernel-time variance.
+    // "Execute" on the GPU: occupy this worker until the absolute instant
+    // exec_start + planned, in scaled wall time. Timestamps use the measured
+    // window, so the wake-up latency that remains is charged to the batch
+    // like real kernel-time variance.
     const SimTime exec_start = clock.Now();
-    clock.SleepFor(planned);
+    clock.SleepUntil(exec_start + planned);
     const SimTime exec_end = clock.Now();
 
     if (w->kill.load(std::memory_order_acquire)) {

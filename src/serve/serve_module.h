@@ -4,8 +4,10 @@
 // event loop; here a module is N queue shards drained by M OS threads, each
 // playing one GPU worker. A worker pulls a batch (applying the Request
 // Broker's drop decision per candidate against the control plane's lock-free
-// snapshot), "executes" it by sleeping the profiled duration in scaled wall
-// time, then hands the batch back to the runtime for forwarding.
+// snapshot), "executes" it by sleeping to the absolute virtual deadline
+// exec_start + profiled duration (ServeClock::SleepUntil, so only the
+// wake-up latency, not an accumulated relative sleep, lands on the measured
+// execution), then hands the batch back to the runtime for forwarding.
 //
 // Queue sharding: the single shared DEPQ of PR 4 serialized every push, pop
 // and monitor update behind one module mutex. It is now split into
@@ -25,12 +27,13 @@
 // Worker roster: every thread occupies one BackendFleet slot, so fleets can
 // be heterogeneous — a slot's backend profile scales its execution
 // durations (slot.exec_scale) and sets its cold-start delay. The roster is
-// dynamic: AddWorkers() spawns threads that serve only after their cold
-// start, DrainWorkers() retires the most recently added threads after their
-// current batch, and FailWorkers() kills threads so that their in-flight
-// batch is lost (mirroring the simulator's Worker::Fail; the *queued*
-// backlog survives here because shards are shared by all workers, where the
-// simulator loses the failed worker's private queue).
+// dynamic: AddWorkers() spawns threads that serve only once their cold
+// start has elapsed since provisioning, DrainWorkers() retires the most
+// recently added threads after their current batch, and FailWorkers()
+// kills threads so that their in-flight batch is lost (mirroring the
+// simulator's Worker::Fail; the *queued* backlog survives here because
+// shards are shared by all workers, where the simulator loses the failed
+// worker's private queue).
 //
 // Batching discipline vs the simulator: a pull-based worker launches as soon
 // as it is free, so the batch-entry and execution-start instants coincide
@@ -164,12 +167,18 @@ class ServeModule {
   // written by the control thread and polled by the owning thread. The
   // jitter RNG and home shard are worker-private.
   struct ServeWorker {
-    ServeWorker(const BackendSlot& s, bool c, int home_shard, Rng jitter_rng)
-        : slot(s), cold(c), home(home_shard), jitter(jitter_rng) {}
+    ServeWorker(const BackendSlot& s, bool c, SimTime provisioned_at, int home_shard,
+                Rng jitter_rng)
+        : slot(s),
+          cold(c),
+          provisioned(provisioned_at),
+          home(home_shard),
+          jitter(jitter_rng) {}
     const BackendSlot slot;
-    const bool cold;  // Spawned mid-run: sleep slot.cold_start first.
-    const int home;   // Home queue shard; siblings are steal targets.
-    Rng jitter;       // Owning thread only.
+    const bool cold;            // Spawned mid-run: serves from provisioned + cold_start.
+    const SimTime provisioned;  // Virtual instant the slot was provisioned.
+    const int home;             // Home queue shard; siblings are steal targets.
+    Rng jitter;                 // Owning thread only.
     std::atomic<bool> kill{false};
     std::atomic<bool> drain{false};
     // Liveness contract with the watchdog: the owning thread stamps

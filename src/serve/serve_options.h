@@ -15,9 +15,10 @@ namespace pard {
 struct ServeOptions {
   // Virtual seconds per wall second. Default 20. 1.0 serves in true real
   // time; the default compresses a 240 s trace into 12 s of wall time.
-  // Timing noise (scheduler jitter, sleep granularity ~100 us wall) is
-  // multiplied by the speedup in virtual terms, so very large values blur
-  // the latency decomposition — keep <= ~100 for meaningful numbers.
+  // Timing noise (wake-up latency after each absolute sleep: ~7 us wall at
+  // the median, ~1 ms in the contended tail on 4 vCPUs) is multiplied by the
+  // speedup in virtual terms, so very large values blur the latency
+  // decomposition — keep <= ~100 for meaningful numbers.
   double speedup = 20.0;
 
   // How the load generator produces arrivals. Default kTrace.

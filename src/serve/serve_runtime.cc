@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -721,9 +720,10 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
 
     // Drain: wait for in-flight requests to resolve, bounded by SLO + drain.
     const SimTime deadline = generator.LastArrival() + spec_.slo() + serve_.drain;
+    const auto poll = static_cast<Duration>(2.0 * kUsPerMs * clock_.speedup());  // 2 wall ms.
     bool drained = AllTerminal();
     while (!drained && clock_.Now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      clock_.SleepUntil(clock_.Now() + poll);
       drained = AllTerminal();
     }
     // Deadline hit with work still queued (e.g. a drop-free policy under

@@ -47,7 +47,7 @@
 //
 // Scope vs the simulator: inter-module network delay is folded into real
 // forwarding cost, and runs are NOT bit-deterministic — thread scheduling
-// and sleep granularity vary run to run; determinism lives in the arrival
+// and wake-up latency vary run to run; determinism lives in the arrival
 // stream and the fault schedule only. Leftover in-flight requests at the
 // drain deadline are accounted kLate so conservation holds.
 #ifndef PARD_SERVE_SERVE_RUNTIME_H_

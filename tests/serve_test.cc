@@ -18,13 +18,16 @@
 // concurrency contracts of ControlPlane, ServeModule and the shared
 // RequestQueue/StateBoard/estimator facade.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -51,16 +54,43 @@ namespace {
 
 constexpr double kGoodputTolerance = 0.25;
 
-TEST(ServeClock, AdvancesVirtualTimeAtSpeedup) {
-  ServeClock clock(100.0);
+TEST(ServeClock, SleepUntilNeverReturnsBeforeItsTarget) {
+  // A non-integer speedup makes every virtual -> wall conversion round; no
+  // target may be undershot by a rounding step.
+  ServeClock clock(37.3);
   clock.Start();
-  const SimTime a = clock.Now();
-  clock.SleepFor(50 * kUsPerMs);  // 0.5 ms wall at 100x.
-  const SimTime b = clock.Now();
-  EXPECT_GE(b - a, 50 * kUsPerMs);
-  // Sleep overshoot exists but stays well under the slept amount's order of
-  // magnitude on any sane scheduler; 100x margin keeps CI-proof.
-  EXPECT_LT(b - a, 5000 * kUsPerMs);
+  SimTime target = clock.Now();
+  for (int i = 0; i < 400; ++i) {
+    target += 1 + (i * 7919) % 613;  // Irregular 1..613 virtual µs steps.
+    clock.SleepUntil(target);
+    ASSERT_GE(clock.Now(), target) << "step " << i;
+  }
+}
+
+TEST(ServeClock, SleepUntilReturnsAtOnceForAPastTarget) {
+  ServeClock clock(1.0);
+  clock.Start();
+  clock.SleepUntil(2 * kUsPerMs);
+  const SimTime before = clock.Now();
+  // Before the epoch, at it, after it, and the current time. Slept as a
+  // relative duration, the first target alone would take an hour.
+  for (const SimTime past : {-3600 * kUsPerSec, SimTime{0}, kUsPerMs, before}) {
+    clock.SleepUntil(past);
+  }
+  EXPECT_LT(clock.Now() - before, 3600 * kUsPerSec);
+}
+
+TEST(ServeClock, SleepUntilSetsOneNanosecondTimerSlackOnTheCallingThread) {
+  ServeClock clock(50.0);
+  clock.Start();
+  std::atomic<int> slack{-1};
+  WorkerGroup thread;
+  thread.Spawn([&] {
+    clock.SleepUntil(clock.Now() + kUsPerMs);
+    slack.store(prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL));
+  });
+  thread.Join();
+  EXPECT_EQ(slack.load(), 1);
 }
 
 TEST(ServeClock, RejectsNonPositiveSpeedup) {
@@ -355,6 +385,45 @@ TEST(ServeRuntime, HeterogeneousFleetFailureAndRecoveryConserves) {
   EXPECT_TRUE(saw_kill);
   EXPECT_TRUE(saw_recovery_cold);
   EXPECT_TRUE(saw_recovery_active);
+}
+
+TEST(ServeRuntime, ColdStartedWorkerActivatesNoEarlierThanProvisionPlusColdStart) {
+  // Cold start counts from the provisioning instant, as the simulator's
+  // ModuleRuntime::ProvisionColdWorker counts it: the fleet log must never
+  // show a mid-run worker active before provision + cold_start.
+  const PipelineSpec spec = MakeApp("tm");
+  RuntimeOptions options;
+  options.fixed_workers = {1, 1, 1};
+  options.cold_start = 150 * kUsPerMs;
+  options.fleet_events = ParseFaultSchedule("0.3:1:add:1,0.6:2:add:2");
+  std::unique_ptr<DropPolicy> policy = MakePolicy("pard", PolicyParams{});
+  ServeOptions serve;
+  serve.speedup = 20.0;
+  ServeRuntime runtime(spec, options, policy.get(), 40.0, serve);
+  std::vector<SimTime> arrivals;
+  for (int i = 0; i < 40; ++i) {
+    arrivals.push_back(i * 25 * kUsPerMs);  // 40 req/s for 1 s.
+  }
+  runtime.RunTrace(arrivals);
+
+  std::map<std::pair<int, int>, SimTime> provisioned;  // (module, worker) -> at.
+  int cold_activations = 0;
+  for (const FleetTransition& t : runtime.fleet().transitions()) {
+    const auto key = std::make_pair(t.module_id, t.worker_id);
+    if (t.to == BackendState::kColdStarting) {
+      provisioned[key] = t.at;
+      continue;
+    }
+    const bool initial =
+        t.worker_id < runtime.worker_plan()[static_cast<std::size_t>(t.module_id)];
+    if (t.to == BackendState::kActive && !initial) {
+      ASSERT_EQ(provisioned.count(key), 1u);
+      EXPECT_GE(t.at, provisioned[key] + options.cold_start)
+          << "module " << t.module_id << " worker " << t.worker_id;
+      ++cold_activations;
+    }
+  }
+  EXPECT_EQ(cold_activations, 3);
 }
 
 TEST(ServeRuntime, ScalingEngineGrowsFleetUnderOverloadAndRecordsHistory) {
