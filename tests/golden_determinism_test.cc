@@ -11,11 +11,16 @@
 // bit-identity was allowed to break.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.h"
+#include "obs/drop_reason.h"
 #include "pipeline/apps.h"
+#include "pipeline/tenant_spec.h"
+#include "resilience/chaos.h"
+#include "runtime/backend_fleet.h"
 #include "runtime/batch_planner.h"
 #include "trace/rate_function.h"
 
@@ -184,6 +189,101 @@ TEST(GoldenDeterminism, ShardedRunMatchesPreRefactorKernel) {
   c.base_rate = 50.0;
   c.seed = 7;
   ExpectGolden(Find("sharded-lv-pard"), RunShardedExperiment(c, 4, 2));
+}
+
+// Request-lifecycle goldens. The rows above run without tenants, retries or
+// drops at DAG merges; these two pin those paths — tenant stamping and
+// ingress shed, worker-failure retries under chaos, and fate resolution
+// across a fork/merge — down to the exact per-reason drop counts and retry
+// tally. Harvested on the tree before the simulator and the serving runtime
+// shared one request lifecycle (runtime/request_lifecycle.h).
+struct LifecycleGolden {
+  Golden run;
+  std::size_t drop_reasons[kNumDropReasons];  // Indexed by DropReason.
+  std::uint64_t retries;
+};
+
+constexpr LifecycleGolden kLifecycleGoldens[] = {
+    {{"lv-tenants-chaos-retries", 5298u, 3418u, 1880u, 0.3548508871272178, 0.037457933433418349,
+      167.7386958939648, 0.6451491128727822},
+     {0, 0, 1037, 296, 0, 0, 0, 0, 0, 547},
+     2u},
+    {{"da-tenants-static-merge", 5298u, 3926u, 1372u, 0.25896564741411854, 0.03579549232830867,
+      191.70602393942403, 0.74103435258588146},
+     {0, 0, 1176, 66, 0, 0, 0, 0, 0, 130},
+     0u},
+};
+
+std::size_t ReasonCount(const ExperimentResult& result, DropReason reason) {
+  return result.drop_reason_counts[static_cast<std::size_t>(reason)];
+}
+
+void ExpectLifecycleGolden(const LifecycleGolden& golden, const ExperimentResult& result) {
+  ExpectGolden(golden.run, result);
+  ASSERT_EQ(result.drop_reason_counts.size(), static_cast<std::size_t>(kNumDropReasons));
+  for (int r = 0; r < kNumDropReasons; ++r) {
+    EXPECT_EQ(result.drop_reason_counts[static_cast<std::size_t>(r)], golden.drop_reasons[r])
+        << golden.run.name << " " << DropReasonName(static_cast<DropReason>(r));
+  }
+  EXPECT_EQ(result.retries, golden.retries) << golden.run.name;
+  // Non-vacuity: every row must actually reach the paths it exists to pin.
+  EXPECT_GT(ReasonCount(result, DropReason::kTenantShed), 0u) << golden.run.name;
+  EXPECT_GT(ReasonCount(result, DropReason::kBrokerCandidate), 0u) << golden.run.name;
+  EXPECT_GT(ReasonCount(result, DropReason::kPurgeExpired), 0u) << golden.run.name;
+}
+
+const LifecycleGolden& FindLifecycle(const std::string& name) {
+  for (const LifecycleGolden& g : kLifecycleGoldens) {
+    if (name == g.run.name) {
+      return g;
+    }
+  }
+  ADD_FAILURE() << "no lifecycle golden named " << name;
+  return kLifecycleGoldens[0];
+}
+
+// The tweet-burst overload shape of tests/tenant_test.cc: provisioned at
+// 1.15x the trace mean with live scaling, so burst load factors exceed 1 at
+// the sync ticks and the tenant governor really sheds.
+ExperimentConfig TenantOverload(const std::string& app) {
+  ExperimentConfig c;
+  c.app = app;
+  c.trace = "tweet";
+  c.policy = "pard";
+  c.duration_s = 20.0;
+  c.base_rate = 300.0;
+  c.seed = 7;
+  c.runtime.enable_scaling = true;
+  c.runtime.tenants = MakeReferenceTenantCatalog();
+  return c;
+}
+
+TEST(GoldenDeterminism, TenantsUnderChaosWithRetries) {
+  // SimTenants.PerTenantConservationExactUnderChaos's configuration: kills,
+  // a recovery, a finite hang, a slowdown and a sync stall, with retries.
+  ExperimentConfig c = TenantOverload("lv");
+  c.runtime.fleet_events = ParseFaultSchedule("4:0:kill:1,6:1:kill:1,8:1:add:1");
+  c.runtime.resilience.chaos =
+      ParseChaosSchedule("2.5:1:hang:1:1.5, 5:0:slow:2.0:3, 7:stall-sync:2");
+  c.runtime.resilience.max_retries = 2;
+  const ExperimentResult result = RunExperiment(c);
+  ExpectLifecycleGolden(FindLifecycle("lv-tenants-chaos-retries"), result);
+  EXPECT_GT(result.retries, 0u);
+}
+
+TEST(GoldenDeterminism, TenantsAcrossStaticForkAndMerge) {
+  // da forks person detection into pose and face recognition and merges
+  // them at expression recognition; under overload a request dropped on one
+  // branch must resolve its fate once while the sibling is still in flight.
+  const ExperimentResult result = RunExperiment(TenantOverload("da"));
+  ExpectLifecycleGolden(FindLifecycle("da-tenants-static-merge"), result);
+  std::size_t branch_drops = 0;
+  for (const RequestPtr& req : result.analysis->requests()) {
+    if (req->fate == RequestFate::kDropped && (req->drop_module == 1 || req->drop_module == 2)) {
+      ++branch_drops;
+    }
+  }
+  EXPECT_GT(branch_drops, 0u);
 }
 
 }  // namespace
