@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "runtime/backend_fleet.h"
 
 using pard::bench::Pct;
 
@@ -32,11 +33,7 @@ int main() {
     c.provision_factor = 1.25;
     c.runtime.enable_scaling = true;
     c.runtime.scaling_epoch = 5 * pard::kUsPerSec;
-    pard::RuntimeOptions::FailureEvent failure;
-    failure.at = pard::SecToUs(60);
-    failure.module_id = 1;
-    failure.workers = 2;
-    c.runtime.failures = {failure};
+    c.runtime.fleet_events = pard::ParseFaultSchedule("60:1:kill:2");
     const auto r = pard::RunExperiment(c);
     const double during =
         r.analysis->Slice(pard::SecToUs(60), pard::SecToUs(75)).NormalizedGoodput();

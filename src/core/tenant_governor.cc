@@ -78,18 +78,6 @@ void TenantGovernor::Resync(const std::vector<ModuleState>& states) {
   for (const ModuleState& state : states) {
     load = std::max(load, state.load_factor);
   }
-  ApplyLoad(load);
-}
-
-void TenantGovernor::ResyncFromBoard(const StateBoard& board) {
-  double load = 0.0;
-  for (int m = 0; m < board.NumModules(); ++m) {
-    load = std::max(load, board.Get(m).load_factor);
-  }
-  ApplyLoad(load);
-}
-
-void TenantGovernor::ApplyLoad(double load) {
   last_load_.store(load, std::memory_order_relaxed);
   const std::size_t n = catalog_.size();
   std::vector<double> probs(n, 1.0);

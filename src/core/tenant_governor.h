@@ -9,8 +9,8 @@
 // per-tenant at injection (slo_scale × pipeline SLO) and PardPolicy's
 // predicate reads `req.slo`.
 //
-// Mechanism. Each sync tick the governor reads the freshly published
-// ModuleStates and computes the fleet's worst load factor mu. When mu > 1
+// Mechanism. Each sync tick the governor reads the ModuleStates about to be
+// published and computes the fleet's worst load factor mu. When mu > 1
 // the fleet cannot serve everything, so a fraction f = 1 - 1/mu of the
 // offered stream must go; the governor assigns that shed budget greedily to
 // the LOWEST-weight tenants first, never pushing a tenant's admit
@@ -64,9 +64,9 @@ class TenantGovernor {
   bool AdmitAtIngress(std::uint64_t request_id, int tenant);
 
   // Recomputes the shed plan from the worst module load factor. Call once
-  // per sync tick with the states just published to the board/snapshot.
+  // per sync tick with the states about to be published to the
+  // board/snapshot.
   void Resync(const std::vector<ModuleState>& states);
-  void ResyncFromBoard(const StateBoard& board);
 
   // Introspection (relaxed reads; exact once the run has quiesced).
   double AdmitProbability(int tenant) const;
@@ -75,8 +75,6 @@ class TenantGovernor {
   double LastLoadFactor() const { return last_load_.load(std::memory_order_relaxed); }
 
  private:
-  void ApplyLoad(double load);
-
   struct alignas(64) TenantState {
     // Admit iff hash <= threshold; UINT64_MAX = admit everything.
     std::atomic<std::uint64_t> threshold{~std::uint64_t{0}};

@@ -137,8 +137,8 @@ ExperimentResult RunShardedExperiment(const ExperimentConfig& config, int shards
 // runtime.enable_scaling runs the live scaling engine (scale-ups are real
 // threads after their backend's cold start, capped at
 // serve.max_total_threads) and populates worker_history with the per-epoch
-// fleet; runtime.failures / runtime.fleet_events apply the deterministic
-// kill/recover schedule mid-run. The PARD transition log is collected after
+// fleet; runtime.fleet_events applies the deterministic kill/recover
+// schedule mid-run. The PARD transition log is collected after
 // the run, as in the simulator.
 ExperimentResult RunServeExperiment(const ExperimentConfig& config, const ServeOptions& serve);
 

@@ -140,7 +140,7 @@ void ModuleRuntime::RecordStageLatency(SimTime now, Duration stage_latency) {
 
 double ModuleRuntime::SmoothedInputRate(SimTime now) { return rate_monitor_.Smoothed(now); }
 
-void ModuleRuntime::Sync(SimTime now, StateBoard* board) {
+ModuleState ModuleRuntime::Sync(SimTime now) {
   ReapRetired();
   ModuleState state;
   state.module_id = spec_.id;
@@ -157,7 +157,7 @@ void ModuleRuntime::Sync(SimTime now, StateBoard* board) {
   state.burstiness = rate_monitor_.Burstiness(now);
   state.wait_samples = wait_reservoir_.values();
   std::sort(state.wait_samples.begin(), state.wait_samples.end());
-  board->Publish(std::move(state));
+  return state;
 }
 
 double ModuleRuntime::ProvisionColdWorker() {
@@ -241,27 +241,18 @@ void ModuleRuntime::RetryOrDrop(RequestPtr req) {
   if (req->Terminal()) {
     return;  // Resolved on another branch; nothing left to rescue.
   }
+  RequestLifecycle& lifecycle = pipeline_->lifecycle();
   const SimTime now = sim_->Now();
-  const ResilienceOptions& res = options_.resilience;
-  if (res.max_retries > 0) {
-    if (req->retry_count >= res.max_retries) {
-      OnPolicyDrop(std::move(req), DropReason::kRetryExhausted);
+  DropReason verdict = lifecycle.RetryVerdict(*req, spec_.id, now);
+  if (verdict == DropReason::kNone) {
+    if (Worker* worker = ChooseWorker(); worker != nullptr) {
+      lifecycle.NoteRetry(*req, spec_.id, now);
+      worker->Enqueue(std::move(req));
       return;
     }
-    // Deadline-aware: re-enqueue only when the remaining budget could still
-    // cover this stage's batch duration.
-    if (req->RemainingBudget(now) > profile_.BatchDuration(batch_size_)) {
-      Worker* worker = ChooseWorker();
-      if (worker != nullptr) {
-        ++req->retry_count;
-        pipeline_->NoteRetry(*req, spec_.id, now);
-        worker->Enqueue(std::move(req));
-        return;
-      }
-      // No surviving dispatchable worker: the failure consumed the request.
-    }
+    verdict = DropReason::kWorkerFailure;  // No surviving dispatchable worker.
   }
-  OnPolicyDrop(std::move(req), DropReason::kWorkerFailure);
+  OnPolicyDrop(std::move(req), verdict);
 }
 
 void ModuleRuntime::FailWorkers(int count) {

@@ -40,8 +40,8 @@ class ModuleRuntime {
   // Delivery from the dispatcher (or pipeline ingress).
   void Receive(RequestPtr req);
 
-  // Computes and publishes this module's ModuleState.
-  void Sync(SimTime now, StateBoard* board);
+  // Computes this module's ModuleState for the sync tick to publish.
+  ModuleState Sync(SimTime now);
 
   // Scaling: adjusts the active+warming pool toward `target_units` of
   // capacity in baseline-worker units (Σ backend speed). For a homogeneous
@@ -67,12 +67,12 @@ class ModuleRuntime {
   // virtual time `until`. Later calls override earlier ones.
   void SetSlowdown(double factor, SimTime until);
 
-  // Deadline-aware retry for a failed worker's request: re-enqueue on a
-  // surviving worker (bounded by options.resilience.max_retries and the
-  // remaining deadline budget vs this stage's batch duration), else drop
-  // kRetryExhausted / kWorkerFailure. Mirrors ServeRuntime::RetryOrDrop —
-  // the serve analogue of a direct enqueue is ServeModule::Receive, so both
-  // substrates skip re-admission on the retry path.
+  // Deadline-aware retry for a failed worker's request: when the shared
+  // RequestLifecycle::RetryVerdict allows it, re-enqueue directly on a
+  // surviving worker (kWorkerFailure when none is left), else drop with the
+  // verdict's reason. ServeRuntime::RetryOrDrop applies the same verdict;
+  // its direct enqueue is ServeModule::Receive, so both substrates skip
+  // re-admission on the retry path.
   void RetryOrDrop(RequestPtr req);
 
   int module_id() const { return spec_.id; }

@@ -1,10 +1,12 @@
 // Pipeline runtime: the full serving engine for one application.
 //
 // Owns the simulation kernel, one ModuleRuntime (controller + workers) per
-// pipeline module, the shared StateBoard, the ingress dispatcher, DAG
-// split/merge bookkeeping, the periodic state-sync tick and the optional
-// resource-scaling engine. A run injects a trace of client arrivals and
-// leaves behind the full set of Request records for offline analysis.
+// pipeline module, the shared StateBoard, the network-delay hop between
+// modules, the periodic state-sync tick and the optional resource-scaling
+// engine. The request lifecycle — stamping, DAG split/merge, fates and their
+// accounting — is the one the serving runtime uses too
+// (runtime/request_lifecycle.h). A run injects a trace of client arrivals
+// and leaves behind the full set of Request records for offline analysis.
 #ifndef PARD_RUNTIME_PIPELINE_RUNTIME_H_
 #define PARD_RUNTIME_PIPELINE_RUNTIME_H_
 
@@ -12,21 +14,18 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
-#include "core/tenant_governor.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
 #include "runtime/drop_policy.h"
 #include "runtime/module_runtime.h"
 #include "runtime/request.h"
 #include "runtime/request_arena.h"
+#include "runtime/request_lifecycle.h"
 #include "runtime/runtime_options.h"
 #include "runtime/state_board.h"
 #include "sim/simulation.h"
 
 namespace pard {
-
-class Counter;  // obs/metrics.h
 
 class PipelineRuntime {
  public:
@@ -52,11 +51,12 @@ class PipelineRuntime {
   // timestamped transition log (see runtime/backend_fleet.h).
   const BackendFleet& fleet() const { return fleet_; }
   ModuleRuntime& module(int id);
-  const std::vector<int>& batch_sizes() const { return batch_sizes_; }
+  const std::vector<int>& batch_sizes() const { return lifecycle_.batch_sizes(); }
+  RequestLifecycle& lifecycle() { return lifecycle_; }
 
   // All requests injected so far (terminal after RunTrace); the metrics
   // library analyzes these.
-  const std::vector<RequestPtr>& requests() const { return requests_; }
+  const std::vector<RequestPtr>& requests() const { return lifecycle_.requests(); }
 
   // Worker-count history per module: (time, active workers), recorded at
   // each scaling epoch. Used by the cold-start analysis bench.
@@ -66,59 +66,34 @@ class PipelineRuntime {
   // --- Internal transitions (called by ModuleRuntime/Worker) --------------
   void OnModuleDone(RequestPtr req, int module_id);
   void Drop(RequestPtr req, int module_id, DropReason reason);
-  // Accounting hook for ModuleRuntime::RetryOrDrop: bumps the retry tally,
-  // metric and trace instant. The caller already incremented req.retry_count.
-  void NoteRetry(const Request& req, int module_id, SimTime now);
 
   // Total successful re-enqueues after worker failures (resilience path).
-  std::uint64_t retries() const { return retries_; }
+  std::uint64_t retries() const { return lifecycle_.retries(); }
 
   // Observability (null when disabled via RuntimeOptions).
   TraceRecorder* trace() { return options_.trace; }
-  MetricsRegistry* metrics() { return options_.metrics; }
-
-  // Multi-tenant governor; null for untenanted runs (empty
-  // RuntimeOptions::tenants — the bit-identical historical path).
-  const TenantGovernor* governor() const { return governor_.get(); }
 
  private:
   void Inject();
-  void AssignDynamicPath(Request& req);
   void SyncTick();
   void ScalingTick();
   void Deliver(RequestPtr req, int module_id);
-  void Complete(RequestPtr req);
 
   PipelineSpec spec_;
   RuntimeOptions options_;
+  RequestLifecycle lifecycle_;
   DropPolicy* policy_;
   Simulation sim_;
   StateBoard board_;
-  Rng rng_;
   // Requests live until the analysis is done with them; the arena keeps them
   // (and their control blocks) in bump-allocated slabs, and allocator copies
   // inside the control blocks keep the arena alive past this runtime.
   std::shared_ptr<RequestArena> arena_ = std::make_shared<RequestArena>();
-  std::vector<int> batch_sizes_;
   BackendFleet fleet_;
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
-  std::vector<RequestPtr> requests_;
   std::vector<WorkerSample> worker_history_;
-  std::uint64_t next_request_id_ = 1;
   SimTime last_arrival_ = 0;
-  // Pre-resolved instruments (null when options_.metrics is null): fate
-  // tallies by outcome/reason, bumped on the single simulator thread.
-  Counter* completed_counter_ = nullptr;
-  Counter* drop_reason_counters_[kNumDropReasons] = {};
-  Counter* retry_counter_ = nullptr;
-  // Tenant-keyed fate tallies ("tenant.<name>.completed|dropped"), indexed
-  // by tenant; empty when untenanted or metrics are disabled.
-  std::vector<Counter*> tenant_completed_;
-  std::vector<Counter*> tenant_dropped_;
-  // Weighted ingress governor (null when options_.tenants is empty).
-  std::unique_ptr<TenantGovernor> governor_;
   std::int64_t sync_count_ = 0;
-  std::uint64_t retries_ = 0;
   // Chaos stall-sync window: SyncTick keeps rescheduling but skips the
   // publish while now < stall_until_, so policies read a stale board exactly
   // like serve readers see a stale snapshot.

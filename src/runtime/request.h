@@ -8,16 +8,23 @@
 // drop rate, invalid rate, per-module drop placement, budget consumption) is
 // derived after the run.
 //
-// Concurrency contract (serving runtime): identity fields (id, sent, slo,
-// deadline, branch_choice, expected_arrivals) are immutable after injection.
-// Each hops[k] is written only by module k's worker threads, which never
-// race each other on one request (a request is in at most one batch at k).
-// The terminal fields (fate, drop_module, drop_reason, finish) and
-// merge_arrivals flip under the request's fate stripe — one of
-// ServeRuntime's 16 striped fate locks, chosen by request id
-// (ServeRuntime::FateMutex) — so cross-branch readers must go through
-// ServeRuntime::IsTerminal rather than reading `fate` directly while a run
-// is live. The single-threaded simulator needs none of this.
+// In both substrates RequestLifecycle (runtime/request_lifecycle.h) stamps
+// the identity fields at injection and is the only writer of the terminal
+// fields and merge_arrivals.
+//
+// Concurrency contract (serving runtime): identity fields (id, sent, tenant,
+// weight, slo, deadline, branch_choice, expected_arrivals) are immutable
+// after injection. Each hops[k] is written only by module k's worker
+// threads, which never race each other on one request (a request is in at
+// most one batch at k). The terminal fields (fate, drop_module, drop_reason,
+// finish) and merge_arrivals change only in the lifecycle's fate
+// transitions, which ServeRuntime runs under the request's fate stripe — one
+// of its 16 striped fate locks, chosen by request id
+// (ServeRuntime::FateMutex). A terminal fate never changes again, so the
+// thread that made the transition reads it back lock-free for the
+// accounting; every other cross-branch reader goes through
+// ServeRuntime::IsTerminal while a run is live. The single-threaded
+// simulator needs none of this.
 #ifndef PARD_RUNTIME_REQUEST_H_
 #define PARD_RUNTIME_REQUEST_H_
 

@@ -101,29 +101,20 @@ struct RuntimeOptions {
   // budget lives in ServeOptions::drain; this one bounds the simulator.)
   Duration drain = 5 * kUsPerSec;
 
-  // [sim] Dynamic request paths (§5.2's "request-specific dynamic paths"):
+  // [both] Dynamic request paths (§5.2's "request-specific dynamic paths"):
   // at each fork module the request probabilistically takes exactly ONE
   // branch (chosen from intermediate results in the real system; sampled
   // uniformly here). Amplifies latency uncertainty and degrades estimation
   // accuracy unless the policy uses path prediction. Default off.
   bool dynamic_paths = false;
 
-  // [sim] Failure injection: at `at` (virtual us), `workers` GPUs serving
-  // `module_id` fail. In-flight and queued requests on the failed workers
-  // are lost, and the scaling engine (if enabled) replaces capacity after a
-  // cold start — the paper's "machine failure" disturbance (§1, §2).
-  // Superseded by `fleet_events`, which both substrates honor.
-  struct FailureEvent {
-    SimTime at = 0;
-    int module_id = 0;
-    int workers = 1;
-  };
-  std::vector<FailureEvent> failures;
-
-  // [both] Deterministic fleet fault schedule: kKill mirrors `failures`
-  // (kill `count` active workers of `module_id` at `at`), kAdd provisions
-  // `count` replacement workers that become active after their backend
-  // profile's cold start. Default empty.
+  // [both] Deterministic fleet fault schedule — the paper's "machine
+  // failure" disturbance (§1, §2). kKill kills `count` active workers of
+  // `module_id` at `at`; their in-flight and queued requests take the
+  // deadline-aware retry path, and the scaling engine (if enabled) replaces
+  // capacity after a cold start. kAdd provisions `count` replacement workers
+  // that become active after their backend profile's cold start. Default
+  // empty.
   std::vector<FleetEvent> fleet_events;
 
   // [both] Multi-tenant catalog (pipeline/tenant_spec.h). Empty (default) =

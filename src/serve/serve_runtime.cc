@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -63,70 +62,24 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
     : spec_(spec),
       options_(options),
       serve_(serve),
+      lifecycle_(spec_, options_),
       clock_(serve.speedup),
       board_(spec.NumModules()),
       control_(&spec_, policy, &board_, MakeControlOptions(options, serve)),
-      batch_sizes_(PlanBatchSizes(spec_)),
-      fleet_(spec_, options.cold_start, options.cost_aware_provisioning),
-      rng_(options.seed) {
+      fleet_(spec_, options.cold_start, options.cost_aware_provisioning) {
   PARD_CHECK(serve_.max_total_threads >= spec_.NumModules());
-  if (!options_.tenants.empty()) {
-    governor_ = std::make_unique<TenantGovernor>(options_.tenants, options_.seed);
-  }
   PARD_CHECK_MSG(serve_.broker_threads >= 1, "broker_threads must be >= 1");
-  if (!options_.fixed_workers.empty()) {
-    PARD_CHECK_MSG(static_cast<int>(options_.fixed_workers.size()) == spec_.NumModules(),
-                   "fixed_workers size must match module count");
-    worker_plan_ = options_.fixed_workers;
-  } else {
-    worker_plan_ = PlanWorkers(spec_, batch_sizes_, expected_rate, options_.provision_headroom,
-                               options_.max_workers_per_module, options_.total_gpus);
-  }
-  worker_plan_ = CapTotalWorkers(worker_plan_, serve_.max_total_threads);
-  // The deterministic fault schedule, merged and time-sorted. Validated
-  // loudly here: a typo'd module id must fail the run, not silently no-op.
-  for (const RuntimeOptions::FailureEvent& failure : options_.failures) {
-    PARD_CHECK_MSG(failure.module_id >= 0 && failure.module_id < spec_.NumModules(),
-                   "failure event targets unknown module " << failure.module_id);
-    fault_schedule_.push_back(
-        FleetEvent{failure.at, failure.module_id, FleetEvent::Kind::kKill, failure.workers});
-  }
-  for (const FleetEvent& event : options_.fleet_events) {
-    PARD_CHECK_MSG(event.module_id >= 0 && event.module_id < spec_.NumModules(),
-                   "fleet event targets unknown module " << event.module_id);
-    PARD_CHECK(event.count >= 1);
-    fault_schedule_.push_back(event);
-  }
-  std::stable_sort(fault_schedule_.begin(), fault_schedule_.end(),
-                   [](const FleetEvent& a, const FleetEvent& b) { return a.at < b.at; });
-  // The chaos schedule, expanded deterministically from the run seed (so a
-  // probabilistic schedule injects the same concrete events the simulator
-  // would) and validated like the fault schedule.
-  PARD_CHECK(options_.resilience.max_retries >= 0);
-  PARD_CHECK(options_.resilience.hang_budget >= 0);
-  chaos_schedule_ = ExpandChaosSchedule(options_.resilience.chaos, options_.seed);
-  for (const ChaosEvent& event : chaos_schedule_) {
-    PARD_CHECK_MSG(event.kind == ChaosKind::kStallSync ||
-                       (event.module_id >= 0 && event.module_id < spec_.NumModules()),
-                   "chaos event targets unknown module " << event.module_id);
-  }
+  const std::vector<int>& batch_sizes = lifecycle_.batch_sizes();
+  worker_plan_ =
+      CapTotalWorkers(PlanInitialWorkers(spec_, batch_sizes, options_, expected_rate),
+                      serve_.max_total_threads);
   for (const ModuleSpec& m : spec_.modules()) {
-    const ModelProfile& profile = ProfileRegistry::Get(m.model);
-    planned_batch_duration_.push_back(
-        profile.BatchDuration(batch_sizes_[static_cast<std::size_t>(m.id)]));
     modules_.push_back(std::make_unique<ServeModule>(
-        this, &fleet_, m, profile, batch_sizes_[static_cast<std::size_t>(m.id)],
+        this, &fleet_, m, ProfileRegistry::Get(m.model),
+        batch_sizes[static_cast<std::size_t>(m.id)],
         worker_plan_[static_cast<std::size_t>(m.id)], options_));
   }
   if (options_.metrics != nullptr) {
-    // Same metric names as the simulator (pipeline_runtime.cc), so the two
-    // substrates export comparable series.
-    completed_counter_ = options_.metrics->GetCounter("fate.completed");
-    for (int r = 1; r < kNumDropReasons; ++r) {
-      drop_reason_counters_[r] = options_.metrics->GetCounter(
-          std::string("fate.dropped.") + DropReasonName(static_cast<DropReason>(r)));
-    }
-    retry_counter_ = options_.metrics->GetCounter("resilience.retries");
     watchdog_counter_ = options_.metrics->GetCounter("resilience.watchdog_kills");
     // Control-sync tail: wall-clock Sync() cost per epoch. 0..20 ms in
     // 0.5 ms buckets comfortably brackets both the incremental fast path
@@ -141,14 +94,6 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
       admitted_counters_.push_back(options_.metrics->GetCounter(
           "module.m" + std::to_string(m.id) + ".admitted"));
     }
-    if (governor_ != nullptr) {
-      for (const TenantSpec& tenant : options_.tenants) {
-        tenant_completed_.push_back(
-            options_.metrics->GetCounter("tenant." + tenant.name + ".completed"));
-        tenant_dropped_.push_back(
-            options_.metrics->GetCounter("tenant." + tenant.name + ".dropped"));
-      }
-    }
   }
 }
 
@@ -158,61 +103,33 @@ bool ServeRuntime::IsTerminal(const Request& req) const {
   return req.Terminal();
 }
 
-void ServeRuntime::AssignDynamicPath(Request& req) {
-  const int n = spec_.NumModules();
-  req.branch_choice.assign(static_cast<std::size_t>(n), -1);
-  req.expected_arrivals.assign(static_cast<std::size_t>(n), 0);
-  std::vector<bool> active(static_cast<std::size_t>(n), false);
-  active[static_cast<std::size_t>(spec_.SourceModule())] = true;
-  for (int id : spec_.TopoOrder()) {
-    if (!active[static_cast<std::size_t>(id)]) {
-      continue;
+template <typename Transition>
+void ServeRuntime::ResolveFate(Request& req, Transition transition) {
+  {
+    LockOrderGuard order(LockRank::kFate);
+    std::lock_guard<std::mutex> lock(FateMutex(req));
+    if (!transition(req)) {
+      return;  // Already resolved on another branch or thread.
     }
-    const ModuleSpec& m = spec_.Module(id);
-    if (m.subs.size() > 1) {
-      const int pick = static_cast<int>(
-          rng_.UniformInt(0, static_cast<std::int64_t>(m.subs.size()) - 1));
-      const int chosen = m.subs[static_cast<std::size_t>(pick)];
-      req.branch_choice[static_cast<std::size_t>(id)] = chosen;
-      active[static_cast<std::size_t>(chosen)] = true;
-      ++req.expected_arrivals[static_cast<std::size_t>(chosen)];
-    } else {
-      for (int s : m.subs) {
-        active[static_cast<std::size_t>(s)] = true;
-        ++req.expected_arrivals[static_cast<std::size_t>(s)];
-      }
-    }
+    in_flight_.fetch_sub(1, std::memory_order_release);
   }
+  // Instrumentation outside the fate stripe: counters and trace shards are
+  // lock-free, but keeping the stripe's critical section minimal keeps the
+  // traced and untraced paths contention-identical.
+  lifecycle_.RecordFate(req);
 }
 
 void ServeRuntime::Inject(SimTime scheduled) {
   (void)scheduled;  // Open loop: the *actual* instant is the send time.
   const SimTime now = clock_.Now();
   RequestPtr req = std::make_shared<Request>();
-  // No lock: the id counter, RNG and request log belong to this (the load
-  // generator's) thread; identity fields are immutable once the request is
-  // visible to any other thread (runtime/request.h).
-  req->id = next_request_id_++;
-  req->sent = now;
-  req->slo = spec_.slo();
-  if (governor_ != nullptr) {
-    // Tenant identity is a pure hash of the request id (no RNG draw) and is
-    // stamped before the request becomes visible to any other thread.
-    req->tenant = governor_->TenantOf(req->id);
-    const TenantSpec& tenant = governor_->Tenant(req->tenant);
-    req->weight = tenant.weight;
-    req->slo = static_cast<Duration>(
-        std::llround(static_cast<double>(req->slo) * tenant.slo_scale));
-  }
-  req->deadline = req->sent + req->slo;
-  req->hops.resize(static_cast<std::size_t>(spec_.NumModules()));
-  req->merge_arrivals.assign(static_cast<std::size_t>(spec_.NumModules()), 0);
-  if (options_.dynamic_paths) {
-    AssignDynamicPath(*req);
-  }
-  requests_.push_back(req);
+  // No lock: the lifecycle's injection state (id counter, RNG, request log)
+  // belongs to this (the load generator's) thread; identity fields are
+  // immutable once the request is visible to any other thread
+  // (runtime/request.h).
+  const bool admitted = lifecycle_.Inject(req, now);
   in_flight_.fetch_add(1, std::memory_order_release);
-  if (governor_ != nullptr && !governor_->AdmitAtIngress(req->id, req->tenant)) {
+  if (!admitted) {
     // Weighted ingress shed: lock-free threshold read on this (the load
     // generator's) thread; the request is recorded for conservation but
     // never reaches the broker backlog or any module queue.
@@ -248,22 +165,12 @@ void ServeRuntime::BrokerLoop() {
 }
 
 void ServeRuntime::Deliver(const RequestPtr& req, int module_id, SimTime now) {
-  const ModuleSpec& m = spec_.Module(module_id);
-  if (m.pres.size() > 1) {
-    // DAG merge: enqueue only once all expected branches delivered. The
-    // merge counter shares the request's fate stripe, so a sibling branch's
-    // drop and this arrival serialize.
+  if (lifecycle_.IsMerge(module_id)) {
+    // DAG merge: the merge counter shares the request's fate stripe, so a
+    // sibling branch's drop and this arrival serialize.
     LockOrderGuard order(LockRank::kFate);
     std::lock_guard<std::mutex> lock(FateMutex(*req));
-    int& arrived = req->merge_arrivals[static_cast<std::size_t>(module_id)];
-    ++arrived;
-    if (req->Terminal()) {
-      return;  // A sibling branch was dropped; nothing to merge.
-    }
-    const int expected = req->HasDynamicPath()
-                             ? req->expected_arrivals[static_cast<std::size_t>(module_id)]
-                             : static_cast<int>(m.pres.size());
-    if (arrived < expected) {
+    if (!lifecycle_.MergeReady(*req, module_id)) {
       return;
     }
   }
@@ -286,8 +193,8 @@ void ServeRuntime::Deliver(const RequestPtr& req, int module_id, SimTime now) {
   ctx.module_id = module_id;
   ctx.now = now;
   ctx.batch_start = now;
-  ctx.batch_duration = planned_batch_duration_[static_cast<std::size_t>(module_id)];
-  ctx.batch_size = batch_sizes_[static_cast<std::size_t>(module_id)];
+  ctx.batch_duration = lifecycle_.PlannedBatchDuration(module_id);
+  ctx.batch_size = lifecycle_.batch_sizes()[static_cast<std::size_t>(module_id)];
   if (control_.ShouldDrop(ctx)) {
     req->hops[static_cast<std::size_t>(module_id)].arrive = now;
     req->hops[static_cast<std::size_t>(module_id)].batch_entry = now;
@@ -312,148 +219,40 @@ void ServeRuntime::OnModuleDone(const RequestPtr& req, int module_id, SimTime no
   if (IsTerminal(*req)) {
     return;  // Dropped on a parallel branch while this one executed.
   }
-  const ModuleSpec& m = spec_.Module(module_id);
-  if (m.subs.empty()) {
-    Complete(req, now);
-    return;
-  }
-  if (req->HasDynamicPath() && m.subs.size() > 1) {
-    Deliver(req, req->branch_choice[static_cast<std::size_t>(module_id)], now);
-    return;
-  }
-  for (int sub : m.subs) {
-    Deliver(req, sub, now);
+  if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub, now); })) {
+    ResolveFate(*req, [&](Request& r) { return lifecycle_.Complete(r, now); });
   }
 }
 
 void ServeRuntime::Drop(const RequestPtr& req, int module_id, SimTime now,
                         DropReason reason) {
-  {
-    LockOrderGuard order(LockRank::kFate);
-    std::lock_guard<std::mutex> lock(FateMutex(*req));
-    if (req->Terminal()) {
-      return;
-    }
-    req->fate = RequestFate::kDropped;
-    req->drop_module = module_id;
-    req->finish = now;
-    req->drop_reason = reason;
-    in_flight_.fetch_sub(1, std::memory_order_release);
-  }
-  // Instrumentation outside the fate stripe: counters and trace shards are
-  // lock-free, but keeping the stripe's critical section minimal keeps the
-  // traced and untraced paths contention-identical.
-  if (drop_reason_counters_[static_cast<int>(reason)] != nullptr) {
-    drop_reason_counters_[static_cast<int>(reason)]->Add();
-  }
-  if (req->tenant >= 0 && !tenant_dropped_.empty()) {
-    tenant_dropped_[static_cast<std::size_t>(req->tenant)]->Add();
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kFate;
-    ev.module = module_id;
-    ev.request_id = req->id;
-    ev.ts = now;
-    ev.arg0 = static_cast<std::int64_t>(RequestFate::kDropped);
-    ev.arg1 = static_cast<std::int64_t>(reason);
-    options_.trace->EmitSampled(ev);
-  }
+  ResolveFate(*req, [&](Request& r) { return lifecycle_.Drop(r, module_id, now, reason); });
 }
 
 void ServeRuntime::RetryOrDrop(const RequestPtr& req, int module_id, SimTime now) {
   if (IsTerminal(*req)) {
     return;  // Resolved on another branch; nothing left to rescue.
   }
-  const ResilienceOptions& res = options_.resilience;
-  if (res.max_retries > 0) {
-    if (req->retry_count >= res.max_retries) {
-      Drop(req, module_id, now, DropReason::kRetryExhausted);
-      return;
-    }
-    // Deadline-aware: re-enqueue only when the remaining budget could still
-    // cover this stage's planned batch duration — a request that cannot
-    // finish even if picked up immediately is dead capacity.
-    if (req->RemainingBudget(now) >
-        planned_batch_duration_[static_cast<std::size_t>(module_id)]) {
-      ++req->retry_count;  // Single writer: the thread that owned the batch.
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      if (retry_counter_ != nullptr) {
-        retry_counter_->Add();
-      }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kRetry;
-        ev.module = module_id;
-        ev.request_id = req->id;
-        ev.ts = now;
-        ev.arg0 = req->retry_count;
-        options_.trace->EmitSampled(ev);
-      }
-      // Straight back into the module's queue shards: admission already
-      // passed at delivery, and re-running NoteOffered/merge bookkeeping
-      // would double-count this request.
-      modules_[static_cast<std::size_t>(module_id)]->Receive(req);
-      return;
-    }
+  const DropReason verdict = lifecycle_.RetryVerdict(*req, module_id, now);
+  if (verdict != DropReason::kNone) {
+    Drop(req, module_id, now, verdict);
+    return;
   }
-  Drop(req, module_id, now, DropReason::kWorkerFailure);
-}
-
-void ServeRuntime::Complete(const RequestPtr& req, SimTime now) {
-  RequestFate fate;
-  {
-    LockOrderGuard order(LockRank::kFate);
-    std::lock_guard<std::mutex> lock(FateMutex(*req));
-    if (req->Terminal()) {
-      return;
-    }
-    req->finish = now;
-    fate = now <= req->deadline ? RequestFate::kCompleted : RequestFate::kLate;
-    req->fate = fate;
-    if (fate == RequestFate::kLate) {
-      req->drop_reason = DropReason::kSloLate;
-    }
-    in_flight_.fetch_sub(1, std::memory_order_release);
-  }
-  if (options_.metrics != nullptr) {
-    if (fate == RequestFate::kCompleted) {
-      completed_counter_->Add();
-    } else {
-      drop_reason_counters_[static_cast<int>(DropReason::kSloLate)]->Add();
-    }
-    if (req->tenant >= 0 && !tenant_completed_.empty()) {
-      (fate == RequestFate::kCompleted
-           ? tenant_completed_[static_cast<std::size_t>(req->tenant)]
-           : tenant_dropped_[static_cast<std::size_t>(req->tenant)])
-          ->Add();
-    }
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kFate;
-    ev.module = -1;
-    ev.request_id = req->id;
-    ev.ts = now;
-    ev.arg0 = static_cast<std::int64_t>(fate);
-    ev.arg1 = static_cast<std::int64_t>(
-        fate == RequestFate::kLate ? DropReason::kSloLate : DropReason::kNone);
-    options_.trace->EmitSampled(ev);
-  }
+  // retry_count's single writer is this thread, which owned the batch.
+  lifecycle_.NoteRetry(*req, module_id, now);
+  // Straight back into the module's queue shards: admission already passed
+  // at delivery, and re-running NoteOffered/merge bookkeeping would
+  // double-count this request.
+  modules_[static_cast<std::size_t>(module_id)]->Receive(req);
 }
 
 void ServeRuntime::ScalingTick(SimTime now) {
   FleetSample sample;
   sample.t = now;
   for (auto& module : modules_) {
-    const double rate = module->SmoothedInputRate(now);
-    const double per_worker = module->PerWorkerThroughput();
-    // Same engine as PipelineRuntime::ScalingTick: target capacity in
-    // baseline-worker units from the smoothed offered rate.
-    double target_units = fleet_.ProvisionedUnits(module->module_id());
-    if (rate > 0.0 && per_worker > 0.0) {
-      target_units = rate * options_.provision_headroom / per_worker;
-    }
+    const double target_units =
+        lifecycle_.ScalingTarget(module->SmoothedInputRate(now), module->PerWorkerThroughput(),
+                                 fleet_.ProvisionedUnits(module->module_id()));
     // Real threads are capped fleet-wide; scale-ups spend the remaining
     // thread budget, scale-downs always apply.
     const int budget = serve_.max_total_threads - fleet_.TotalProvisioned();
@@ -464,6 +263,8 @@ void ServeRuntime::ScalingTick(SimTime now) {
 }
 
 void ServeRuntime::ControlLoop() {
+  const std::vector<FleetEvent>& faults = lifecycle_.fault_schedule();
+  const std::vector<ChaosEvent>& chaos = lifecycle_.chaos_schedule();
   SimTime next_sync = options_.sync_period;
   SimTime next_scale = options_.enable_scaling ? options_.scaling_epoch : -1;
   std::size_t next_fault = 0;
@@ -484,11 +285,11 @@ void ServeRuntime::ControlLoop() {
     if (next_scale >= 0) {
       wake = std::min(wake, next_scale);
     }
-    if (next_fault < fault_schedule_.size()) {
-      wake = std::min(wake, fault_schedule_[next_fault].at);
+    if (next_fault < faults.size()) {
+      wake = std::min(wake, faults[next_fault].at);
     }
-    if (next_chaos < chaos_schedule_.size()) {
-      wake = std::min(wake, chaos_schedule_[next_chaos].at);
+    if (next_chaos < chaos.size()) {
+      wake = std::min(wake, chaos[next_chaos].at);
     }
     if (next_watchdog >= 0) {
       wake = std::min(wake, next_watchdog);
@@ -500,8 +301,8 @@ void ServeRuntime::ControlLoop() {
     const SimTime now = clock_.Now();
     // Deterministic fault schedule first: kill/recover exactly as scheduled
     // (transitions are logged at the scheduled instant).
-    while (next_fault < fault_schedule_.size() && fault_schedule_[next_fault].at <= now) {
-      const FleetEvent& event = fault_schedule_[next_fault++];
+    while (next_fault < faults.size() && faults[next_fault].at <= now) {
+      const FleetEvent& event = faults[next_fault++];
       ServeModule& module = *modules_[static_cast<std::size_t>(event.module_id)];
       if (event.kind == FleetEvent::Kind::kKill) {
         module.FailWorkers(event.count, event.at);
@@ -512,20 +313,12 @@ void ServeRuntime::ControlLoop() {
             std::max(0, serve_.max_total_threads - fleet_.TotalProvisioned());
         module.AddWorkers(std::min(event.count, budget), event.at);
       }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kFleet;
-        ev.module = event.module_id;
-        ev.ts = event.at;
-        ev.arg0 = event.kind == FleetEvent::Kind::kKill ? 0 : 1;
-        ev.arg1 = event.count;
-        options_.trace->Emit(ev);
-      }
+      lifecycle_.TraceFleetEvent(event);
     }
     // Chaos schedule: hang/slow land on the target module; stall-sync arms
     // the sync-skip window below.
-    while (next_chaos < chaos_schedule_.size() && chaos_schedule_[next_chaos].at <= now) {
-      const ChaosEvent& event = chaos_schedule_[next_chaos++];
+    while (next_chaos < chaos.size() && chaos[next_chaos].at <= now) {
+      const ChaosEvent& event = chaos[next_chaos++];
       switch (event.kind) {
         case ChaosKind::kHang:
           modules_[static_cast<std::size_t>(event.module_id)]->HangWorkers(
@@ -539,16 +332,7 @@ void ServeRuntime::ControlLoop() {
           sync_stalled_until = std::max(sync_stalled_until, event.at + event.duration);
           break;
       }
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kChaos;
-        ev.module = event.module_id;
-        ev.ts = event.at;
-        ev.arg0 = static_cast<std::int64_t>(event.kind);
-        ev.arg1 = event.kind == ChaosKind::kHang ? event.count
-                                                 : static_cast<std::int64_t>(event.duration);
-        options_.trace->Emit(ev);
-      }
+      lifecycle_.TraceChaosEvent(event);
     }
     // Watchdog: force-fail busy workers with stale heartbeats and provision
     // replacements from the remaining thread budget.
@@ -591,11 +375,9 @@ void ServeRuntime::ControlLoop() {
       for (auto& module : modules_) {
         states.push_back(module->Snapshot(now));  // Shard locks, one at a time.
       }
-      if (governor_ != nullptr) {
-        // Weighted shed plan from the same states the brokers are about to
-        // read — the governor is never fresher than the snapshot.
-        governor_->Resync(states);
-      }
+      // Weighted shed plan from the same states the brokers are about to
+      // read — the governor is never fresher than the snapshot.
+      lifecycle_.ResyncGovernor(states);
       // Publishes a fresh immutable snapshot for the brokers — entirely off
       // the control lock on the snapshot path. Timed in wall-clock terms:
       // sync cost is real CPU work, not virtual time.
@@ -746,23 +528,7 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
   // Conservation: anything still in flight (wedged queue, drain timeout,
   // discarded broker backlog) is accounted as late rather than silently
   // vanishing. Every thread has joined; no lock needed.
-  const SimTime now = clock_.Now();
-  for (const RequestPtr& req : requests_) {
-    if (!req->Terminal()) {
-      req->fate = RequestFate::kLate;
-      req->finish = now;
-      req->drop_reason = DropReason::kDrainAbandoned;
-      in_flight_.fetch_sub(1, std::memory_order_release);
-      if (drop_reason_counters_[static_cast<int>(DropReason::kDrainAbandoned)] !=
-          nullptr) {
-        drop_reason_counters_[static_cast<int>(DropReason::kDrainAbandoned)]
-            ->Add();
-      }
-      if (req->tenant >= 0 && !tenant_dropped_.empty()) {
-        tenant_dropped_[static_cast<std::size_t>(req->tenant)]->Add();
-      }
-    }
-  }
+  in_flight_.fetch_sub(lifecycle_.AbandonInFlight(clock_.Now()), std::memory_order_release);
 }
 
 }  // namespace pard

@@ -26,20 +26,26 @@
 // scaling_epoch (target capacity in baseline-worker units from the smoothed
 // offered rate; scale-ups are real threads that serve only after their
 // profile's cold start, bounded by serve.max_total_threads), recording the
-// per-epoch worker history. options.failures / options.fleet_events apply a
-// deterministic kill/recover schedule mid-run, mirroring the simulator's
+// per-epoch worker history. options.fleet_events applies a deterministic
+// kill/recover schedule mid-run, mirroring the simulator's
 // Worker::Fail semantics (a killed worker's in-flight batch is lost; the
 // shared queue shards survive for the remaining workers).
+//
+// The request lifecycle — stamping, DAG merge readiness and routing, fates
+// and their accounting, the retry verdict — is the simulator's own
+// (runtime/request_lifecycle.h); this runtime supplies the fate
+// synchronisation around it.
 //
 // Concurrency contract (ranks per common/lock_order.h). There is no global
 // runtime mutex. Mutable state is partitioned by owner:
 //   - Request fate/finish transitions, DAG merge counters: 16 fate stripes
 //     (kFate, keyed by request id) — the highest rank, so any thread may
 //     resolve a fate while holding module/queue/control locks, never the
-//     reverse.
-//   - The request log, id counter and dynamic-path RNG belong to the load
-//     generator thread alone; the final conservation sweep reads them only
-//     after every thread has joined.
+//     reverse. The lifecycle's accounting (counters, trace) runs after the
+//     stripe is released.
+//   - The lifecycle's injection state (request log, id counter and
+//     dynamic-path RNG) belongs to the load generator thread alone; the
+//     final conservation sweep reads it only after every thread has joined.
 //   - The ingress backlog (broker pool) has its own leaf mutex, never held
 //     across a delivery.
 //   - Module queues/monitors and the control plane's snapshot publication
@@ -61,14 +67,12 @@
 #include <mutex>
 #include <vector>
 
-#include "common/rng.h"
-#include "core/tenant_governor.h"
 #include "exec/thread_pool.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
-#include "resilience/chaos.h"
 #include "runtime/drop_policy.h"
 #include "runtime/request.h"
+#include "runtime/request_lifecycle.h"
 #include "runtime/runtime_options.h"
 #include "runtime/state_board.h"
 #include "serve/control_plane.h"
@@ -97,12 +101,12 @@ class ServeRuntime {
 
   // Terminal request records (valid after RunTrace returns); same shape the
   // metrics library analyzes for simulated runs.
-  const std::vector<RequestPtr>& requests() const { return requests_; }
+  const std::vector<RequestPtr>& requests() const { return lifecycle_.requests(); }
 
   const PipelineSpec& spec() const { return spec_; }
   const ServeClock& clock() const { return clock_; }
   ControlPlane& control() { return control_; }
-  const std::vector<int>& batch_sizes() const { return batch_sizes_; }
+  const std::vector<int>& batch_sizes() const { return lifecycle_.batch_sizes(); }
   const std::vector<int>& worker_plan() const { return worker_plan_; }
   // Shared roster layer: backend profiles, per-worker states, transitions.
   const BackendFleet& fleet() const { return fleet_; }
@@ -114,11 +118,9 @@ class ServeRuntime {
   void OnModuleDone(const RequestPtr& req, int module_id, SimTime now);
   void Drop(const RequestPtr& req, int module_id, SimTime now, DropReason reason);
   // Deadline-aware retry for a killed/hung worker's in-flight batch: the
-  // request is re-enqueued at `module_id` (bounded by
-  // options.resilience.max_retries, and only while its remaining deadline
-  // budget still covers the stage's planned batch duration); otherwise it
-  // drops as kRetryExhausted / kWorkerFailure. Called from the dying worker
-  // thread, which owns the batch — retry_count needs no lock.
+  // request is re-enqueued at `module_id` when RequestLifecycle::RetryVerdict
+  // allows it, otherwise dropped with the verdict's reason. Called from the
+  // dying worker thread, which owns the batch — retry_count needs no lock.
   void RetryOrDrop(const RequestPtr& req, int module_id, SimTime now);
   // Thread-safe read of req.fate (fates flip on other threads' branches).
   bool IsTerminal(const Request& req) const;
@@ -127,17 +129,9 @@ class ServeRuntime {
   // recorder's per-thread SPSC shards, so any worker/broker thread may emit
   // without synchronization; see obs/trace_recorder.h.
   TraceRecorder* trace() { return options_.trace; }
-  MetricsRegistry* metrics() { return options_.metrics; }
-
-  // Multi-tenant governor; null for untenanted runs (empty
-  // RuntimeOptions::tenants). Its ingress reads are lock-free, so the load
-  // generator consults it without entering the lock-rank hierarchy.
-  const TenantGovernor* governor() const { return governor_.get(); }
 
   // Resilience counters (valid while running and after RunTrace returns).
-  std::uint64_t retries() const {
-    return retries_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t retries() const { return lifecycle_.retries(); }
   // Hung workers the watchdog force-failed (each one also provisions a
   // replacement, thread budget permitting).
   std::uint64_t watchdog_recoveries() const {
@@ -169,9 +163,11 @@ class ServeRuntime {
   void SamplerLoop();
   // Admission front-end + merge bookkeeping + enqueue.
   void Deliver(const RequestPtr& req, int module_id, SimTime now);
-  void Complete(const RequestPtr& req, SimTime now);
-  // Load-generator thread only (owns rng_).
-  void AssignDynamicPath(Request& req);
+  // Runs one lifecycle fate transition (returning false when the request
+  // already has a fate) under the request's fate stripe, then its lock-free
+  // accounting outside the stripe.
+  template <typename Transition>
+  void ResolveFate(Request& req, Transition transition);
   // Control thread: state sync every sync_period, the scaling engine every
   // scaling_epoch (when enabled), and the deterministic fault schedule.
   void ControlLoop();
@@ -186,21 +182,13 @@ class ServeRuntime {
   PipelineSpec spec_;
   RuntimeOptions options_;
   ServeOptions serve_;
+  // Declared before every thread-owning member, so it outlives them all.
+  RequestLifecycle lifecycle_;
   ServeClock clock_;
   StateBoard board_;
   ControlPlane control_;
-  std::vector<int> batch_sizes_;
   std::vector<int> worker_plan_;
   BackendFleet fleet_;
-  // Merged options_.failures + options_.fleet_events, sorted by time;
-  // applied from the control thread.
-  std::vector<FleetEvent> fault_schedule_;
-  // Expanded chaos schedule (probabilistic templates already concretized),
-  // sorted by time; applied from the control thread.
-  std::vector<ChaosEvent> chaos_schedule_;
-  // Per-module d(batch) at the planned batch size, cached at construction so
-  // ingress admission never touches the profile registry from worker threads.
-  std::vector<Duration> planned_batch_duration_;
   std::vector<std::unique_ptr<ServeModule>> modules_;
   // Written by the control thread only; read after RunTrace joins it.
   std::vector<FleetSample> worker_history_;
@@ -209,12 +197,8 @@ class ServeRuntime {
   // and DAG merge counters for request r serialize on stripe r.id % 16.
   // Nothing else is ever acquired under a fate stripe.
   mutable std::array<std::mutex, kFateStripes> fate_mu_;
-  // Load-generator thread only; read post-join by the conservation sweep.
-  Rng rng_;
-  std::vector<RequestPtr> requests_;
-  std::uint64_t next_request_id_ = 1;
   // Injected-but-not-terminal count; bumped in Inject, dropped on the fate
-  // transition in Drop/Complete (under the request's fate stripe, but atomic
+  // transition in ResolveFate (under the request's fate stripe, but atomic
   // so the drain loop can read without any lock).
   std::atomic<std::size_t> in_flight_{0};
 
@@ -232,33 +216,19 @@ class ServeRuntime {
   WorkerGroup sampler_thread_;
   bool ran_ = false;
 
-  // Resilience accounting: bumped from worker threads (retries) and the
-  // control thread (watchdog kills); read by getters and the text summary.
-  std::atomic<std::uint64_t> retries_{0};
+  // Watchdog kills: bumped by the control thread; read by the getter and
+  // the text summary.
   std::atomic<std::uint64_t> watchdog_kills_{0};
 
-  // Pre-resolved instruments (null when options_.metrics is null). Fate
-  // counters are bumped outside the fate stripe — counters are lock-free.
-  Counter* completed_counter_ = nullptr;
-  Counter* drop_reason_counters_[kNumDropReasons] = {};
-  Counter* retry_counter_ = nullptr;
+  // Pre-resolved instruments (null when options_.metrics is null).
   Counter* watchdog_counter_ = nullptr;
   std::vector<Counter*> admitted_counters_;  // per module
-  // Tenant-keyed fate tallies ("tenant.<name>.completed|dropped"), indexed
-  // by tenant; empty when untenanted or metrics are disabled. Counters are
-  // lock-free, bumped outside the fate stripes like the fate counters.
-  std::vector<Counter*> tenant_completed_;
-  std::vector<Counter*> tenant_dropped_;
   // Control-sync health: wall-clock Sync() duration (us) and what the
   // incremental estimator refresh did each epoch. Bumped by the control
   // thread only.
   AtomicHistogram* sync_duration_hist_ = nullptr;
   Counter* refresh_refreshed_counter_ = nullptr;
   Counter* refresh_skipped_counter_ = nullptr;
-  // Weighted ingress governor (null when options_.tenants is empty). The
-  // control thread resyncs it at each snapshot publish; Inject reads it
-  // lock-free.
-  std::unique_ptr<TenantGovernor> governor_;
 };
 
 }  // namespace pard

@@ -7,6 +7,7 @@
 #include "harness/experiment.h"
 #include "metrics/report.h"
 #include "pipeline/apps.h"
+#include "runtime/backend_fleet.h"
 
 namespace pard {
 namespace {
@@ -135,11 +136,7 @@ TEST(RunReport, JsonSerializable) {
 TEST(FailureInjection, KilledWorkersDropTheirRequests) {
   ExperimentConfig c = Quick("naive");
   c.runtime.fixed_workers = {2, 2, 2};
-  RuntimeOptions::FailureEvent failure;
-  failure.at = SecToUs(20);
-  failure.module_id = 1;
-  failure.workers = 2;  // Kill the whole module.
-  c.runtime.failures = {failure};
+  c.runtime.fleet_events = ParseFaultSchedule("20:1:kill:2");  // The whole module.
   const ExperimentResult r = RunExperiment(c);
   // Everything after the failure is dropped at module 1 (no capacity left,
   // no scaling) even though the policy itself never drops.
@@ -159,11 +156,7 @@ TEST(FailureInjection, ScalingRestoresCapacity) {
   c.runtime.enable_scaling = true;
   c.runtime.scaling_epoch = 2 * kUsPerSec;
   c.runtime.cold_start = 1 * kUsPerSec;
-  RuntimeOptions::FailureEvent failure;
-  failure.at = SecToUs(20);
-  failure.module_id = 0;
-  failure.workers = 1;
-  c.runtime.failures = {failure};
+  c.runtime.fleet_events = ParseFaultSchedule("20:0:kill:1");
   const ExperimentResult r = RunExperiment(c);
   // Requests sent well after the failure complete again.
   const RunAnalysis tail = r.analysis->Slice(SecToUs(40), SecToUs(60));
@@ -172,10 +165,7 @@ TEST(FailureInjection, ScalingRestoresCapacity) {
 
 TEST(FailureInjection, OutOfRangeModuleThrows) {
   ExperimentConfig c = Quick();
-  RuntimeOptions::FailureEvent failure;
-  failure.at = SecToUs(1);
-  failure.module_id = 99;
-  c.runtime.failures = {failure};
+  c.runtime.fleet_events = ParseFaultSchedule("1:99:kill:1");
   EXPECT_THROW(RunExperiment(c), CheckError);
 }
 
