@@ -464,16 +464,23 @@ TEST(ServeRuntime, PardGoodputAtLeastDropFreeBaselineOnHeterogeneousScenario) {
   // (whose backlog turns completions late). Identical arrival stream, fleet
   // and fault schedule — policy is the only variable.
   // Sustained ~2x structural overload (capacity provisioned at 0.6x the
-  // offered rate, further cut by the t4 grades) over 5 virtual seconds: the
-  // drop-free baseline's queues grow for the whole run, so its completions
-  // go late, while PARD sheds the doomed share early. The margin is
-  // structural (~35% relative on this scenario), not a timing accident.
+  // offered rate, further cut by the t4 grades): the drop-free baseline's
+  // queues grow for the whole run, so its completions go late, while PARD
+  // sheds the doomed share early. The baseline's good requests all arrive
+  // before its backlog passes the SLO, so its normalized goodput falls like
+  // 1/duration while PARD's holds at its steady state — 20 virtual seconds
+  // make the gap structural. Measured on 4 vCPUs (pard vs naive):
+  //   - 5 s, Release, alone: 0.182-0.192 vs 0.151-0.173; six copies at
+  //     once: pard < naive in 9 of 24 runs; ASan/UBSan: failed 2 of 10.
+  //   - 20 s, Release, alone: 0.516-0.524 vs 0.041-0.042; six copies at
+  //     once: 0.34-0.53 vs <= 0.033; TSan: 0.35-0.39 vs <= 0.010; ASan:
+  //     0.31-0.36 vs <= 0.022. One pard + naive pair costs ~1.2 s wall.
   auto run = [](const std::string& policy) {
     ExperimentConfig config;
     config.app = "lvhet";  // lv on the mixed a100/t4 catalog.
     config.trace = "tweet";
     config.policy = policy;
-    config.duration_s = 5.0;
+    config.duration_s = 20.0;
     config.seed = 7;
     config.provision_factor = 0.6;
     config.runtime.cold_start = 200 * kUsPerMs;
