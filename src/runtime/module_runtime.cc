@@ -140,7 +140,7 @@ void ModuleRuntime::RecordStageLatency(SimTime now, Duration stage_latency) {
 
 double ModuleRuntime::SmoothedInputRate(SimTime now) { return rate_monitor_.Smoothed(now); }
 
-ModuleState ModuleRuntime::Sync(SimTime now) {
+ModuleState ModuleRuntime::Sync(SimTime now, std::vector<double> wait_buffer) {
   ReapRetired();
   ModuleState state;
   state.module_id = spec_.id;
@@ -155,7 +155,8 @@ ModuleState ModuleRuntime::Sync(SimTime now) {
   state.smoothed_rate = rate_monitor_.Smoothed(now);
   state.load_factor = capacity > 0.0 ? state.smoothed_rate / capacity : 0.0;
   state.burstiness = rate_monitor_.Burstiness(now);
-  state.wait_samples = wait_reservoir_.values();
+  state.wait_samples = std::move(wait_buffer);
+  state.wait_samples.assign(wait_reservoir_.values().begin(), wait_reservoir_.values().end());
   std::sort(state.wait_samples.begin(), state.wait_samples.end());
   return state;
 }

@@ -40,8 +40,10 @@ class ModuleRuntime {
   // Delivery from the dispatcher (or pipeline ingress).
   void Receive(RequestPtr req);
 
-  // Computes this module's ModuleState for the sync tick to publish.
-  ModuleState Sync(SimTime now);
+  // Computes this module's ModuleState for the sync tick to publish,
+  // copying the wait samples into `wait_buffer` (a previous state's
+  // wait_samples, recycled so a warm sync allocates nothing).
+  ModuleState Sync(SimTime now, std::vector<double> wait_buffer);
 
   // Scaling: adjusts the active+warming pool toward `target_units` of
   // capacity in baseline-worker units (Σ backend speed). For a homogeneous

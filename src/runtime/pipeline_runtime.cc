@@ -18,7 +18,8 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
       lifecycle_(spec_, options_),
       policy_(policy),
       board_(spec.NumModules()),
-      fleet_(spec_, options_.cold_start, options_.cost_aware_provisioning) {
+      fleet_(spec_, options_.cold_start, options_.cost_aware_provisioning),
+      sync_states_(static_cast<std::size_t>(spec.NumModules())) {
   PARD_CHECK(policy_ != nullptr);
   const std::vector<int>& batch_sizes = lifecycle_.batch_sizes();
   const std::vector<int> workers = PlanInitialWorkers(spec_, batch_sizes, options_, expected_rate);
@@ -123,16 +124,15 @@ void PipelineRuntime::SyncTick() {
     }
     return;
   }
-  std::vector<ModuleState> states;
-  states.reserve(modules_.size());
-  for (auto& m : modules_) {
-    states.push_back(m->Sync(now));
-  }
   // Serve's order: the weighted shed plan comes from the states about to be
-  // published, so the governor is never fresher than the board.
-  lifecycle_.ResyncGovernor(states);
-  for (ModuleState& state : states) {
-    board_.Publish(std::move(state));
+  // published, so the governor is never fresher than the board. The board
+  // hands each replaced state back for the next tick to refill.
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    sync_states_[i] = modules_[i]->Sync(now, std::move(sync_states_[i].wait_samples));
+  }
+  lifecycle_.ResyncGovernor(sync_states_);
+  for (ModuleState& state : sync_states_) {
+    state = board_.Publish(std::move(state));
   }
   policy_->OnSync(now);
   ++sync_count_;

@@ -93,6 +93,8 @@ class PipelineRuntime {
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
   std::vector<WorkerSample> worker_history_;
   SimTime last_arrival_ = 0;
+  // One state per module, carried between sync ticks (see SyncTick).
+  std::vector<ModuleState> sync_states_;
   std::int64_t sync_count_ = 0;
   // Chaos stall-sync window: SyncTick keeps rescheduling but skips the
   // publish while now < stall_until_, so policies read a stale board exactly

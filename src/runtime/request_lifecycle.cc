@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "common/check.h"
 #include "models/registry.h"

@@ -113,9 +113,6 @@ class RequestLifecycle {
   // smoothed offered rate with headroom over one baseline worker's
   // throughput, or the current provisioning while there is no signal.
   double ScalingTarget(double rate, double per_worker, double provisioned_units) const;
-  // Null for untenanted runs (empty RuntimeOptions::tenants — the
-  // bit-identical historical path).
-  const TenantGovernor* governor() const { return governor_.get(); }
   // Recomputes the tenant shed plan from the module states about to be
   // published (no-op when untenanted). Once per sync tick.
   void ResyncGovernor(const std::vector<ModuleState>& states);
@@ -145,7 +142,8 @@ class RequestLifecycle {
   std::vector<Duration> planned_batch_duration_;
   std::vector<FleetEvent> fault_schedule_;
   std::vector<ChaosEvent> chaos_schedule_;
-  // Weighted ingress governor (null when options.tenants is empty).
+  // Weighted ingress governor; null when options.tenants is empty, which
+  // keeps untenanted runs bit-identical to the historical path.
   std::unique_ptr<TenantGovernor> governor_;
 
   // Injection state: the injecting thread's alone.

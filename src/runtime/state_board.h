@@ -108,14 +108,17 @@ class StateBoard {
     return states_[static_cast<std::size_t>(module_id)];
   }
 
-  void Publish(ModuleState state) {
+  // Returns the state it replaced, so a caller can refill its buffers at the
+  // next sync instead of allocating fresh ones.
+  ModuleState Publish(ModuleState state) {
     PARD_CHECK(state.module_id >= 0 && state.module_id < NumModules());
     const std::size_t i = static_cast<std::size_t>(state.module_id);
     ++version_;
     if (EstimatorInputsChanged(states_[i], state)) {
       module_versions_[i] = version_;
     }
-    states_[i] = std::move(state);
+    std::swap(states_[i], state);
+    return state;
   }
 
   // Monotone counter bumped on every publish; estimator caches key on it.
