@@ -133,7 +133,7 @@ JsonValue BuildTenantReport(const RunAnalysis& analysis,
           static_cast<std::int64_t>(count);
     }
     row["drop_reasons"] = std::move(breakdown);
-    per_tenant.push_back(JsonValue(std::move(row)));
+    per_tenant.emplace_back(std::move(row));
   }
   block["per_tenant"] = std::move(per_tenant);
   return JsonValue(std::move(block));
