@@ -74,11 +74,6 @@ ModuleRuntime& PipelineRuntime::module(int id) {
   return *modules_[static_cast<std::size_t>(id)];
 }
 
-void PipelineRuntime::ScheduleArrival(SimTime t) {
-  last_arrival_ = std::max(last_arrival_, t);
-  sim_.ScheduleAt(t, [this] { Inject(); });
-}
-
 void PipelineRuntime::Inject() {
   RequestPtr req = std::allocate_shared<Request>(ArenaAllocator<Request>(arena_));
   if (!lifecycle_.Inject(req, sim_.Now())) {
@@ -171,15 +166,17 @@ void PipelineRuntime::ScalingTick() {
   }
 }
 
-void PipelineRuntime::Run(SimTime until) { sim_.Run(until); }
-
 void PipelineRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
-  PARD_CHECK_MSG(std::is_sorted(arrivals.begin(), arrivals.end()),
-                 "arrival timestamps must be sorted");
-  for (SimTime t : arrivals) {
-    ScheduleArrival(t);
+  sim_.ScheduleStream(arrivals, [this] { Inject(); });
+  if (!arrivals.empty()) {
+    last_arrival_ = arrivals.back();
   }
-  sim_.Run();
+  try {
+    sim_.Run();
+  } catch (...) {
+    sim_.CancelStream();  // The kernel must not keep a pointer into `arrivals`.
+    throw;
+  }
   // Any request still in flight after the queues fully drain is abandoned
   // (can only happen via infrastructure corner cases); account it as late so
   // conservation holds.

@@ -36,13 +36,9 @@ class PipelineRuntime {
                   double expected_rate);
 
   // Runs the complete trace (sorted client send timestamps) plus drain time.
+  // The arrivals stream through the kernel (Simulation::ScheduleStream)
+  // rather than each taking an event slot.
   void RunTrace(const std::vector<SimTime>& arrivals);
-
-  // Lower-level API: schedule one client request at time t (must be called
-  // before Run()).
-  void ScheduleArrival(SimTime t);
-  // Runs until `until` (and processes everything scheduled before it).
-  void Run(SimTime until);
 
   Simulation& sim() { return sim_; }
   const PipelineSpec& spec() const { return spec_; }

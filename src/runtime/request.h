@@ -87,7 +87,8 @@ struct Request {
   // Indexed by module id; unvisited modules keep arrive == -1.
   std::vector<HopRecord> hops;
 
-  // DAG merge bookkeeping: deliveries seen so far per module.
+  // DAG merge bookkeeping: deliveries seen so far per module. Empty when the
+  // pipeline has no merge module.
   std::vector<int> merge_arrivals;
 
   // Dynamic-path pipelines (§5.2): at a fork module the request takes only

@@ -22,6 +22,7 @@ RequestLifecycle::RequestLifecycle(const PipelineSpec& spec, const RuntimeOption
   for (const ModuleSpec& m : spec_.modules()) {
     planned_batch_duration_.push_back(ProfileRegistry::Get(m.model).BatchDuration(
         batch_sizes_[static_cast<std::size_t>(m.id)]));
+    has_merge_ = has_merge_ || IsMerge(m.id);
   }
   // Validated loudly here: a typo'd module id must fail the run, not
   // silently no-op.
@@ -75,7 +76,9 @@ bool RequestLifecycle::Inject(const RequestPtr& req, SimTime now) {
   }
   r.deadline = r.sent + r.slo;
   r.hops.resize(static_cast<std::size_t>(spec_.NumModules()));
-  r.merge_arrivals.assign(static_cast<std::size_t>(spec_.NumModules()), 0);
+  if (has_merge_) {
+    r.merge_arrivals.assign(static_cast<std::size_t>(spec_.NumModules()), 0);
+  }
   if (options_.dynamic_paths) {
     AssignDynamicPath(r);
   }

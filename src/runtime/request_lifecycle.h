@@ -142,6 +142,9 @@ class RequestLifecycle {
   std::vector<Duration> planned_batch_duration_;
   std::vector<FleetEvent> fault_schedule_;
   std::vector<ChaosEvent> chaos_schedule_;
+  // Whether any module is a DAG merge; only then do requests carry
+  // merge_arrivals.
+  bool has_merge_ = false;
   // Weighted ingress governor; null when options.tenants is empty, which
   // keeps untenanted runs bit-identical to the historical path.
   std::unique_ptr<TenantGovernor> governor_;

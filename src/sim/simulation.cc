@@ -99,6 +99,27 @@ EventId Simulation::ScheduleAfter(Duration delay, Callback cb) {
   return ScheduleAt(now_ + delay, std::move(cb));
 }
 
+void Simulation::ScheduleStream(const std::vector<SimTime>& times, Callback fire) {
+  PARD_CHECK_MSG(static_cast<bool>(fire), "cannot schedule an empty callback");
+  PARD_CHECK_MSG(stream_next_ == nullptr, "a stream is already attached");
+  PARD_CHECK_MSG(std::is_sorted(times.begin(), times.end()), "stream times must be sorted");
+  if (times.empty()) {
+    return;
+  }
+  PARD_CHECK_MSG(times.front() >= now_, "cannot schedule into the past");
+  stream_next_ = times.data();
+  stream_end_ = stream_next_ + times.size();
+  stream_seq_ = next_seq_;
+  next_seq_ += times.size();
+  stream_fire_ = std::move(fire);
+}
+
+void Simulation::CancelStream() {
+  stream_next_ = nullptr;
+  stream_end_ = nullptr;
+  stream_fire_.Reset();
+}
+
 bool Simulation::Cancel(EventId id) {
   const std::uint32_t index = static_cast<std::uint32_t>(id & kIndexMask);
   if (index >= slots_.size()) {
@@ -207,19 +228,46 @@ void Simulation::Fire(std::uint32_t tick_slot) {
   cb();
 }
 
-bool Simulation::Step() {
-  const std::uint32_t s0 = AdvanceToNext(kSimTimeMax);
-  if (s0 == kNil) {
+void Simulation::FireStream() {
+  now_ = *stream_next_++;
+  ++stream_seq_;
+  ++executed_;
+  if (stream_next_ != stream_end_) {
+    stream_fire_();
+    return;
+  }
+  // Last entry: detach before invoking, so the kernel holds no pointer into
+  // the caller's vector and the callback may attach the next stream.
+  Callback fire = std::move(stream_fire_);
+  stream_next_ = nullptr;
+  stream_end_ = nullptr;
+  fire();
+}
+
+bool Simulation::FireNext(SimTime bound) {
+  // Advance the wheel no further than the stream's head, so firing the head
+  // never moves the clock past a bucket the wheel has not cascaded yet.
+  const bool streaming = stream_next_ != nullptr;
+  const SimTime head = streaming ? *stream_next_ : kSimTimeMax;
+  const std::uint32_t s0 = AdvanceToNext(std::min(bound, head));
+  if (s0 != kNil) {
+    const Slot& next = slots_[buckets_[0][s0].head];
+    if (!streaming || next.t < head || (next.key >> kIndexBits) < stream_seq_) {
+      Fire(s0);
+      return true;
+    }
+  }
+  if (!streaming || head > bound) {
     return false;
   }
-  Fire(s0);
+  FireStream();
   return true;
 }
 
+bool Simulation::Step() { return FireNext(kSimTimeMax); }
+
 void Simulation::Run(SimTime until) {
-  std::uint32_t s0;
-  while ((s0 = AdvanceToNext(until)) != kNil) {
-    Fire(s0);
+  while (FireNext(until)) {
   }
   if (now_ < until && until != kSimTimeMax) {
     now_ = until;

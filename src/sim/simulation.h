@@ -19,15 +19,24 @@
 // buckets into finer levels as time reaches them. Bottom-level buckets hold
 // events of a single microsecond tick in append order, which IS sequence
 // order, so the wheel reproduces the exact (time, sequence) total order of a
-// comparison-based queue at a fraction of the per-event cost — and without
-// the O(log n) depth penalty once millions of trace arrivals are pending.
+// comparison-based queue at a fraction of the per-event cost, with no
+// O(log n) depth penalty as the pending set grows.
+//
+// Trace arrivals are known up front and sorted, so they need no slots: a
+// stream (ScheduleStream) reserves one sequence number per entry when it is
+// attached and keeps only a cursor into the caller's vector. Run and Step
+// fire the stream's head whenever it precedes the wheel's next event in
+// (time, sequence) order, which is the order scheduling every entry as its
+// own event would give, in O(1) memory. The slab's 2^24-slot cap therefore
+// bounds in-flight events, not trace length.
 //
 // Determinism note: every bucket only ever holds events that share their
 // firing time's bytes above the bucket's level with the CURRENT time. This
 // holds at insert by construction, and stays true as time advances because
-// the clock can only pass an event by firing it (Run horizons stop short of
-// the next event). Cascades walk buckets in list order, so equal-time events
-// keep their sequence order through every descent.
+// the clock can only pass an event by firing it (Run horizons and stream
+// entries stop short of the next event: the wheel is advanced to their time
+// first). Cascades walk buckets in list order, so equal-time events keep
+// their sequence order through every descent.
 #ifndef PARD_SIM_SIMULATION_H_
 #define PARD_SIM_SIMULATION_H_
 
@@ -65,6 +74,18 @@ class Simulation {
   // cancelled or unknown id is a no-op and returns false.
   bool Cancel(EventId id);
 
+  // Attaches a stream: `fire` runs once at each instant of `times` (sorted,
+  // the first >= Now()), ordered against every other event as if entry i had
+  // been scheduled by the i-th of times.size() ScheduleAt calls made right
+  // now. The kernel reads `times` in place until the last entry fires or
+  // CancelStream(), and drops its pointer then. One stream at a time; an
+  // empty `times` attaches nothing.
+  void ScheduleStream(const std::vector<SimTime>& times, Callback fire);
+
+  // Detaches the pending stream, if any: its unfired entries never fire.
+  // Must not be called from the stream's own callback.
+  void CancelStream();
+
   // Runs events until the queue is empty or virtual time would exceed
   // `until`. Events exactly at `until` are executed.
   void Run(SimTime until = kSimTimeMax);
@@ -72,8 +93,10 @@ class Simulation {
   // Executes the single next event. Returns false if the queue is empty.
   bool Step();
 
-  // Pending (non-cancelled) event count.
-  std::size_t PendingEvents() const { return live_; }
+  // Pending (non-cancelled) event count, unfired stream entries included.
+  std::size_t PendingEvents() const {
+    return live_ + static_cast<std::size_t>(stream_end_ - stream_next_);
+  }
 
   // Total events executed so far (diagnostics / perf counters).
   std::uint64_t ExecutedEvents() const { return executed_; }
@@ -117,6 +140,10 @@ class Simulation {
 
   // Fires the head event of the given bottom-level tick bucket.
   void Fire(std::uint32_t tick_slot);
+  // Fires the stream's head entry.
+  void FireStream();
+  // Fires the next event, wheel or stream, if it is due by `bound`.
+  bool FireNext(SimTime bound);
 
   void SetBit(int level, std::uint32_t slot) {
     bits_[level][slot >> 6] |= 1ULL << (slot & 63);
@@ -136,6 +163,14 @@ class Simulation {
   std::vector<std::uint32_t> free_;  // Indices of dead, reusable slots.
   Bucket buckets_[kLevels][kSlotsPerLevel];
   std::uint64_t bits_[kLevels][kSlotsPerLevel / 64] = {};
+
+  // The attached stream: its next unfired entry and the end of the caller's
+  // vector (both null when none is attached), the sequence number reserved
+  // for the next entry, and the callback every entry runs.
+  const SimTime* stream_next_ = nullptr;
+  const SimTime* stream_end_ = nullptr;
+  std::uint64_t stream_seq_ = 0;
+  Callback stream_fire_;
 };
 
 }  // namespace pard

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,17 +98,20 @@ TEST(StateBoard, SyncPublishesFreshStates) {
   EXPECT_EQ(rt.board().Get(0).updated_at, 0);
   Rng rng(3);
   const auto arrivals = GenerateArrivals(RateFunction::Constant(100.0), 0, SecToUs(4), rng);
-  for (SimTime t : arrivals) {
-    rt.ScheduleArrival(t);
-  }
-  rt.Run(SecToUs(3));
-  const ModuleState& state = rt.board().Get(0);
+  // Read the board mid-run, just after the 3 s sync tick.
+  ModuleState state;
+  SimTime read_at = 0;
+  rt.sim().ScheduleAt(SecToUs(3) + 1, [&] {
+    state = rt.board().Get(0);
+    read_at = rt.sim().Now();
+  });
+  rt.RunTrace(arrivals);
   EXPECT_GT(state.updated_at, 0);
   EXPECT_GT(state.input_rate, 30.0);
   EXPECT_GT(state.per_worker_throughput, 0.0);
   EXPECT_FALSE(state.wait_samples.empty());
   // Staleness: the snapshot is at most one sync period old.
-  EXPECT_GE(state.updated_at, rt.sim().Now() - options.sync_period);
+  EXPECT_GE(state.updated_at, read_at - options.sync_period);
 }
 
 TEST(StateBoard, LoadFactorReflectsOverload) {
@@ -117,11 +121,10 @@ TEST(StateBoard, LoadFactorReflectsOverload) {
   Rng rng(5);
   const auto arrivals =
       GenerateArrivals(RateFunction::Constant(1200.0), 0, SecToUs(6), rng);
-  for (SimTime t : arrivals) {
-    rt.ScheduleArrival(t);
-  }
-  rt.Run(SecToUs(5));
-  EXPECT_GT(rt.board().Get(0).load_factor, 1.0);
+  double load_factor = 0.0;
+  rt.sim().ScheduleAt(SecToUs(5) + 1, [&] { load_factor = rt.board().Get(0).load_factor; });
+  rt.RunTrace(arrivals);
+  EXPECT_GT(load_factor, 1.0);
 }
 
 TEST(QueueOrder, FifoServesInArrivalOrderUnderBacklog) {
@@ -180,6 +183,37 @@ TEST(Runtime, UnsortedArrivalsRejected) {
   NaivePolicy policy;
   PipelineRuntime rt(MakeTrafficMonitoring(), FixedWorkers({1, 1, 1}), &policy, 10.0);
   EXPECT_THROW(rt.RunTrace({1000, 0}), CheckError);
+}
+
+// Throws from the first sync tick (1 s), while arrivals are still pending.
+class ThrowOnFirstSyncPolicy : public NaivePolicy {
+ public:
+  void OnSync(SimTime now) override {
+    NaivePolicy::OnSync(now);
+    if (!thrown_) {
+      thrown_ = true;
+      throw std::runtime_error("sync failed");
+    }
+  }
+
+ private:
+  bool thrown_ = false;
+};
+
+TEST(Runtime, ThrowingRunDetachesTheArrivalStream) {
+  ThrowOnFirstSyncPolicy policy;
+  PipelineRuntime rt(MakeTrafficMonitoring(), FixedWorkers({1, 1, 1}), &policy, 10.0);
+  {
+    const std::vector<SimTime> arrivals = GenerateUniformArrivals(10.0, 0, SecToUs(3));
+    EXPECT_THROW(rt.RunTrace(arrivals), std::runtime_error);
+  }
+  // The arrivals vector is gone. No stream is left attached, so a new one
+  // attaches and running on reads nothing stale (ASan flags a stale read).
+  const std::vector<SimTime> more = {rt.sim().Now() + 1};
+  int fired = 0;
+  rt.sim().ScheduleStream(more, [&] { ++fired; });
+  rt.sim().Run();
+  EXPECT_EQ(fired, 1);
 }
 
 TEST(Runtime, BatchSizesPlannedPerModule) {

@@ -1,6 +1,7 @@
-// Pins the event kernel's zero-allocation guarantee: once the slab, free
+// Pins the event kernel's zero-allocation guarantees: once the slab, free
 // list and bucket structures reach their high-water mark, scheduling,
-// cancelling and firing events must not touch the heap (ISSUE 3 acceptance).
+// cancelling and firing events must not touch the heap, and a stream of
+// instants (ScheduleStream) never takes a slot at all.
 //
 // The whole test binary counts global operator new calls; the steady-state
 // section asserts the counter does not move. Keep this suite out of
@@ -89,6 +90,47 @@ TEST(SimulationAllocation, SteadyStateEventLoopIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state schedule/cancel/fire performed heap allocations";
   EXPECT_GT(sink, 0u);
+}
+
+// Brings a kernel's slab and free list to a small working set and runs a
+// short stream through it.
+void Warm(Simulation& sim, std::uint64_t& sink) {
+  for (SimTime t = 1; t <= 16; ++t) {
+    sim.ScheduleAt(t, [&sink] { ++sink; });
+  }
+  const std::vector<SimTime> warm = {16, 17};
+  sim.ScheduleStream(warm, [&sink] { ++sink; });
+  sim.Run();
+}
+
+TEST(SimulationAllocation, StreamedInstantsTakeNoSlots) {
+  // 100k instants, two per microsecond tick, spread over every wheel level
+  // a long trace touches.
+  std::vector<SimTime> times(100000);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    times[i] = 100 + static_cast<SimTime>(i / 2) * 997;
+  }
+  std::uint64_t sink = 0;
+
+  Simulation streamed;
+  Warm(streamed, sink);
+  std::uint64_t before = g_allocations.load();
+  streamed.ScheduleStream(times, [&sink] { ++sink; });
+  EXPECT_EQ(streamed.PendingEvents(), times.size());
+  streamed.Run();
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "streaming instants allocated";
+  EXPECT_EQ(streamed.ExecutedEvents(), 18 + times.size());
+
+  // The same instants as events each hold a slot until they fire.
+  Simulation scheduled;
+  Warm(scheduled, sink);
+  before = g_allocations.load();
+  for (SimTime t : times) {
+    scheduled.ScheduleAt(t, [&sink] { ++sink; });
+  }
+  EXPECT_GT(g_allocations.load() - before, 0u) << "scheduling 100k events did not grow the slab";
+  scheduled.Run();
+  EXPECT_EQ(sink, 2 * (18 + times.size()));
 }
 
 TEST(SimulationAllocation, InlineCallbackHoldsRuntimeSizedCaptures) {

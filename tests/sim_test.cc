@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "sim/simulation.h"
 
 namespace pard {
@@ -226,6 +230,190 @@ TEST(Simulation, PendingEventsCountsLiveOnly) {
   EXPECT_EQ(sim.PendingEvents(), 2u);
   sim.Cancel(a);
   EXPECT_EQ(sim.PendingEvents(), 1u);
+}
+
+// --- Streams (ScheduleStream) ----------------------------------------------
+
+TEST(SimulationStream, EarlierScheduledEventFiresFirstAtSameInstant) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.ScheduleAt(10, [&] { order.push_back(0); });
+  const std::vector<SimTime> times = {10, 20};
+  int entry = 0;
+  sim.ScheduleStream(times, [&] { order.push_back(++entry); });
+  sim.ScheduleAt(20, [&] { order.push_back(9); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
+}
+
+TEST(SimulationStream, EventScheduledFromCallbackFiresAfterPendingEntry) {
+  Simulation sim;
+  std::vector<int> order;
+  const std::vector<SimTime> times = {5, 30};
+  int entry = 0;
+  sim.ScheduleStream(times, [&] { order.push_back(++entry); });
+  sim.ScheduleAt(7, [&] { sim.ScheduleAt(30, [&] { order.push_back(9); }); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 9}));
+}
+
+TEST(SimulationStream, EqualTimeEntriesFireInIndexOrder) {
+  Simulation sim;
+  std::vector<SimTime> fired_at;
+  const std::vector<SimTime> times = {4, 4, 4, 8, 8};
+  sim.ScheduleStream(times, [&] { fired_at.push_back(sim.Now()); });
+  // An event at the same instant, scheduled after the stream, trails it.
+  sim.ScheduleAt(4, [&] { fired_at.push_back(-1); });
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<SimTime>{4, 4, 4, -1, 8, 8}));
+}
+
+TEST(SimulationStream, RunUntilFiresBoundaryEntriesAndResumes) {
+  Simulation sim;
+  int fired = 0;
+  const std::vector<SimTime> times = {10, 20, 20, 30};
+  sim.ScheduleStream(times, [&] { ++fired; });
+  sim.Run(20);
+  EXPECT_EQ(fired, 3);  // Entries exactly at the horizon run.
+  EXPECT_EQ(sim.Now(), 20);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  sim.Run(25);
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.Now(), 25);
+  sim.Run();
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(sim.Now(), 30);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(SimulationStream, StepFiresEntriesAndCountsThem) {
+  Simulation sim;
+  int fired = 0;
+  const std::vector<SimTime> times = {1, 3};
+  sim.ScheduleStream(times, [&] { ++fired; });
+  sim.ScheduleAt(2, [&] { fired += 10; });
+  EXPECT_EQ(sim.PendingEvents(), 3u);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(fired, 11);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(fired, 12);
+  EXPECT_EQ(sim.Now(), 3);
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.ExecutedEvents(), 3u);
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+TEST(SimulationStream, RejectsBadStreams) {
+  Simulation sim;
+  const std::vector<SimTime> unsorted = {5, 3};
+  EXPECT_THROW(sim.ScheduleStream(unsorted, [] {}), CheckError);
+  sim.ScheduleAt(100, [] {});
+  sim.Run();
+  const std::vector<SimTime> past = {50, 150};
+  EXPECT_THROW(sim.ScheduleStream(past, [] {}), CheckError);
+  const std::vector<SimTime> times = {200, 300};
+  EXPECT_THROW(sim.ScheduleStream(times, Simulation::Callback()), CheckError);
+  int fired = 0;
+  sim.ScheduleStream(times, [&] { ++fired; });
+  EXPECT_THROW(sim.ScheduleStream(times, [] {}), CheckError);
+  // None of the rejected calls attached or reserved anything.
+  EXPECT_EQ(sim.PendingEvents(), 2u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(SimulationStream, NewStreamAttachesOnceThePreviousIsExhausted) {
+  Simulation sim;
+  std::vector<int> order;
+  {
+    const std::vector<SimTime> first = {1, 2};
+    sim.ScheduleStream(first, [&] { order.push_back(1); });
+    sim.Run();
+  }
+  // `first` is gone: an exhausted stream must leave nothing behind that
+  // reads it (ASan flags a stale read).
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  const std::vector<SimTime> second = {2, 5};
+  sim.ScheduleStream(second, [&] { order.push_back(2); });
+  sim.ScheduleAt(3, [&] { order.push_back(3); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 2, 3, 2}));
+  // The last entry's callback may attach the next stream itself.
+  const std::vector<SimTime> third = {6};
+  const std::vector<SimTime> fourth = {6, 7};
+  sim.ScheduleStream(third, [&] { sim.ScheduleStream(fourth, [&] { order.push_back(4); }); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 2, 3, 2, 4, 4}));
+}
+
+TEST(SimulationStream, CancelStreamDropsUnfiredEntries) {
+  Simulation sim;
+  int fired = 0;
+  const std::vector<SimTime> times = {1, 2, 3};
+  sim.ScheduleStream(times, [&] { ++fired; });
+  sim.Run(1);
+  sim.CancelStream();
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  sim.CancelStream();  // No stream attached: a no-op.
+}
+
+// One seeded workload in which every firing, entry or event, schedules
+// follow-ups at delays spanning several wheel levels (zero-delay ones land on
+// pending entries' instants), driven through Run horizons that fall between
+// and on event times. Entries come either pre-scheduled as events or as a
+// stream; the logs must match exactly.
+std::vector<std::pair<int, SimTime>> ReplayWorkload(bool as_stream) {
+  Rng arrivals(11);
+  std::vector<SimTime> times;
+  SimTime t = 0;
+  for (int i = 0; i < 2000; ++i) {
+    t += arrivals.Bernoulli(0.25) ? 0 : arrivals.UniformInt(1, 5000);
+    times.push_back(t);
+  }
+  Simulation sim;
+  Rng rng(23);
+  std::vector<std::pair<int, SimTime>> log;
+  int scheduled = 0;
+  std::function<void(int)> fired = [&](int label) {
+    log.emplace_back(label, sim.Now());
+    const std::int64_t follow_ups = rng.UniformInt(0, 2);
+    for (std::int64_t k = 0; k < follow_ups && scheduled < 6000; ++k) {
+      static constexpr SimTime kMaxDelay[] = {0, 300, 70000, 20000000};
+      const SimTime delay = rng.UniformInt(0, kMaxDelay[rng.UniformInt(0, 3)]);
+      const int id = ++scheduled;
+      sim.ScheduleAfter(delay, [&fired, id] { fired(id); });
+    }
+  };
+  // Events scheduled ahead of the entries, some at an entry's instant.
+  for (std::size_t i : {std::size_t{0}, std::size_t{700}, times.size() - 1}) {
+    const int id = ++scheduled;
+    sim.ScheduleAt(times[i], [&fired, id] { fired(id); });
+  }
+  int entry = 0;
+  if (as_stream) {
+    sim.ScheduleStream(times, [&] { fired(-++entry); });
+  } else {
+    for (SimTime at : times) {
+      sim.ScheduleAt(at, [&] { fired(-++entry); });
+    }
+  }
+  for (SimTime until = 0; sim.PendingEvents() > 0; until += 77777) {
+    sim.Run(until);
+  }
+  EXPECT_EQ(sim.ExecutedEvents(), log.size());
+  return log;
+}
+
+TEST(SimulationStream, MatchesPreScheduledEntriesEventForEvent) {
+  const std::vector<std::pair<int, SimTime>> expected = ReplayWorkload(false);
+  const std::vector<std::pair<int, SimTime>> streamed = ReplayWorkload(true);
+  EXPECT_GT(expected.size(), 6000u);
+  EXPECT_EQ(streamed, expected);
 }
 
 }  // namespace

@@ -220,8 +220,7 @@ TEST(Scaling, ColdStartDelaysActivation) {
   module.SetTargetWorkers(3);
   EXPECT_EQ(module.ActiveWorkers(), 1);       // Still warming.
   EXPECT_EQ(module.ProvisionedWorkers(), 3);
-  rt.ScheduleArrival(SecToUs(3));
-  rt.Run(SecToUs(4));
+  rt.RunTrace({SecToUs(3)});
   EXPECT_EQ(module.ActiveWorkers(), 3);       // Warm after cold_start.
 }
 
