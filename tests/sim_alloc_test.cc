@@ -104,8 +104,8 @@ void Warm(Simulation& sim, std::uint64_t& sink) {
 }
 
 TEST(SimulationAllocation, StreamedInstantsTakeNoSlots) {
-  // 100k instants, two per microsecond tick, spread over every wheel level
-  // a long trace touches.
+  // 100k instants in pairs that share a tick, spread over ~50 s so that as
+  // events they would reach every wheel level a long trace touches.
   std::vector<SimTime> times(100000);
   for (std::size_t i = 0; i < times.size(); ++i) {
     times[i] = 100 + static_cast<SimTime>(i / 2) * 997;
