@@ -21,6 +21,21 @@ TEST(RagWorkflow, ConservationAndDeterminism) {
   EXPECT_EQ(a.dropped, b.dropped);
 }
 
+// One seed's outcome, pinned exactly: the arrival path (how sends enter the
+// event kernel) must not change which requests meet their TTFT, nor how
+// many executions each stage records.
+TEST(RagWorkflow, GoldenSeedFive) {
+  const RagResult r = RunRagWorkflow(RagPolicy::kProactive, QuickOptions());
+  EXPECT_EQ(r.total, 2887u);
+  EXPECT_EQ(r.good, 2399u);
+  EXPECT_EQ(r.dropped, 488u);
+  ASSERT_EQ(r.stages.size(), 4u);
+  EXPECT_EQ(r.stages[0].latency.Size(), 2619u);
+  EXPECT_EQ(r.stages[1].latency.Size(), 2511u);
+  EXPECT_EQ(r.stages[2].latency.Size(), 2511u);
+  EXPECT_EQ(r.stages[3].latency.Size(), 2399u);
+}
+
 TEST(RagWorkflow, SameWorkloadAcrossPolicies) {
   const RagResult reactive = RunRagWorkflow(RagPolicy::kReactive, QuickOptions());
   const RagResult proactive = RunRagWorkflow(RagPolicy::kProactive, QuickOptions());
