@@ -37,7 +37,8 @@ class RagSim {
         search_window_(5 * kUsPerSec) {}
 
   RagResult Run() {
-    ScheduleArrivals();
+    GenerateArrivals();
+    sim_.ScheduleStream(send_times_, [this] { EnterRewrite(requests_[next_arrival_++]); });
     sim_.Run();
     RagResult result;
     result.total = requests_.size();
@@ -55,7 +56,9 @@ class RagSim {
 
  private:
   // ---- Workload -----------------------------------------------------------
-  void ScheduleArrivals() {
+  // Draws every query up front; Run streams their send times through the
+  // kernel (Simulation::ScheduleStream) instead of scheduling one event each.
+  void GenerateArrivals() {
     double t = 0.0;
     const double end = options_.duration_s;
     // Azure-style bursty arrivals: Poisson baseline with occasional 3x bursts.
@@ -80,8 +83,8 @@ class RagSim {
           static_cast<int>(rng_.UniformInt(options_.input_tokens_min, options_.input_tokens_max));
       req->rewrite_out_tokens = std::max<int>(
           4, static_cast<int>(rng_.LogNormal(options_.rewrite_out_mu, options_.rewrite_out_sigma)));
-      requests_.push_back(req);
-      sim_.ScheduleAt(req->sent, [this, req] { EnterRewrite(req); });
+      send_times_.push_back(req->sent);
+      requests_.push_back(std::move(req));
     }
   }
 
@@ -299,6 +302,9 @@ class RagSim {
   Simulation sim_;
   Rng rng_;
   std::vector<RagRequestPtr> requests_;
+  // requests_[i]->sent, read in place by the kernel's arrival stream.
+  std::vector<SimTime> send_times_;
+  std::size_t next_arrival_ = 0;  // requests_ index of the next stream entry.
 
   std::deque<RagRequestPtr> rewrite_queue_;
   int rewrite_busy_ = 0;
