@@ -443,12 +443,13 @@ struct AdmissionHarness {
 };
 
 void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
+  HopRecord hops[5];
   Request req;
   req.id = static_cast<std::uint64_t>(state.thread_index()) + 1;
   req.sent = kUsPerSec;
   req.slo = harness.spec.slo();
   req.deadline = req.sent + req.slo;
-  req.hops.resize(5);
+  req.hops = HopSlots(hops, 5);
   const SimTime now = kUsPerSec + 5 * kUsPerMs;
   AdmissionContext ctx;
   ctx.request = &req;
@@ -503,12 +504,13 @@ void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
   Counter* admitted = metrics != nullptr ? metrics->GetCounter("module.m0.admitted") : nullptr;
   TraceShard* shard = trace != nullptr ? trace->ThisThreadShard() : nullptr;
   std::vector<TraceEvent> scratch;
+  HopRecord hops[5];
   Request req;
   req.id = 1;
   req.sent = kUsPerSec;
   req.slo = harness->spec.slo();
   req.deadline = req.sent + req.slo;
-  req.hops.resize(5);
+  req.hops = HopSlots(hops, 5);
   const SimTime now = kUsPerSec + 5 * kUsPerMs;
   AdmissionContext ctx;
   ctx.request = &req;

@@ -332,7 +332,7 @@ LatencyEstimator::RefreshStats LatencyEstimator::RefreshAll(ThreadPool* pool) {
 }
 
 Duration LatencyEstimator::EstimateSubsequentForRequest(int module_id, const Request& request) {
-  if (!request.HasDynamicPath()) {
+  if (!request.dynamic_path) {
     return EstimateSubsequent(module_id);
   }
   const CacheEntry& entry = Refresh(module_id);
@@ -345,7 +345,7 @@ Duration LatencyEstimator::EstimateSubsequentForRequest(int module_id, const Req
     int prev = module_id;
     bool consistent = true;
     for (int id : paths[i]) {
-      const int choice = request.branch_choice[static_cast<std::size_t>(prev)];
+      const int choice = request.hops[static_cast<std::size_t>(prev)].branch_choice;
       if (spec_->Module(prev).subs.size() > 1 && choice != id) {
         consistent = false;
         break;

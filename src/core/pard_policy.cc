@@ -21,7 +21,7 @@ class PardView final : public PolicyView {
     }
     Duration sub = 0;
     if (!backward_only) {
-      sub = path_prediction && req.HasDynamicPath()
+      sub = path_prediction && req.dynamic_path
                 ? PathConsistentEstimate(ctx.module_id, req)
                 : sub_max[static_cast<std::size_t>(ctx.module_id)];
     }
@@ -44,7 +44,7 @@ class PardView final : public PolicyView {
       int prev = module_id;
       bool consistent = true;
       for (int id : paths[i]) {
-        const int choice = request.branch_choice[static_cast<std::size_t>(prev)];
+        const int choice = request.hops[static_cast<std::size_t>(prev)].branch_choice;
         if (spec->Module(prev).subs.size() > 1 && choice != id) {
           consistent = false;
           break;

@@ -1,6 +1,7 @@
 #include "pipeline/pipeline_spec.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <set>
 
@@ -46,6 +47,10 @@ const ModuleSpec& PipelineSpec::Module(int id) const {
 }
 
 void PipelineSpec::Validate() const {
+  // Requests record their route per module in 16-bit fields (HopRecord).
+  PARD_CHECK_MSG(modules_.size() <= static_cast<std::size_t>(INT16_MAX),
+                 "pipeline has " << modules_.size() << " modules; at most " << INT16_MAX
+                                 << " are supported");
   PARD_CHECK_MSG(!modules_.empty(), "pipeline has no modules");
   PARD_CHECK_MSG(slo_ > 0, "pipeline SLO must be positive");
   const int n = NumModules();

@@ -75,7 +75,7 @@ ModuleRuntime& PipelineRuntime::module(int id) {
 }
 
 void PipelineRuntime::Inject() {
-  RequestPtr req = std::allocate_shared<Request>(ArenaAllocator<Request>(arena_));
+  RequestPtr req = lifecycle_.NewRequest();
   if (!lifecycle_.Inject(req, sim_.Now())) {
     // Weighted ingress shed: recorded (conservation) but never delivered.
     Drop(std::move(req), spec_.SourceModule(), DropReason::kTenantShed);

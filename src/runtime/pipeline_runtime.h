@@ -19,7 +19,6 @@
 #include "runtime/drop_policy.h"
 #include "runtime/module_runtime.h"
 #include "runtime/request.h"
-#include "runtime/request_arena.h"
 #include "runtime/request_lifecycle.h"
 #include "runtime/runtime_options.h"
 #include "runtime/state_board.h"
@@ -81,10 +80,6 @@ class PipelineRuntime {
   DropPolicy* policy_;
   Simulation sim_;
   StateBoard board_;
-  // Requests live until the analysis is done with them; the arena keeps them
-  // (and their control blocks) in bump-allocated slabs, and allocator copies
-  // inside the control blocks keep the arena alive past this runtime.
-  std::shared_ptr<RequestArena> arena_ = std::make_shared<RequestArena>();
   BackendFleet fleet_;
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
   std::vector<WorkerSample> worker_history_;

@@ -6,31 +6,38 @@
 // (t_r), batch entry (t_b), execution start (t_e) and end — plus the GPU time
 // attributed to the request, from which every evaluation metric (goodput,
 // drop rate, invalid rate, per-module drop placement, budget consumption) is
-// derived after the run.
+// derived after the run. Each HopRecord also carries the request's route at
+// that module (merge and dynamic-path bookkeeping) in what would otherwise be
+// its tail padding.
 //
-// In both substrates RequestLifecycle (runtime/request_lifecycle.h) stamps
-// the identity fields at injection and is the only writer of the terminal
-// fields and merge_arrivals.
+// In both substrates RequestLifecycle (runtime/request_lifecycle.h)
+// allocates a request and its hop slots as one record in the run's
+// RequestArena (runtime/request_arena.h), stamps the identity fields and the
+// route at injection, and is the only writer of the terminal fields and
+// merge_arrivals. `hops` is a view: copies of a Request share its hop slots,
+// which live as long as the arena, i.e. as long as any RequestPtr of the run.
 //
 // Concurrency contract (serving runtime): identity fields (id, sent, tenant,
-// weight, slo, deadline, branch_choice, expected_arrivals) are immutable
-// after injection. Each hops[k] is written only by module k's worker
-// threads, which never race each other on one request (a request is in at
-// most one batch at k). The terminal fields (fate, drop_module, drop_reason,
-// finish) and merge_arrivals change only in the lifecycle's fate
-// transitions, which ServeRuntime runs under the request's fate stripe — one
-// of its 16 striped fate locks, chosen by request id
-// (ServeRuntime::FateMutex). A terminal fate never changes again, so the
-// thread that made the transition reads it back lock-free for the
-// accounting; every other cross-branch reader goes through
-// ServeRuntime::IsTerminal while a run is live. The single-threaded
-// simulator needs none of this.
+// weight, slo, deadline, dynamic_path) and every hop's branch_choice and
+// expected_arrivals are immutable after injection. The stamps of hops[k]
+// (arrive .. executed) are written only by module k's worker threads, which
+// never race each other on one request (a request is in at most one batch at
+// k). hops[k].merge_arrivals is written under the request's fate stripe by
+// whichever thread delivers to merge k. The terminal fields (fate,
+// drop_module, drop_reason, finish) change only in the lifecycle's fate
+// transitions, which ServeRuntime runs under that same stripe — one of its
+// 16 striped fate locks, chosen by request id (ServeRuntime::FateMutex). A
+// terminal fate never changes again, so the thread that made the transition
+// reads it back lock-free for the accounting; every other cross-branch
+// reader goes through ServeRuntime::IsTerminal while a run is live. The
+// single-threaded simulator needs none of this.
 #ifndef PARD_RUNTIME_REQUEST_H_
 #define PARD_RUNTIME_REQUEST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <type_traits>
 
 #include "common/time_types.h"
 #include "obs/drop_reason.h"
@@ -52,10 +59,44 @@ struct HopRecord {
   Duration gpu_time = 0;     // d(batch)/batch attributed to this request.
   bool executed = false;
 
+  // Route at this module, packed into the tail padding (pipelines have at
+  // most INT16_MAX modules; PipelineSpec::Validate enforces it).
+  // Deliveries seen so far when this module is a DAG merge.
+  std::int16_t merge_arrivals = 0;
+  // Dynamic paths only (§5.2), else 0 and -1: how many deliveries this
+  // module will see for the request, and the sub it takes when this module
+  // is a fork.
+  std::int16_t expected_arrivals = 0;
+  std::int16_t branch_choice = -1;
+
   Duration QueueDelay() const { return batch_entry - arrive; }
   Duration BatchWait() const { return exec_start - batch_entry; }
   Duration ExecDuration() const { return exec_end - exec_start; }
   bool Visited() const { return arrive >= 0; }
+};
+
+// The route fields must stay in the padding: every hop slot costs 48 B.
+static_assert(sizeof(HopRecord) == 48);
+
+// A request's hop records, indexed by module id: a non-owning view of the
+// slots allocated with the request (runtime/request_arena.h).
+class HopSlots {
+ public:
+  HopSlots() = default;
+  HopSlots(HopRecord* data, std::size_t size) : data_(data), size_(size) {}
+
+  HopRecord& operator[](std::size_t k) { return data_[k]; }
+  const HopRecord& operator[](std::size_t k) const { return data_[k]; }
+  HopRecord* begin() { return data_; }
+  HopRecord* end() { return data_ + size_; }
+  const HopRecord* begin() const { return data_; }
+  const HopRecord* end() const { return data_ + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  HopRecord* data_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 struct Request {
@@ -69,6 +110,9 @@ struct Request {
   // is the tenant's goodput value per completed request (1.0 untenanted) —
   // weighted goodput sums it over good requests (metrics/analysis.h).
   int tenant = -1;
+  // Dynamic-path routing (§5.2): the request takes one drawn branch at each
+  // fork, recorded in its hops' branch_choice and expected_arrivals.
+  bool dynamic_path = false;
   double weight = 1.0;
 
   RequestFate fate = RequestFate::kInFlight;
@@ -85,22 +129,7 @@ struct Request {
   int retry_count = 0;
 
   // Indexed by module id; unvisited modules keep arrive == -1.
-  std::vector<HopRecord> hops;
-
-  // DAG merge bookkeeping: deliveries seen so far per module. Empty when the
-  // pipeline has no merge module.
-  std::vector<int> merge_arrivals;
-
-  // Dynamic-path pipelines (§5.2): at a fork module the request takes only
-  // one branch. `branch_choice[f]` is the chosen sub of fork f (-1 when not
-  // a fork or static routing); `expected_arrivals[m]` is how many deliveries
-  // module m will actually see for this request (pres count under static
-  // routing, possibly 1 at merges under dynamic routing). Both are empty for
-  // static pipelines.
-  std::vector<int> branch_choice;
-  std::vector<int> expected_arrivals;
-
-  bool HasDynamicPath() const { return !branch_choice.empty(); }
+  HopSlots hops;
 
   bool Terminal() const { return fate != RequestFate::kInFlight; }
   bool Good() const { return fate == RequestFate::kCompleted; }
@@ -118,6 +147,9 @@ struct Request {
     return total;
   }
 };
+
+// The arena never runs destructors.
+static_assert(std::is_trivially_destructible_v<Request>);
 
 using RequestPtr = std::shared_ptr<Request>;
 

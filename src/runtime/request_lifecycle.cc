@@ -16,13 +16,13 @@ RequestLifecycle::RequestLifecycle(const PipelineSpec& spec, const RuntimeOption
     : spec_(spec),
       options_(options),
       batch_sizes_(PlanBatchSizes(spec_)),
+      topo_order_(spec_.TopoOrder()),
       fault_schedule_(options_.fleet_events),
       chaos_schedule_(ExpandChaosSchedule(options_.resilience.chaos, options_.seed)),
       rng_(options_.seed) {
   for (const ModuleSpec& m : spec_.modules()) {
     planned_batch_duration_.push_back(ProfileRegistry::Get(m.model).BatchDuration(
         batch_sizes_[static_cast<std::size_t>(m.id)]));
-    has_merge_ = has_merge_ || IsMerge(m.id);
   }
   // Validated loudly here: a typo'd module id must fail the run, not
   // silently no-op.
@@ -75,10 +75,6 @@ bool RequestLifecycle::Inject(const RequestPtr& req, SimTime now) {
     r.slo = static_cast<Duration>(std::llround(static_cast<double>(r.slo) * tenant.slo_scale));
   }
   r.deadline = r.sent + r.slo;
-  r.hops.resize(static_cast<std::size_t>(spec_.NumModules()));
-  if (has_merge_) {
-    r.merge_arrivals.assign(static_cast<std::size_t>(spec_.NumModules()), 0);
-  }
   if (options_.dynamic_paths) {
     AssignDynamicPath(r);
   }
@@ -87,15 +83,14 @@ bool RequestLifecycle::Inject(const RequestPtr& req, SimTime now) {
 }
 
 void RequestLifecycle::AssignDynamicPath(Request& req) {
-  const int n = spec_.NumModules();
-  req.branch_choice.assign(static_cast<std::size_t>(n), -1);
-  req.expected_arrivals.assign(static_cast<std::size_t>(n), 0);
+  req.dynamic_path = true;
   // Draw the branch taken at every fork, then propagate reachability so each
-  // merge knows how many deliveries to expect for this request.
-  std::vector<bool> active(static_cast<std::size_t>(n), false);
-  active[static_cast<std::size_t>(spec_.SourceModule())] = true;
-  for (int id : spec_.TopoOrder()) {
-    if (!active[static_cast<std::size_t>(id)]) {
+  // merge knows how many deliveries to expect for this request. Topological
+  // order settles a module's expected arrivals before it is visited, so a
+  // module is on the path exactly when it is the source or expects one.
+  const int source = spec_.SourceModule();
+  for (int id : topo_order_) {
+    if (id != source && req.hops[static_cast<std::size_t>(id)].expected_arrivals == 0) {
       continue;
     }
     const ModuleSpec& m = spec_.Module(id);
@@ -103,13 +98,11 @@ void RequestLifecycle::AssignDynamicPath(Request& req) {
       const int pick = static_cast<int>(
           rng_.UniformInt(0, static_cast<std::int64_t>(m.subs.size()) - 1));
       const int chosen = m.subs[static_cast<std::size_t>(pick)];
-      req.branch_choice[static_cast<std::size_t>(id)] = chosen;
-      active[static_cast<std::size_t>(chosen)] = true;
-      ++req.expected_arrivals[static_cast<std::size_t>(chosen)];
+      req.hops[static_cast<std::size_t>(id)].branch_choice = static_cast<std::int16_t>(chosen);
+      ++req.hops[static_cast<std::size_t>(chosen)].expected_arrivals;
     } else {
       for (int s : m.subs) {
-        active[static_cast<std::size_t>(s)] = true;
-        ++req.expected_arrivals[static_cast<std::size_t>(s)];
+        ++req.hops[static_cast<std::size_t>(s)].expected_arrivals;
       }
     }
   }
@@ -120,13 +113,12 @@ bool RequestLifecycle::MergeReady(Request& req, int module_id) const {
   if (m.pres.size() <= 1) {
     return true;
   }
-  const int arrived = ++req.merge_arrivals[static_cast<std::size_t>(module_id)];
+  HopRecord& hop = req.hops[static_cast<std::size_t>(module_id)];
+  const int arrived = ++hop.merge_arrivals;
   if (req.Terminal()) {
     return false;  // A sibling branch was dropped; nothing to merge.
   }
-  const int expected = req.HasDynamicPath()
-                           ? req.expected_arrivals[static_cast<std::size_t>(module_id)]
-                           : static_cast<int>(m.pres.size());
+  const int expected = req.dynamic_path ? hop.expected_arrivals : static_cast<int>(m.pres.size());
   return arrived >= expected;
 }
 

@@ -10,13 +10,18 @@
 // network-delay hop, serve's admission front-end and broker pool, queues and
 // batching, and fate synchronisation.
 //
+// Both runtimes allocate their requests here too: each request and its hop
+// slots are one record in the run's RequestArena (runtime/request_arena.h).
+//
 // Concurrency. The lifecycle takes no lock; its methods fall in three groups.
-//   - Injection (Inject, requests()) belongs to one thread: the simulator, or
-//     serve's load generator. Other threads read the log only after the run.
+//   - Injection (NewRequest, Inject, requests()) belongs to one thread: the
+//     simulator, or serve's load generator. Other threads read the log only
+//     after the run.
 //   - Fate transitions (MergeReady, Drop, Complete) write a request's
-//     terminal fields and merge counters. The caller synchronises them: the
-//     simulator needs nothing, serve holds the request's fate stripe
-//     (LockRank::kFate). AbandonInFlight runs after every thread has joined.
+//     terminal fields and merge counters (hops[k].merge_arrivals). The
+//     caller synchronises them: the simulator needs nothing, serve holds the
+//     request's fate stripe (LockRank::kFate). AbandonInFlight runs after
+//     every thread has joined.
 //   - Accounting (RecordFate, NoteRetry) bumps lock-free counters and emits
 //     to per-thread trace rings, so serve calls it outside the fate stripe.
 //     NoteRetry also bumps req.retry_count, written only by the thread that
@@ -36,6 +41,7 @@
 #include "pipeline/pipeline_spec.h"
 #include "resilience/chaos.h"
 #include "runtime/request.h"
+#include "runtime/request_arena.h"
 #include "runtime/runtime_options.h"
 #include "runtime/state_board.h"
 
@@ -50,10 +56,12 @@ class RequestLifecycle {
   RequestLifecycle(const PipelineSpec& spec, const RuntimeOptions& options);
 
   // --- Injection (one thread) ---------------------------------------------
-  // Stamps a freshly allocated request sent at `now` and appends it to the
-  // request log. Returns false when the tenant governor sheds it at ingress;
-  // the caller then drops it (kTenantShed) at the source instead of
-  // delivering it.
+  // A fresh request with one hop slot per module, from the run's arena.
+  RequestPtr NewRequest() { return pard::NewRequest(arena_, spec_.NumModules()); }
+  // Stamps a request fresh from NewRequest as sent at `now`, draws its
+  // dynamic path, and appends it to the request log. Returns false when the
+  // tenant governor sheds it at ingress; the caller then drops it
+  // (kTenantShed) at the source instead of delivering it.
   bool Inject(const RequestPtr& req, SimTime now);
   // Every injected request, in injection order.
   const std::vector<RequestPtr>& requests() const { return requests_; }
@@ -73,8 +81,8 @@ class RequestLifecycle {
   template <typename Deliver>
   bool Forward(const Request& req, int module_id, Deliver&& deliver) const {
     const ModuleSpec& m = spec_.Module(module_id);
-    if (req.HasDynamicPath() && m.subs.size() > 1) {
-      deliver(req.branch_choice[static_cast<std::size_t>(module_id)]);
+    if (req.dynamic_path && m.subs.size() > 1) {
+      deliver(req.hops[static_cast<std::size_t>(module_id)].branch_choice);
       return true;
     }
     for (int sub : m.subs) {
@@ -140,16 +148,17 @@ class RequestLifecycle {
   RuntimeOptions options_;
   std::vector<int> batch_sizes_;
   std::vector<Duration> planned_batch_duration_;
+  // spec_.TopoOrder(), computed once: dynamic paths are drawn along it.
+  std::vector<int> topo_order_;
   std::vector<FleetEvent> fault_schedule_;
   std::vector<ChaosEvent> chaos_schedule_;
-  // Whether any module is a DAG merge; only then do requests carry
-  // merge_arrivals.
-  bool has_merge_ = false;
   // Weighted ingress governor; null when options.tenants is empty, which
   // keeps untenanted runs bit-identical to the historical path.
   std::unique_ptr<TenantGovernor> governor_;
 
-  // Injection state: the injecting thread's alone.
+  // Injection state: the injecting thread's alone. Allocator copies inside
+  // the requests' control blocks keep the arena alive past the lifecycle.
+  std::shared_ptr<RequestArena> arena_ = std::make_shared<RequestArena>();
   Rng rng_;
   std::uint64_t next_request_id_ = 1;
   std::vector<RequestPtr> requests_;

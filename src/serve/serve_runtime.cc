@@ -122,11 +122,11 @@ void ServeRuntime::ResolveFate(Request& req, Transition transition) {
 void ServeRuntime::Inject(SimTime scheduled) {
   (void)scheduled;  // Open loop: the *actual* instant is the send time.
   const SimTime now = clock_.Now();
-  RequestPtr req = std::make_shared<Request>();
-  // No lock: the lifecycle's injection state (id counter, RNG, request log)
-  // belongs to this (the load generator's) thread; identity fields are
-  // immutable once the request is visible to any other thread
-  // (runtime/request.h).
+  // No lock: the lifecycle's injection state (arena, id counter, RNG,
+  // request log) belongs to this (the load generator's) thread; identity
+  // fields and the drawn route are immutable once the request is visible to
+  // any other thread (runtime/request.h).
+  RequestPtr req = lifecycle_.NewRequest();
   const bool admitted = lifecycle_.Inject(req, now);
   in_flight_.fetch_add(1, std::memory_order_release);
   if (!admitted) {

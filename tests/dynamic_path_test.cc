@@ -37,7 +37,7 @@ TEST(DynamicPath, RequestsTakeExactlyOneBranch) {
   int pose_only = 0;
   int face_only = 0;
   for (const RequestPtr& r : rt.requests()) {
-    ASSERT_TRUE(r->HasDynamicPath());
+    ASSERT_TRUE(r->dynamic_path);
     const bool pose = r->hops[1].executed;
     const bool face = r->hops[2].executed;
     EXPECT_NE(pose, face) << "exactly one branch must execute";
@@ -63,10 +63,10 @@ TEST(DynamicPath, MergeWaitsForSingleExpectedArrival) {
   rt.RunTrace({0});
   const RequestPtr& r = rt.requests()[0];
   EXPECT_TRUE(r->Good());
-  const int chosen = r->branch_choice[0];
+  const int chosen = r->hops[0].branch_choice;
   EXPECT_TRUE(chosen == 1 || chosen == 2);
-  EXPECT_EQ(r->expected_arrivals[3], 1);  // Merge expects one delivery.
-  EXPECT_EQ(r->merge_arrivals[3], 1);
+  EXPECT_EQ(r->hops[3].expected_arrivals, 1);  // Merge expects one delivery.
+  EXPECT_EQ(r->hops[3].merge_arrivals, 1);
 }
 
 TEST(DynamicPath, StaticPipelinesUnaffected) {
@@ -76,7 +76,7 @@ TEST(DynamicPath, StaticPipelinesUnaffected) {
   PipelineRuntime rt(MakeDagLiveVideo(), options, &policy, 10.0);
   rt.RunTrace({0});
   const RequestPtr& r = rt.requests()[0];
-  EXPECT_FALSE(r->HasDynamicPath());
+  EXPECT_FALSE(r->dynamic_path);
   EXPECT_TRUE(r->hops[1].executed);
   EXPECT_TRUE(r->hops[2].executed);
 }
@@ -95,19 +95,21 @@ TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
   options.include_queue = false;
   LatencyEstimator est(&da, &board, options, Rng(2));
 
+  HopRecord face_hops[5];
+  face_hops[0].branch_choice = 2;  // Face branch chosen at the fork.
   Request via_face;
-  via_face.branch_choice.assign(5, -1);
-  via_face.branch_choice[0] = 2;  // Face branch chosen at the fork.
-  via_face.expected_arrivals.assign(5, 1);
+  via_face.dynamic_path = true;
+  via_face.hops = HopSlots(face_hops, 5);
   // Static estimate from module 0 takes the slow pose path: 50+5+5 = 60 ms.
   EXPECT_EQ(est.EstimateSubsequent(0), 60 * kUsPerMs);
   // Path-aware estimate follows the chosen face branch: 5+5+5 = 15 ms.
   EXPECT_EQ(est.EstimateSubsequentForRequest(0, via_face), 15 * kUsPerMs);
 
+  HopRecord pose_hops[5];
+  pose_hops[0].branch_choice = 1;
   Request via_pose;
-  via_pose.branch_choice.assign(5, -1);
-  via_pose.branch_choice[0] = 1;
-  via_pose.expected_arrivals.assign(5, 1);
+  via_pose.dynamic_path = true;
+  via_pose.hops = HopSlots(pose_hops, 5);
   EXPECT_EQ(est.EstimateSubsequentForRequest(0, via_pose), 60 * kUsPerMs);
 
   // Static requests fall back to the conservative maximum.

@@ -5,6 +5,7 @@
 
 #include "metrics/analysis.h"
 #include "pipeline/apps.h"
+#include "runtime/request_arena.h"
 
 namespace pard {
 namespace {
@@ -12,7 +13,8 @@ namespace {
 // Builds a request with a chosen fate, timing, and per-module GPU times.
 RequestPtr Synthetic(std::uint64_t id, SimTime sent, Duration slo, RequestFate fate,
                      SimTime finish, int num_modules, int drop_module = -1) {
-  auto r = std::make_shared<Request>();
+  static const auto arena = std::make_shared<RequestArena>();
+  RequestPtr r = NewRequest(arena, num_modules);
   r->id = id;
   r->sent = sent;
   r->slo = slo;
@@ -20,8 +22,6 @@ RequestPtr Synthetic(std::uint64_t id, SimTime sent, Duration slo, RequestFate f
   r->fate = fate;
   r->finish = finish;
   r->drop_module = drop_module;
-  r->hops.resize(static_cast<std::size_t>(num_modules));
-  r->merge_arrivals.assign(static_cast<std::size_t>(num_modules), 0);
   return r;
 }
 

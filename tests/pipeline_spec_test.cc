@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -118,6 +119,33 @@ TEST(PipelineSpec, ValidateRejectsZeroSlo) {
   modules[0].id = 0;
   modules[0].model = "object_detection";
   EXPECT_THROW(PipelineSpec("bad", 0, modules), CheckError);
+}
+
+// Requests record their route in 16-bit hop fields (runtime/request.h), so a
+// pipeline has at most INT16_MAX modules — rejected before any path is built.
+TEST(PipelineSpec, ValidateRejectsMoreModulesThanRouteFieldsHold) {
+  constexpr int kModules = 32768;
+  const auto expect_limit_named = [](const auto& build) {
+    try {
+      build();
+      ADD_FAILURE() << "an oversized pipeline was accepted";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("32767"), std::string::npos) << e.what();
+    }
+  };
+  expect_limit_named([] { ChainOf(kModules); });
+
+  std::string text = R"({"app": "long", "slo_ms": 500, "modules": [)";
+  for (int i = 0; i < kModules; ++i) {
+    text += i > 0 ? "," : "";
+    text += R"({"id": )" + std::to_string(i) + R"(, "name": "object_detection", "pres": [)";
+    text += i > 0 ? std::to_string(i - 1) : "";
+    text += R"(], "subs": [)";
+    text += i + 1 < kModules ? std::to_string(i + 1) : "";
+    text += "]}";
+  }
+  text += "]}";
+  expect_limit_named([&] { PipelineSpec::FromJsonText(text); });
 }
 
 TEST(PipelineSpec, JsonRoundTrip) {

@@ -12,19 +12,21 @@
 #include "core/pard_policy.h"
 #include "pipeline/apps.h"
 #include "runtime/batch_planner.h"
+#include "runtime/request_arena.h"
 #include "runtime/state_board.h"
 
 namespace pard {
 namespace {
 
+// The returned copy shares its hop slots with the arena record, and the
+// arena lives as long as the test binary.
 Request MakeRequest(SimTime sent, Duration slo) {
-  Request r;
+  static const auto arena = std::make_shared<RequestArena>();
+  Request r = *NewRequest(arena, 8);
   r.id = 1;
   r.sent = sent;
   r.slo = slo;
   r.deadline = sent + slo;
-  r.hops.resize(8);
-  r.merge_arrivals.assign(8, 0);
   return r;
 }
 

@@ -216,6 +216,36 @@ TEST(Runtime, ThrowingRunDetachesTheArrivalStream) {
   EXPECT_EQ(fired, 1);
 }
 
+// Each request and its hop slots sit in an arena that the requests keep
+// alive, so the log stays readable once the runtime and its policy are gone,
+// as perfbench and the harness read it. ASan flags a read of freed slots.
+TEST(Runtime, RequestsOutliveTheRuntime) {
+  auto policy = std::make_unique<NexusPolicy>();
+  auto rt = std::make_unique<PipelineRuntime>(MakeDagLiveVideo(), FixedWorkers({2, 1, 2, 2, 2}),
+                                              policy.get(), 100.0);
+  rt->RunTrace(GenerateUniformArrivals(300.0, 0, SecToUs(2)));
+  const std::vector<RequestPtr> requests = rt->requests();
+  rt.reset();
+  policy.reset();
+
+  ASSERT_GT(requests.size(), 500u);
+  std::size_t executed = 0;
+  for (const RequestPtr& req : requests) {
+    ASSERT_TRUE(req->Terminal());
+    ASSERT_EQ(req->hops.size(), 5u);
+    for (const HopRecord& hop : req->hops) {
+      const bool monotone =
+          (hop.batch_entry < 0 || hop.arrive <= hop.batch_entry) &&
+          (hop.exec_start < 0 || (0 <= hop.batch_entry && hop.batch_entry <= hop.exec_start)) &&
+          (hop.exec_end < 0 || (0 <= hop.exec_start && hop.exec_start <= hop.exec_end));
+      ASSERT_TRUE(monotone) << "request " << req->id;
+      executed += hop.executed ? 1 : 0;
+    }
+    EXPECT_LE(req->hops[3].merge_arrivals, 2);  // Module 3 merges two branches.
+  }
+  EXPECT_GT(executed, requests.size());
+}
+
 TEST(Runtime, BatchSizesPlannedPerModule) {
   NaivePolicy policy;
   PipelineRuntime rt(MakeLiveVideo(), FixedWorkers({1, 1, 1, 1, 1}), &policy, 10.0);

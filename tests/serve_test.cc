@@ -48,6 +48,7 @@
 #include "serve/serve_clock.h"
 #include "serve/serve_options.h"
 #include "serve/serve_runtime.h"
+#include "trace/arrival_generator.h"
 
 namespace pard {
 namespace {
@@ -263,6 +264,39 @@ TEST(ServeRuntime, BaselinePoliciesServeCleanly) {
       ASSERT_TRUE(req->Terminal()) << policy;
     }
   }
+}
+
+// Serve's requests come from the lifecycle's arena too: the log, hop slots
+// included, stays readable once the runtime and its policy are destroyed.
+TEST(ServeRuntime, RequestsOutliveTheRuntime) {
+  RuntimeOptions options;
+  options.fixed_workers = {2, 1, 2, 2, 2};
+  ServeOptions serve;
+  serve.speedup = 25.0;
+  auto policy = std::make_unique<PardPolicy>();
+  auto server = std::make_unique<ServeRuntime>(MakeDagLiveVideo(), options, policy.get(), 100.0,
+                                               serve);
+  server->RunTrace(GenerateUniformArrivals(100.0, 0, SecToUs(2)));
+  const std::vector<RequestPtr> requests = server->requests();
+  server.reset();
+  policy.reset();
+
+  ASSERT_GT(requests.size(), 100u);
+  std::size_t executed = 0;
+  for (const RequestPtr& req : requests) {
+    ASSERT_TRUE(req->Terminal());
+    ASSERT_EQ(req->hops.size(), 5u);
+    for (const HopRecord& hop : req->hops) {
+      const bool monotone =
+          (hop.batch_entry < 0 || hop.arrive <= hop.batch_entry) &&
+          (hop.exec_start < 0 || (0 <= hop.batch_entry && hop.batch_entry <= hop.exec_start)) &&
+          (hop.exec_end < 0 || (0 <= hop.exec_start && hop.exec_start <= hop.exec_end));
+      ASSERT_TRUE(monotone) << "request " << req->id;
+      executed += hop.executed ? 1 : 0;
+    }
+    EXPECT_LE(req->hops[3].merge_arrivals, 2);  // Module 3 merges two branches.
+  }
+  EXPECT_GT(executed, requests.size());
 }
 
 TEST(ServeRuntime, DagMergeAndOverloadUnderContention) {
@@ -704,12 +738,13 @@ TEST(ControlPlaneRefresh, ParallelRefreshDeterministicAcrossThreadCounts) {
     EXPECT_EQ(a.refreshed, b.refreshed) << round;
     EXPECT_EQ(a.skipped, b.skipped) << round;
 
+    std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
     Request req;
     req.id = 1;
     req.slo = lv.slo();
     req.sent = now;
     req.deadline = req.sent + req.slo;
-    req.hops.resize(static_cast<std::size_t>(lv.NumModules()));
+    req.hops = HopSlots(hops.data(), hops.size());
     for (int m = 0; m < lv.NumModules(); ++m) {
       EXPECT_EQ(policy_1.estimator()->EstimateSubsequent(m),
                 policy_4.estimator()->EstimateSubsequent(m))
@@ -747,10 +782,11 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
   WorkerGroup readers;
   for (int t = 0; t < 4; ++t) {
     readers.Spawn([&, t]() {
+      std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
       Request req;
       req.id = static_cast<std::uint64_t>(t) + 1;
       req.slo = lv.slo();
-      req.hops.resize(static_cast<std::size_t>(lv.NumModules()));
+      req.hops = HopSlots(hops.data(), hops.size());
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         for (int m = 0; m < lv.NumModules(); ++m) {

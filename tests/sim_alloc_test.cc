@@ -1,7 +1,8 @@
-// Pins the event kernel's zero-allocation guarantees: once the slab, free
-// list and bucket structures reach their high-water mark, scheduling,
-// cancelling and firing events must not touch the heap, and a stream of
-// instants (ScheduleStream) never takes a slot at all.
+// Pins the simulator's zero-allocation guarantees: once the slab, free list
+// and bucket structures reach their high-water mark, scheduling, cancelling
+// and firing events must not touch the heap, and a stream of instants
+// (ScheduleStream) never takes a slot at all. Injecting a request takes its
+// record from the run's arena, so it makes no heap call of its own either.
 //
 // The whole test binary counts global operator new calls; the steady-state
 // section asserts the counter does not move. Keep this suite out of
@@ -15,6 +16,8 @@
 #include <new>
 #include <vector>
 
+#include "pipeline/apps.h"
+#include "runtime/request_lifecycle.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -157,6 +160,34 @@ TEST(SimulationAllocation, InlineCallbackHoldsRuntimeSizedCaptures) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u) << "inline-sized callback construction allocated";
   sim.Run();
+}
+
+// operator new calls made by injecting `count` requests into a warmed
+// lifecycle: only the arena's 64 KiB blocks and the request log's growth
+// remain, a few hundred calls for 100k requests.
+std::uint64_t InjectionAllocations(const PipelineSpec& spec, bool dynamic_paths, int count) {
+  RuntimeOptions options;
+  options.dynamic_paths = dynamic_paths;
+  RequestLifecycle lifecycle(spec, options);
+  SimTime now = 0;
+  for (int i = 0; i < 1000; ++i) {
+    lifecycle.Inject(lifecycle.NewRequest(), ++now);
+  }
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < count; ++i) {
+    lifecycle.Inject(lifecycle.NewRequest(), ++now);
+  }
+  const std::uint64_t calls = g_allocations.load() - before;
+  EXPECT_EQ(lifecycle.requests().back()->dynamic_path, dynamic_paths);
+  return calls;
+}
+
+TEST(RequestAllocation, InjectionMakesNoHeapCallPerRequest) {
+  constexpr int kRequests = 100000;
+  EXPECT_LT(InjectionAllocations(MakeLiveVideo(), false, kRequests), kRequests / 100u);
+  // A fork/merge DAG drawing a path per request: branch choices and expected
+  // arrivals land in the hop slots, not in per-request vectors.
+  EXPECT_LT(InjectionAllocations(MakeDagLiveVideo(), true, kRequests), kRequests / 100u);
 }
 
 }  // namespace

@@ -231,10 +231,11 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchLockedFallback) {
   free_plane.Sync(WarmStates(lv.NumModules(), &rng_a), kUsPerSec);
   locked_plane.Sync(WarmStates(lv.NumModules(), &rng_b), kUsPerSec);
 
+  std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
   Request req;
   req.id = 1;
   req.slo = lv.slo();
-  req.hops.resize(static_cast<std::size_t>(lv.NumModules()));
+  req.hops = HopSlots(hops.data(), hops.size());
   int drops = 0;
   for (int m = 0; m < lv.NumModules(); ++m) {
     for (Duration age = 0; age <= req.slo + 20 * kUsPerMs; age += 5 * kUsPerMs) {
