@@ -296,7 +296,9 @@ TEST(ServeRuntime, RequestsOutliveTheRuntime) {
     }
     EXPECT_LE(req->hops[3].merge_arrivals, 2);  // Module 3 merges two branches.
   }
-  EXPECT_GT(executed, requests.size());
+  // Not a throughput check: under a sanitizer's slowdown PARD may shed most
+  // of the stream, but some hop must have run for the reads to mean much.
+  EXPECT_GT(executed, 0u);
 }
 
 TEST(ServeRuntime, DagMergeAndOverloadUnderContention) {
