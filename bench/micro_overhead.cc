@@ -287,7 +287,8 @@ struct SyncRefreshHarness {
       std::sort(s.wait_samples.begin(), s.wait_samples.end());
       states.push_back(std::move(s));
     }
-    control->Sync(states, sync_t);
+    std::vector<ModuleState> publish = states;
+    control->Sync(publish, sync_t);
   }
 
   static PipelineSpec MakeRefreshChain() {
@@ -325,8 +326,10 @@ void RunControlSyncRefresh(benchmark::State& state, int dirty_modules) {
       harness.states[static_cast<std::size_t>(m)].batch_duration = d;
     }
     harness.sync_t += kUsPerSec;
-    const ControlPlane::SyncStats stats =
-        harness.control->Sync(harness.states, harness.sync_t);
+    // Sync hands the replaced states back into its argument, so publish a
+    // copy: the harness keeps republishing the same warm states.
+    std::vector<ModuleState> publish = harness.states;
+    const ControlPlane::SyncStats stats = harness.control->Sync(publish, harness.sync_t);
     benchmark::DoNotOptimize(stats.refreshed);
   }
   state.counters["dirty_modules"] =
@@ -382,20 +385,11 @@ BENCHMARK(BM_StateSyncPayload);
 // what the overload scenario's control loop does every period (compressed
 // here to microbenchmark timescales; the frequent-republication regime the
 // ROADMAP's dynamic-interference item needs). Run at 1, 4 and 8 broker
-// threads. The Locked variant forces every decision through the
-// pre-sharding single-mutex fallback — the PR 4/5 control plane, where
-// every decision waits out any in-flight Sync. The scaling claim is
-// Snapshot at 8 broker threads vs Locked at 1 (the PR 5 deployment: one
-// generator thread admitting inline against the mutex) — ≥3x measured even
-// on a single-core container, where the gap is pure reader-writer blocking;
-// with real cores the locked leg additionally pays cross-core line bouncing.
-// bench_compare gates the Snapshot counter against bench/BENCH_PR6.json
-// (see tests: bench_compare_pr6_self, and the CI bench-smoke job).
+// threads. bench_compare gates the counter against bench/BENCH_PR6.json (see
+// tests: bench_compare_pr6_self, and the CI bench-smoke job).
 struct AdmissionHarness {
-  explicit AdmissionHarness(bool force_locked) : spec(MakeLiveVideo()), board(5) {
-    ControlPlane::Options options;
-    options.force_locked = force_locked;
-    control = std::make_unique<ControlPlane>(&spec, &policy, &board, options);
+  AdmissionHarness() : spec(MakeLiveVideo()), board(5) {
+    control = std::make_unique<ControlPlane>(&spec, &policy, &board, ControlPlane::Options());
     Rng rng(11);
     for (int i = 0; i < 5; ++i) {
       ModuleState s;
@@ -408,7 +402,8 @@ struct AdmissionHarness {
       std::sort(s.wait_samples.begin(), s.wait_samples.end());
       states.push_back(std::move(s));
     }
-    control->Sync(states, sync_t);
+    std::vector<ModuleState> publish = states;
+    control->Sync(publish, sync_t);
   }
 
   // The benchmark-scope control loop: republish the same warm state with an
@@ -419,7 +414,8 @@ struct AdmissionHarness {
     writer = std::thread([this] {
       while (!stop.load(std::memory_order_relaxed)) {
         sync_t += kUsPerSec;
-        control->Sync(states, sync_t);
+        std::vector<ModuleState> publish = states;
+        control->Sync(publish, sync_t);
         std::this_thread::sleep_for(std::chrono::microseconds(10));
       }
     });
@@ -478,29 +474,23 @@ void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
 void BM_AdmissionDecisionSnapshot(benchmark::State& state) {
   // Leaked: shared by all benchmark threads, and the harness must outlive
   // the last of them (static destruction order vs. detached reporters).
-  static AdmissionHarness* harness = new AdmissionHarness(/*force_locked=*/false);
+  static AdmissionHarness* harness = new AdmissionHarness();
   RunAdmissionLoop(state, *harness);
 }
 BENCHMARK(BM_AdmissionDecisionSnapshot)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
-
-void BM_AdmissionDecisionLocked(benchmark::State& state) {
-  static AdmissionHarness* harness = new AdmissionHarness(/*force_locked=*/true);
-  RunAdmissionLoop(state, *harness);
-}
-BENCHMARK(BM_AdmissionDecisionLocked)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
 
 // --- Observability overhead ------------------------------------------------
 
 // The instrumentation tax on the admission hot path: one broker decision
 // (AdmitAtModule + ShouldDrop against a warm snapshot) per iteration, plus
-// exactly the extra work ServeRuntime::Deliver does when obs is wired — a
+// exactly the extra work ModuleRuntime::Receive does when obs is wired — a
 // striped-counter bump and a sampled trace emit — versus the null-pointer
 // fast path every site reduces to when obs is off. The pair is captured in
 // bench/BENCH_PR7.json and gated in CI: tracing must stay a few-ns tax on a
 // ~µs decision, never a second mutex on the hot path.
 void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
                          MetricsRegistry* metrics) {
-  static AdmissionHarness* harness = new AdmissionHarness(/*force_locked=*/false);
+  static AdmissionHarness* harness = new AdmissionHarness();
   Counter* admitted = metrics != nullptr ? metrics->GetCounter("module.m0.admitted") : nullptr;
   TraceShard* shard = trace != nullptr ? trace->ThisThreadShard() : nullptr;
   std::vector<TraceEvent> scratch;

@@ -3,12 +3,13 @@
 // The serve-side locks form a strict hierarchy; a thread may only acquire a
 // lock whose rank is STRICTLY GREATER than every lock it already holds:
 //
-//   kModule (1)          ServeModule::mu_ — roster + worker sleep/wake.
-//   kQueueShard (2)      ServeModule per-shard queue/monitor mutexes.
-//   kAdmissionShard (3)  ControlPlane striped admission-RNG mutexes.
-//   kControl (4)         ControlPlane::mu_ — sync + locked fallback path.
-//   kFate (5)            ServeRuntime striped request-fate mutexes.
+//   kModule (1)          ServeModule::mu_ — the module's ModuleRuntime,
+//                        workers, timer and outbox.
+//   kAdmissionShard (2)  ControlPlane striped admission-RNG mutexes.
+//   kFate (3)            ServeRuntime striped request-fate mutexes.
 //
+// Two module locks are never held at once: a module hands requests to its
+// successors through an outbox drained after its own lock is released.
 // (BackendFleet's internal mutex is a leaf: it never acquires another lock,
 // so it is deliberately unranked.) Instantiate a LockOrderGuard immediately
 // BEFORE acquiring the mutex it describes, so a violation throws while the
@@ -24,17 +25,15 @@ namespace pard {
 
 enum class LockRank : int {
   kModule = 1,
-  kQueueShard = 2,
-  kAdmissionShard = 3,
-  kControl = 4,
-  kFate = 5,
+  kAdmissionShard = 2,
+  kFate = 3,
 };
 
 #ifndef NDEBUG
 
 namespace lock_order_internal {
 // Per-thread stack of held ranks. Depth 8 is far above the deepest legal
-// chain (module -> shard -> control is 3).
+// chain (module -> admission shard -> fate is 3).
 inline constexpr int kMaxHeld = 8;
 struct HeldRanks {
   int ranks[kMaxHeld];

@@ -61,15 +61,12 @@
 // may mutate the epoch cache and advances the Monte-Carlo RNG, and a board
 // publish invalidates entries mid-flight. In the simulator one event loop
 // serializes everything. In the serving runtime the estimator is touched
-// from exactly one place: the control thread's Sync() — off the control
-// lock on the snapshot path, since brokers only ever read the immutable
-// PolicyView copies published through ControlPlane's snapshot cell and
-// never call into the estimator at all. RefreshAll's internal ParallelFor
-// phases touch disjoint per-module buffers, then disjoint per-entry cache
-// slots (with a barrier between the phases), so the fan-out needs no locks
-// either. (A policy that opts out of snapshotting is still safe:
-// ControlPlane's locked fallback path serializes its estimator use behind
-// the control mutex, the pre-snapshot contract.)
+// from exactly one place: the control thread's Sync(), holding no lock,
+// since brokers only ever read the immutable PolicyView copies published
+// through ControlPlane's snapshot cell and never call into the estimator at
+// all. RefreshAll's internal ParallelFor phases touch disjoint per-module
+// buffers, then disjoint per-entry cache slots (with a barrier between the
+// phases), so the fan-out needs no locks either.
 #ifndef PARD_CORE_LATENCY_ESTIMATOR_H_
 #define PARD_CORE_LATENCY_ESTIMATOR_H_
 

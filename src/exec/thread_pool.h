@@ -71,9 +71,10 @@ void ParallelFor(ThreadPool& pool, std::size_t n, const std::function<void(std::
 void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 // A group of long-running threads, as opposed to ThreadPool's queue of
-// short tasks. The serving runtime (src/serve/) uses one group per module:
-// each GPU worker is a thread that lives for the whole run, blocking on the
-// module's condition variable — work that would wedge a shared task queue.
+// short tasks. The serving runtime (src/serve/) runs its load generator,
+// brokers, control thread and each module's timer thread this way: threads
+// that live for the whole run, blocking between deadlines — work that would
+// wedge a shared task queue.
 //
 // Join() (or the destructor) joins every spawned thread and then re-throws
 // the first exception any of them ended with (later ones are swallowed), so

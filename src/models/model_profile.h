@@ -4,8 +4,7 @@
 // batch latency table d(b); every control decision — batch-size planning,
 // throughput estimation, the D terms of the latency estimator — reads this
 // table. Profiles can be constructed directly, fitted from (alpha, beta)
-// linear coefficients, or loaded from the JSON emitted by the offline
-// profiler.
+// linear coefficients, or round-tripped through JSON (ToJson/FromJson).
 #ifndef PARD_MODELS_MODEL_PROFILE_H_
 #define PARD_MODELS_MODEL_PROFILE_H_
 

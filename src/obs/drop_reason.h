@@ -3,8 +3,8 @@
 // Every request that ends in RequestFate::kDropped or kLate carries exactly
 // one DropReason naming the mechanism that killed it — without this the
 // metrics can say *that* goodput was lost but never *why*. Reasons are
-// assigned at the drop site (ModuleRuntime/Worker in the simulator,
-// ServeRuntime/ServeModule in the serving runtime) and are conserved: the
+// assigned at the drop site (ModuleRuntime/Worker in both substrates, plus
+// the runtimes' ingress and end-of-run sweep) and are conserved: the
 // per-reason counts sum exactly to the run's total drop count (pinned by
 // tests/serve_test.cc and tests/obs_test.cc).
 //
@@ -12,9 +12,7 @@
 //   kProactiveAdmission — the enqueue-time admission check (the paper's
 //       proactive drop) rejected the request before it entered any queue.
 //   kBrokerCandidate    — the Request Broker predicate rejected the request
-//       as a batch candidate (at batch formation, or at the serve runtime's
-//       ingress front-end where delivery doubles as the hypothetical batch
-//       start).
+//       as a candidate for the forming batch.
 //   kPurgeExpired       — the deadline passed while the request sat in a
 //       queue; it was evicted by the purge-expired sweep.
 //   kDrainAbandoned     — the run's drain deadline hit with the request

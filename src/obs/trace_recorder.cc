@@ -30,8 +30,6 @@ const char* EventName(const TraceEvent& ev) {
       return "exec";
     case TraceEventKind::kBatchExec:
       return "batch";
-    case TraceEventKind::kSteal:
-      return "steal";
     case TraceEventKind::kFate:
       // Keep in sync with runtime/request.h RequestFate ordering.
       switch (ev.arg0) {

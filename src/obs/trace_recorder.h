@@ -44,7 +44,6 @@ enum class TraceEventKind : std::uint8_t {
   kQueueSpan = 1,  // span: enqueue -> batch entry (time spent queued)
   kExecSpan = 2,   // span: exec_start -> exec_end for one request
   kBatchExec = 3,  // span: one batch execution; arg0 = batch size
-  kSteal = 4,      // instant: request stolen into a batch; arg0 = victim shard
   kFate = 5,       // instant: terminal fate; arg0 = RequestFate, arg1 = DropReason
   kEpochSync = 6,  // instant: control-plane snapshot published; arg0 = epoch
   kFleet = 7,      // instant: fleet event; arg0 = 0 kill / 1 add, arg1 = count

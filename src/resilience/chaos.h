@@ -9,8 +9,8 @@
 //   <at_s>:<module>:hang:<count>[:<dur_s>]   hang `count` workers at t=at_s.
 //                                            A hung worker stops mid-batch
 //                                            without dying: it holds its
-//                                            in-flight batch and stops
-//                                            heartbeating. With `dur_s` the
+//                                            in-flight batch and makes no
+//                                            progress. With `dur_s` the
 //                                            hang clears by itself; without
 //                                            it the worker hangs until the
 //                                            watchdog force-fails it (serve)

@@ -21,8 +21,8 @@ struct ResilienceOptions {
   // (in-flight work from a failed worker drops as kWorkerFailure).
   int max_retries = 0;
 
-  // Watchdog (serve only): a busy worker whose heartbeat is older than this
-  // is force-failed through the BackendFleet fail path and a replacement is
+  // Watchdog (serve only): a worker hung for longer than this is failed
+  // (Worker::Fail, the path a scheduled kill takes) and a replacement is
   // provisioned after cold start. 0 disables the watchdog.
   Duration hang_budget = 0;
 

@@ -1,8 +1,7 @@
 // Backend fleet: the shared worker-roster abstraction of both substrates.
 //
-// The simulator's ModuleRuntime/Worker and the serving runtime's ServeModule
-// used to keep their own ad-hoc notion of "N identical workers". The fleet
-// centralizes everything both need to agree on:
+// Both substrates run the same ModuleRuntime/Worker; the fleet holds what
+// the rest of the runtime needs to know about their workers:
 //
 //   * profile assignment — worker slots draw BackendProfiles from the
 //     pipeline's catalog round-robin (an empty catalog is the homogeneous
@@ -15,15 +14,14 @@
 //     what the estimator and the scaling engine reason about instead of
 //     `worker count × uniform profile`.
 //
-// The execution vehicles stay substrate-specific (sim Workers are event-loop
-// objects, serve workers are OS threads); they report every state change
-// here so that capacity queries, scaling decisions and the transition log
-// are substrate-independent.
+// Workers report every state change here, so capacity queries, scaling
+// decisions and the transition log read the same in both substrates.
 //
 // Concurrency: internally synchronized (one mutex) — the serving runtime
-// calls in from worker threads and the control thread concurrently; the
-// simulator's single-threaded calls pay an uncontended lock on non-hot
-// paths only (provision/transition/sync, never per-request dispatch).
+// calls in from every module's lock holder and the control thread
+// concurrently; the simulator's single-threaded calls pay an uncontended
+// lock on non-hot paths only (provision/transition/sync, never per-request
+// dispatch).
 #ifndef PARD_RUNTIME_BACKEND_FLEET_H_
 #define PARD_RUNTIME_BACKEND_FLEET_H_
 

@@ -46,8 +46,7 @@ struct AdmissionContext {
 // Immutable decision snapshot of a policy, valid for one sync interval.
 //
 // The serving control plane asks the policy for a fresh view after every
-// OnSync() (under the control lock) and publishes it through an RCU-style
-// snapshot cell; between syncs broker threads call the view's const methods
+// OnSync() and publishes it through an RCU-style snapshot cell; between syncs broker threads call the view's const methods
 // with NO lock held. A view must therefore be self-contained: every decision
 // input (estimates, budgets, priority sides, overload flags) is copied out
 // of the policy at build time, and the const methods may not touch mutable
@@ -125,24 +124,23 @@ class DropPolicy {
   virtual void OnSync(SimTime now) { (void)now; }
 
   // Serve-mode estimator refresh, invoked by the control plane between
-  // OnSync() and MakeView() on its lock-free sync path. Policies with an
-  // epoch-cached estimator refresh it incrementally here (PARD fans
-  // dirty-module work across `pool`; nullptr = run inline) so the following
-  // MakeView() is pure cache reads. The default no-op keeps out-of-tree
-  // policies on the lazy refresh-inside-MakeView behavior. Never called by
-  // the simulator or the locked fallback path — results there must stay
-  // bit-identical to the lazy shared-stream draws.
+  // OnSync() and MakeView() on its sync path. Policies with an epoch-cached
+  // estimator refresh it incrementally here (PARD fans dirty-module work
+  // across `pool`; nullptr = run inline) so the following MakeView() is pure
+  // cache reads. The default no-op keeps out-of-tree policies on the lazy
+  // refresh-inside-MakeView behavior. Never called by the simulator —
+  // results there must stay bit-identical to the lazy shared-stream draws.
   virtual PolicyRefreshStats RefreshEstimates(ThreadPool* pool) {
     (void)pool;
     return {};
   }
 
   // Builds an immutable decision snapshot of this policy's current state
-  // (see PolicyView). The serving control plane calls this under its lock
-  // right after OnSync(); the returned view is then read lock-free by every
-  // broker until the next sync replaces it. Returning nullptr (the default)
-  // opts the policy out of snapshotting: the control plane falls back to
-  // serializing every decision behind its mutex, which is always correct.
+  // (see PolicyView). The serving control plane calls this right after
+  // OnSync(); the returned view is then read lock-free by every broker until
+  // the next sync replaces it. The default returns nullptr, which the
+  // serving control plane rejects at construction: a policy needs a view to
+  // serve. The simulator never calls it.
   virtual std::shared_ptr<const PolicyView> MakeView() { return nullptr; }
 
   virtual std::string Name() const = 0;

@@ -1,27 +1,26 @@
 #include "runtime/module_runtime.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
-#include "runtime/pipeline_runtime.h"
+#include "runtime/request_lifecycle.h"
 
 namespace pard {
 
-ModuleRuntime::ModuleRuntime(Simulation* sim, PipelineRuntime* pipeline, BackendFleet* fleet,
+ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, BackendFleet* fleet,
                              const ModuleSpec& spec, const ModelProfile& profile, int batch_size,
-                             int initial_workers, const RuntimeOptions& options,
-                             DropPolicy* policy)
-    : sim_(sim),
-      pipeline_(pipeline),
+                             int initial_workers, const RuntimeOptions& options)
+    : timer_(timer),
+      host_(host),
       fleet_(fleet),
       spec_(spec),
       profile_(profile),
       batch_size_(batch_size),
       options_(options),
-      policy_(policy),
       jitter_rng_(Rng(options.seed).Fork("jitter:" + std::to_string(spec.id))),
       queue_delay_window_(options.stats_window),
       stage_latency_window_(options.stats_window),
@@ -31,8 +30,8 @@ ModuleRuntime::ModuleRuntime(Simulation* sim, PipelineRuntime* pipeline, Backend
   PARD_CHECK(initial_workers >= 1);
   PARD_CHECK(fleet_ != nullptr);
   for (int i = 0; i < initial_workers; ++i) {
-    auto worker =
-        std::make_shared<Worker>(sim_, this, fleet_, fleet_->Provision(spec_.id, sim_->Now()));
+    auto worker = std::make_shared<Worker>(timer_, this, fleet_,
+                                           fleet_->Provision(spec_.id, timer_->Now()));
     worker->Activate();  // Initial fleet starts warm.
     workers_.push_back(std::move(worker));
   }
@@ -54,7 +53,7 @@ double ModuleRuntime::ProvisionedUnits() const { return fleet_->ProvisionedUnits
 
 Duration ModuleRuntime::SampleExecDuration(int batch, double exec_scale) {
   Duration d = ScaleBatchDuration(profile_.BatchDuration(batch), exec_scale);
-  if (sim_->Now() < slow_until_) {
+  if (timer_->Now() < slow_until_) {
     // Chaos slowdown: transient interference scales this batch's execution.
     d = static_cast<Duration>(static_cast<double>(d) * slow_factor_);
   }
@@ -87,12 +86,14 @@ Worker* ModuleRuntime::ChooseWorker() {
 }
 
 void ModuleRuntime::Receive(RequestPtr req) {
-  const SimTime now = sim_->Now();
+  const SimTime now = timer_->Now();
+  // Offered load is counted before admission, so shed traffic still drives
+  // load_factor and burstiness.
   rate_monitor_.Bump(now);
-  if (req->Terminal()) {
+  if (host_->IsTerminal(*req)) {
     return;  // Dropped on another branch before delivery.
   }
-  if (!policy_->AdmitAtModule(*req, spec_.id, now)) {
+  if (!host_->AdmitAtModule(*req, spec_.id, now)) {
     req->hops[static_cast<std::size_t>(spec_.id)].arrive = now;
     OnPolicyDrop(std::move(req), DropReason::kProactiveAdmission);
     return;
@@ -108,7 +109,7 @@ void ModuleRuntime::Receive(RequestPtr req) {
   if (admitted_counter_ != nullptr) {
     admitted_counter_->Add();
   }
-  if (TraceRecorder* trace = pipeline_->trace(); trace != nullptr) {
+  if (TraceRecorder* trace = host_->trace(); trace != nullptr) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kAdmit;
     ev.module = spec_.id;
@@ -119,10 +120,10 @@ void ModuleRuntime::Receive(RequestPtr req) {
   worker->Enqueue(std::move(req));
 }
 
-void ModuleRuntime::OnExecuted(RequestPtr req) { pipeline_->OnModuleDone(std::move(req), spec_.id); }
+void ModuleRuntime::OnExecuted(RequestPtr req) { host_->OnModuleDone(std::move(req), spec_.id); }
 
 void ModuleRuntime::OnPolicyDrop(RequestPtr req, DropReason reason) {
-  pipeline_->Drop(std::move(req), spec_.id, reason);
+  host_->Drop(std::move(req), spec_.id, reason);
 }
 
 void ModuleRuntime::RecordQueueDelay(SimTime now, Duration q_delay) {
@@ -157,18 +158,18 @@ ModuleState ModuleRuntime::Sync(SimTime now, std::vector<double> wait_buffer) {
   state.burstiness = rate_monitor_.Burstiness(now);
   state.wait_samples = std::move(wait_buffer);
   state.wait_samples.assign(wait_reservoir_.values().begin(), wait_reservoir_.values().end());
-  std::sort(state.wait_samples.begin(), state.wait_samples.end());
   return state;
 }
 
 double ModuleRuntime::ProvisionColdWorker() {
-  const BackendSlot slot = fleet_->Provision(spec_.id, sim_->Now());
-  auto worker = std::make_shared<Worker>(sim_, this, fleet_, slot);
+  const SimTime now = timer_->Now();
+  const BackendSlot slot = fleet_->Provision(spec_.id, now);
+  auto worker = std::make_shared<Worker>(timer_, this, fleet_, slot);
   std::weak_ptr<Worker> weak = worker;
   workers_.push_back(std::move(worker));
   // Model cold start: the worker accepts traffic only after the delay (the
   // slot's backend profile decides how long the model load takes).
-  sim_->ScheduleAfter(slot.cold_start, [weak] {
+  timer_->ScheduleAt(now + slot.cold_start, [weak] {
     if (auto w = weak.lock(); w != nullptr && w->state() == Worker::State::kColdStarting) {
       w->Activate();
     }
@@ -176,14 +177,20 @@ double ModuleRuntime::ProvisionColdWorker() {
   return slot.speed;
 }
 
-void ModuleRuntime::SetTargetUnits(double target_units) {
+void ModuleRuntime::SetTargetWorkers(int target) {
+  SetTargetUnits(static_cast<double>(target), std::numeric_limits<int>::max());
+}
+
+void ModuleRuntime::SetTargetUnits(double target_units, int max_new_workers) {
   target_units =
       std::clamp(target_units, 1.0, static_cast<double>(options_.max_workers_per_module));
   ReapRetired();
   double provisioned = ProvisionedUnits();
   // The per-module worker cap bounds the roster even when slow backends
   // contribute less than one unit each.
-  while (provisioned < target_units && ProvisionedWorkers() < options_.max_workers_per_module) {
+  for (int added = 0; provisioned < target_units && added < max_new_workers &&
+                      ProvisionedWorkers() < options_.max_workers_per_module;
+       ++added) {
     provisioned += ProvisionColdWorker();
   }
   // Drain the highest-id (most recently added) workers first, as long as
@@ -201,13 +208,14 @@ void ModuleRuntime::SetTargetUnits(double target_units) {
   }
 }
 
-void ModuleRuntime::AddWorkers(int count) {
+int ModuleRuntime::AddWorkers(int count) {
   ReapRetired();
   // The per-module cap binds recovery events exactly like scaling.
   count = std::min(count, options_.max_workers_per_module - ProvisionedWorkers());
   for (int i = 0; i < count; ++i) {
     ProvisionColdWorker();
   }
+  return std::max(0, count);
 }
 
 void ModuleRuntime::HangWorkers(int count, Duration duration) {
@@ -222,7 +230,7 @@ void ModuleRuntime::HangWorkers(int count, Duration duration) {
     if (duration > 0) {
       // Self-clearing hang; weak_ptr so a drained-and-reaped worker no-ops.
       std::weak_ptr<Worker> weak = worker;
-      sim_->ScheduleAfter(duration, [weak] {
+      timer_->ScheduleAt(timer_->Now() + duration, [weak] {
         if (auto w = weak.lock()) {
           w->Unhang();
         }
@@ -238,12 +246,26 @@ void ModuleRuntime::SetSlowdown(double factor, SimTime until) {
   slow_until_ = until;
 }
 
+int ModuleRuntime::FailHungWorkers(Duration budget) {
+  const SimTime now = timer_->Now();
+  int failed = 0;
+  for (auto& worker : workers_) {
+    if (worker->hung() && worker->state() != Worker::State::kRetired &&
+        now - worker->hung_at() > budget) {
+      worker->Fail();
+      ++failed;
+    }
+  }
+  ReapRetired();
+  return failed;
+}
+
 void ModuleRuntime::RetryOrDrop(RequestPtr req) {
-  if (req->Terminal()) {
+  if (host_->IsTerminal(*req)) {
     return;  // Resolved on another branch; nothing left to rescue.
   }
-  RequestLifecycle& lifecycle = pipeline_->lifecycle();
-  const SimTime now = sim_->Now();
+  RequestLifecycle& lifecycle = host_->lifecycle();
+  const SimTime now = timer_->Now();
   DropReason verdict = lifecycle.RetryVerdict(*req, spec_.id, now);
   if (verdict == DropReason::kNone) {
     if (Worker* worker = ChooseWorker(); worker != nullptr) {

@@ -5,6 +5,14 @@
 // reservoir, load factor, burstiness) and is published to the StateBoard on
 // every sync tick; the estimation half (w_k, L_sub) lives in src/core and
 // reads the board.
+//
+// One implementation serves both substrates. It reads time and schedules
+// through a ModuleTimer (sim/timer.h) and reaches everything outside the
+// module through a ModuleHost (runtime/module_host.h): the simulator passes
+// its kernel and PipelineRuntime; serve passes a ServeModule, which owns
+// this object, its timer thread and the mutex that serializes both. Nothing
+// here is synchronized: every call, and every event it scheduled, runs under
+// that owner's serialization.
 #ifndef PARD_RUNTIME_MODULE_RUNTIME_H_
 #define PARD_RUNTIME_MODULE_RUNTIME_H_
 
@@ -15,51 +23,55 @@
 #include "models/model_profile.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
-#include "runtime/drop_policy.h"
+#include "runtime/module_host.h"
 #include "runtime/rate_monitor.h"
 #include "runtime/request.h"
 #include "runtime/runtime_options.h"
 #include "runtime/state_board.h"
 #include "runtime/worker.h"
-#include "sim/simulation.h"
+#include "sim/timer.h"
 #include "stats/reservoir.h"
 #include "stats/sliding_window.h"
 
 namespace pard {
 
-class PipelineRuntime;
 class Counter;          // obs/metrics.h
 class AtomicHistogram;  // obs/metrics.h
 
 class ModuleRuntime {
  public:
-  ModuleRuntime(Simulation* sim, PipelineRuntime* pipeline, BackendFleet* fleet,
+  // Provisions `initial_workers` warm workers at timer->Now().
+  ModuleRuntime(ModuleTimer* timer, ModuleHost* host, BackendFleet* fleet,
                 const ModuleSpec& spec, const ModelProfile& profile, int batch_size,
-                int initial_workers, const RuntimeOptions& options, DropPolicy* policy);
+                int initial_workers, const RuntimeOptions& options);
 
   // Delivery from the dispatcher (or pipeline ingress).
   void Receive(RequestPtr req);
 
   // Computes this module's ModuleState for the sync tick to publish,
   // copying the wait samples into `wait_buffer` (a previous state's
-  // wait_samples, recycled so a warm sync allocates nothing).
+  // wait_samples, recycled so a warm sync allocates nothing). The samples
+  // come back UNSORTED: the caller sorts them before publishing, which
+  // lets serve sort outside its module lock.
   ModuleState Sync(SimTime now, std::vector<double> wait_buffer);
 
   // Scaling: adjusts the active+warming pool toward `target_units` of
-  // capacity in baseline-worker units (Σ backend speed). For a homogeneous
-  // grade-1.0 fleet this is exactly the historical integer worker target.
-  void SetTargetUnits(double target_units);
-  // Backwards-compatible integer form.
-  void SetTargetWorkers(int target) { SetTargetUnits(static_cast<double>(target)); }
+  // capacity in baseline-worker units (Σ backend speed), provisioning at
+  // most `max_new_workers` workers. For a homogeneous grade-1.0 fleet this
+  // is exactly the historical integer worker target.
+  void SetTargetUnits(double target_units, int max_new_workers);
+  // Integer form, with no cap on new workers.
+  void SetTargetWorkers(int target);
 
   // Failure injection: kills up to `count` active workers. Their queued and
   // in-flight requests go through the deadline-aware retry path (RetryOrDrop)
   // instead of being silently lost.
   void FailWorkers(int count);
 
-  // Recovery / explicit scale-up: provisions `count` new workers that join
-  // the fleet after their backend profile's cold start.
-  void AddWorkers(int count);
+  // Recovery / explicit scale-up: provisions up to `count` new workers
+  // (bounded by the per-module cap) that join the fleet after their backend
+  // profile's cold start. Returns how many it provisioned.
+  int AddWorkers(int count);
 
   // Chaos injection: hangs up to `count` dispatchable workers for `duration`
   // (0 = indefinitely; see Worker::Hang). Finite hangs self-clear via a
@@ -68,21 +80,21 @@ class ModuleRuntime {
   // Chaos injection: scales every sampled exec duration by `factor` until
   // virtual time `until`. Later calls override earlier ones.
   void SetSlowdown(double factor, SimTime until);
+  // Watchdog: fails every worker that has been hung for longer than
+  // `budget` (Worker::Fail). Returns how many it failed. Only serve runs a
+  // watchdog; the simulator leaves indefinite hangs to the end-of-run sweep.
+  int FailHungWorkers(Duration budget);
 
   // Deadline-aware retry for a failed worker's request: when the shared
   // RequestLifecycle::RetryVerdict allows it, re-enqueue directly on a
   // surviving worker (kWorkerFailure when none is left), else drop with the
-  // verdict's reason. ServeRuntime::RetryOrDrop applies the same verdict;
-  // its direct enqueue is ServeModule::Receive, so both substrates skip
-  // re-admission on the retry path.
+  // verdict's reason. The retry skips re-admission.
   void RetryOrDrop(RequestPtr req);
 
   int module_id() const { return spec_.id; }
   int batch_size() const { return batch_size_; }
   const ModelProfile& profile() const { return profile_; }
-  DropPolicy* policy() const { return policy_; }
-  PipelineRuntime* pipeline() const { return pipeline_; }
-  Simulation* sim() const { return sim_; }
+  ModuleHost* host() const { return host_; }
   const RuntimeOptions& options() const { return options_; }
 
   int ActiveWorkers() const;
@@ -121,14 +133,13 @@ class ModuleRuntime {
   // after the slot's cold start; returns the slot's capacity units.
   double ProvisionColdWorker();
 
-  Simulation* sim_;
-  PipelineRuntime* pipeline_;
+  ModuleTimer* timer_;
+  ModuleHost* host_;
   BackendFleet* fleet_;
   ModuleSpec spec_;
   const ModelProfile& profile_;
   int batch_size_;
   RuntimeOptions options_;
-  DropPolicy* policy_;
   Rng jitter_rng_;
 
   // shared_ptr so deferred cold-start events can hold weak references and
@@ -142,7 +153,7 @@ class ModuleRuntime {
   SlidingWindow stage_latency_window_;
   RecentReservoir wait_reservoir_;
   // Per-second arrival bins for input rate / burstiness (covers the stats
-  // window; shared arithmetic with the serving runtime's modules).
+  // window).
   RateMonitor rate_monitor_;
 
   // Chaos slowdown window (SetSlowdown); inert at the defaults, so no-chaos

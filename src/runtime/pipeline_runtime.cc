@@ -1,6 +1,7 @@
 #include "runtime/pipeline_runtime.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -8,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "runtime/batch_planner.h"
+#include "stats/empirical_distribution.h"
 
 namespace pard {
 
@@ -28,7 +30,7 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
     modules_.push_back(std::make_unique<ModuleRuntime>(
         &sim_, this, &fleet_, m, ProfileRegistry::Get(m.model),
         batch_sizes[static_cast<std::size_t>(m.id)], workers[static_cast<std::size_t>(m.id)],
-        options_, policy_));
+        options_));
   }
   // Periodic control-plane ticks.
   sim_.ScheduleAfter(options_.sync_period, [this] { SyncTick(); });
@@ -123,7 +125,9 @@ void PipelineRuntime::SyncTick() {
   // published, so the governor is never fresher than the board. The board
   // hands each replaced state back for the next tick to refill.
   for (std::size_t i = 0; i < modules_.size(); ++i) {
-    sync_states_[i] = modules_[i]->Sync(now, std::move(sync_states_[i].wait_samples));
+    ModuleState& state = sync_states_[i];
+    state = modules_[i]->Sync(now, std::move(state.wait_samples));
+    SortSamples(state.wait_samples);
   }
   lifecycle_.ResyncGovernor(sync_states_);
   for (ModuleState& state : sync_states_) {
@@ -157,7 +161,8 @@ void PipelineRuntime::ScalingTick() {
   sample.t = now;
   for (auto& m : modules_) {
     m->SetTargetUnits(lifecycle_.ScalingTarget(m->SmoothedInputRate(now),
-                                               m->PerWorkerThroughput(), m->ProvisionedUnits()));
+                                               m->PerWorkerThroughput(), m->ProvisionedUnits()),
+                      std::numeric_limits<int>::max());
     sample.workers.push_back(m->ActiveWorkers());
   }
   worker_history_.push_back(std::move(sample));

@@ -3,7 +3,9 @@
 // Owns the simulation kernel, one ModuleRuntime (controller + workers) per
 // pipeline module, the shared StateBoard, the network-delay hop between
 // modules, the periodic state-sync tick and the optional resource-scaling
-// engine. The request lifecycle — stamping, DAG split/merge, fates and their
+// engine. It is every module's ModuleHost (runtime/module_host.h) and their
+// kernel their ModuleTimer; the Request Broker's decisions come straight
+// from the DropPolicy. The request lifecycle — stamping, DAG split/merge, fates and their
 // accounting — is the one the serving runtime uses too
 // (runtime/request_lifecycle.h). A run injects a trace of client arrivals
 // and leaves behind the full set of Request records for offline analysis.
@@ -17,6 +19,7 @@
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
 #include "runtime/drop_policy.h"
+#include "runtime/module_host.h"
 #include "runtime/module_runtime.h"
 #include "runtime/request.h"
 #include "runtime/request_lifecycle.h"
@@ -26,7 +29,7 @@
 
 namespace pard {
 
-class PipelineRuntime {
+class PipelineRuntime final : public ModuleHost {
  public:
   // `policy` must outlive the runtime. Worker provisioning uses
   // options.fixed_workers if set, otherwise `expected_rate` with the
@@ -47,7 +50,6 @@ class PipelineRuntime {
   const BackendFleet& fleet() const { return fleet_; }
   ModuleRuntime& module(int id);
   const std::vector<int>& batch_sizes() const { return lifecycle_.batch_sizes(); }
-  RequestLifecycle& lifecycle() { return lifecycle_; }
 
   // All requests injected so far (terminal after RunTrace); the metrics
   // library analyzes these.
@@ -58,15 +60,24 @@ class PipelineRuntime {
   using WorkerSample = FleetSample;
   const std::vector<WorkerSample>& worker_history() const { return worker_history_; }
 
-  // --- Internal transitions (called by ModuleRuntime/Worker) --------------
-  void OnModuleDone(RequestPtr req, int module_id);
-  void Drop(RequestPtr req, int module_id, DropReason reason);
-
   // Total successful re-enqueues after worker failures (resilience path).
   std::uint64_t retries() const { return lifecycle_.retries(); }
 
+  // --- ModuleHost (called by ModuleRuntime/Worker) --------------------------
+  void OnModuleDone(RequestPtr req, int module_id) override;
+  void Drop(RequestPtr req, int module_id, DropReason reason) override;
+  bool IsTerminal(const Request& req) const override { return req.Terminal(); }
+  RequestLifecycle& lifecycle() override { return lifecycle_; }
   // Observability (null when disabled via RuntimeOptions).
-  TraceRecorder* trace() { return options_.trace; }
+  TraceRecorder* trace() override { return options_.trace; }
+  bool PurgeExpired() const override { return policy_->PurgeExpired(); }
+  PopSide ChoosePopSide(int module_id, SimTime now) override {
+    return policy_->ChoosePopSide(module_id, now);
+  }
+  bool ShouldDrop(const AdmissionContext& ctx) override { return policy_->ShouldDrop(ctx); }
+  bool AdmitAtModule(const Request& request, int module_id, SimTime now) override {
+    return policy_->AdmitAtModule(request, module_id, now);
+  }
 
  private:
   void Inject();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.h"
 
@@ -17,25 +16,6 @@ void RateMonitor::Bump(SimTime now) {
     bins_.push_back(Bin{bin_start, 0});
   }
   ++bins_.back().count;
-}
-
-void RateMonitor::Merge(const RateMonitor& other) {
-  std::deque<Bin> merged;
-  std::size_t a = 0;
-  std::size_t b = 0;
-  while (a < bins_.size() || b < other.bins_.size()) {
-    if (b >= other.bins_.size() ||
-        (a < bins_.size() && bins_[a].start < other.bins_[b].start)) {
-      merged.push_back(bins_[a++]);
-    } else if (a >= bins_.size() || other.bins_[b].start < bins_[a].start) {
-      merged.push_back(other.bins_[b++]);
-    } else {
-      merged.push_back(Bin{bins_[a].start, bins_[a].count + other.bins_[b].count});
-      ++a;
-      ++b;
-    }
-  }
-  bins_ = std::move(merged);
 }
 
 void RateMonitor::Evict(SimTime now) {

@@ -4,12 +4,11 @@
 // The State Planner derives three quantities from recent arrival counts over
 // the stats window: the raw (last-bin) input rate, the window-smoothed rate,
 // and the paper's burstiness measure eps = sum|T_in - T_mean| / sum T_in.
-// Both ModuleRuntime (discrete-event) and ServeModule (wall-clock) feed the
-// same arithmetic so the estimator sees identically-defined ModuleState
-// inputs on either substrate.
+// ModuleRuntime owns one per module in both substrates, so the estimator
+// sees identically-defined ModuleState inputs on either.
 //
-// Concurrency: not synchronized; each owner guards it with its own lock
-// (ServeModule) or event-loop serialization (ModuleRuntime).
+// Concurrency: not synchronized; its ModuleRuntime's owner serializes it
+// (the simulator's event loop, or serve's module mutex).
 #ifndef PARD_RUNTIME_RATE_MONITOR_H_
 #define PARD_RUNTIME_RATE_MONITOR_H_
 
@@ -36,13 +35,6 @@ class RateMonitor {
 
   // eps = sum|count - mean| / sum count over in-window bins; 0 with < 2 bins.
   double Burstiness(SimTime now);
-
-  // Sums another monitor's bins into this one. Bins align on absolute
-  // 1-second boundaries, so merging N per-shard monitors reproduces the
-  // exact counts one monitor would have observed — ServeModule's snapshot
-  // merges its queue shards' monitors through a scratch instance this way.
-  // Both monitors should share the same window length.
-  void Merge(const RateMonitor& other);
 
  private:
   void Evict(SimTime now);

@@ -20,9 +20,8 @@
 // Concurrency contract (serving runtime): identity fields (id, sent, tenant,
 // weight, slo, deadline, dynamic_path) and every hop's branch_choice and
 // expected_arrivals are immutable after injection. The stamps of hops[k]
-// (arrive .. executed) are written only by module k's worker threads, which
-// never race each other on one request (a request is in at most one batch at
-// k). hops[k].merge_arrivals is written under the request's fate stripe by
+// (arrive .. executed) are written only under module k's mutex, by whichever
+// thread is running module k's state machine. hops[k].merge_arrivals is written under the request's fate stripe by
 // whichever thread delivers to merge k. The terminal fields (fate,
 // drop_module, drop_reason, finish) change only in the lifecycle's fate
 // transitions, which ServeRuntime runs under that same stripe — one of its
@@ -123,9 +122,8 @@ struct Request {
   DropReason drop_reason = DropReason::kNone;
 
   // Times this request was re-enqueued after a worker failure/hang
-  // (resilience retry path). Written only by the thread that owned the failed
-  // batch; re-delivery through the queue shard's mutex provides the
-  // happens-before edge to the next reader.
+  // (resilience retry path). Written under the mutex of the module whose
+  // worker failed, which the request's next reader there also holds.
   int retry_count = 0;
 
   // Indexed by module id; unvisited modules keep arrive == -1.

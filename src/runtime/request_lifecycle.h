@@ -7,8 +7,8 @@
 // and the trace fate/retry instants, named alike in both), the retry
 // verdict, the scaling target and schedule validation are written once. The
 // runtimes keep what really differs: how time passes, the simulator's
-// network-delay hop, serve's admission front-end and broker pool, queues and
-// batching, and fate synchronisation.
+// network-delay hop, serve's broker pool, and fate synchronisation. Queues
+// and batching are shared too, in ModuleRuntime and Worker.
 //
 // Both runtimes allocate their requests here too: each request and its hop
 // slots are one record in the run's RequestArena (runtime/request_arena.h).

@@ -13,11 +13,10 @@
 //
 // Concurrency contract: the queue is NOT internally synchronized — both
 // views mutate shared slab state on every Push/Pop/MinDeadline (lazy
-// invalidation and compaction make even "read" paths writes). Single
-// ownership in the simulator serializes access for free; the serving
-// runtime shares one queue among N worker threads and guards every call
-// with the owning ServeModule's mutex (see src/serve/serve_module.h). The
-// serve test suite runs under TSan to pin this contract.
+// invalidation and compaction make even "read" paths writes). Each Worker
+// owns one; the simulator's event loop serializes access, and in serve the
+// owning ServeModule's mutex does (see src/serve/serve_module.h). The serve
+// test suite runs under TSan to pin this contract.
 #ifndef PARD_RUNTIME_REQUEST_QUEUE_H_
 #define PARD_RUNTIME_REQUEST_QUEUE_H_
 

@@ -10,9 +10,9 @@
 // snapshot and bumps the version counter that estimator epoch caches key
 // on, so readers racing a publish could observe a torn (state, version)
 // pair. The simulator's event loop serializes everything. The serving
-// runtime never lets worker threads touch this object at all: only the
-// control thread publishes (under the ControlPlane's control lock, once per
-// sync period), and after each publish the ControlPlane copies the board
+// runtime never lets module threads touch this object at all: only the
+// control thread publishes (once per sync period, holding no lock), and
+// after each publish the ControlPlane copies the board
 // into an immutable ControlSnapshot released through an RCU-style cell
 // (src/serve/control_plane.h, src/runtime/snapshot.h). Brokers read that
 // snapshot — a consistent (states, version, policy view) triple — without

@@ -6,13 +6,12 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "runtime/module_runtime.h"
-#include "runtime/pipeline_runtime.h"
 
 namespace pard {
 
-Worker::Worker(Simulation* sim, ModuleRuntime* module, BackendFleet* fleet,
+Worker::Worker(ModuleTimer* timer, ModuleRuntime* module, BackendFleet* fleet,
                const BackendSlot& slot)
-    : sim_(sim), module_(module), fleet_(fleet), slot_(slot) {}
+    : timer_(timer), module_(module), fleet_(fleet), slot_(slot) {}
 
 std::size_t Worker::Load() const {
   return queue_.Size() + forming_.size() + executing_batch_.size();
@@ -21,7 +20,7 @@ std::size_t Worker::Load() const {
 void Worker::Activate() {
   PARD_CHECK(state_ == State::kColdStarting);
   state_ = State::kActive;
-  fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kActive, sim_->Now());
+  fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kActive, timer_->Now());
   // Work may have been queued while warming (dispatch avoids cold workers,
   // but keep the invariant that an active worker drains its queue).
   FillFormingBatch();
@@ -31,10 +30,10 @@ void Worker::Activate() {
 void Worker::BeginDraining() {
   if (state_ == State::kActive || state_ == State::kColdStarting) {
     state_ = State::kDraining;
-    fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kDraining, sim_->Now());
+    fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kDraining, timer_->Now());
     if (Idle()) {
       state_ = State::kRetired;
-      fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kRetired, sim_->Now());
+      fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kRetired, timer_->Now());
     }
   }
 }
@@ -42,42 +41,42 @@ void Worker::BeginDraining() {
 void Worker::Enqueue(RequestPtr req) {
   PARD_CHECK(state_ == State::kActive);
   HopRecord& hop = req->hops[static_cast<std::size_t>(module_->module_id())];
-  hop.arrive = sim_->Now();
+  hop.arrive = timer_->Now();
   queue_.Push(std::move(req));
   FillFormingBatch();
   MaybeLaunch();
 }
 
 void Worker::FillFormingBatch() {
-  DropPolicy* policy = module_->policy();
+  ModuleHost* host = module_->host();
   const int batch_size = module_->batch_size();
-  if (policy->PurgeExpired()) {
+  if (host->PurgeExpired()) {
     // Requests whose deadline passed while queued are unservable under any
     // policy; evict them from the min end of the DEPQ so backlogs stay
     // bounded by the deadline horizon.
-    while (queue_.MinDeadline() < sim_->Now()) {
+    while (queue_.MinDeadline() < timer_->Now()) {
       RequestPtr expired = queue_.Pop(PopSide::kMinBudget);
       if (expired == nullptr) {
         break;
       }
-      if (!expired->Terminal()) {
-        expired->hops[static_cast<std::size_t>(module_->module_id())].batch_entry = sim_->Now();
+      if (!host->IsTerminal(*expired)) {
+        expired->hops[static_cast<std::size_t>(module_->module_id())].batch_entry = timer_->Now();
         module_->OnPolicyDrop(std::move(expired), DropReason::kPurgeExpired);
       }
     }
   }
   while (static_cast<int>(forming_.size()) < batch_size && !queue_.Empty()) {
-    const PopSide side = policy->ChoosePopSide(module_->module_id(), sim_->Now());
+    const PopSide side = host->ChoosePopSide(module_->module_id(), timer_->Now());
     RequestPtr req = queue_.Pop(side);
     if (req == nullptr) {
       break;
     }
-    if (req->Terminal()) {
+    if (host->IsTerminal(*req)) {
       // Dropped on another DAG branch while queued here; discard silently —
       // no GPU time was spent at this module.
       continue;
     }
-    const SimTime now = sim_->Now();
+    const SimTime now = timer_->Now();
     AdmissionContext ctx;
     ctx.request = req.get();
     ctx.module_id = module_->module_id();
@@ -86,7 +85,7 @@ void Worker::FillFormingBatch() {
     ctx.batch_duration = module_->profile().BatchDuration(batch_size);
     ctx.batch_size = batch_size;
     HopRecord& hop = req->hops[static_cast<std::size_t>(module_->module_id())];
-    if (policy->ShouldDrop(ctx)) {
+    if (host->ShouldDrop(ctx)) {
       hop.batch_entry = now;
       module_->OnPolicyDrop(std::move(req), DropReason::kBrokerCandidate);
       continue;
@@ -104,7 +103,7 @@ void Worker::MaybeLaunch() {
   if (state_ != State::kActive && state_ != State::kDraining) {
     return;
   }
-  const SimTime now = sim_->Now();
+  const SimTime now = timer_->Now();
   executing_batch_ = std::move(forming_);
   forming_.clear();
   const int count = static_cast<int>(executing_batch_.size());
@@ -118,7 +117,7 @@ void Worker::MaybeLaunch() {
     hop.exec_start = now;
     module_->RecordBatchWait(now, hop.BatchWait());
   }
-  exec_event_ = sim_->ScheduleAt(exec_end_, [this] { OnBatchComplete(); });
+  exec_event_ = timer_->ScheduleAt(exec_end_, [this] { OnBatchComplete(); });
 }
 
 void Worker::Fail() {
@@ -128,13 +127,13 @@ void Worker::Fail() {
   // Retire FIRST: the retry path below redistributes this worker's requests
   // through ChooseWorker, which must never re-select the dying worker.
   state_ = State::kRetired;
-  fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kFailed, sim_->Now());
+  fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kFailed, timer_->Now());
   const int module_id = module_->module_id();
   // Executing batch is lost mid-flight; its GPU time so far is wasted but
   // unattributed (the batch never completed). Every request gets a
   // deadline-aware second chance on a surviving worker.
   if (executing_) {
-    sim_->Cancel(exec_event_);
+    timer_->Cancel(exec_event_);
     executing_ = false;
     std::vector<RequestPtr> lost = std::move(executing_batch_);
     executing_batch_.clear();
@@ -149,8 +148,8 @@ void Worker::Fail() {
   }
   while (!queue_.Empty()) {
     RequestPtr req = queue_.Pop(PopSide::kOldest);
-    if (req != nullptr && !req->Terminal()) {
-      req->hops[static_cast<std::size_t>(module_id)].batch_entry = sim_->Now();
+    if (req != nullptr && !module_->host()->IsTerminal(*req)) {
+      req->hops[static_cast<std::size_t>(module_id)].batch_entry = timer_->Now();
       module_->RetryOrDrop(std::move(req));
     }
   }
@@ -161,12 +160,13 @@ void Worker::Hang(Duration duration) {
     return;
   }
   hung_ = true;
+  hung_at_ = timer_->Now();
   if (executing_) {
-    sim_->Cancel(exec_event_);
+    timer_->Cancel(exec_event_);
     if (duration > 0) {
       // Finite hang: the in-flight batch completes late by the hang window.
       exec_end_ += duration;
-      exec_event_ = sim_->ScheduleAt(exec_end_, [this] { OnBatchComplete(); });
+      exec_event_ = timer_->ScheduleAt(exec_end_, [this] { OnBatchComplete(); });
     }
     // Indefinite hang: the batch freezes until Fail() rescues it or the
     // end-of-run sweep accounts it (the simulator has no watchdog).
@@ -185,7 +185,7 @@ void Worker::Unhang() {
 }
 
 void Worker::OnBatchComplete() {
-  const SimTime now = sim_->Now();
+  const SimTime now = timer_->Now();
   PARD_CHECK(executing_);
   const int count = static_cast<int>(executing_batch_.size());
   const Duration d = now - exec_start_;
@@ -198,7 +198,7 @@ void Worker::OnBatchComplete() {
     module_->executed_counter()->Add(count);
     module_->batch_size_hist()->Observe(static_cast<double>(count));
   }
-  TraceRecorder* trace = module_->pipeline()->trace();
+  TraceRecorder* trace = module_->host()->trace();
   if (trace != nullptr) {
     TraceEvent batch_ev;
     batch_ev.kind = TraceEventKind::kBatchExec;
@@ -237,7 +237,7 @@ void Worker::OnBatchComplete() {
   MaybeLaunch();
   if (state_ == State::kDraining && Idle()) {
     state_ = State::kRetired;
-    fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kRetired, sim_->Now());
+    fleet_->SetState(slot_.module_id, slot_.worker_id, BackendState::kRetired, timer_->Now());
   }
 }
 

@@ -1,6 +1,8 @@
-// Simulated GPU worker.
+// Emulated GPU worker: the paper's Fig. 5 batching state machine.
 //
-// A worker serves one module on one (virtual) GPU. It implements the
+// A worker serves one module on one (virtual) GPU. It is the only batching
+// implementation: the simulator and serve both run it, through the
+// ModuleTimer and ModuleHost its ModuleRuntime was built with. It implements the
 // batching discipline of the paper's Fig. 3b: while a batch executes, the
 // next batch is formed from the queue; requests admitted to the forming
 // batch at t_b start executing at t_e (the running batch's end), giving each
@@ -11,17 +13,16 @@
 // Each worker occupies one BackendFleet slot: its backend profile scales
 // profiled batch durations (slot.exec_scale) and sets its cold-start delay,
 // and every state change is mirrored to the fleet so capacity accounting
-// and the transition log are shared with the serving substrate.
+// and the transition log read the same in both substrates.
 #ifndef PARD_RUNTIME_WORKER_H_
 #define PARD_RUNTIME_WORKER_H_
 
 #include <vector>
 
 #include "runtime/backend_fleet.h"
-#include "runtime/drop_policy.h"
 #include "runtime/request.h"
 #include "runtime/request_queue.h"
-#include "sim/simulation.h"
+#include "sim/timer.h"
 
 namespace pard {
 
@@ -36,7 +37,7 @@ class Worker {
     kRetired,
   };
 
-  Worker(Simulation* sim, ModuleRuntime* module, BackendFleet* fleet, const BackendSlot& slot);
+  Worker(ModuleTimer* timer, ModuleRuntime* module, BackendFleet* fleet, const BackendSlot& slot);
 
   // Dispatcher entry point: enqueue and, if capacity allows, immediately
   // pull into the forming batch / start executing.
@@ -50,6 +51,8 @@ class Worker {
   State state() const { return state_; }
   bool Dispatchable() const { return state_ == State::kActive && !hung_; }
   bool hung() const { return hung_; }
+  // When the current hang began (meaningful while hung()).
+  SimTime hung_at() const { return hung_at_; }
   bool Idle() const { return !executing_ && forming_.empty() && queue_.Empty(); }
 
   // Scaling transitions.
@@ -66,7 +69,8 @@ class Worker {
   // dispatch and, if executing, its batch stalls. A finite hang (`duration`
   // > 0) delays the in-flight batch by the hang window and clears via
   // Unhang(); an indefinite hang (0) freezes the batch until Fail() or the
-  // end-of-run sweep (the simulator has no watchdog — serve does).
+  // end-of-run sweep (the simulator has no watchdog — serve's calls
+  // ModuleRuntime::FailHungWorkers).
   void Hang(Duration duration);
   void Unhang();
 
@@ -82,12 +86,13 @@ class Worker {
 
   void OnBatchComplete();
 
-  Simulation* sim_;
+  ModuleTimer* timer_;
   ModuleRuntime* module_;
   BackendFleet* fleet_;
   BackendSlot slot_;
   State state_ = State::kColdStarting;
   bool hung_ = false;  // Excluded from dispatch and launch while set.
+  SimTime hung_at_ = 0;
 
   RequestQueue queue_;
   std::vector<RequestPtr> forming_;

@@ -13,7 +13,6 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
                            Options options)
     : policy_(policy),
       board_(board),
-      force_locked_(options.force_locked),
       staleness_budget_(options.staleness_budget),
       snapshot_(std::make_unique<const ControlSnapshot>()) {
   PARD_CHECK(spec != nullptr && policy_ != nullptr && board_ != nullptr);
@@ -37,7 +36,9 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
   // t=0: with a staleness budget the first sync must land within it or the
   // readers degrade, exactly as they would under a stalled sync thread.
   auto initial = BuildSnapshot(0);
-  has_view_ = initial->view != nullptr;
+  PARD_CHECK_MSG(initial->view != nullptr,
+                 "policy '" << policy_->Name()
+                            << "' returns no PolicyView; serving needs one (DropPolicy::MakeView)");
   snapshot_.Publish(std::move(initial));
 }
 
@@ -87,87 +88,54 @@ bool ControlPlane::Stale(const ControlSnapshot& snap, SimTime now) {
 }
 
 bool ControlPlane::ShouldDrop(const AdmissionContext& ctx) {
-  if (!force_locked_) {
-    auto snap = snapshot_.Read();
-    if (snap->view != nullptr) {
-      if (Stale(*snap, ctx.now)) {
-        return ctx.batch_start + ctx.batch_duration > ctx.request->deadline;
-      }
-      return snap->view->ShouldDrop(ctx);
-    }
+  auto snap = snapshot_.Read();
+  if (Stale(*snap, ctx.now)) {
+    return ctx.batch_start + ctx.batch_duration > ctx.request->deadline;
   }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
-  return policy_->ShouldDrop(ctx);
+  return snap->view->ShouldDrop(ctx);
 }
 
 PopSide ControlPlane::ChoosePopSide(int module_id, SimTime now) {
-  if (!force_locked_) {
-    auto snap = snapshot_.Read();
-    if (snap->view != nullptr) {
-      if (Stale(*snap, now)) {
-        return PopSide::kOldest;
-      }
-      return snap->view->ChoosePopSide(module_id, now);
-    }
+  auto snap = snapshot_.Read();
+  if (Stale(*snap, now)) {
+    return PopSide::kOldest;
   }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
-  return policy_->ChoosePopSide(module_id, now);
+  return snap->view->ChoosePopSide(module_id, now);
 }
 
 bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime now) {
-  if (!force_locked_) {
-    auto snap = snapshot_.Read();
-    if (snap->view != nullptr) {
-      if (Stale(*snap, now)) {
-        return request.RemainingBudget(now) > 0;
-      }
-      if (!snap->view->NeedsAdmissionRng()) {
-        return snap->view->AdmitAtModule(request, module_id, now, nullptr);
-      }
-      AdmissionShard& shard = ShardFor(request);
-      LockOrderGuard order(LockRank::kAdmissionShard);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      return snap->view->AdmitAtModule(request, module_id, now, &shard.rng);
-    }
+  auto snap = snapshot_.Read();
+  if (Stale(*snap, now)) {
+    return request.RemainingBudget(now) > 0;
   }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
-  return policy_->AdmitAtModule(request, module_id, now);
+  if (!snap->view->NeedsAdmissionRng()) {
+    return snap->view->AdmitAtModule(request, module_id, now, nullptr);
+  }
+  AdmissionShard& shard = ShardFor(request);
+  LockOrderGuard order(LockRank::kAdmissionShard);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return snap->view->AdmitAtModule(request, module_id, now, &shard.rng);
 }
 
-ControlPlane::SyncStats ControlPlane::Sync(std::vector<ModuleState> states, SimTime now) {
-  SyncStats stats;
-  if (LockFree()) {
-    // Off-lock sync: when every broker decision reads published snapshots
-    // (LockFree()), the board and policy have exactly one mutating thread —
-    // this one — so the whole publish → OnSync → refresh → rebuild sequence
-    // needs no mutex. Brokers keep deciding against the previous snapshot
-    // until the single Publish() below swaps in the new one.
-    for (ModuleState& state : states) {
-      board_->Publish(std::move(state));
-    }
-    policy_->OnSync(now);
-    const PolicyRefreshStats refresh = policy_->RefreshEstimates(refresh_pool_.get());
-    stats.refreshed = refresh.refreshed;
-    stats.skipped = refresh.skipped;
-    stats.off_lock = true;
-    auto snap = BuildSnapshot(now);
-    // LockFree() implies the initial snapshot carried a view; a policy whose
-    // MakeView() goes null mid-run would silently flip brokers onto the
-    // locked path this sync no longer serializes with.
-    PARD_CHECK(snap->view != nullptr);
-    snapshot_.Publish(std::move(snap));
-    return stats;
-  }
-  LockOrderGuard order(LockRank::kControl);
-  std::lock_guard<std::mutex> lock(mu_);
+ControlPlane::SyncStats ControlPlane::Sync(std::vector<ModuleState>& states, SimTime now) {
+  // Every broker decision reads published snapshots, so the board and policy
+  // have exactly one mutating thread — this one — and the whole publish →
+  // OnSync → refresh → rebuild sequence needs no mutex. Brokers keep deciding
+  // against the previous snapshot until the single Publish() below swaps in
+  // the new one.
   for (ModuleState& state : states) {
-    board_->Publish(std::move(state));
+    state = board_->Publish(std::move(state));
   }
   policy_->OnSync(now);
-  snapshot_.Publish(BuildSnapshot(now));
+  const PolicyRefreshStats refresh = policy_->RefreshEstimates(refresh_pool_.get());
+  SyncStats stats;
+  stats.refreshed = refresh.refreshed;
+  stats.skipped = refresh.skipped;
+  auto snap = BuildSnapshot(now);
+  // Readers dereference the view unconditionally.
+  PARD_CHECK_MSG(snap->view != nullptr,
+                 "policy '" << policy_->Name() << "' stopped returning a PolicyView");
+  snapshot_.Publish(std::move(snap));
   return stats;
 }
 

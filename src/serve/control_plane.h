@@ -4,11 +4,10 @@
 // estimator's epoch cache and RNG mutate on every estimate, the adaptive
 // priority controllers mutate on OnSync(), and StateBoard::Publish bumps the
 // version counter the caches key on. The simulator's single event loop
-// serializes all of it for free; in the serving runtime many broker threads
-// (module workers forming batches plus ingress admission threads) decide
-// concurrently. PR 4's answer was one mutex around everything — correct,
-// but every decision serialized. This control plane splits the problem by
-// write frequency instead:
+// serializes all of it for free; in the serving runtime every module's
+// thread (forming batches under its module lock) and the ingress brokers
+// decide concurrently. This control plane splits the problem by write
+// frequency:
 //
 //   READ PATH (hot, every request): ShouldDrop / ChoosePopSide /
 //   AdmitAtModule pin the current ControlSnapshot through an epoch-based
@@ -21,31 +20,24 @@
 //   policy's estimator incrementally (RefreshEstimates — only modules whose
 //   inputs moved are re-drawn, optionally fanned across the refresh pool),
 //   builds the next ControlSnapshot and publishes it with one SnapshotCell
-//   store. On the snapshot path ALL of that runs off the control mutex:
-//   when LockFree() holds, no broker ever takes mu_ or touches the
-//   board/policy (they only read published snapshots), and Sync has exactly
-//   one caller (the control thread) — so a slow refresh can no longer stall
-//   a single broker decision. Retired snapshots are reclaimed once no
-//   reader pins them. Policies without a view (and force_locked) keep the
-//   historical everything-under-mu_ sync, which also skips the incremental
-//   refresh — their estimates come from the lazy shared-stream draws,
-//   bit-identical to the pre-refactor behavior.
+//   store. No broker ever touches the board or the policy (they only read
+//   published snapshots) and Sync has exactly one caller (the control
+//   thread), so all of that runs without a lock and a slow refresh never
+//   stalls a broker decision. Retired snapshots are reclaimed once no reader
+//   pins them.
 //
 //   SHARDED RESIDUE: policies whose admission needs randomness (the DAGOR
 //   baseline's Bernoulli shed) draw from per-shard RNGs behind striped
 //   mutexes picked by request id, so admission entropy scales with shards
 //   instead of serializing globally.
 //
-// Policies that return no view (MakeView() == nullptr, the default for
-// out-of-tree policies) fall back to the single-mutex path — the exact
-// PR 4 behavior, also selectable via Options::force_locked as the baseline
-// leg of the bench/micro_overhead.cc admission benchmark.
+// Every serving policy must provide a view: construction rejects a policy
+// whose MakeView() returns null, naming it. All in-tree policies do.
 //
-// Lock ordering (enforced in debug builds by common/lock_order.h): a worker
-// may take the control mutex (fallback path) or an admission-shard mutex
-// while holding its module's queue-shard lock, never the reverse. The sync
-// path snapshots module state FIRST (module-side locks, one at a time) and
-// publishes SECOND (control lock), never holding both. TSan-cleanliness of
+// Lock ordering (enforced in debug builds by common/lock_order.h): a module
+// thread may take an admission-shard mutex while holding its module lock,
+// never the reverse. The sync path snapshots module state first (one module
+// lock at a time) and publishes second, holding nothing. TSan-cleanliness of
 // the serve suite pins the whole contract.
 #ifndef PARD_SERVE_CONTROL_PLANE_H_
 #define PARD_SERVE_CONTROL_PLANE_H_
@@ -66,8 +58,7 @@ namespace pard {
 class ThreadPool;
 
 // One sync interval's frozen control state: the board states as published,
-// and the policy's immutable decision view (null when the policy opted out
-// of snapshotting).
+// and the policy's immutable decision view.
 struct ControlSnapshot {
   std::uint64_t board_version = 0;
   // Virtual time at which Sync() published this snapshot (0 for the initial
@@ -89,10 +80,6 @@ class ControlPlane {
     int admission_shards = 8;
     // Seeds the per-shard RNG forks.
     std::uint64_t seed = 1234;
-    // Forces every decision through the single-mutex fallback even when the
-    // policy provides a view — the pre-sharding baseline, kept honest by
-    // the bench/micro_overhead.cc admission benchmark.
-    bool force_locked = false;
     // Graceful degradation: when > 0 and the pinned snapshot's published_at
     // is older than this, broker decisions fall back to a conservative
     // static rule instead of trusting a stale estimator (see the reader
@@ -102,8 +89,6 @@ class ControlPlane {
     // during Sync() (per-module forked RNG streams keep the result
     // identical at any thread count). false = run the refresh inline on the
     // control thread; the refresh itself stays incremental either way.
-    // Only consulted on the lock-free sync path — the locked fallback keeps
-    // the historical lazy refresh.
     bool parallel_refresh = true;
     // Refresh-pool threads; 0 = one per hardware thread
     // (ThreadPool::ResolveJobs). Ignored unless parallel_refresh.
@@ -112,7 +97,8 @@ class ControlPlane {
 
   // `policy` and `board` must outlive the control plane. Binds the policy to
   // the spec/board like PipelineRuntime does, and publishes the initial
-  // snapshot so readers never see an empty cell.
+  // snapshot so readers never see an empty cell. Throws CheckError when the
+  // policy provides no PolicyView.
   ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBoard* board,
                Options options);
   // Default options (no default argument: Options' member initializers are
@@ -124,25 +110,22 @@ class ControlPlane {
   bool ShouldDrop(const AdmissionContext& ctx);
   PopSide ChoosePopSide(int module_id, SimTime now);
   bool AdmitAtModule(const Request& request, int module_id, SimTime now);
-  // Lock-free: a fixed per-policy property, cached at construction so every
-  // batch formation does not pin a snapshot just to re-read it.
+  // A fixed per-policy property, cached at construction so every batch
+  // formation does not pin a snapshot just to re-read it.
   bool PurgeExpired() const { return purge_expired_; }
 
   // State sync: publishes every module state, lets the policy react,
   // refreshes its estimator incrementally, then swaps in the next snapshot.
-  // Entirely off the control lock when LockFree() holds (see the WRITE PATH
-  // note above); one control-lock acquisition on the fallback path. Single
-  // caller only — the control thread owns both the board and the snapshot
-  // cell's writer side.
+  // Each states[i] comes back holding the state the board replaced, so the
+  // caller can refill its buffers at the next sync instead of allocating.
+  // Single caller only — the control thread owns both the board and the
+  // snapshot cell's writer side.
   struct SyncStats {
-    int refreshed = 0;   // estimator cache entries recomputed
-    int skipped = 0;     // estimator cache entries reused unchanged
-    bool off_lock = false;  // true = snapshot path, mu_ never taken
+    int refreshed = 0;  // estimator cache entries recomputed
+    int skipped = 0;    // estimator cache entries reused unchanged
   };
-  SyncStats Sync(std::vector<ModuleState> states, SimTime now);
+  SyncStats Sync(std::vector<ModuleState>& states, SimTime now);
 
-  // True when broker decisions run on the lock-free snapshot path.
-  bool LockFree() const { return !force_locked_ && has_view_; }
   // Snapshot epochs are monotone: 1 at construction, +1 per Sync.
   std::uint64_t SnapshotEpoch() const { return snapshot_.Epoch(); }
   // Broker decisions answered by the conservative static fallback because
@@ -158,9 +141,8 @@ class ControlPlane {
   };
 
   // Builds the snapshot for the current board/policy state, stamped with the
-  // publish time. Caller is the control thread: either holding mu_ (locked
-  // fallback, constructor) or off-lock on the snapshot path, where the
-  // board/policy have no other readers or writers.
+  // publish time. Caller is the control thread (or the constructor): the
+  // board and policy have no other readers or writers.
   std::unique_ptr<const ControlSnapshot> BuildSnapshot(SimTime now);
   // True when the staleness budget is enabled and `snap` is too old at
   // `now`; counts the fallback.
@@ -169,13 +151,10 @@ class ControlPlane {
     return *shards_[static_cast<std::size_t>(request.id) % shards_.size()];
   }
 
-  mutable std::mutex mu_;  // LockRank::kControl.
   DropPolicy* policy_;
   StateBoard* board_;
   bool purge_expired_ = false;
-  bool force_locked_ = false;
   Duration staleness_budget_ = 0;
-  bool has_view_ = false;  // Written once in the constructor, then const.
   std::atomic<std::uint64_t> stale_fallbacks_{0};
   std::vector<std::unique_ptr<AdmissionShard>> shards_;
   // Workers for the policy's incremental estimator refresh; null when

@@ -1,8 +1,11 @@
 #include "serve/serve_clock.h"
 
 #include <sys/prctl.h>
+#include <sys/timerfd.h>
 #include <time.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 
@@ -36,11 +39,23 @@ ServeClock::ServeClock(double speedup) : speedup_(speedup) {
   PARD_CHECK_MSG(std::isfinite(speedup) && speedup > 0.0, "speedup must be positive");
 }
 
-void ServeClock::Start() { epoch_ns_ = MonotonicNs(); }
+void ServeClock::Start() {
+  epoch_ns_ = MonotonicNs();
+  started_ = true;
+}
 
 SimTime ServeClock::Now() const {
+  if (!started_) {
+    return 0;
+  }
   const double wall_us = static_cast<double>(MonotonicNs() - epoch_ns_) / 1e3;
   return static_cast<SimTime>(wall_us * speedup_);
+}
+
+std::int64_t ServeClock::DeadlineNs(SimTime t) const {
+  // Rounded up to the nanosecond, so Now() reads >= t once it has passed.
+  return epoch_ns_ +
+         static_cast<std::int64_t>(std::ceil(static_cast<double>(t) * 1e3 / speedup_));
 }
 
 void ServeClock::SleepUntil(SimTime t) const {
@@ -48,14 +63,38 @@ void ServeClock::SleepUntil(SimTime t) const {
   if (t <= 0) {
     return;  // At or before the epoch: already past.
   }
-  // Rounded up to the nanosecond, so Now() reads >= t once it has passed.
-  const std::int64_t deadline =
-      epoch_ns_ + static_cast<std::int64_t>(std::ceil(static_cast<double>(t) * 1e3 / speedup_));
+  const std::int64_t deadline = DeadlineNs(t);
   timespec ts{};
   ts.tv_sec = static_cast<time_t>(deadline / kNsPerSec);
   ts.tv_nsec = static_cast<long>(deadline % kNsPerSec);
   // An absolute deadline survives a signal: re-arm until it passes.
   while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts, nullptr) == EINTR) {
+  }
+}
+
+ServeClock::Alarm::Alarm(const ServeClock* clock)
+    : clock_(clock), fd_(timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC)) {
+  PARD_CHECK_MSG(fd_ >= 0, "timerfd_create failed (errno " << errno << ")");
+}
+
+ServeClock::Alarm::~Alarm() { close(fd_); }
+
+void ServeClock::Alarm::Arm(SimTime t) {
+  itimerspec spec{};  // All zero: disarmed.
+  if (t != kSimTimeMax) {
+    // A zero it_value would disarm, so a due-now deadline is 1 ns.
+    const std::int64_t deadline =
+        clock_->started_ && t > 0 ? std::max<std::int64_t>(clock_->DeadlineNs(t), 1) : 1;
+    spec.it_value.tv_sec = static_cast<time_t>(deadline / kNsPerSec);
+    spec.it_value.tv_nsec = static_cast<long>(deadline % kNsPerSec);
+  }
+  PARD_CHECK(timerfd_settime(fd_, TFD_TIMER_ABSTIME, &spec, nullptr) == 0);
+}
+
+void ServeClock::Alarm::Wait() {
+  std::uint64_t expirations = 0;
+  while (read(fd_, &expirations, sizeof(expirations)) < 0) {
+    PARD_CHECK_MSG(errno == EINTR, "timerfd read failed (errno " << errno << ")");
   }
 }
 

@@ -7,20 +7,22 @@
 // 240 s trace replays in 12 s while every profiled duration, SLO and sync
 // period keeps its virtual value. speedup = 1 is true real-time serving.
 //
-// One sleep primitive: every serve thread waits through SleepUntil, an
-// absolute CLOCK_MONOTONIC deadline, so a late wake-up never shifts the next
-// deadline and nothing accumulates across sleeps. Each wake-up still lands
-// after its deadline by the kernel's timer slack plus scheduling latency,
-// and every wall microsecond of that is `speedup` virtual microseconds. The
-// default slack is 50 µs (2.5 virtual ms per sleep at 50×), so SleepUntil
-// sets the calling thread's slack to 1 ns on its first call (Linux
-// PR_SET_TIMERSLACK). The setting is per thread — a new thread starts from
+// Every serve thread waits on an absolute CLOCK_MONOTONIC deadline —
+// SleepUntil, or an Alarm that other threads may re-arm — so a late wake-up
+// never shifts the next deadline and nothing accumulates across waits. Each
+// wake-up still lands after its deadline by the kernel's timer slack plus
+// scheduling latency, and every wall microsecond of that is `speedup`
+// virtual microseconds. The default slack is 50 µs (2.5 virtual ms per sleep
+// at 50×), so SleepUntil sets the calling thread's slack to 1 ns on its
+// first call (Linux PR_SET_TIMERSLACK); an Alarm's timerfd takes none. The setting is per thread — a new thread starts from
 // its creator's default slack, not from this setting — so every sleeping
 // thread makes the call itself. What remains is scheduler contention.
 //
 // Concurrency: Start() must happen before any concurrent use; after that
 // every member is const and safe to call from any thread (the epoch is
-// read-only and clock_gettime is thread-safe).
+// read-only and clock_gettime is thread-safe). Before Start(), Now() reads
+// 0, so a runtime can provision its initial fleet at virtual time 0 while
+// it is being built.
 #ifndef PARD_SERVE_SERVE_CLOCK_H_
 #define PARD_SERVE_SERVE_CLOCK_H_
 
@@ -41,7 +43,7 @@ class ServeClock {
 
   double speedup() const { return speedup_; }
 
-  // Current virtual time (microseconds since Start()).
+  // Current virtual time (microseconds since Start(); 0 before it).
   SimTime Now() const;
 
   // Blocks the calling thread until the absolute wall instant at which
@@ -51,8 +53,36 @@ class ServeClock {
   // thread's timer slack to 1 ns (see the file comment).
   void SleepUntil(SimTime t) const;
 
+  // An absolute deadline on this clock that one thread waits for while any
+  // thread may move it (a Linux timerfd on CLOCK_MONOTONIC). Moving the
+  // deadline costs the mover one system call and never wakes the waiter
+  // just to go back to sleep, and the kernel fires the timer without timer
+  // slack. Callers serialize Arm() among themselves.
+  class Alarm {
+   public:
+    explicit Alarm(const ServeClock* clock);
+    ~Alarm();
+    Alarm(const Alarm&) = delete;
+    Alarm& operator=(const Alarm&) = delete;
+
+    // Fires at virtual time t, replacing any earlier arming and any
+    // expiry not yet waited for; a past t fires at once, kSimTimeMax
+    // disarms. Arming before the clock starts fires at once.
+    void Arm(SimTime t);
+    // Blocks until the armed time has passed.
+    void Wait();
+
+   private:
+    const ServeClock* clock_;
+    int fd_;
+  };
+
  private:
+  // Wall (CLOCK_MONOTONIC) nanosecond at which Now() reaches t, rounded up.
+  std::int64_t DeadlineNs(SimTime t) const;
+
   double speedup_;
+  bool started_ = false;
   std::int64_t epoch_ns_ = 0;  // CLOCK_MONOTONIC at Start().
 };
 

@@ -36,17 +36,19 @@ struct ServeOptions {
   // when a queue wedges.
   Duration drain = 5 * kUsPerSec;
 
-  // Hard cap on total worker threads across all modules; provisioning
-  // scales down proportionally when the plan exceeds it. Default 64.
-  // Real threads are not free the way simulated workers are.
+  // Fleet-wide cap on emulated workers across all modules; provisioning
+  // scales down proportionally when the plan exceeds it, and scale-ups and
+  // recoveries spend only what is left. Default 64. Each module runs its
+  // workers on one timer thread whatever their number, so this bounds the
+  // emulated fleet, not the thread count.
   int max_total_threads = 64;
 
   // Request-broker ingress threads. 1 (default) delivers each arrival
-  // inline on the load-generator thread — the PR 4/5 behavior. N > 1 fans
-  // source-module deliveries (merge check, admission front-end, enqueue)
-  // across N broker threads pulling from a shared backlog, exercising the
-  // control plane's lock-free snapshot path concurrently. Delivery order at
-  // the source module becomes approximate across brokers.
+  // inline on the load-generator thread. N > 1 fans source-module
+  // deliveries (admission, dispatch, enqueue) across N broker threads
+  // pulling from a shared backlog, exercising the control plane's lock-free
+  // snapshot path concurrently. Delivery order at the source module becomes
+  // approximate across brokers.
   int broker_threads = 1;
 
   // Fan the policy's incremental estimator refresh across a thread pool at

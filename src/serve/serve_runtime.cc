@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/check.h"
@@ -66,7 +67,8 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
       clock_(serve.speedup),
       board_(spec.NumModules()),
       control_(&spec_, policy, &board_, MakeControlOptions(options, serve)),
-      fleet_(spec_, options.cold_start, options.cost_aware_provisioning) {
+      fleet_(spec_, options.cold_start, options.cost_aware_provisioning),
+      sync_states_(static_cast<std::size_t>(spec.NumModules())) {
   PARD_CHECK(serve_.max_total_threads >= spec_.NumModules());
   PARD_CHECK_MSG(serve_.broker_threads >= 1, "broker_threads must be >= 1");
   const std::vector<int>& batch_sizes = lifecycle_.batch_sizes();
@@ -90,10 +92,6 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
         options_.metrics->GetCounter("control.refresh_modules_refreshed");
     refresh_skipped_counter_ =
         options_.metrics->GetCounter("control.refresh_modules_skipped");
-    for (const ModuleSpec& m : spec_.modules()) {
-      admitted_counters_.push_back(options_.metrics->GetCounter(
-          "module.m" + std::to_string(m.id) + ".admitted"));
-    }
   }
 }
 
@@ -143,7 +141,7 @@ void ServeRuntime::Inject(SimTime scheduled) {
     }
     broker_ready_.notify_one();
   } else {
-    Deliver(req, spec_.SourceModule(), now);
+    Deliver(req, spec_.SourceModule());
   }
 }
 
@@ -160,11 +158,11 @@ void ServeRuntime::BrokerLoop() {
       req = std::move(broker_backlog_.front());
       broker_backlog_.pop_front();
     }
-    Deliver(req, spec_.SourceModule(), clock_.Now());
+    Deliver(req, spec_.SourceModule());
   }
 }
 
-void ServeRuntime::Deliver(const RequestPtr& req, int module_id, SimTime now) {
+void ServeRuntime::Deliver(const RequestPtr& req, int module_id) {
   if (lifecycle_.IsMerge(module_id)) {
     // DAG merge: the merge counter shares the request's fate stripe, so a
     // sibling branch's drop and this arrival serialize.
@@ -174,44 +172,6 @@ void ServeRuntime::Deliver(const RequestPtr& req, int module_id, SimTime now) {
       return;
     }
   }
-  // Offered load is counted before admission (like the simulator's
-  // bump-then-admit Receive), so shed traffic still drives load_factor.
-  modules_[static_cast<std::size_t>(module_id)]->NoteOffered(now);
-  // Admission front-end: the paper's proactive drop runs BEFORE the request
-  // enters the module queue — enqueue-time admission plus the Request Broker
-  // predicate with the delivery instant as the hypothetical batch start. A
-  // request that cannot meet its SLO even if a worker picked it up right now
-  // never consumes queue space or a broker slot later. Both predicates read
-  // the control plane's published snapshot — no control lock on this path.
-  if (!control_.AdmitAtModule(*req, module_id, now)) {
-    req->hops[static_cast<std::size_t>(module_id)].arrive = now;
-    Drop(req, module_id, now, DropReason::kProactiveAdmission);
-    return;
-  }
-  AdmissionContext ctx;
-  ctx.request = req.get();
-  ctx.module_id = module_id;
-  ctx.now = now;
-  ctx.batch_start = now;
-  ctx.batch_duration = lifecycle_.PlannedBatchDuration(module_id);
-  ctx.batch_size = lifecycle_.batch_sizes()[static_cast<std::size_t>(module_id)];
-  if (control_.ShouldDrop(ctx)) {
-    req->hops[static_cast<std::size_t>(module_id)].arrive = now;
-    req->hops[static_cast<std::size_t>(module_id)].batch_entry = now;
-    Drop(req, module_id, now, DropReason::kBrokerCandidate);
-    return;
-  }
-  if (!admitted_counters_.empty()) {
-    admitted_counters_[static_cast<std::size_t>(module_id)]->Add();
-  }
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kAdmit;
-    ev.module = module_id;
-    ev.request_id = req->id;
-    ev.ts = now;
-    options_.trace->EmitSampled(ev);
-  }
   modules_[static_cast<std::size_t>(module_id)]->Receive(req);
 }
 
@@ -219,7 +179,7 @@ void ServeRuntime::OnModuleDone(const RequestPtr& req, int module_id, SimTime no
   if (IsTerminal(*req)) {
     return;  // Dropped on a parallel branch while this one executed.
   }
-  if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub, now); })) {
+  if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub); })) {
     ResolveFate(*req, [&](Request& r) { return lifecycle_.Complete(r, now); });
   }
 }
@@ -229,34 +189,17 @@ void ServeRuntime::Drop(const RequestPtr& req, int module_id, SimTime now,
   ResolveFate(*req, [&](Request& r) { return lifecycle_.Drop(r, module_id, now, reason); });
 }
 
-void ServeRuntime::RetryOrDrop(const RequestPtr& req, int module_id, SimTime now) {
-  if (IsTerminal(*req)) {
-    return;  // Resolved on another branch; nothing left to rescue.
-  }
-  const DropReason verdict = lifecycle_.RetryVerdict(*req, module_id, now);
-  if (verdict != DropReason::kNone) {
-    Drop(req, module_id, now, verdict);
-    return;
-  }
-  // retry_count's single writer is this thread, which owned the batch.
-  lifecycle_.NoteRetry(*req, module_id, now);
-  // Straight back into the module's queue shards: admission already passed
-  // at delivery, and re-running NoteOffered/merge bookkeeping would
-  // double-count this request.
-  modules_[static_cast<std::size_t>(module_id)]->Receive(req);
-}
-
 void ServeRuntime::ScalingTick(SimTime now) {
   FleetSample sample;
   sample.t = now;
   for (auto& module : modules_) {
     const double target_units =
-        lifecycle_.ScalingTarget(module->SmoothedInputRate(now), module->PerWorkerThroughput(),
+        lifecycle_.ScalingTarget(module->SmoothedInputRate(), module->PerWorkerThroughput(),
                                  fleet_.ProvisionedUnits(module->module_id()));
-    // Real threads are capped fleet-wide; scale-ups spend the remaining
-    // thread budget, scale-downs always apply.
+    // Workers are capped fleet-wide; scale-ups spend the remaining budget,
+    // scale-downs always apply.
     const int budget = serve_.max_total_threads - fleet_.TotalProvisioned();
-    module->SetTargetUnits(target_units, now, std::max(0, budget));
+    module->SetTargetUnits(target_units, std::max(0, budget));
     sample.workers.push_back(fleet_.ActiveCount(module->module_id()));
   }
   worker_history_.push_back(std::move(sample));
@@ -299,19 +242,19 @@ void ServeRuntime::ControlLoop() {
       return;
     }
     const SimTime now = clock_.Now();
-    // Deterministic fault schedule first: kill/recover exactly as scheduled
-    // (transitions are logged at the scheduled instant).
+    // Deterministic fault schedule first: kill/recover as scheduled, applied
+    // (and logged in the fleet) when this thread wakes for it.
     while (next_fault < faults.size() && faults[next_fault].at <= now) {
       const FleetEvent& event = faults[next_fault++];
       ServeModule& module = *modules_[static_cast<std::size_t>(event.module_id)];
       if (event.kind == FleetEvent::Kind::kKill) {
-        module.FailWorkers(event.count, event.at);
+        module.FailWorkers(event.count);
       } else {
-        // Recovery spends the remaining thread budget like any scale-up —
-        // a fault schedule cannot push past the fleet-wide thread cap.
+        // Recovery spends the remaining worker budget like any scale-up — a
+        // fault schedule cannot push past the fleet-wide cap.
         const int budget =
             std::max(0, serve_.max_total_threads - fleet_.TotalProvisioned());
-        module.AddWorkers(std::min(event.count, budget), event.at);
+        module.AddWorkers(std::min(event.count, budget));
       }
       lifecycle_.TraceFleetEvent(event);
     }
@@ -321,8 +264,8 @@ void ServeRuntime::ControlLoop() {
       const ChaosEvent& event = chaos[next_chaos++];
       switch (event.kind) {
         case ChaosKind::kHang:
-          modules_[static_cast<std::size_t>(event.module_id)]->HangWorkers(
-              event.count, event.duration, now);
+          modules_[static_cast<std::size_t>(event.module_id)]->HangWorkers(event.count,
+                                                                           event.duration);
           break;
         case ChaosKind::kSlow:
           modules_[static_cast<std::size_t>(event.module_id)]->SetSlowdown(
@@ -334,11 +277,11 @@ void ServeRuntime::ControlLoop() {
       }
       lifecycle_.TraceChaosEvent(event);
     }
-    // Watchdog: force-fail busy workers with stale heartbeats and provision
-    // replacements from the remaining thread budget.
+    // Watchdog: fail workers hung past the budget and provision
+    // replacements from the remaining worker budget.
     if (next_watchdog >= 0 && now >= next_watchdog) {
       for (auto& module : modules_) {
-        const int killed = module->WatchdogSweep(now, hang_budget);
+        const int killed = module->FailHungWorkers(hang_budget);
         if (killed == 0) {
           continue;
         }
@@ -349,7 +292,7 @@ void ServeRuntime::ControlLoop() {
         }
         const int budget =
             std::max(0, serve_.max_total_threads - fleet_.TotalProvisioned());
-        module->AddWorkers(std::min(killed, budget), now);
+        module->AddWorkers(std::min(killed, budget));
         if (options_.trace != nullptr) {
           TraceEvent ev;
           ev.kind = TraceEventKind::kWatchdog;
@@ -370,19 +313,19 @@ void ServeRuntime::ControlLoop() {
       // stall keeps serving readers (and aging toward the staleness budget).
       next_sync += options_.sync_period;
     } else if (now >= next_sync) {
-      std::vector<ModuleState> states;
-      states.reserve(modules_.size());
-      for (auto& module : modules_) {
-        states.push_back(module->Snapshot(now));  // Shard locks, one at a time.
+      // One module lock at a time; each state refills the buffers the board
+      // handed back at the previous sync.
+      for (std::size_t i = 0; i < modules_.size(); ++i) {
+        modules_[i]->Sync(sync_states_[i]);
       }
       // Weighted shed plan from the same states the brokers are about to
       // read — the governor is never fresher than the snapshot.
-      lifecycle_.ResyncGovernor(states);
-      // Publishes a fresh immutable snapshot for the brokers — entirely off
-      // the control lock on the snapshot path. Timed in wall-clock terms:
-      // sync cost is real CPU work, not virtual time.
+      lifecycle_.ResyncGovernor(sync_states_);
+      // Publishes a fresh immutable snapshot for the brokers, holding no
+      // lock. Timed in wall-clock terms: sync cost is real CPU work, not
+      // virtual time.
       const auto sync_begin = std::chrono::steady_clock::now();
-      const ControlPlane::SyncStats sync_stats = control_.Sync(std::move(states), now);
+      const ControlPlane::SyncStats sync_stats = control_.Sync(sync_states_, now);
       const auto sync_wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
                                     std::chrono::steady_clock::now() - sync_begin)
                                     .count();
@@ -433,17 +376,15 @@ void ServeRuntime::SamplerLoop() {
   }
 }
 
-void ServeRuntime::Shutdown(bool abandon_backlog) {
+void ServeRuntime::Shutdown() {
   // Brokers go first: on a drained run their backlog is empty (a backlogged
-  // request is non-terminal, so the drain loop would still be waiting); on
-  // the abandon path the backlog is discarded — the conservation sweep
-  // accounts those requests kLate.
+  // request is non-terminal, so the drain loop would still be waiting);
+  // otherwise it is discarded and the conservation sweep accounts those
+  // requests.
   {
     std::lock_guard<std::mutex> lock(broker_mu_);
     broker_stop_ = true;
-    if (abandon_backlog) {
-      broker_backlog_.clear();
-    }
+    broker_backlog_.clear();
   }
   broker_ready_.notify_all();
   broker_pool_.Join();
@@ -451,27 +392,23 @@ void ServeRuntime::Shutdown(bool abandon_backlog) {
   // so its final sample still sees live gauges (bounded by one clock sleep).
   stop_sampler_.store(true, std::memory_order_relaxed);
   sampler_thread_.Join();
-  // The control thread next: once it is joined, no scaling tick or fault
-  // event can spawn a worker thread while the module groups join.
   stop_control_.store(true, std::memory_order_relaxed);
   control_thread_.Join();
-  // Topo order: once module k's workers have joined, nothing can deliver to
-  // k's successors, so each successor sees its final queue before its own
-  // stop flag is observed with an empty queue. On the abandon path the
-  // backlog is discarded instead of served; upstream joins first, so each
-  // module re-discards at most the handful of batches its predecessors had
-  // in flight.
-  for (int id : spec_.TopoOrder()) {
-    ServeModule& module = *modules_[static_cast<std::size_t>(id)];
-    if (abandon_backlog) {
-      module.Abort();
-    } else {
-      module.RequestStop();
+  // A timer thread forwards into other modules, which keep accepting work
+  // after their own timer stops; nothing moves once every timer is joined.
+  // Stop every module before re-throwing the first timer thread's error.
+  std::exception_ptr first_error;
+  for (auto& module : modules_) {
+    try {
+      module->Stop();
+    } catch (...) {
+      if (first_error == nullptr) {
+        first_error = std::current_exception();
+      }
     }
-    module.Join();
-    if (abandon_backlog) {
-      module.Abort();  // Re-discard what upstream forwarded while joining.
-    }
+  }
+  if (first_error != nullptr) {
+    std::rethrow_exception(first_error);
   }
 }
 
@@ -508,18 +445,16 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
       clock_.SleepUntil(clock_.Now() + poll);
       drained = AllTerminal();
     }
-    // Deadline hit with work still queued (e.g. a drop-free policy under
-    // overload): abandon the backlog so the run actually ends here instead
-    // of serving it out.
-    Shutdown(/*abandon_backlog=*/!drained);
+    // On a deadline hit with work still queued (e.g. a drop-free policy
+    // under overload) the backlog is abandoned here rather than served out.
+    Shutdown();
   } catch (...) {
-    // A worker/injector exception must not leave sibling threads parked on
-    // their condition variables (member destructors would join forever).
-    // Module joins rethrow the FIRST worker error, which would mask the
-    // in-flight one — so swallow secondary errors here and rethrow the
-    // original.
+    // An injector or module-thread exception must not leave sibling threads
+    // running into a destroyed runtime. Shutdown re-throws the first timer
+    // thread error, which would mask the in-flight one — so swallow
+    // secondary errors here and rethrow the original.
     try {
-      Shutdown(/*abandon_backlog=*/true);
+      Shutdown();
     } catch (...) {
     }
     throw;

@@ -4,32 +4,29 @@
 // Where PipelineRuntime multiplexes every module, worker and control tick
 // through one discrete-event loop, ServeRuntime is a live prototype of the
 // paper's system: an open-loop load generator injects requests in (scaled)
-// real time, each module's GPU workers are OS threads draining sharded
-// DEPQs with work stealing, the PARD broker / estimator / baselines make
-// their decisions against wall-clock deadlines behind the ControlPlane
-// facade, and a control thread publishes ModuleState snapshots once per
-// virtual second exactly like the paper's gRPC state exchange.
-//
-// An admission front-end performs the proactive drops before a request
-// enters any module queue: at every delivery the policy's enqueue-time
-// admission AND the Request Broker predicate (with the delivery instant as
-// the hypothetical batch start) run first, so requests that cannot meet
-// their SLO never consume queue space or GPU time. With
-// serve.broker_threads > 1 this front-end runs on a pool of broker threads
-// fed from a shared ingress backlog, so admission decisions — reads of the
-// control plane's published snapshot — execute genuinely concurrently.
+// real time, each module is the simulator's own ModuleRuntime and Workers
+// driven by a per-module timer thread (serve/serve_module.h), the PARD
+// broker / estimator / baselines decide against wall-clock deadlines
+// through the ControlPlane's published snapshot, and a control thread
+// publishes ModuleState snapshots once per virtual second exactly like the
+// paper's gRPC state exchange. Admission and the Request Broker's drop
+// decision run inside the module, as in the simulator: admission at
+// arrival, the drop decision when a request enters the forming batch,
+// against the running batch's end t_e. With serve.broker_threads > 1 the
+// source module's deliveries run on a pool of broker threads fed from a
+// shared ingress backlog.
 //
 // Fleet dynamics: worker rosters live in a BackendFleet shared with the
 // simulator's abstraction — slots draw (possibly heterogeneous) backend
 // profiles from the pipeline's catalog. With options.enable_scaling the
 // control thread runs the same scaling engine as the simulator every
 // scaling_epoch (target capacity in baseline-worker units from the smoothed
-// offered rate; scale-ups are real threads that serve only after their
-// profile's cold start, bounded by serve.max_total_threads), recording the
+// offered rate; scale-ups serve only after their profile's cold start,
+// bounded by serve.max_total_threads workers fleet-wide), recording the
 // per-epoch worker history. options.fleet_events applies a deterministic
-// kill/recover schedule mid-run, mirroring the simulator's
-// Worker::Fail semantics (a killed worker's in-flight batch is lost; the
-// shared queue shards survive for the remaining workers).
+// kill/recover schedule mid-run, and a watchdog fails workers hung past
+// options.resilience.hang_budget; both kill through Worker::Fail, exactly
+// as the simulator does.
 //
 // The request lifecycle — stamping, DAG merge readiness and routing, fates
 // and their accounting, the retry verdict — is the simulator's own
@@ -40,22 +37,23 @@
 // runtime mutex. Mutable state is partitioned by owner:
 //   - Request fate/finish transitions, DAG merge counters: 16 fate stripes
 //     (kFate, keyed by request id) — the highest rank, so any thread may
-//     resolve a fate while holding module/queue/control locks, never the
-//     reverse. The lifecycle's accounting (counters, trace) runs after the
-//     stripe is released.
+//     resolve a fate while holding a module lock, never the reverse. The
+//     lifecycle's accounting (counters, trace) runs after the stripe is
+//     released.
 //   - The lifecycle's injection state (request log, id counter and
 //     dynamic-path RNG) belongs to the load generator thread alone; the
 //     final conservation sweep reads it only after every thread has joined.
 //   - The ingress backlog (broker pool) has its own leaf mutex, never held
 //     across a delivery.
-//   - Module queues/monitors and the control plane's snapshot publication
-//     synchronize themselves (serve_module.h, control_plane.h).
+//   - Each module's state sits behind its module mutex (serve_module.h); the
+//     control plane's snapshot publication synchronizes itself
+//     (control_plane.h).
 //
 // Scope vs the simulator: inter-module network delay is folded into real
 // forwarding cost, and runs are NOT bit-deterministic — thread scheduling
 // and wake-up latency vary run to run; determinism lives in the arrival
-// stream and the fault schedule only. Leftover in-flight requests at the
-// drain deadline are accounted kLate so conservation holds.
+// stream and the fault schedule only. Requests still in flight at the drain
+// deadline are accounted kLate / kDrainAbandoned so conservation holds.
 #ifndef PARD_SERVE_SERVE_RUNTIME_H_
 #define PARD_SERVE_SERVE_RUNTIME_H_
 
@@ -87,10 +85,12 @@ class AtomicHistogram;  // obs/metrics.h
 
 class ServeRuntime {
  public:
-  // `policy` must outlive the runtime. Worker provisioning mirrors
-  // PipelineRuntime (options.fixed_workers, else PlanWorkers from
-  // `expected_rate`), additionally capped at serve.max_total_threads real
-  // threads across all modules (the cap also bounds runtime scale-ups).
+  // `policy` must outlive the runtime and provide a PolicyView. Worker
+  // provisioning mirrors PipelineRuntime (options.fixed_workers, else
+  // PlanWorkers from `expected_rate`), additionally capped at
+  // serve.max_total_threads workers across all modules (the cap also bounds
+  // runtime scale-ups). Builds every module and its warm workers at virtual
+  // time 0; no thread starts before RunTrace.
   ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& options, DropPolicy* policy,
                double expected_rate, const ServeOptions& serve);
 
@@ -114,16 +114,14 @@ class ServeRuntime {
   // Valid after RunTrace returns.
   const std::vector<FleetSample>& worker_history() const { return worker_history_; }
 
-  // --- Internal transitions (called from module worker threads) -----------
+  // --- Internal transitions (called from the modules) ----------------------
+  // Routes a request that finished `module_id` at `now`; called with no
+  // module lock held.
   void OnModuleDone(const RequestPtr& req, int module_id, SimTime now);
   void Drop(const RequestPtr& req, int module_id, SimTime now, DropReason reason);
-  // Deadline-aware retry for a killed/hung worker's in-flight batch: the
-  // request is re-enqueued at `module_id` when RequestLifecycle::RetryVerdict
-  // allows it, otherwise dropped with the verdict's reason. Called from the
-  // dying worker thread, which owns the batch — retry_count needs no lock.
-  void RetryOrDrop(const RequestPtr& req, int module_id, SimTime now);
   // Thread-safe read of req.fate (fates flip on other threads' branches).
   bool IsTerminal(const Request& req) const;
+  RequestLifecycle& lifecycle() { return lifecycle_; }
 
   // Observability (null when disabled). Trace emission goes through the
   // recorder's per-thread SPSC shards, so any worker/broker thread may emit
@@ -142,27 +140,24 @@ class ServeRuntime {
   static constexpr std::size_t kFateStripes = 16;
 
   void Inject(SimTime scheduled);
-  // Broker pool thread: pops ingress backlog entries and runs the delivery
-  // front-end for the source module. Only active with broker_threads > 1.
+  // Broker pool thread: pops ingress backlog entries and delivers them to
+  // the source module. Only active with broker_threads > 1.
   void BrokerLoop();
-  // Stops the broker pool first (its backlog is provably empty on a drained
-  // run, discarded otherwise), then the control thread (so no scale-up can
-  // spawn a thread while modules join), then module workers in topo order,
-  // so downstream drains what upstream already forwarded. With
-  // `abandon_backlog` (drain timeout, mid-run exception) queued requests are
-  // discarded instead of served, bounding shutdown to ~one in-flight batch
-  // per worker even under a drop-free policy. Idempotent; runs on the normal
-  // exit path AND before rethrowing a mid-run exception, so worker threads
-  // are never left parked on a condition variable a destructor would then
-  // join forever.
-  void Shutdown(bool abandon_backlog);
+  // Stops the broker pool first (its backlog is empty on a drained run and
+  // discarded otherwise), then the sampler and the control thread (so no
+  // fleet change races the stop), then every module's timer thread. Events
+  // still pending never fire: what they would have moved stays in flight for
+  // RunTrace's conservation sweep. Idempotent; runs on the normal exit path
+  // AND before rethrowing a mid-run exception, so no thread is left running
+  // into a destroyed runtime.
+  void Shutdown();
   // Metrics sampler thread: snapshots the registry every
   // options_.metrics_interval of virtual time while the run is live. Reads
   // only lock-free instruments + the registry's leaf mutex, so it can stop
   // at any point in the shutdown sequence.
   void SamplerLoop();
-  // Admission front-end + merge bookkeeping + enqueue.
-  void Deliver(const RequestPtr& req, int module_id, SimTime now);
+  // Merge bookkeeping, then delivery to the module.
+  void Deliver(const RequestPtr& req, int module_id);
   // Runs one lifecycle fate transition (returning false when the request
   // already has a fate) under the request's fate stripe, then its lock-free
   // accounting outside the stripe.
@@ -192,6 +187,9 @@ class ServeRuntime {
   std::vector<std::unique_ptr<ServeModule>> modules_;
   // Written by the control thread only; read after RunTrace joins it.
   std::vector<FleetSample> worker_history_;
+  // One state per module, carried between control syncs so each sync
+  // refills the buffers the board handed back (control thread only).
+  std::vector<ModuleState> sync_states_;
 
   // Striped fate locks (LockRank::kFate): request fate/finish transitions
   // and DAG merge counters for request r serialize on stripe r.id % 16.
@@ -222,7 +220,6 @@ class ServeRuntime {
 
   // Pre-resolved instruments (null when options_.metrics is null).
   Counter* watchdog_counter_ = nullptr;
-  std::vector<Counter*> admitted_counters_;  // per module
   // Control-sync health: wall-clock Sync() duration (us) and what the
   // incremental estimator refresh did each epoch. Bumped by the control
   // thread only.

@@ -45,34 +45,33 @@
 
 #include "common/time_types.h"
 #include "sim/inline_callback.h"
+#include "sim/timer.h"
 
 namespace pard {
 
-// Packs (sequence number << 24 | slot index); unique per scheduled event,
-// never reused.
-using EventId = std::uint64_t;
-
-class Simulation {
+// The kernel is also the simulator's ModuleTimer (sim/timer.h). It is final,
+// so calls through a Simulation& bind statically; only the module state
+// machine's calls go through the interface. An EventId packs (sequence
+// number << 24 | slot index).
+class Simulation final : public ModuleTimer {
  public:
-  using Callback = InlineCallback;
-
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   // Current virtual time.
-  SimTime Now() const { return now_; }
+  SimTime Now() const override { return now_; }
 
   // Schedules `cb` at absolute time `t` (must be >= Now()). Returns an id
   // usable with Cancel().
-  EventId ScheduleAt(SimTime t, Callback cb);
+  EventId ScheduleAt(SimTime t, Callback cb) override;
 
   // Schedules `cb` after `delay` (must be >= 0).
   EventId ScheduleAfter(Duration delay, Callback cb);
 
   // Cancels a pending event in O(1). Cancelling an already-fired, already-
   // cancelled or unknown id is a no-op and returns false.
-  bool Cancel(EventId id);
+  bool Cancel(EventId id) override;
 
   // Attaches a stream: `fire` runs once at each instant of `times` (sorted,
   // the first >= Now()), ordered against every other event as if entry i had

@@ -58,18 +58,6 @@ double SlidingWindow::LinearWeightedMean(SimTime now, double fallback) {
   return weighted / total_weight;
 }
 
-void SlidingWindow::AccumulateLinearWeighted(SimTime now, double* weighted_sum,
-                                             double* weight_sum) {
-  Evict(now);
-  const double len = static_cast<double>(length_);
-  for (const Entry& e : entries_) {
-    const double age = static_cast<double>(now - e.t);
-    const double w = std::max(0.0, (len - age) / len);
-    *weighted_sum += w * e.value;
-    *weight_sum += w;
-  }
-}
-
 double SlidingWindow::Max(SimTime now, double fallback) {
   Evict(now);
   if (entries_.empty()) {

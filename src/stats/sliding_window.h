@@ -31,13 +31,6 @@ class SlidingWindow {
   // Linear-weighted mean: weight of an observation at age a is (L - a) / L.
   double LinearWeightedMean(SimTime now, double fallback = 0.0);
 
-  // Accumulates the linear-weighted numerator and denominator (Σ w·v, Σ w)
-  // into the given sums after evicting. Sharded owners (ServeModule keeps
-  // one window per queue shard) merge shards exactly this way: the merged
-  // Σ w·v / Σ w is arithmetically identical to one window holding all
-  // observations.
-  void AccumulateLinearWeighted(SimTime now, double* weighted_sum, double* weight_sum);
-
   // Maximum in-window value; `fallback` when empty.
   double Max(SimTime now, double fallback = 0.0);
 

@@ -14,7 +14,7 @@
 //      stall and live scaling. Asserts conservation, watchdog recovery of
 //      hung workers within the hang budget (plus sweep/scheduling slack),
 //      replacement provisioning, and stale-snapshot fallback activity. Runs
-//      under TSan in the tsan preset, pinning the heartbeat/watchdog and
+//      under TSan in the tsan preset, pinning the watchdog and
 //      snapshot-staleness concurrency contracts.
 //   5. The acceptance comparison: under chaos overload PARD's proactive
 //      dropping must still beat the drop-free baseline on goodput

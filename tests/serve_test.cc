@@ -4,29 +4,30 @@
 //   1. Hard invariants — conservation (every injected request ends terminal,
 //      exactly once, with consistent hop records), load-generator
 //      determinism, clock monotonicity. These never depend on timing.
-//   2. A sim-vs-serve validation band — the serving runtime on the fig08
-//      smoke workload (tweet trace, 1.5 s, 40 req/s — the same shape the
-//      smoke_bench_fig08 ctest entry uses) must land within
-//      kGoodputTolerance of the simulator's normalized goodput on the
-//      matched arrival stream. The band is wide (0.25) because the two
-//      substrates legitimately differ: pull-based workers have W ≈ 0 where
-//      the simulator overlaps batch formation with execution, wall-clock
-//      scheduling jitters timestamps, and serve runs are not
-//      bit-deterministic.
+//   2. Sim-vs-serve validation bands on matched arrival streams. Serve runs
+//      the simulator's own ModuleRuntime/Worker state machine, so what is
+//      left between them is wall-clock wake-up lateness: normalized goodput
+//      on the fig08 smoke workload (tweet trace, 1.5 s, 40 req/s — the same
+//      shape the smoke_bench_fig08 ctest entry uses) must land within
+//      kGoodputTolerance of the simulator's, and each module's mean
+//      requests per batch on lv/tweet within kBatchSizeTolerance.
 //
 // The whole suite is in the tsan ctest preset: a TSan-clean pass pins the
-// concurrency contracts of ControlPlane, ServeModule and the shared
-// RequestQueue/StateBoard/estimator facade.
+// concurrency contracts of ControlPlane, ServeModule (module mutex, timer
+// thread, outbox) and the shared StateBoard/estimator facade.
 #include <gtest/gtest.h>
 #include <sys/prctl.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -53,7 +54,20 @@
 namespace pard {
 namespace {
 
-constexpr double kGoodputTolerance = 0.25;
+// Both bands are the worst gap seen in 20 Release runs under `ctest -j4`
+// plus 20 runs of the tsan preset's serve_test, plus a stated margin; a later
+// change may tighten them, never loosen them.
+//   - Goodput on the fig08 smoke trace (38 requests): every one of the 40
+//     runs matched the simulator exactly (gap 0). The margin, 0.03, lets one
+//     request of the 38 (0.026) land differently.
+//   - Mean requests per batch per module on lv/tweet at 5x: worst relative
+//     gap 0.194 in Release (one run; the other 19 stayed at or under 0.077)
+//     and 0.053 under TSan. The margin, 0.156, covers the host's wall-clock
+//     stalls, which reach further at times: a suite run at 10x once read
+//     0.31. A discipline that forms batches only when a worker frees up
+//     reads 0.42-1.07 on modules 1-4 of this workload.
+constexpr double kGoodputTolerance = 0.03;
+constexpr double kBatchSizeTolerance = 0.35;
 
 TEST(ServeClock, SleepUntilNeverReturnsBeforeItsTarget) {
   // A non-integer speedup makes every virtual -> wall conversion round; no
@@ -247,13 +261,86 @@ TEST(ServeRuntime, GoodputWithinToleranceOfSimulatorOnFig08SmokeTrace) {
       << "matched replay must inject the identical arrival stream";
   const double sim_goodput = sim.analysis->NormalizedGoodput();
   const double serve_goodput = served.analysis->NormalizedGoodput();
+  std::printf("goodput: serve %.4f sim %.4f gap %.4f\n", serve_goodput, sim_goodput,
+              std::fabs(serve_goodput - sim_goodput));
   EXPECT_NEAR(serve_goodput, sim_goodput, kGoodputTolerance)
       << "serving goodput drifted outside the documented tolerance band";
 }
 
+// Mean requests per executed batch at each module, rebuilt from hop records:
+// the hops of one batch share (exec_start, exec_end) and carry gpu_time =
+// duration / size, so a group of equal stamps (two workers may start and end
+// together) splits into batches of that size.
+std::vector<double> MeanRequestsPerBatch(const RunAnalysis& analysis, int modules) {
+  std::vector<double> means;
+  for (int k = 0; k < modules; ++k) {
+    std::map<std::tuple<SimTime, SimTime, Duration>, std::int64_t> groups;
+    for (const RequestPtr& req : analysis.requests()) {
+      const HopRecord& hop = req->hops[static_cast<std::size_t>(k)];
+      if (hop.executed) {
+        ++groups[{hop.exec_start, hop.exec_end, hop.gpu_time}];
+      }
+    }
+    std::int64_t batches = 0;
+    std::int64_t executed = 0;
+    for (const auto& [stamps, hops] : groups) {
+      const Duration duration = std::get<1>(stamps) - std::get<0>(stamps);
+      const Duration gpu_time = std::get<2>(stamps);
+      std::int64_t size = hops;
+      for (std::int64_t c = 1; gpu_time > 0 && c <= hops; ++c) {
+        if (duration / c == gpu_time && hops % c == 0) {
+          size = c;
+          break;
+        }
+      }
+      batches += hops / size;
+      executed += hops;
+    }
+    means.push_back(batches > 0 ? static_cast<double>(executed) / static_cast<double>(batches)
+                                : 0.0);
+  }
+  return means;
+}
+
+TEST(ServeRuntime, BatchesLikeTheSimulatorOnTheSameArrivals) {
+  // Serve runs the simulator's own Fig. 5 state machine, so on the same
+  // arrivals each module must form batches of the simulator's size: the next
+  // batch fills while the current one executes and launches when it ends.
+  // lv on the tweet curve for 20 virtual seconds (~3,500 requests) at 5x,
+  // 4 s of wall time: every wall millisecond a starved timer thread waits is
+  // `speedup` virtual ones, and this test shares the host with the rest of
+  // the suite.
+  ExperimentConfig config;
+  config.app = "lv";
+  config.trace = "tweet";
+  config.policy = "pard";
+  config.duration_s = 20.0;
+  config.base_rate = 200.0;
+  config.seed = 7;
+  const ExperimentResult sim = RunExperiment(config);
+  ServeOptions serve;
+  serve.speedup = 5.0;
+  const ExperimentResult served = RunServeExperiment(config, serve);
+
+  ASSERT_EQ(sim.analysis->Total(), served.analysis->Total());
+  ASSERT_GE(sim.analysis->Total(), 3000u);
+  const int modules = sim.spec.NumModules();
+  const std::vector<double> sim_sizes = MeanRequestsPerBatch(*sim.analysis, modules);
+  const std::vector<double> serve_sizes = MeanRequestsPerBatch(*served.analysis, modules);
+  for (int k = 0; k < modules; ++k) {
+    const double sim_size = sim_sizes[static_cast<std::size_t>(k)];
+    const double serve_size = serve_sizes[static_cast<std::size_t>(k)];
+    ASSERT_GT(sim_size, 1.0) << "module " << k << " never batched; the check would be vacuous";
+    const double gap = std::fabs(serve_size / sim_size - 1.0);
+    std::printf("requests per batch m%d: serve %.3f sim %.3f gap %.4f\n", k, serve_size,
+                sim_size, gap);
+    EXPECT_LE(gap, kBatchSizeTolerance) << "module " << k;
+  }
+}
+
 TEST(ServeRuntime, BaselinePoliciesServeCleanly) {
   // Clipper++ exercises AdmitAtModule (ingress shedding) and naive the
-  // PurgeExpired=false path — both through the admission front-end.
+  // PurgeExpired=false path — both through the modules' broker calls.
   for (const char* policy : {"clipper++", "naive"}) {
     ExperimentConfig config = Fig08SmokeConfig("tm", policy);
     ServeOptions serve;
@@ -400,8 +487,10 @@ TEST(ServeRuntime, HeterogeneousFleetFailureAndRecoveryConserves) {
   }
   EXPECT_EQ(good + dropped, arrivals.size());
 
-  // The fleet log tells the whole story: the scheduled kill at exactly
-  // t=0.8 s, then a cold-starting replacement that eventually activates.
+  // The fleet log tells the whole story: the scheduled kill, then a
+  // cold-starting replacement that eventually activates. The kill runs
+  // Worker::Fail when the control thread wakes for it, so it lands at or
+  // just after its scheduled 0.8 s, and before the 1.2 s recovery.
   bool saw_kill = false;
   bool saw_recovery_cold = false;
   bool saw_recovery_active = false;
@@ -411,7 +500,8 @@ TEST(ServeRuntime, HeterogeneousFleetFailureAndRecoveryConserves) {
     }
     if (t.to == BackendState::kFailed) {
       saw_kill = true;
-      EXPECT_EQ(t.at, 800 * kUsPerMs);
+      EXPECT_GE(t.at, 800 * kUsPerMs);
+      EXPECT_LT(t.at, 1200 * kUsPerMs);
     } else if (saw_kill && t.to == BackendState::kColdStarting) {
       saw_recovery_cold = true;
     } else if (saw_recovery_cold && t.to == BackendState::kActive) {
@@ -538,16 +628,16 @@ TEST(ServeRuntime, PardGoodputAtLeastDropFreeBaselineOnHeterogeneousScenario) {
 }
 
 TEST(ServeRuntime, ShardedBrokersWithScalingAndFaultsConserve) {
-  // ISSUE 6 contention stress, sized for the tsan preset: 4 broker threads
-  // hammer the control plane's snapshot-read admission path concurrently, a
-  // DAG pipeline's workers steal across queue shards under MMPP bursts, the
-  // scaling engine adds cold-starting threads, and a fault schedule kills
-  // and recovers a worker mid-run. Every request must still resolve exactly
-  // once — and a TSan-clean pass pins the sharded-path contracts
-  // (SnapshotCell reads, striped fate locks, per-shard queue mutexes).
+  // Contention stress, sized for the tsan preset: 4 broker threads hammer
+  // the control plane's snapshot-read admission path concurrently while a
+  // DAG pipeline's module timer threads fire batches and forward hand-offs
+  // under MMPP bursts, the scaling engine adds cold-starting workers, and a
+  // fault schedule kills and recovers a worker mid-run. Every request must
+  // still resolve exactly once — and a TSan-clean pass pins the contracts
+  // (SnapshotCell reads, striped fate locks, module mutexes and outboxes).
   ExperimentConfig config = Fig08SmokeConfig("da", "pard");
   config.duration_s = 2.5;
-  config.runtime.fixed_workers = std::vector<int>(5, 2);  // 2 shards/module.
+  config.runtime.fixed_workers = std::vector<int>(5, 2);
   config.runtime.enable_scaling = true;
   config.runtime.scaling_epoch = 1 * kUsPerSec;
   config.runtime.cold_start = 100 * kUsPerMs;
@@ -724,19 +814,15 @@ TEST(ControlPlaneRefresh, ParallelRefreshDeterministicAcrossThreadCounts) {
   opt_4.refresh_threads = 4;
   ControlPlane plane_1(&lv, &policy_1, &board_1, opt_1);
   ControlPlane plane_4(&lv, &policy_4, &board_4, opt_4);
-  ASSERT_TRUE(plane_1.LockFree());
-  ASSERT_TRUE(plane_4.LockFree());
 
   Rng rng_1(55);
   Rng rng_4(55);
   for (int round = 0; round < 3; ++round) {
     const SimTime now = (round + 1) * kUsPerSec;
-    const ControlPlane::SyncStats a =
-        plane_1.Sync(RefreshWarmStates(lv.NumModules(), round, &rng_1), now);
-    const ControlPlane::SyncStats b =
-        plane_4.Sync(RefreshWarmStates(lv.NumModules(), round, &rng_4), now);
-    EXPECT_TRUE(a.off_lock);
-    EXPECT_TRUE(b.off_lock);
+    std::vector<ModuleState> states_1 = RefreshWarmStates(lv.NumModules(), round, &rng_1);
+    std::vector<ModuleState> states_4 = RefreshWarmStates(lv.NumModules(), round, &rng_4);
+    const ControlPlane::SyncStats a = plane_1.Sync(states_1, now);
+    const ControlPlane::SyncStats b = plane_4.Sync(states_4, now);
     EXPECT_EQ(a.refreshed, b.refreshed) << round;
     EXPECT_EQ(a.skipped, b.skipped) << round;
 
@@ -777,7 +863,6 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
   ControlPlane::Options options;
   options.refresh_threads = 2;
   ControlPlane plane(&lv, &policy, &board, options);
-  ASSERT_TRUE(plane.LockFree());
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> decisions{0};
@@ -814,10 +899,8 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
   Rng rng(66);
   const std::uint64_t epoch_before = plane.SnapshotEpoch();
   for (int round = 0; round < 50; ++round) {
-    const ControlPlane::SyncStats stats =
-        plane.Sync(RefreshWarmStates(lv.NumModules(), round % 5, &rng),
-                   (round + 1) * 100 * kUsPerMs);
-    EXPECT_TRUE(stats.off_lock);
+    std::vector<ModuleState> states = RefreshWarmStates(lv.NumModules(), round % 5, &rng);
+    plane.Sync(states, (round + 1) * 100 * kUsPerMs);
   }
   stop.store(true, std::memory_order_relaxed);
   readers.Join();

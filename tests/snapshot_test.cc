@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -140,23 +141,22 @@ TEST(SnapshotCell, ConcurrentReadersUnderWriterChurn) {
 
 TEST(LockOrder, InOrderAcquisitionPasses) {
   LockOrderGuard module(LockRank::kModule);
-  LockOrderGuard shard(LockRank::kQueueShard);
-  LockOrderGuard control(LockRank::kControl);
+  LockOrderGuard shard(LockRank::kAdmissionShard);
   LockOrderGuard fate(LockRank::kFate);
 }
 
 TEST(LockOrder, OutOfOrderAcquisitionThrows) {
-  LockOrderGuard control(LockRank::kControl);
-  EXPECT_THROW(LockOrderGuard shard(LockRank::kQueueShard), CheckError);
+  LockOrderGuard shard(LockRank::kAdmissionShard);
+  EXPECT_THROW(LockOrderGuard module(LockRank::kModule), CheckError);
   // The failed guard must not corrupt the stack: in-order still works.
   LockOrderGuard fate(LockRank::kFate);
 }
 
 TEST(LockOrder, EqualRankAcquisitionThrows) {
-  // Two shard locks at once would deadlock against a sibling doing the same
+  // Two module locks at once would deadlock against a sibling doing the same
   // in the opposite order; the hierarchy forbids holding two equal ranks.
-  LockOrderGuard shard(LockRank::kQueueShard);
-  EXPECT_THROW(LockOrderGuard sibling(LockRank::kQueueShard), CheckError);
+  LockOrderGuard module(LockRank::kModule);
+  EXPECT_THROW(LockOrderGuard sibling(LockRank::kModule), CheckError);
 }
 
 TEST(LockOrder, ReleaseUnwindsTheStack) {
@@ -189,47 +189,76 @@ std::vector<ModuleState> WarmStates(int n, Rng* rng) {
   return states;
 }
 
-TEST(ControlPlaneSnapshot, PardRunsLockFreeAndEpochAdvancesPerSync) {
+TEST(ControlPlaneSnapshot, EpochAdvancesPerSync) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board(lv.NumModules());
   PardPolicy policy;
   ControlPlane control(&lv, &policy, &board);
-  EXPECT_TRUE(control.LockFree());
   const std::uint64_t e0 = control.SnapshotEpoch();
   Rng rng(21);
-  control.Sync(WarmStates(lv.NumModules(), &rng), kUsPerSec);
+  std::vector<ModuleState> states = WarmStates(lv.NumModules(), &rng);
+  control.Sync(states, kUsPerSec);
   EXPECT_EQ(control.SnapshotEpoch(), e0 + 1);
-  control.Sync(WarmStates(lv.NumModules(), &rng), 2 * kUsPerSec);
+  // Sync hands back the states the board replaced: the initial empty ones.
+  ASSERT_EQ(states.size(), static_cast<std::size_t>(lv.NumModules()));
+  EXPECT_TRUE(states[0].wait_samples.empty());
+  states = WarmStates(lv.NumModules(), &rng);
+  control.Sync(states, 2 * kUsPerSec);
   EXPECT_EQ(control.SnapshotEpoch(), e0 + 2);
+  EXPECT_EQ(states[0].wait_samples.size(), 512u);  // The first sync's state.
 }
 
-// The snapshot read path must make the same drop decisions as the policy's
-// locked path against the same published state — sharding may not change
-// semantics, only contention. Pinned on the deterministic upper-bound wait
-// mode: the sweet-spot Monte-Carlo term intentionally diverges bit-wise
-// between the paths (the snapshot path refreshes from per-module forked
-// streams, the locked path from the lazy shared stream — statistically
-// equivalent, covered by estimator_test's refresh suite), so exact parity
-// is only meaningful where the estimate is RNG-free.
-TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchLockedFallback) {
+// A policy that cannot snapshot its decisions cannot serve: the control plane
+// refuses it up front, naming it, instead of serializing every decision.
+TEST(ControlPlaneSnapshot, RejectsAPolicyWithoutAView) {
+  class ViewlessPolicy : public DropPolicy {
+   public:
+    bool ShouldDrop(const AdmissionContext& ctx) override {
+      (void)ctx;
+      return false;
+    }
+    std::string Name() const override { return "viewless"; }
+  };
   const PipelineSpec lv = MakeLiveVideo();
-  StateBoard board_free(lv.NumModules());
-  StateBoard board_locked(lv.NumModules());
+  StateBoard board(lv.NumModules());
+  ViewlessPolicy policy;
+  try {
+    ControlPlane control(&lv, &policy, &board);
+    FAIL() << "a viewless policy was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("viewless"), std::string::npos) << e.what();
+  }
+}
+
+// The snapshot read path must make the same drop decisions as the policy
+// itself against the same published state — publishing a view may not
+// change semantics, only contention. The reference is a second PardPolicy
+// bound to its own board, published identically and asked directly. Pinned
+// on the deterministic upper-bound wait mode: the sweet-spot Monte-Carlo
+// term intentionally diverges bit-wise between the paths (the snapshot path
+// refreshes from per-module forked streams, a directly asked policy from the
+// lazy shared stream — statistically equivalent, covered by
+// estimator_test's refresh suite), so exact parity is only meaningful where
+// the estimate is RNG-free.
+TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchThePolicyOnAnIdenticalBoard) {
+  const PipelineSpec lv = MakeLiveVideo();
+  StateBoard board_plane(lv.NumModules());
+  StateBoard board_direct(lv.NumModules());
   PardOptions upper;
   upper.estimator.wait_mode = EstimatorOptions::WaitMode::kUpper;
-  PardPolicy policy_free(upper);
-  PardPolicy policy_locked(upper);
-  ControlPlane::Options locked_options;
-  locked_options.force_locked = true;
-  ControlPlane free_plane(&lv, &policy_free, &board_free);
-  ControlPlane locked_plane(&lv, &policy_locked, &board_locked, locked_options);
-  ASSERT_TRUE(free_plane.LockFree());
-  ASSERT_FALSE(locked_plane.LockFree());
+  PardPolicy policy_plane(upper);
+  PardPolicy policy_direct(upper);
+  ControlPlane plane(&lv, &policy_plane, &board_plane);
+  policy_direct.Bind(&lv, &board_direct);
 
   Rng rng_a(33);
   Rng rng_b(33);  // Identical streams -> identical published states.
-  free_plane.Sync(WarmStates(lv.NumModules(), &rng_a), kUsPerSec);
-  locked_plane.Sync(WarmStates(lv.NumModules(), &rng_b), kUsPerSec);
+  std::vector<ModuleState> states = WarmStates(lv.NumModules(), &rng_a);
+  plane.Sync(states, kUsPerSec);
+  for (ModuleState& state : WarmStates(lv.NumModules(), &rng_b)) {
+    board_direct.Publish(std::move(state));
+  }
+  policy_direct.OnSync(kUsPerSec);
 
   std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
   Request req;
@@ -249,12 +278,12 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchLockedFallback) {
       ctx.batch_start = now;
       ctx.batch_duration = 10 * kUsPerMs;
       ctx.batch_size = 8;
-      const bool snap = free_plane.ShouldDrop(ctx);
-      const bool locked = locked_plane.ShouldDrop(ctx);
-      EXPECT_EQ(snap, locked) << "module " << m << " age " << age;
+      const bool snap = plane.ShouldDrop(ctx);
+      const bool direct = policy_direct.ShouldDrop(ctx);
+      EXPECT_EQ(snap, direct) << "module " << m << " age " << age;
       drops += snap ? 1 : 0;
-      EXPECT_EQ(free_plane.ChoosePopSide(m, now), locked_plane.ChoosePopSide(m, now));
-      EXPECT_EQ(free_plane.AdmitAtModule(req, m, now), locked_plane.AdmitAtModule(req, m, now));
+      EXPECT_EQ(plane.ChoosePopSide(m, now), policy_direct.ChoosePopSide(m, now));
+      EXPECT_EQ(plane.AdmitAtModule(req, m, now), policy_direct.AdmitAtModule(req, m, now));
     }
   }
   // The grid must exercise both outcomes, or the parity check is vacuous.

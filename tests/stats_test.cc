@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "stats/empirical_distribution.h"
-#include "stats/histogram.h"
 #include "stats/reservoir.h"
 #include "stats/running_stat.h"
 #include "stats/sliding_window.h"
@@ -148,6 +148,40 @@ TEST(RecentReservoir, ClearResets) {
   EXPECT_TRUE(r.Empty());
 }
 
+// ---- SortSamples -----------------------------------------------------------------
+
+TEST(SortSamples, MatchesStdSortOnNonNegativeSamples) {
+  // Whole microseconds with many repeats (batch waits), plus fractions and
+  // magnitudes that differ in every byte of the bit pattern.
+  Rng rng(19);
+  std::vector<double> samples;
+  for (int i = 0; i < 10000; ++i) {
+    samples.push_back(std::floor(rng.Uniform(0.0, 40000.0)));
+  }
+  for (double v : {0.0, 0.5, 1e-300, 3.75, 1e9, 123456.789, 1e300}) {
+    samples.push_back(v);
+  }
+  std::vector<double> expected = samples;
+  std::sort(expected.begin(), expected.end());
+  SortSamples(samples);
+  EXPECT_EQ(samples, expected);
+}
+
+TEST(SortSamples, NegativeValuesStillSort) {
+  std::vector<double> samples = {3.0, -1.0, 0.0, -0.5, 2.0, 2.0};
+  SortSamples(samples);
+  EXPECT_EQ(samples, (std::vector<double>{-1.0, -0.5, 0.0, 2.0, 2.0, 3.0}));
+}
+
+TEST(SortSamples, EmptyAndSingleton) {
+  std::vector<double> none;
+  SortSamples(none);
+  EXPECT_TRUE(none.empty());
+  std::vector<double> one = {7.0};
+  SortSamples(one);
+  EXPECT_EQ(one, std::vector<double>{7.0});
+}
+
 // ---- EmpiricalDistribution ------------------------------------------------------
 
 TEST(EmpiricalDistribution, QuantileEndpoints) {
@@ -210,36 +244,6 @@ TEST(EmpiricalDistribution, QuantileMonotoneProperty) {
     EXPECT_GE(cur, prev);
     prev = cur;
   }
-}
-
-// ---- Histogram -----------------------------------------------------------------
-
-TEST(Histogram, QuantileApproximatesData) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.Add(static_cast<double>(i));
-  }
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 2.0);
-}
-
-TEST(Histogram, CdfAtBounds) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(5.0);
-  EXPECT_DOUBLE_EQ(h.CdfAt(10.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.CdfAt(-1.0), 0.0);
-}
-
-TEST(Histogram, OverflowAndUnderflowCounted) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-5.0);
-  h.Add(50.0);
-  EXPECT_EQ(h.Count(), 2);
-  EXPECT_DOUBLE_EQ(h.CdfAt(-1.0), 0.5);
-}
-
-TEST(Histogram, RejectsBadBounds) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 10), CheckError);
 }
 
 }  // namespace

@@ -64,8 +64,8 @@ pard::FlagSet BuildFlags() {
                "single-runtime simulation)");
   flags.AddBool("enable-scaling", true,
                 "enable the resource-scaling engine (both substrates; in --serve mode "
-                "scale-ups are real threads that serve after their backend's cold "
-                "start, capped at the serving thread budget)");
+                "scale-ups serve after their backend's cold start, capped at the "
+                "serving worker budget)");
   flags.AddString("backend-grades", "",
                   "comma-separated speed grades composing a heterogeneous backend "
                   "catalog (e.g. 1.0,0.5); each grade takes an optional @cost "
@@ -99,9 +99,9 @@ pard::FlagSet BuildFlags() {
                "deadline-aware retry budget for requests lost to worker failures "
                "(0 = legacy behavior: in-flight work on a killed worker is dropped)");
   flags.AddDouble("hang-budget-s", 0.0,
-                  "serving mode: watchdog hang budget in virtual seconds; a busy "
-                  "worker whose heartbeat is older than this is force-failed and "
-                  "replaced (0 = watchdog off)");
+                  "serving mode: watchdog hang budget in virtual seconds; a worker "
+                  "hung for longer than this is force-failed and replaced (0 = "
+                  "watchdog off)");
   flags.AddDouble("staleness-budget-s", 0.0,
                   "serving mode: control-snapshot staleness budget in virtual "
                   "seconds; readers of an older snapshot fall back to conservative "
@@ -109,8 +109,9 @@ pard::FlagSet BuildFlags() {
   flags.AddBool("dynamic-paths", false, "requests take one branch per fork (dynamic DAG)");
   flags.AddBool("json", false, "emit a full JSON report instead of text");
   flags.AddBool("serve", false,
-                "wall-clock serving mode: threaded module workers + open-loop load "
-                "generator instead of the discrete-event simulator");
+                "wall-clock serving mode: each module's workers driven by its own "
+                "timer thread + open-loop load generator instead of the "
+                "discrete-event simulator");
   flags.AddDouble("speedup", 20.0,
                   "serving mode: virtual seconds per wall second (1 = real time)");
   flags.AddString("arrivals", "trace",
