@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/lock_order.h"
 #include "serve/serve_runtime.h"
-#include "stats/empirical_distribution.h"
 
 namespace pard {
 
@@ -52,7 +51,12 @@ void ServeModule::Timer::FireDue(SimTime now) {
   for (const Event& ev : events_) {
     due = std::min(due, ev.t);
   }
-  Arm(due);
+  // Every event left is later than `now`, so an alarm armed for `due` has
+  // not fired yet (the timer thread marks the expiries it consumes): only a
+  // new deadline costs the system call.
+  if (due != armed_) {
+    Arm(due);
+  }
 }
 
 void ServeModule::Timer::Interrupt() { Arm(0); }
@@ -87,9 +91,8 @@ ServeModule::~ServeModule() {
 }
 
 void ServeModule::Start() {
-  // Re-arms the alarm against the started clock (events scheduled while the
-  // runtime was built armed it against a clock that had not started).
-  Enter([] {});
+  // Events scheduled while the runtime was built armed the alarm to fire at
+  // once, so the thread's first wake re-arms it against the started clock.
   thread_.Spawn([this] { TimerLoop(); });
 }
 
@@ -106,20 +109,23 @@ void ServeModule::Stop() {
 void ServeModule::TimerLoop() {
   for (;;) {
     timer_.Wait();
-    if (!Enter([] {})) {
+    if (!Enter([] {}, /*expired=*/true)) {
       return;
     }
   }
 }
 
 template <typename Fn>
-bool ServeModule::Enter(Fn&& fn) {
+bool ServeModule::Enter(Fn&& fn, bool expired) {
   std::vector<Handoff> sending;
   {
     LockOrderGuard order(LockRank::kModule);
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
       return false;
+    }
+    if (expired) {
+      timer_.Expired();
     }
     timer_.FireDue(clock_.Now());
     fn();
@@ -167,7 +173,7 @@ void ServeModule::SetTargetUnits(double target_units, int max_new_workers) {
 
 void ServeModule::Sync(ModuleState& state) {
   Enter([&] { state = module_->Sync(clock_.Now(), std::move(state.wait_samples)); });
-  SortSamples(state.wait_samples);
+  std::sort(state.wait_samples.begin(), state.wait_samples.end());
 }
 
 double ServeModule::SmoothedInputRate() {

@@ -118,8 +118,11 @@ class ServeModule final : private ModuleHost {
     bool Cancel(EventId id) override;
     // Runs, in (time, scheduling) order, every event due by `now`, including
     // ones the callbacks schedule that are already due, then re-arms the
-    // alarm at the earliest event left.
+    // alarm at the earliest event left unless it is already armed there.
     void FireDue(SimTime now);
+    // The timer thread consumed the alarm's expiry: nothing is armed until
+    // the next FireDue or ScheduleAt arms it again.
+    void Expired() { armed_ = kSimTimeMax; }
     // Arms the alarm to fire at once (shutdown).
     void Interrupt();
     // Blocks until the alarm fires. The one call made without the mutex.
@@ -135,7 +138,7 @@ class ServeModule final : private ModuleHost {
 
     const ServeClock* clock_;
     ServeClock::Alarm alarm_;
-    SimTime armed_ = kSimTimeMax;  // When alarm_ fires next.
+    SimTime armed_ = kSimTimeMax;  // When alarm_ fires next; kSimTimeMax: not armed.
     std::vector<Event> events_;
     EventId next_id_ = 1;
   };
@@ -150,9 +153,10 @@ class ServeModule final : private ModuleHost {
   // Every entry into the module: under the mutex, fires the timer events
   // already due (whichever thread gets here first, the timer thread or a
   // caller), then runs `fn`; after releasing it, forwards the hand-offs the
-  // events produced. Returns false, running nothing, once Stop() was called.
+  // events produced. `expired` marks the timer thread's entry after its
+  // alarm fired. Returns false, running nothing, once Stop() was called.
   template <typename Fn>
-  bool Enter(Fn&& fn);
+  bool Enter(Fn&& fn, bool expired = false);
 
   // --- ModuleHost -------------------------------------------------------------
   void OnModuleDone(RequestPtr req, int module_id) override;

@@ -1,60 +1,11 @@
 #include "stats/empirical_distribution.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <utility>
 
 #include "common/check.h"
 
 namespace pard {
-
-namespace {
-
-std::uint64_t Bits(double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
-
-void SortSamples(std::vector<double>& samples) {
-  for (double value : samples) {
-    if (std::signbit(value)) {
-      std::sort(samples.begin(), samples.end());
-      return;
-    }
-  }
-  const std::size_t n = samples.size();
-  // One scratch buffer per thread, kept across calls: a warm sort makes no
-  // heap call, and the result lands back in the caller's buffer.
-  thread_local std::vector<double> scratch;
-  scratch.resize(n);
-  double* from = samples.data();
-  double* to = scratch.data();
-  for (int shift = 0; shift < 64; shift += 8) {
-    std::array<std::size_t, 257> start{};
-    for (std::size_t i = 0; i < n; ++i) {
-      ++start[((Bits(from[i]) >> shift) & 0xff) + 1];
-    }
-    if (std::find(start.begin() + 1, start.end(), n) != start.end()) {
-      continue;  // Every sample shares this byte: the pass would not move one.
-    }
-    for (std::size_t b = 1; b < start.size(); ++b) {
-      start[b] += start[b - 1];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      to[start[(Bits(from[i]) >> shift) & 0xff]++] = from[i];
-    }
-    std::swap(from, to);
-  }
-  if (from != samples.data()) {
-    std::copy(from, from + n, samples.data());
-  }
-}
 
 EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples)
     : samples_(std::move(samples)), sorted_(false) {}

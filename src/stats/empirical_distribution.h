@@ -10,14 +10,6 @@
 
 namespace pard {
 
-// Sorts `samples` ascending, exactly as std::sort would. Non-negative values
-// — batch waits, durations — take an LSD radix sort on their IEEE-754 bit
-// patterns, which order like unsigned integers for such values; it skips
-// the bytes every sample shares (most of them, for whole microseconds) and
-// sorts a 10k-sample wait reservoir in a small fraction of std::sort's time.
-// Any negative value falls back to std::sort.
-void SortSamples(std::vector<double>& samples);
-
 class EmpiricalDistribution {
  public:
   EmpiricalDistribution() = default;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -146,40 +145,6 @@ TEST(RecentReservoir, ClearResets) {
   r.Add(1.0);
   r.Clear();
   EXPECT_TRUE(r.Empty());
-}
-
-// ---- SortSamples -----------------------------------------------------------------
-
-TEST(SortSamples, MatchesStdSortOnNonNegativeSamples) {
-  // Whole microseconds with many repeats (batch waits), plus fractions and
-  // magnitudes that differ in every byte of the bit pattern.
-  Rng rng(19);
-  std::vector<double> samples;
-  for (int i = 0; i < 10000; ++i) {
-    samples.push_back(std::floor(rng.Uniform(0.0, 40000.0)));
-  }
-  for (double v : {0.0, 0.5, 1e-300, 3.75, 1e9, 123456.789, 1e300}) {
-    samples.push_back(v);
-  }
-  std::vector<double> expected = samples;
-  std::sort(expected.begin(), expected.end());
-  SortSamples(samples);
-  EXPECT_EQ(samples, expected);
-}
-
-TEST(SortSamples, NegativeValuesStillSort) {
-  std::vector<double> samples = {3.0, -1.0, 0.0, -0.5, 2.0, 2.0};
-  SortSamples(samples);
-  EXPECT_EQ(samples, (std::vector<double>{-1.0, -0.5, 0.0, 2.0, 2.0, 3.0}));
-}
-
-TEST(SortSamples, EmptyAndSingleton) {
-  std::vector<double> none;
-  SortSamples(none);
-  EXPECT_TRUE(none.empty());
-  std::vector<double> one = {7.0};
-  SortSamples(one);
-  EXPECT_EQ(one, std::vector<double>{7.0});
 }
 
 // ---- EmpiricalDistribution ------------------------------------------------------
