@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "runtime/batch_planner.h"
+#include "stats/empirical_distribution.h"
 
 namespace pard {
 
@@ -126,7 +127,7 @@ void PipelineRuntime::SyncTick() {
   for (std::size_t i = 0; i < modules_.size(); ++i) {
     ModuleState& state = sync_states_[i];
     state = modules_[i]->Sync(now, std::move(state.wait_samples));
-    std::sort(state.wait_samples.begin(), state.wait_samples.end());
+    SortSamples(state.wait_samples, sort_scratch_);
   }
   lifecycle_.ResyncGovernor(sync_states_);
   for (ModuleState& state : sync_states_) {

@@ -95,8 +95,10 @@ class PipelineRuntime final : public ModuleHost {
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
   std::vector<WorkerSample> worker_history_;
   SimTime last_arrival_ = 0;
-  // One state per module, carried between sync ticks (see SyncTick).
+  // One state per module, carried between sync ticks (see SyncTick), and
+  // the wait-sample sort's working space.
   std::vector<ModuleState> sync_states_;
+  std::vector<double> sort_scratch_;
   std::int64_t sync_count_ = 0;
   // Chaos stall-sync window: SyncTick keeps rescheduling but skips the
   // publish while now < stall_until_, so policies read a stale board exactly

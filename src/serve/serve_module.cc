@@ -173,7 +173,6 @@ void ServeModule::SetTargetUnits(double target_units, int max_new_workers) {
 
 void ServeModule::Sync(ModuleState& state) {
   Enter([&] { state = module_->Sync(clock_.Now(), std::move(state.wait_samples)); });
-  std::sort(state.wait_samples.begin(), state.wait_samples.end());
 }
 
 double ServeModule::SmoothedInputRate() {

@@ -40,8 +40,8 @@
 //   - mu_ (kModule) guards everything above. Under it a thread may take an
 //     admission-shard mutex (broker admission) and a fate stripe (drops,
 //     IsTerminal), never another module's mutex.
-//   - Sync() copies the wait samples under mu_ and sorts them after
-//     releasing it.
+//   - Sync() only copies the wait samples under mu_; they come back
+//     unsorted, for the caller to sort with no lock held.
 //   - Start() and Stop() come from the thread that runs the serve run; the
 //     fleet-dynamics calls from the control thread.
 #ifndef PARD_SERVE_SERVE_MODULE_H_
@@ -99,7 +99,7 @@ class ServeModule final : private ModuleHost {
   void SetTargetUnits(double target_units, int max_new_workers);
 
   // Refills `state` for the control sync (ModuleRuntime::Sync), recycling
-  // its wait-sample buffer, and sorts the samples after releasing the lock.
+  // its wait-sample buffer; the samples come back unsorted.
   void Sync(ModuleState& state);
   // Window-smoothed offered rate, for the scaling engine.
   double SmoothedInputRate();

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "runtime/batch_planner.h"
+#include "stats/empirical_distribution.h"
 
 namespace pard {
 
@@ -314,9 +315,11 @@ void ServeRuntime::ControlLoop() {
       next_sync += options_.sync_period;
     } else if (now >= next_sync) {
       // One module lock at a time; each state refills the buffers the board
-      // handed back at the previous sync.
+      // handed back at the previous sync. Only the copy holds the module's
+      // lock; the samples sort after it is released.
       for (std::size_t i = 0; i < modules_.size(); ++i) {
         modules_[i]->Sync(sync_states_[i]);
+        SortSamples(sync_states_[i].wait_samples, sort_scratch_);
       }
       // Weighted shed plan from the same states the brokers are about to
       // read — the governor is never fresher than the snapshot.

@@ -188,8 +188,10 @@ class ServeRuntime {
   // Written by the control thread only; read after RunTrace joins it.
   std::vector<FleetSample> worker_history_;
   // One state per module, carried between control syncs so each sync
-  // refills the buffers the board handed back (control thread only).
+  // refills the buffers the board handed back, and the wait-sample sort's
+  // working space (control thread only).
   std::vector<ModuleState> sync_states_;
+  std::vector<double> sort_scratch_;
 
   // Striped fate locks (LockRank::kFate): request fate/finish transitions
   // and DAG merge counters for request r serialize on stripe r.id % 16.

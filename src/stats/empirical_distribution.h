@@ -10,6 +10,14 @@
 
 namespace pard {
 
+// Sorts `samples` ascending, as std::sort would (-0.0 lands before 0.0): an
+// LSD radix sort on each value's IEEE-754 bits, remapped so the keys order
+// like the doubles. Byte positions every sample shares are skipped:
+// whole-microsecond waits share most low bytes, so a 10k-sample wait
+// reservoir sorts in a few passes. `scratch` is working space the caller
+// keeps across calls, so a warm sort allocates nothing.
+void SortSamples(std::vector<double>& samples, std::vector<double>& scratch);
+
 class EmpiricalDistribution {
  public:
   EmpiricalDistribution() = default;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -145,6 +146,47 @@ TEST(RecentReservoir, ClearResets) {
   r.Add(1.0);
   r.Clear();
   EXPECT_TRUE(r.Empty());
+}
+
+// ---- SortSamples -----------------------------------------------------------------
+
+TEST(SortSamples, MatchesStdSort) {
+  // Whole microseconds with many repeats (batch waits), plus fractions,
+  // negatives and magnitudes that differ in every byte of the bit pattern.
+  Rng rng(19);
+  std::vector<double> samples;
+  for (int i = 0; i < 10000; ++i) {
+    samples.push_back(std::floor(rng.Uniform(0.0, 40000.0)));
+  }
+  for (double v : {0.0, 0.5, 1e-300, 3.75, 1e9, 123456.789, 1e300, -1.0, -0.5, -1e-300,
+                   -123456.789, -1e300}) {
+    samples.push_back(v);
+  }
+  std::vector<double> expected = samples;
+  std::sort(expected.begin(), expected.end());
+  std::vector<double> scratch;
+  SortSamples(samples, scratch);
+  EXPECT_EQ(samples, expected);
+}
+
+TEST(SortSamples, ReusesScratchAcrossCalls) {
+  std::vector<double> scratch;
+  std::vector<double> first = {3.0, -1.0, 0.0, -0.5, 2.0, 2.0};
+  SortSamples(first, scratch);
+  EXPECT_EQ(first, (std::vector<double>{-1.0, -0.5, 0.0, 2.0, 2.0, 3.0}));
+  std::vector<double> second = {9.0, 7.0, 8.0};
+  SortSamples(second, scratch);
+  EXPECT_EQ(second, (std::vector<double>{7.0, 8.0, 9.0}));
+}
+
+TEST(SortSamples, EmptyAndSingleton) {
+  std::vector<double> scratch;
+  std::vector<double> none;
+  SortSamples(none, scratch);
+  EXPECT_TRUE(none.empty());
+  std::vector<double> one = {7.0};
+  SortSamples(one, scratch);
+  EXPECT_EQ(one, std::vector<double>{7.0});
 }
 
 // ---- EmpiricalDistribution ------------------------------------------------------
