@@ -44,7 +44,7 @@
 #include "runtime/request.h"
 #include "runtime/request_queue.h"
 #include "runtime/state_board.h"
-#include "serve/control_plane.h"
+#include "runtime/control_plane.h"
 #include "sim/simulation.h"
 #include "stats/minmax_heap.h"
 
@@ -213,8 +213,9 @@ void BM_BrokerDecisionWarmEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_BrokerDecisionWarmEpoch);
 
-// Epoch advance: every decision lands just after a state sync, paying one
-// full Monte-Carlo refresh — the worst case the warm-epoch cache amortizes.
+// Epoch advance: every decision lands just after a state sync that moved no
+// estimator input (the same state republished), so the refresh re-draws
+// nothing and only re-checks each entry's dependency signature.
 void BM_BrokerDecisionEpochAdvance(benchmark::State& state) {
   const PipelineSpec lv = MakeLiveVideo();
   Rng rng(8);
@@ -233,10 +234,12 @@ BENCHMARK(BM_BrokerDecisionEpochAdvance);
 
 // Cold epoch with a REAL input change: each iteration publishes a module
 // state whose batch duration actually moved (EpochAdvance republishes an
-// identical state), then pays one full estimate refresh. This is the
-// decision-latency worst case the vectorized sweet-spot kernel (batched
-// draws + nth_element selection, ISSUE 10) attacks; the gate pins it
-// against the pre-vectorization epoch-advance cost.
+// identical state), then pays one estimate refresh. The toggled module is
+// the sink, module 4, which lies on every downstream path of module 0 (the
+// same cut BM_ControlSyncRefresh* uses): the refresh re-draws its buffer and
+// recomputes every entry upstream of it. A change to module 0 itself would
+// touch no entry module 0 reads. The gate pins the decision-latency worst
+// case against the pre-vectorization epoch-advance cost.
 void BM_BrokerDecisionColdEpoch(benchmark::State& state) {
   const PipelineSpec lv = MakeLiveVideo();
   Rng rng(8);
@@ -247,7 +250,7 @@ void BM_BrokerDecisionColdEpoch(benchmark::State& state) {
   for (auto _ : state) {
     toggle = !toggle;
     ModuleState s;
-    s.module_id = 0;
+    s.module_id = 4;
     s.batch_duration = (toggle ? 12 : 10) * kUsPerMs;
     board.Publish(std::move(s));  // A real input change, not just a version bump.
     benchmark::DoNotOptimize(est.EstimateSubsequent(0));

@@ -1,11 +1,14 @@
 // Plugging a user-defined drop policy into the serving runtime.
 //
-// The DropPolicy interface has three decision points: ShouldDrop (Request
+// A policy decides at three points, all answered by the immutable PolicyView
+// it builds once per state sync (DropPolicy::MakeView): ShouldDrop (Request
 // Broker, at batch-entry time), ChoosePopSide (queue order), and
-// AdmitAtModule (enqueue-time shedding). This example implements a simple
-// "slack margin" policy — drop when the remaining budget falls below a fixed
-// multiple of the current module's batch duration — and races it against
-// PARD and Nexus.
+// AdmitAtModule (enqueue-time shedding). Both the simulator and the serving
+// runtime read that view, lock-free, until the next sync replaces it. This
+// example implements a simple "slack margin" rule — drop when the remaining
+// budget falls below a fixed multiple of the current module's batch
+// duration per remaining module — and races it against PARD and Nexus.
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -25,22 +28,33 @@ class SlackMarginPolicy : public pard::DropPolicy {
  public:
   explicit SlackMarginPolicy(double margin) : margin_(margin) {}
 
-  bool ShouldDrop(const pard::AdmissionContext& ctx) override {
-    // Keep only if the remaining budget after this module covers
-    // margin_ x the batch duration of every remaining module (a crude
-    // forward-looking rule — no runtime state needed).
-    const pard::Duration after_current =
-        ctx.request->deadline - (ctx.batch_start + ctx.batch_duration);
-    pard::Duration needed = 0;
-    for (const auto& path : spec_->DownstreamPaths(ctx.module_id)) {
-      pard::Duration path_needed = 0;
-      for (int id : path) {
-        path_needed += static_cast<pard::Duration>(margin_ * ctx.batch_duration);
-        (void)id;
+  // Everything a decision reads is copied into the view when it is built:
+  // here the margin and, per module, the hop count of its longest
+  // downstream path (a crude forward-looking rule — no runtime state
+  // needed).
+  std::shared_ptr<const pard::PolicyView> MakeView() override {
+    struct View final : pard::PolicyView {
+      bool ShouldDrop(const pard::AdmissionContext& ctx) const override {
+        // Keep only if the remaining budget after this module covers
+        // margin x the batch duration of every remaining module.
+        const pard::Duration after_current =
+            ctx.request->deadline - (ctx.batch_start + ctx.batch_duration);
+        const pard::Duration per_hop = static_cast<pard::Duration>(margin * ctx.batch_duration);
+        return after_current < downstream_hops[static_cast<std::size_t>(ctx.module_id)] * per_hop;
       }
-      needed = std::max(needed, path_needed);
+      double margin = 0.0;
+      std::vector<pard::Duration> downstream_hops;
+    };
+    auto view = std::make_shared<View>();
+    view->margin = margin_;
+    for (int k = 0; k < spec_->NumModules(); ++k) {
+      std::size_t longest = 0;
+      for (const auto& path : spec_->DownstreamPaths(k)) {
+        longest = std::max(longest, path.size());
+      }
+      view->downstream_hops.push_back(static_cast<pard::Duration>(longest));
     }
-    return after_current < needed;
+    return view;
   }
 
   std::string Name() const override { return "slack-margin"; }
@@ -86,6 +100,6 @@ int main() {
   const auto nexus = pard::MakePolicy("nexus");
   RunWith(nexus.get(), arrivals, spec, mean_rate);
 
-  std::printf("\nImplement pard::DropPolicy to experiment with your own rules.\n");
+  std::printf("\nImplement pard::DropPolicy::MakeView to experiment with your own rules.\n");
   return 0;
 }

@@ -9,16 +9,11 @@ void ClipperPlusPolicy::Bind(const PipelineSpec* spec, const StateBoard* board) 
   cumulative_budgets_ = CumulativeSplitBudgets(*spec, PlanBatchSizes(*spec));
 }
 
-bool ClipperPlusPolicy::ShouldDrop(const AdmissionContext& ctx) {
-  // Reactive: only the latency already accumulated counts. The request is
-  // dropped when it has burned past the cumulative budget through this
-  // module before inference even starts.
-  const Duration elapsed = ctx.now - ctx.request->sent;
-  return elapsed > cumulative_budgets_[static_cast<std::size_t>(ctx.module_id)];
-}
-
 std::shared_ptr<const PolicyView> ClipperPlusPolicy::MakeView() {
   struct View final : PolicyView {
+    // Reactive: only the latency already accumulated counts. The request is
+    // dropped when it has burned past the cumulative budget through this
+    // module before inference even starts.
     bool ShouldDrop(const AdmissionContext& ctx) const override {
       return ctx.now - ctx.request->sent >
              budgets[static_cast<std::size_t>(ctx.module_id)];

@@ -21,16 +21,9 @@ class ClipperPlusPolicy : public DropPolicy {
  public:
   void Bind(const PipelineSpec* spec, const StateBoard* board) override;
 
-  bool ShouldDrop(const AdmissionContext& ctx) override;
-
-  // Budgets are fixed at Bind(); the view copies them once.
+  // Budgets are fixed at Bind(); the view copies them once. Queue order is
+  // the view's FIFO default, like Clipper.
   std::shared_ptr<const PolicyView> MakeView() override;
-
-  PopSide ChoosePopSide(int module_id, SimTime now) override {
-    (void)module_id;
-    (void)now;
-    return PopSide::kOldest;  // FIFO, like Clipper.
-  }
 
   std::string Name() const override { return "clipper++"; }
 

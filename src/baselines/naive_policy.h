@@ -13,10 +13,6 @@ namespace pard {
 
 class NaivePolicy : public DropPolicy {
  public:
-  bool ShouldDrop(const AdmissionContext& ctx) override {
-    (void)ctx;
-    return false;
-  }
   bool PurgeExpired() const override { return false; }
   // Stateless: the view is the policy.
   std::shared_ptr<const PolicyView> MakeView() override {

@@ -25,19 +25,8 @@ namespace pard {
 
 class NexusPolicy : public DropPolicy {
  public:
-  bool ShouldDrop(const AdmissionContext& ctx) override {
-    const Duration through_current =
-        (ctx.batch_start - ctx.request->sent) + ctx.batch_duration;
-    return through_current > ctx.request->slo;
-  }
-
-  PopSide ChoosePopSide(int module_id, SimTime now) override {
-    (void)module_id;
-    (void)now;
-    return PopSide::kOldest;
-  }
-
-  // Pure context arithmetic: snapshot-safe as-is.
+  // Pure context arithmetic: snapshot-safe as-is, in FIFO order (the view's
+  // default pop side).
   std::shared_ptr<const PolicyView> MakeView() override {
     struct View final : PolicyView {
       bool ShouldDrop(const AdmissionContext& ctx) const override {

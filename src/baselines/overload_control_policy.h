@@ -24,39 +24,17 @@ struct OverloadControlOptions {
   Duration queue_threshold = 20 * kUsPerMs;
   // Shed fraction alpha (paper: 0.4).
   double alpha = 0.4;
-  std::uint64_t seed = 99;
 };
 
 class OverloadControlPolicy : public DropPolicy {
  public:
-  explicit OverloadControlPolicy(OverloadControlOptions options = {})
-      : options_(options), rng_(Rng(options.seed).Fork("oc")) {}
-
-  bool ShouldDrop(const AdmissionContext& ctx) override {
-    (void)ctx;
-    return false;  // All shedding happens at admission.
-  }
-
-  bool AdmitAtModule(const Request& request, int module_id, SimTime now) override {
-    (void)request;
-    (void)now;
-    if (board_ == nullptr) {
-      return true;
-    }
-    const bool here_overloaded = Overloaded(module_id);
-    // Ingress sheds on behalf of any overloaded downstream module
-    // ("notifies preceding modules").
-    const bool ingress_shedding = module_id == spec_->SourceModule() && AnyOverloaded();
-    if (here_overloaded || ingress_shedding) {
-      return !rng_.Bernoulli(options_.alpha);
-    }
-    return true;
-  }
+  explicit OverloadControlPolicy(OverloadControlOptions options = {}) : options_(options) {}
 
   // Overload is a per-sync property (avg_queue_delay changes only when the
   // board publishes), so the view precomputes the per-module flags; only the
   // Bernoulli draw needs entropy, supplied by the control plane's striped
-  // admission RNGs.
+  // admission RNGs. All shedding happens at admission: the view never drops
+  // at batch entry.
   std::shared_ptr<const PolicyView> MakeView() override {
     struct View final : PolicyView {
       bool ShouldDrop(const AdmissionContext&) const override { return false; }
@@ -66,6 +44,8 @@ class OverloadControlPolicy : public DropPolicy {
         (void)request;
         (void)now;
         const bool here = overloaded[static_cast<std::size_t>(module_id)];
+        // Ingress sheds on behalf of any overloaded downstream module
+        // ("notifies preceding modules").
         const bool ingress_shedding = module_id == source && any_overloaded;
         if (here || ingress_shedding) {
           return !rng->Bernoulli(alpha);
@@ -82,7 +62,8 @@ class OverloadControlPolicy : public DropPolicy {
     view->alpha = options_.alpha;
     view->overloaded.resize(static_cast<std::size_t>(board_->NumModules()), false);
     for (int id = 0; id < board_->NumModules(); ++id) {
-      const bool over = Overloaded(id);
+      const bool over = board_->Get(id).avg_queue_delay >
+                        static_cast<double>(options_.queue_threshold);
       view->overloaded[static_cast<std::size_t>(id)] = over;
       view->any_overloaded = view->any_overloaded || over;
     }
@@ -92,21 +73,7 @@ class OverloadControlPolicy : public DropPolicy {
   std::string Name() const override { return "pard-oc"; }
 
  private:
-  bool Overloaded(int module_id) const {
-    return board_->Get(module_id).avg_queue_delay >
-           static_cast<double>(options_.queue_threshold);
-  }
-  bool AnyOverloaded() const {
-    for (int id = 0; id < board_->NumModules(); ++id) {
-      if (Overloaded(id)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   OverloadControlOptions options_;
-  Rng rng_;
 };
 
 }  // namespace pard

@@ -38,7 +38,6 @@ std::unique_ptr<DropPolicy> MakePolicy(const std::string& name, const PolicyPara
     OverloadControlOptions oc;
     oc.queue_threshold = params.oc_threshold;
     oc.alpha = params.oc_alpha;
-    oc.seed = params.seed;
     return std::make_unique<OverloadControlPolicy>(oc);
   }
   if (name == "pard") {

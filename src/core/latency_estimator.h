@@ -27,46 +27,40 @@
 // model for modules without observations. For DAG pipelines the estimate is
 // the maximum over all downstream paths.
 //
-// All Monte-Carlo work is epoch-cached: results are memoized per
-// (module/path, StateBoard version) and recomputed only when a state sync
-// publishes a new epoch, matching the paper's asynchronous-update cost model
-// (§5.4) — between syncs a broker decision is a cache read.
+// All Monte-Carlo work is epoch-cached, matching the paper's asynchronous-
+// update cost model (§5.4): the cache is refreshed at most once per board
+// publish, and between syncs a broker decision is a cache read.
 //
-// Two refresh modes share the epoch cache:
+// RefreshAll() is the one refresh. It re-derives the cache from per-module
+// sample buffers, each drawn from its own forked RNG stream
+// (Fork("est:<module>")) and re-drawn only when that module's estimator
+// inputs actually changed since the last refresh
+// (StateBoard::ModuleVersion). A path's Monte-Carlo samples are element-wise
+// sums of its modules' buffers — common random numbers across entries,
+// independent streams across modules — so a sync where 2 of 16 modules
+// moved pays 2 modules of draws plus cheap vector adds. Results depend only
+// on each module's dirty-event count, never on thread interleaving, so
+// fanning the work across a ThreadPool is run-to-run deterministic at any
+// thread count. The control plane calls it once per sync
+// (DropPolicy::RefreshEstimates); EstimateSubsequent and PathEstimates call
+// it inline when the board has moved since the last refresh, so a reader
+// never sees a stale entry.
 //
-//   LAZY (simulator, locked serve fallback): the first Estimate* call after
-//   a board publish recomputes the touched module from the shared RNG
-//   stream, module-major/sample-minor — the exact historical draw order, so
-//   homogeneous sim goldens stay bit-identical. The Monte-Carlo kernel is
-//   vectorized (batched per-module draws into reused scratch, nth_element
-//   quantile selection, zero steady-state allocations) but reproduces the
-//   old sort-based interpolation bit-for-bit (estimator_test parity grid).
+// AggregateWaitQuantile / AggregateWaitDistribution are the explicit-path
+// queries of Fig. 6 and the Irwin–Hall tests. They draw from the estimator's
+// own stream with the same per-module draw kernel as the buffers, memoized
+// per (path, lambda, board epoch).
 //
-//   INCREMENTAL (serve mode): RefreshAll() re-derives the whole cache from
-//   per-module sample buffers, each drawn from its own forked RNG stream
-//   (Fork("est:<module>")) and re-drawn only when that module's estimator
-//   inputs actually changed since the last call (StateBoard::ModuleVersion).
-//   A path's Monte-Carlo samples become element-wise sums of its modules'
-//   buffers — common random numbers across entries, independent streams
-//   across modules — so a sync where 2 of 16 modules moved pays 2 modules
-//   of draws plus cheap vector adds. Results depend only on each module's
-//   dirty-event count, never on thread interleaving, so fanning the work
-//   across a ThreadPool is run-to-run deterministic at any thread count.
-//   Entries refreshed this way are stamped with the board version, so later
-//   lazy reads are warm hits; the shared RNG stream is never consumed. The
-//   incremental estimates differ numerically from the lazy ones (different
-//   streams) — statistically equivalent, which is why sim never calls this.
-//
-// Concurrency contract: NOT internally synchronized — every Estimate* call
-// may mutate the epoch cache and advances the Monte-Carlo RNG, and a board
-// publish invalidates entries mid-flight. In the simulator one event loop
-// serializes everything. In the serving runtime the estimator is touched
-// from exactly one place: the control thread's Sync(), holding no lock,
-// since brokers only ever read the immutable PolicyView copies published
-// through ControlPlane's snapshot cell and never call into the estimator at
-// all. RefreshAll's internal ParallelFor phases touch disjoint per-module
-// buffers, then disjoint per-entry cache slots (with a barrier between the
-// phases), so the fan-out needs no locks either.
+// Concurrency contract: NOT internally synchronized — a refresh mutates the
+// cache and advances the Monte-Carlo streams, and a board publish
+// invalidates it. The estimator is touched from exactly one place: the
+// control plane's Sync() (the simulator's event loop, or serve's control
+// thread, holding no lock), since decisions only ever read the immutable
+// PolicyView copies published through the control plane's snapshot cell
+// and never call into the estimator at all. RefreshAll's internal
+// ParallelFor phases touch disjoint per-module buffers, then disjoint
+// per-entry cache slots (with a barrier between the phases), so the fan-out
+// needs no locks either.
 #ifndef PARD_CORE_LATENCY_ESTIMATOR_H_
 #define PARD_CORE_LATENCY_ESTIMATOR_H_
 
@@ -76,7 +70,6 @@
 #include "common/rng.h"
 #include "common/time_types.h"
 #include "pipeline/pipeline_spec.h"
-#include "runtime/request.h"
 #include "runtime/state_board.h"
 #include "stats/empirical_distribution.h"
 
@@ -120,29 +113,30 @@ class LatencyEstimator {
                    Rng rng);
 
   // L_sub from module k (exclusive) to the sink; max over DAG paths.
-  Duration EstimateSubsequent(int module_id);
+  // Refreshes first (RefreshAll, inline) when the board moved since the last
+  // refresh.
+  Duration EstimateSubsequent(int module_id) { return Entry(module_id).max_value; }
+
+  // Per-path downstream estimates for module_id, aligned index-for-index
+  // with spec->DownstreamPaths(module_id), refreshed like
+  // EstimateSubsequent. Policy MakeView() implementations copy these into
+  // their immutable snapshot at sync time; the reference is invalidated by
+  // the next refresh.
+  const std::vector<Duration>& PathEstimates(int module_id) {
+    return Entry(module_id).per_path;
+  }
 
   // Incremental whole-cache refresh from per-module forked sample buffers
-  // (see the header comment's INCREMENTAL mode). Re-draws only the buffers
-  // of modules whose estimator inputs changed since the last call, then
-  // recomputes only the cache entries whose downstream modules moved;
-  // every entry (recomputed or skipped) leaves stamped at the current board
-  // version, so subsequent Estimate*/PathEstimates reads are warm hits.
-  // `pool` fans both phases across its threads; nullptr runs them inline.
-  // The result is identical at any thread count. Serve-mode only: the
-  // forked streams diverge from the lazy path's shared-RNG draws.
+  // (see the header comment). Re-draws only the buffers of modules whose
+  // estimator inputs changed since the last call, then recomputes only the
+  // cache entries whose downstream modules moved. `pool` fans both phases
+  // across its threads; nullptr runs them inline. The result is identical
+  // at any thread count.
   struct RefreshStats {
     int refreshed = 0;  // cache entries recomputed
     int skipped = 0;    // cache entries reused (no downstream input moved)
   };
   RefreshStats RefreshAll(ThreadPool* pool);
-
-  // Request-aware variant for dynamic-path pipelines (§5.2 future work):
-  // when the request carries branch choices (path prediction), only the DAG
-  // paths consistent with its chosen branches are considered, eliminating
-  // the conservative cross-branch maximum. Falls back to
-  // EstimateSubsequent() for static requests.
-  Duration EstimateSubsequentForRequest(int module_id, const Request& request);
 
   // The aggregated batch-wait quantile for an explicit module path — exposed
   // for tests and the Fig. 6 bench. Memoized per (path, lambda, board
@@ -153,72 +147,57 @@ class LatencyEstimator {
   // Full aggregated-wait distribution for a path (Fig. 6 PDFs).
   EmpiricalDistribution AggregateWaitDistribution(const std::vector<int>& path);
 
-  // Per-path downstream estimates for module_id, aligned index-for-index
-  // with spec->DownstreamPaths(module_id), at the current board epoch
-  // (refreshes the epoch cache if stale). Policy MakeView() implementations
-  // copy these into their immutable snapshot at sync time; the reference is
-  // invalidated by the next board publish or Estimate*/PathEstimates call.
-  const std::vector<Duration>& PathEstimates(int module_id) {
-    return Refresh(module_id).per_path;
-  }
-
   const EstimatorOptions& options() const { return options_; }
 
  private:
-  Duration EstimatePath(const std::vector<int>& path);
-
-  // Uncached quantile computation. EstimatePath (already deduplicated per
-  // module/epoch by Refresh) calls this directly so the memo layer cannot
-  // perturb its RNG draw sequence — runs stay bit-identical to the
-  // pre-memoization kernel. Vectorized: per-module draws are batched into
-  // the reused scratch_sums_ buffer in the exact historical order
-  // (module-major, sample-minor) and the quantile is selected with
-  // nth_element instead of a full sort — bit-identical by construction
-  // (estimator_test's VectorizedQuantileParityGrid pins it).
+  // Uncached wait-quantile computation for AggregateWaitQuantile, honoring
+  // the wait mode: the sweet spot selects the lambda-quantile of
+  // AggregateWaitDistribution's samples with nth_element instead of a full
+  // sort — bit-identical by construction (estimator_test's
+  // VectorizedQuantileParityGrid pins it).
   Duration ComputeWaitQuantile(const std::vector<int>& path, double lambda);
+  // Monte-Carlo path sums: mc_samples draws of the path's aggregated wait
+  // from the estimator's own stream, module-major, sample-minor.
+  std::vector<double> DrawPathSums(const std::vector<int>& path);
 
   const PipelineSpec* spec_;
   const StateBoard* board_;
   EstimatorOptions options_;
   Rng rng_;
 
-  // Per-module cache of per-path downstream estimates, invalidated on board
-  // publish: between sync ticks every admission reuses the same values, so
-  // the O(mc_samples * path length) work runs once per module per second —
-  // the asynchronous-update cost model of the paper's §5.4.
+  // Per-module cache of per-path downstream estimates: between sync ticks
+  // every admission reuses the same values, so the O(mc_samples * path
+  // length) work runs once per module per second — the asynchronous-update
+  // cost model of the paper's §5.4.
   struct CacheEntry {
-    std::uint64_t board_version = ~0ULL;
     std::vector<Duration> per_path;
     Duration max_value = 0;
-    // --- RefreshAll (incremental mode) state ---
     // Union of modules on this entry's downstream paths, resolved once.
     std::vector<int> dep_modules;
     // Sum of the dep modules' StateBoard::ModuleVersion at the last
-    // incremental recompute. Versions are monotone, so the sum moves iff
-    // any dependency moved; ~0 forces the first recompute.
+    // recompute. Versions are monotone, so the sum moves iff any dependency
+    // moved; ~0 forces the first recompute.
     std::uint64_t dep_signature = ~0ULL;
     // Reused per-entry path-sum scratch; entries refresh on different pool
     // threads, so the scratch lives here rather than on the estimator.
     std::vector<double> scratch;
   };
-  const CacheEntry& Refresh(int module_id);
-  void RefreshEntryFromBuffers(int module_id);
+  // The entry for module_id, after a refresh if the board moved.
+  const CacheEntry& Entry(int module_id);
+  void RecomputeEntry(int module_id);
   std::vector<CacheEntry> cache_;
+  // Board version of the last RefreshAll; ~0 until the first.
+  std::uint64_t refreshed_version_ = ~0ULL;
 
-  // Per-module Monte-Carlo sample buffer for the incremental mode: mc_samples
-  // draws from the module's wait distribution, re-drawn from the module's own
-  // forked stream only when its estimator inputs change.
+  // Per-module Monte-Carlo sample buffer: mc_samples draws from the module's
+  // wait distribution, re-drawn from the module's own forked stream only
+  // when its estimator inputs change.
   struct ModuleBuffer {
     Rng rng{1};
     std::uint64_t input_version = ~0ULL;
     std::vector<double> draws;
   };
-  void EnsureRefreshState();
-  std::vector<ModuleBuffer> buffers_;  // Empty until the first RefreshAll.
-
-  // Reused mode-A scratch: path sums for the vectorized lazy kernel. Not
-  // touched by RefreshAll, whose per-entry scratch lives in CacheEntry.
-  std::vector<double> scratch_sums_;
+  std::vector<ModuleBuffer> buffers_;
 
   // Warm-epoch memo for explicit-path quantile queries. Linear scan: the
   // distinct (path, lambda) pairs in play per epoch are the pipeline's

@@ -15,8 +15,11 @@ class PardView final : public PolicyView {
  public:
   bool ShouldDrop(const AdmissionContext& ctx) const override {
     const Request& req = *ctx.request;
+    // Backward + current components are exact at t_b (Fig. 5).
     const Duration through_current = (ctx.batch_start - req.sent) + ctx.batch_duration;
     if (split_scope) {
+      // Split scopes: the request must clear module k within the cumulative
+      // budget of the source..k prefix.
       return through_current > cumulative_budgets[static_cast<std::size_t>(ctx.module_id)];
     }
     Duration sub = 0;
@@ -33,8 +36,10 @@ class PardView final : public PolicyView {
     return sides[static_cast<std::size_t>(module_id)];
   }
 
-  // Same path-consistency walk as EstimateSubsequentForRequest, over the
-  // per-path estimates frozen at sync time.
+  // Request-path prediction for dynamic-path DAGs (§5.2 future work): the
+  // max over only the downstream paths consistent with the request's branch
+  // choices (a path is consistent when every fork along it forwards to the
+  // path's next hop), from the per-path estimates frozen at sync time.
   Duration PathConsistentEstimate(int module_id, const Request& request) const {
     const auto& paths = spec->DownstreamPaths(module_id);
     const auto& estimates = per_path[static_cast<std::size_t>(module_id)];
@@ -56,6 +61,8 @@ class PardView final : public PolicyView {
         any = true;
       }
     }
+    // A request can only be at modules on its active path, so a consistent
+    // path always exists; keep the conservative maximum as a safety net.
     return any ? best : sub_max[static_cast<std::size_t>(module_id)];
   }
 
@@ -85,31 +92,7 @@ void PardPolicy::Bind(const PipelineSpec* spec, const StateBoard* board) {
   }
 }
 
-Duration PardPolicy::CumulativeBudget(int module_id) const {
-  PARD_CHECK(!cumulative_budgets_.empty());
-  return cumulative_budgets_[static_cast<std::size_t>(module_id)];
-}
-
-bool PardPolicy::ShouldDrop(const AdmissionContext& ctx) {
-  const Request& req = *ctx.request;
-  // Backward + current components are exact at t_b (Fig. 5).
-  const Duration through_current = (ctx.batch_start - req.sent) + ctx.batch_duration;
-  if (options_.budget_scope != PardOptions::BudgetScope::kEndToEnd) {
-    // Split scopes: the request must clear module k within the cumulative
-    // budget of the source..k prefix.
-    return through_current > CumulativeBudget(ctx.module_id);
-  }
-  Duration sub = 0;
-  if (!options_.backward_only) {
-    sub = options_.path_prediction
-              ? estimator_->EstimateSubsequentForRequest(ctx.module_id, req)
-              : estimator_->EstimateSubsequent(ctx.module_id);
-  }
-  return through_current + sub > req.slo;
-}
-
-PopSide PardPolicy::ChoosePopSide(int module_id, SimTime now) {
-  (void)now;
+PopSide PardPolicy::Side(int module_id) const {
   switch (options_.order) {
     case PardOptions::Order::kFcfs:
       return PopSide::kOldest;
@@ -173,7 +156,7 @@ std::shared_ptr<const PolicyView> PardPolicy::MakeView() {
     view->per_path.resize(n);
   }
   for (int id = 0; id < spec_->NumModules(); ++id) {
-    view->sides[static_cast<std::size_t>(id)] = ChoosePopSide(id, 0);
+    view->sides[static_cast<std::size_t>(id)] = Side(id);
     // Split scopes and PARD-back never consult the estimator; skipping the
     // refresh keeps their views as cheap as their decisions.
     if (!view->split_scope && !view->backward_only) {

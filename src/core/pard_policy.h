@@ -60,19 +60,17 @@ class PardPolicy : public DropPolicy {
   explicit PardPolicy(PardOptions options = {});
 
   void Bind(const PipelineSpec* spec, const StateBoard* board) override;
-  bool ShouldDrop(const AdmissionContext& ctx) override;
-  PopSide ChoosePopSide(int module_id, SimTime now) override;
   void OnSync(SimTime now) override;
-  // Incremental serve-mode refresh (LatencyEstimator::RefreshAll): only
-  // modules whose published inputs moved are re-drawn, from per-module
-  // forked streams, optionally fanned across `pool`. Split scopes and
-  // PARD-back never consult the estimator, so they report all-skipped.
+  // Incremental refresh (LatencyEstimator::RefreshAll): only modules whose
+  // published inputs moved are re-drawn, from per-module forked streams,
+  // optionally fanned across `pool`. Split scopes and PARD-back never
+  // consult the estimator, so they report all-skipped.
   PolicyRefreshStats RefreshEstimates(ThreadPool* pool) override;
-  // Immutable decision snapshot for the serving control plane: per-module
-  // L_sub (max and per-path) from the estimator's freshly-refreshed epoch
-  // cache, the current priority sides and split budgets. Broker decisions
-  // against the view are pure arithmetic — no estimator, RNG or board
-  // access — so they run lock-free between syncs.
+  // Immutable decision snapshot (the Request Broker of both substrates):
+  // per-module L_sub (max and per-path) read from the estimator's epoch
+  // cache, the current priority sides and split budgets. Decisions against
+  // the view are pure arithmetic — no estimator, RNG or board access — so
+  // they run lock-free between syncs.
   std::shared_ptr<const PolicyView> MakeView() override;
   std::string Name() const override;
 
@@ -90,7 +88,8 @@ class PardPolicy : public DropPolicy {
   const std::vector<TransitionSample>& transition_log() const { return transition_log_; }
 
  private:
-  Duration CumulativeBudget(int module_id) const;
+  // Queue order for module_id under the configured Order.
+  PopSide Side(int module_id) const;
 
   PardOptions options_;
   std::unique_ptr<LatencyEstimator> estimator_;

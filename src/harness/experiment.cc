@@ -126,6 +126,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.worker_history = pipeline.worker_history();
   result.retries = pipeline.retries();
   result.fleet_cost = pipeline.fleet().AccumulatedCost(pipeline.sim().Now());
+  result.stale_fallbacks = pipeline.control().StaleFallbacks();
   if (auto* pard = dynamic_cast<PardPolicy*>(policy.get())) {
     result.transitions = pard->transition_log();
   }

@@ -96,8 +96,8 @@ struct ExperimentResult {
   // Resilience tallies (all zero unless runtime.resilience is configured):
   // successful deadline-aware re-enqueues after worker failures, workers the
   // serve watchdog force-failed for exceeding the hang budget (always 0 in
-  // sim — the simulator has no watchdog), and lock-free reader decisions made
-  // under the stale-snapshot fallback rules (serve only).
+  // sim — the simulator has no watchdog), and broker decisions made under
+  // the stale-snapshot fallback rules (both substrates).
   std::uint64_t retries = 0;
   std::uint64_t watchdog_recoveries = 0;
   std::uint64_t stale_fallbacks = 0;

@@ -1,4 +1,4 @@
-#include "serve/control_plane.h"
+#include "runtime/control_plane.h"
 
 #include <string>
 #include <utility>
@@ -9,6 +9,14 @@
 
 namespace pard {
 
+ControlPlane::Options ControlPlane::RunOptions(const RuntimeOptions& runtime) {
+  Options options;
+  options.seed = runtime.seed;
+  options.staleness_budget = runtime.resilience.staleness_budget;
+  options.parallel_refresh = false;
+  return options;
+}
+
 ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBoard* board,
                            Options options)
     : policy_(policy),
@@ -16,16 +24,13 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
       staleness_budget_(options.staleness_budget),
       snapshot_(std::make_unique<const ControlSnapshot>()) {
   PARD_CHECK(spec != nullptr && policy_ != nullptr && board_ != nullptr);
-  PARD_CHECK(options.admission_shards >= 1);
   PARD_CHECK(options.staleness_budget >= 0);
   PARD_CHECK(options.refresh_threads >= 0);
   policy_->Bind(spec, board_);
   purge_expired_ = policy_->PurgeExpired();
   Rng seeder(options.seed);
-  for (int i = 0; i < options.admission_shards; ++i) {
-    auto shard = std::make_unique<AdmissionShard>();
-    shard->rng = seeder.Fork("admission-shard:" + std::to_string(i));
-    shards_.push_back(std::move(shard));
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].rng = seeder.Fork("admission-shard:" + std::to_string(i));
   }
   if (options.parallel_refresh) {
     refresh_pool_ =
@@ -34,11 +39,11 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
   // Replace the placeholder published at member construction with a real
   // snapshot (the policy is bound now, so it can build a view). Stamped at
   // t=0: with a staleness budget the first sync must land within it or the
-  // readers degrade, exactly as they would under a stalled sync thread.
+  // readers degrade, exactly as they would under a stalled sync.
   auto initial = BuildSnapshot(0);
   PARD_CHECK_MSG(initial->view != nullptr,
                  "policy '" << policy_->Name()
-                            << "' returns no PolicyView; serving needs one (DropPolicy::MakeView)");
+                            << "' returns no PolicyView; deciding needs one (DropPolicy::MakeView)");
   snapshot_.Publish(std::move(initial));
 }
 
@@ -49,36 +54,23 @@ ControlPlane::~ControlPlane() = default;
 
 std::unique_ptr<const ControlSnapshot> ControlPlane::BuildSnapshot(SimTime now) {
   auto snap = std::make_unique<ControlSnapshot>();
-  snap->board_version = board_->Version();
   snap->published_at = now;
-  snap->states.reserve(static_cast<std::size_t>(board_->NumModules()));
-  for (int id = 0; id < board_->NumModules(); ++id) {
-    // Scalars only — the wait reservoirs are estimator inputs already
-    // consumed by this point and no snapshot reader touches them (see the
-    // ControlSnapshot::states note).
-    ModuleState state = board_->Get(id);
-    state.wait_samples.clear();
-    state.wait_samples.shrink_to_fit();
-    snap->states.push_back(std::move(state));
-  }
   snap->view = policy_->MakeView();
   return snap;
 }
 
 // Graceful degradation: the estimator's decisions are only as good as the
-// snapshot they read. When the sync thread stalls (stall-sync chaos, or a
-// genuinely wedged control plane) the snapshot's states/view describe a fleet
-// that no longer exists, so past the staleness budget the readers stop
-// trusting it and fall back to a conservative static rule keyed only to
-// request-local facts (deadline arithmetic). The rules are deliberately
-// minimal:
+// snapshot they read. When the sync stalls (stall-sync chaos, or a genuinely
+// wedged control plane) the snapshot's view describes a fleet that no longer
+// exists, so past the staleness budget the readers stop trusting it and fall
+// back to a conservative static rule keyed only to request-local facts
+// (deadline arithmetic). The rules are deliberately minimal:
 //   ShouldDrop     — drop only requests that provably cannot finish this
 //                    stage by their deadline (batch_start + batch_duration
 //                    past the deadline); never shed speculatively.
 //   AdmitAtModule  — admit anything with remaining deadline budget.
 //   ChoosePopSide  — FIFO (oldest first), the no-information default.
-// Each fallback decision is counted; the decision remains versioned by the
-// stale snapshot it rejected (snap->board_version) for trace attribution.
+// Each fallback decision is counted.
 bool ControlPlane::Stale(const ControlSnapshot& snap, SimTime now) {
   if (staleness_budget_ <= 0 || now - snap.published_at <= staleness_budget_) {
     return false;
@@ -120,9 +112,9 @@ bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime 
 ControlPlane::SyncStats ControlPlane::Sync(std::vector<ModuleState>& states, SimTime now) {
   // Every broker decision reads published snapshots, so the board and policy
   // have exactly one mutating thread — this one — and the whole publish →
-  // OnSync → refresh → rebuild sequence needs no mutex. Brokers keep deciding
-  // against the previous snapshot until the single Publish() below swaps in
-  // the new one.
+  // OnSync → refresh → rebuild sequence needs no mutex. Readers keep
+  // deciding against the previous snapshot until the single Publish() below
+  // swaps in the new one.
   for (ModuleState& state : states) {
     state = board_->Publish(std::move(state));
   }

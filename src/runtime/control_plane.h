@@ -1,27 +1,26 @@
-// The serve-side control plane: lock-free broker reads over RCU snapshots.
+// The control plane: the State Planner's sync and the Request Broker's
+// decisions, one implementation for both substrates.
 //
-// None of the decision-time machinery is internally synchronized: the
-// estimator's epoch cache and RNG mutate on every estimate, the adaptive
-// priority controllers mutate on OnSync(), and StateBoard::Publish bumps the
-// version counter the caches key on. The simulator's single event loop
-// serializes all of it for free; in the serving runtime every module's
-// thread (forming batches under its module lock) and the ingress brokers
-// decide concurrently. This control plane splits the problem by write
-// frequency:
+// PARD's broker evaluates Eq. 3 at t_b against an L_sub the State Planner
+// refreshes once per sync (§4.2, §5.4). Both runtimes own one ControlPlane:
+// their sync tick calls Sync(), and every ModuleRuntime/Worker asks it for
+// purge-expired, pop side, the drop decision at batch entry and
+// enqueue-time admission. A policy therefore decides in one place only, its
+// immutable PolicyView. The work splits by write frequency:
 //
 //   READ PATH (hot, every request): ShouldDrop / ChoosePopSide /
 //   AdmitAtModule pin the current ControlSnapshot through an epoch-based
 //   SnapshotCell (runtime/snapshot.h) — one CAS, no mutex — and decide
-//   against the policy's immutable PolicyView. Decisions within one pin are
-//   mutually consistent: they all see the same sync's state.
+//   against the policy's PolicyView. Decisions within one pin are mutually
+//   consistent: they all see the same sync's state.
 //
 //   WRITE PATH (cold, once per sync period): Sync() publishes the module
 //   states to the StateBoard, runs the policy's OnSync(), refreshes the
 //   policy's estimator incrementally (RefreshEstimates — only modules whose
 //   inputs moved are re-drawn, optionally fanned across the refresh pool),
 //   builds the next ControlSnapshot and publishes it with one SnapshotCell
-//   store. No broker ever touches the board or the policy (they only read
-//   published snapshots) and Sync has exactly one caller (the control
+//   store. No reader ever touches the board or the policy and Sync has
+//   exactly one caller (the simulator's event loop, or serve's control
 //   thread), so all of that runs without a lock and a slow refresh never
 //   stalls a broker decision. Retired snapshots are reclaimed once no reader
 //   pins them.
@@ -29,19 +28,21 @@
 //   SHARDED RESIDUE: policies whose admission needs randomness (the DAGOR
 //   baseline's Bernoulli shed) draw from per-shard RNGs behind striped
 //   mutexes picked by request id, so admission entropy scales with shards
-//   instead of serializing globally.
+//   instead of serializing globally. The simulator draws from the same
+//   shards, in event order.
 //
-// Every serving policy must provide a view: construction rejects a policy
-// whose MakeView() returns null, naming it. All in-tree policies do.
+// Every policy must provide a view: construction rejects a policy whose
+// MakeView() returns null, naming it. All in-tree policies do.
 //
-// Lock ordering (enforced in debug builds by common/lock_order.h): a module
-// thread may take an admission-shard mutex while holding its module lock,
-// never the reverse. The sync path snapshots module state first (one module
-// lock at a time) and publishes second, holding nothing. TSan-cleanliness of
-// the serve suite pins the whole contract.
-#ifndef PARD_SERVE_CONTROL_PLANE_H_
-#define PARD_SERVE_CONTROL_PLANE_H_
+// Lock ordering (enforced in debug builds by common/lock_order.h): a serve
+// module thread may take an admission-shard mutex while holding its module
+// lock, never the reverse. The sync path snapshots module state first (one
+// module lock at a time) and publishes second, holding nothing. TSan-
+// cleanliness of the serve suite pins the whole contract.
+#ifndef PARD_RUNTIME_CONTROL_PLANE_H_
+#define PARD_RUNTIME_CONTROL_PLANE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -50,6 +51,7 @@
 
 #include "common/rng.h"
 #include "runtime/drop_policy.h"
+#include "runtime/runtime_options.h"
 #include "runtime/snapshot.h"
 #include "runtime/state_board.h"
 
@@ -57,28 +59,20 @@ namespace pard {
 
 class ThreadPool;
 
-// One sync interval's frozen control state: the board states as published,
-// and the policy's immutable decision view.
+// One sync interval's frozen control state: the policy's immutable decision
+// view and when it was published.
 struct ControlSnapshot {
-  std::uint64_t board_version = 0;
   // Virtual time at which Sync() published this snapshot (0 for the initial
-  // snapshot). Lock-free readers compare it against the staleness budget to
-  // detect a dead/stalled sync thread.
+  // snapshot). Readers compare it against the staleness budget to detect a
+  // dead or stalled sync.
   SimTime published_at = 0;
-  // Scalar module states only: the wait reservoirs (up to 10k doubles per
-  // module) are estimator inputs consumed during Sync() and never read from
-  // a snapshot, so BuildSnapshot strips them instead of copying ~1 MB per
-  // sync interval.
-  std::vector<ModuleState> states;
   std::shared_ptr<const PolicyView> view;
 };
 
 class ControlPlane {
  public:
   struct Options {
-    // Striped admission-RNG shards for randomized admission policies.
-    int admission_shards = 8;
-    // Seeds the per-shard RNG forks.
+    // Seeds the per-shard admission RNG forks.
     std::uint64_t seed = 1234;
     // Graceful degradation: when > 0 and the pinned snapshot's published_at
     // is older than this, broker decisions fall back to a conservative
@@ -88,17 +82,23 @@ class ControlPlane {
     // Fan the policy's incremental estimator refresh across a thread pool
     // during Sync() (per-module forked RNG streams keep the result
     // identical at any thread count). false = run the refresh inline on the
-    // control thread; the refresh itself stays incremental either way.
+    // syncing thread; the refresh itself stays incremental either way.
     bool parallel_refresh = true;
     // Refresh-pool threads; 0 = one per hardware thread
     // (ThreadPool::ResolveJobs). Ignored unless parallel_refresh.
     int refresh_threads = 0;
   };
+  // A run's options: the seed and staleness budget from `runtime`, and the
+  // refresh inline, so no pool thread starts unless the caller asks.
+  static Options RunOptions(const RuntimeOptions& runtime);
+
+  // Striped admission-RNG shards for randomized admission policies.
+  static constexpr int kAdmissionShards = 8;
 
   // `policy` and `board` must outlive the control plane. Binds the policy to
-  // the spec/board like PipelineRuntime does, and publishes the initial
-  // snapshot so readers never see an empty cell. Throws CheckError when the
-  // policy provides no PolicyView.
+  // the spec and board, and publishes the initial snapshot so readers never
+  // see an empty cell. Throws CheckError when the policy provides no
+  // PolicyView.
   ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBoard* board,
                Options options);
   // Default options (no default argument: Options' member initializers are
@@ -118,7 +118,7 @@ class ControlPlane {
   // refreshes its estimator incrementally, then swaps in the next snapshot.
   // Each states[i] comes back holding the state the board replaced, so the
   // caller can refill its buffers at the next sync instead of allocating.
-  // Single caller only — the control thread owns both the board and the
+  // Single caller only — the syncing thread owns both the board and the
   // snapshot cell's writer side.
   struct SyncStats {
     int refreshed = 0;  // estimator cache entries recomputed
@@ -140,15 +140,15 @@ class ControlPlane {
     Rng rng{1};
   };
 
-  // Builds the snapshot for the current board/policy state, stamped with the
-  // publish time. Caller is the control thread (or the constructor): the
-  // board and policy have no other readers or writers.
+  // Builds the snapshot for the current policy state, stamped with the
+  // publish time. Caller is the syncing thread (or the constructor): the
+  // policy has no other readers or writers.
   std::unique_ptr<const ControlSnapshot> BuildSnapshot(SimTime now);
   // True when the staleness budget is enabled and `snap` is too old at
   // `now`; counts the fallback.
   bool Stale(const ControlSnapshot& snap, SimTime now);
   AdmissionShard& ShardFor(const Request& request) {
-    return *shards_[static_cast<std::size_t>(request.id) % shards_.size()];
+    return shards_[static_cast<std::size_t>(request.id) % shards_.size()];
   }
 
   DropPolicy* policy_;
@@ -156,9 +156,9 @@ class ControlPlane {
   bool purge_expired_ = false;
   Duration staleness_budget_ = 0;
   std::atomic<std::uint64_t> stale_fallbacks_{0};
-  std::vector<std::unique_ptr<AdmissionShard>> shards_;
+  std::array<AdmissionShard, kAdmissionShards> shards_;
   // Workers for the policy's incremental estimator refresh; null when
-  // Options::parallel_refresh is off (refresh runs inline on the control
+  // Options::parallel_refresh is off (refresh runs inline on the syncing
   // thread). Owned here so the pool outlives every Sync.
   std::unique_ptr<ThreadPool> refresh_pool_;
   SnapshotCell<ControlSnapshot> snapshot_;
@@ -166,4 +166,4 @@ class ControlPlane {
 
 }  // namespace pard
 
-#endif  // PARD_SERVE_CONTROL_PLANE_H_
+#endif  // PARD_RUNTIME_CONTROL_PLANE_H_

@@ -1,14 +1,18 @@
 // Drop-policy interface.
 //
-// A policy plugs into the serving runtime at three points:
+// A policy decides at three points, all answered by the immutable
+// PolicyView it publishes once per sync (MakeView):
 //   1. ShouldDrop()    — the Request Broker decision at batch-entry time t_b
 //                        (Fig. 5), when t_e and d_k are known exactly.
 //   2. ChoosePopSide() — which end of the per-worker DEPQ the broker
 //                        consumes next (arrival order vs LBF vs HBF).
 //   3. AdmitAtModule() — enqueue-time admission (used by the DAGOR-style
 //                        overload-control baseline to shed at ingress).
-// OnSync() fires after every state-board refresh so policies can update
-// derived state (adaptive priority mode, dynamic budget splits).
+// Both substrates read those views through one ControlPlane
+// (runtime/control_plane.h), whose sync calls OnSync(), RefreshEstimates()
+// and MakeView() in that order, so policies update derived state (adaptive
+// priority mode, dynamic budget splits) in OnSync() and copy it out in
+// MakeView().
 #ifndef PARD_RUNTIME_DROP_POLICY_H_
 #define PARD_RUNTIME_DROP_POLICY_H_
 
@@ -45,12 +49,13 @@ struct AdmissionContext {
 
 // Immutable decision snapshot of a policy, valid for one sync interval.
 //
-// The serving control plane asks the policy for a fresh view after every
-// OnSync() and publishes it through an RCU-style snapshot cell; between syncs broker threads call the view's const methods
-// with NO lock held. A view must therefore be self-contained: every decision
-// input (estimates, budgets, priority sides, overload flags) is copied out
-// of the policy at build time, and the const methods may not touch mutable
-// policy or board state.
+// The control plane asks the policy for a fresh view after every sync and
+// publishes it through an RCU-style snapshot cell; between syncs module and
+// broker threads call the view's const methods with NO lock held. A view
+// must therefore be self-contained: every decision input (estimates,
+// budgets, priority sides, overload flags) is copied out of the policy at
+// build time, and the const methods may not touch mutable policy or board
+// state.
 //
 // Randomized admission (the DAGOR-style baseline's Bernoulli shed) cannot be
 // lock-free with a shared RNG, so a view declares NeedsAdmissionRng() and
@@ -61,7 +66,8 @@ class PolicyView {
  public:
   virtual ~PolicyView() = default;
 
-  // Request Broker predicate; same semantics as DropPolicy::ShouldDrop.
+  // Request Broker decision: true = drop the request now (it never enters
+  // the forming batch and consumes no GPU time at this module).
   virtual bool ShouldDrop(const AdmissionContext& ctx) const = 0;
 
   // Queue-order decision; fixed per module until the next sync.
@@ -71,8 +77,9 @@ class PolicyView {
     return PopSide::kOldest;
   }
 
-  // Enqueue-time admission. `rng` is non-null iff NeedsAdmissionRng(): the
-  // control plane's per-shard RNG, exclusively held for this call.
+  // Enqueue-time admission; false = shed before queueing. `rng` is non-null
+  // iff NeedsAdmissionRng(): the control plane's per-shard RNG, exclusively
+  // held for this call.
   virtual bool AdmitAtModule(const Request& request, int module_id, SimTime now,
                              Rng* rng) const {
     (void)request;
@@ -89,25 +96,26 @@ class DropPolicy {
  public:
   virtual ~DropPolicy() = default;
 
-  // Called once by the runtime before any traffic; gives the policy read
-  // access to the pipeline structure and the shared state board.
+  // Called once by the control plane before any traffic; gives the policy
+  // read access to the pipeline structure and the shared state board.
   virtual void Bind(const PipelineSpec* spec, const StateBoard* board) {
     spec_ = spec;
     board_ = board;
   }
 
-  // Request Broker decision: true = drop the request now (it never enters
-  // the forming batch and consumes no GPU time at this module).
-  virtual bool ShouldDrop(const AdmissionContext& ctx) = 0;
-
-  // Queue-order decision for the module's workers.
+  // Inert defaults, called by nothing in the program: every decision is read
+  // from the PolicyView (see above). They exist only so that
+  // perfbench/src/timed_policy.h, which still overrides them, compiles
+  // until a benchmark change drops its overrides.
+  virtual bool ShouldDrop(const AdmissionContext& ctx) {
+    (void)ctx;
+    return false;
+  }
   virtual PopSide ChoosePopSide(int module_id, SimTime now) {
     (void)module_id;
     (void)now;
     return PopSide::kOldest;
   }
-
-  // Enqueue-time admission; false = shed before queueing.
   virtual bool AdmitAtModule(const Request& request, int module_id, SimTime now) {
     (void)request;
     (void)module_id;
@@ -123,24 +131,22 @@ class DropPolicy {
   // Invoked right after every state-board sync.
   virtual void OnSync(SimTime now) { (void)now; }
 
-  // Serve-mode estimator refresh, invoked by the control plane between
-  // OnSync() and MakeView() on its sync path. Policies with an epoch-cached
-  // estimator refresh it incrementally here (PARD fans dirty-module work
-  // across `pool`; nullptr = run inline) so the following MakeView() is pure
-  // cache reads. The default no-op keeps out-of-tree policies on the lazy
-  // refresh-inside-MakeView behavior. Never called by the simulator —
-  // results there must stay bit-identical to the lazy shared-stream draws.
+  // Estimator refresh, invoked by the control plane between OnSync() and
+  // MakeView() at every sync. Policies with an epoch-cached estimator
+  // refresh it incrementally here (PARD fans dirty-module work across
+  // `pool`; nullptr = run inline) so the following MakeView() is pure cache
+  // reads.
   virtual PolicyRefreshStats RefreshEstimates(ThreadPool* pool) {
     (void)pool;
     return {};
   }
 
   // Builds an immutable decision snapshot of this policy's current state
-  // (see PolicyView). The serving control plane calls this right after
-  // OnSync(); the returned view is then read lock-free by every broker until
-  // the next sync replaces it. The default returns nullptr, which the
-  // serving control plane rejects at construction: a policy needs a view to
-  // serve. The simulator never calls it.
+  // (see PolicyView). The control plane calls this at construction and
+  // after every RefreshEstimates(); the returned view is then read lock-free
+  // by every decision until the next sync replaces it. The default returns
+  // nullptr, which the control plane rejects at construction: a policy
+  // needs a view to decide.
   virtual std::shared_ptr<const PolicyView> MakeView() { return nullptr; }
 
   virtual std::string Name() const = 0;

@@ -1,29 +1,23 @@
 // What a module's batching state machine needs from the runtime around it.
 //
 // ModuleRuntime and its Workers implement the paper's Fig. 5 once for both
-// substrates. Besides a ModuleTimer (sim/timer.h) they call out through this
-// host only:
-//   - request transitions: hand a request that finished this module to its
-//     successors, drop one with a reason, ask whether a request already has
-//     a fate, and reach the run's RequestLifecycle (retry verdict) and
-//     trace recorder;
-//   - the Request Broker: purge-expired, pop side, the drop decision at
-//     batch entry and enqueue-time admission.
-// PipelineRuntime is the simulator's host and answers the broker from its
-// DropPolicy. Serve's ServeModule is the host of its one module and answers
-// the broker from the ControlPlane's published snapshot; it defers hand-offs
-// to other modules until its module lock is released.
+// substrates. Besides a ModuleTimer (sim/timer.h) and the run's
+// ControlPlane (runtime/control_plane.h), which answers every Request
+// Broker decision, they call out through this host only: hand a request
+// that finished this module to its successors, drop one with a reason, ask
+// whether a request already has a fate, and reach the run's
+// RequestLifecycle (retry verdict) and trace recorder.
+// PipelineRuntime is the simulator's host. Serve's ServeModule is the host
+// of its one module; it defers hand-offs to other modules until its module
+// lock is released.
 //
 // Hosts are called with the module's owner serialization held (the event
 // loop, or serve's module mutex).
 #ifndef PARD_RUNTIME_MODULE_HOST_H_
 #define PARD_RUNTIME_MODULE_HOST_H_
 
-#include "common/time_types.h"
 #include "obs/drop_reason.h"
-#include "runtime/drop_policy.h"
 #include "runtime/request.h"
-#include "runtime/request_queue.h"
 
 namespace pard {
 
@@ -32,7 +26,6 @@ class TraceRecorder;     // obs/trace_recorder.h
 
 class ModuleHost {
  public:
-  // --- Request transitions ---------------------------------------------------
   // `req` finished module `module_id`: route it on, or complete it at a sink.
   virtual void OnModuleDone(RequestPtr req, int module_id) = 0;
   // Drops `req` at `module_id` for `reason` (a no-op if it already has a
@@ -43,12 +36,6 @@ class ModuleHost {
   virtual RequestLifecycle& lifecycle() = 0;
   // Null when tracing is off.
   virtual TraceRecorder* trace() = 0;
-
-  // --- Request Broker (see DropPolicy) ----------------------------------------
-  virtual bool PurgeExpired() const = 0;
-  virtual PopSide ChoosePopSide(int module_id, SimTime now) = 0;
-  virtual bool ShouldDrop(const AdmissionContext& ctx) = 0;
-  virtual bool AdmitAtModule(const Request& request, int module_id, SimTime now) = 0;
 
  protected:
   ~ModuleHost() = default;

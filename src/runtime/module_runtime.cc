@@ -11,11 +11,13 @@
 
 namespace pard {
 
-ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, BackendFleet* fleet,
-                             const ModuleSpec& spec, const ModelProfile& profile, int batch_size,
-                             int initial_workers, const RuntimeOptions& options)
+ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, ControlPlane* control,
+                             BackendFleet* fleet, const ModuleSpec& spec,
+                             const ModelProfile& profile, int batch_size, int initial_workers,
+                             const RuntimeOptions& options)
     : timer_(timer),
       host_(host),
+      control_(control),
       fleet_(fleet),
       spec_(spec),
       profile_(profile),
@@ -28,7 +30,7 @@ ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, BackendFleet*
       rate_monitor_(options.stats_window) {
   PARD_CHECK(batch_size_ >= 1);
   PARD_CHECK(initial_workers >= 1);
-  PARD_CHECK(fleet_ != nullptr);
+  PARD_CHECK(control_ != nullptr && fleet_ != nullptr);
   for (int i = 0; i < initial_workers; ++i) {
     auto worker = std::make_shared<Worker>(timer_, this, fleet_,
                                            fleet_->Provision(spec_.id, timer_->Now()));
@@ -93,7 +95,7 @@ void ModuleRuntime::Receive(RequestPtr req) {
   if (host_->IsTerminal(*req)) {
     return;  // Dropped on another branch before delivery.
   }
-  if (!host_->AdmitAtModule(*req, spec_.id, now)) {
+  if (!control_->AdmitAtModule(*req, spec_.id, now)) {
     req->hops[static_cast<std::size_t>(spec_.id)].arrive = now;
     OnPolicyDrop(std::move(req), DropReason::kProactiveAdmission);
     return;

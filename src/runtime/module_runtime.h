@@ -7,12 +7,14 @@
 // reads the board.
 //
 // One implementation serves both substrates. It reads time and schedules
-// through a ModuleTimer (sim/timer.h) and reaches everything outside the
-// module through a ModuleHost (runtime/module_host.h): the simulator passes
-// its kernel and PipelineRuntime; serve passes a ServeModule, which owns
-// this object, its timer thread and the mutex that serializes both. Nothing
-// here is synchronized: every call, and every event it scheduled, runs under
-// that owner's serialization.
+// through a ModuleTimer (sim/timer.h), asks the run's ControlPlane
+// (runtime/control_plane.h) for every Request Broker decision, and reaches
+// everything else outside the module through a ModuleHost
+// (runtime/module_host.h): the simulator passes its kernel and
+// PipelineRuntime; serve passes a ServeModule, which owns this object, its
+// timer thread and the mutex that serializes both. Nothing here is
+// synchronized: every call, and every event it scheduled, runs under that
+// owner's serialization (the control plane synchronizes itself).
 #ifndef PARD_RUNTIME_MODULE_RUNTIME_H_
 #define PARD_RUNTIME_MODULE_RUNTIME_H_
 
@@ -23,6 +25,7 @@
 #include "models/model_profile.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
+#include "runtime/control_plane.h"
 #include "runtime/module_host.h"
 #include "runtime/rate_monitor.h"
 #include "runtime/request.h"
@@ -41,9 +44,9 @@ class AtomicHistogram;  // obs/metrics.h
 class ModuleRuntime {
  public:
   // Provisions `initial_workers` warm workers at timer->Now().
-  ModuleRuntime(ModuleTimer* timer, ModuleHost* host, BackendFleet* fleet,
-                const ModuleSpec& spec, const ModelProfile& profile, int batch_size,
-                int initial_workers, const RuntimeOptions& options);
+  ModuleRuntime(ModuleTimer* timer, ModuleHost* host, ControlPlane* control,
+                BackendFleet* fleet, const ModuleSpec& spec, const ModelProfile& profile,
+                int batch_size, int initial_workers, const RuntimeOptions& options);
 
   // Delivery from the dispatcher (or pipeline ingress).
   void Receive(RequestPtr req);
@@ -95,6 +98,7 @@ class ModuleRuntime {
   int batch_size() const { return batch_size_; }
   const ModelProfile& profile() const { return profile_; }
   ModuleHost* host() const { return host_; }
+  ControlPlane* control() const { return control_; }
   const RuntimeOptions& options() const { return options_; }
 
   int ActiveWorkers() const;
@@ -135,6 +139,7 @@ class ModuleRuntime {
 
   ModuleTimer* timer_;
   ModuleHost* host_;
+  ControlPlane* control_;
   BackendFleet* fleet_;
   ModuleSpec spec_;
   const ModelProfile& profile_;

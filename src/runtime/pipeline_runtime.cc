@@ -18,17 +18,15 @@ PipelineRuntime::PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions&
     : spec_(spec),
       options_(options),
       lifecycle_(spec_, options_),
-      policy_(policy),
       board_(spec.NumModules()),
+      control_(&spec_, policy, &board_, ControlPlane::RunOptions(options_)),
       fleet_(spec_, options_.cold_start, options_.cost_aware_provisioning),
       sync_states_(static_cast<std::size_t>(spec.NumModules())) {
-  PARD_CHECK(policy_ != nullptr);
   const std::vector<int>& batch_sizes = lifecycle_.batch_sizes();
   const std::vector<int> workers = PlanInitialWorkers(spec_, batch_sizes, options_, expected_rate);
-  policy_->Bind(&spec_, &board_);
   for (const ModuleSpec& m : spec_.modules()) {
     modules_.push_back(std::make_unique<ModuleRuntime>(
-        &sim_, this, &fleet_, m, ProfileRegistry::Get(m.model),
+        &sim_, this, &control_, &fleet_, m, ProfileRegistry::Get(m.model),
         batch_sizes[static_cast<std::size_t>(m.id)], workers[static_cast<std::size_t>(m.id)],
         options_));
   }
@@ -114,15 +112,16 @@ void PipelineRuntime::Drop(RequestPtr req, int module_id, DropReason reason) {
 void PipelineRuntime::SyncTick() {
   const SimTime now = sim_.Now();
   if (now < stall_until_) {
-    // Chaos stall-sync: skip the publish entirely (board and policy keep the
-    // previous epoch's view) but keep the tick alive so syncing resumes.
+    // Chaos stall-sync: skip the sync entirely (readers keep the previous
+    // snapshot, aging toward the staleness budget) but keep the tick alive so
+    // syncing resumes.
     if (now <= last_arrival_ + options_.drain) {
       sim_.ScheduleAfter(options_.sync_period, [this] { SyncTick(); });
     }
     return;
   }
   // Serve's order: the weighted shed plan comes from the states about to be
-  // published, so the governor is never fresher than the board. The board
+  // published, so the governor is never fresher than the snapshot. The board
   // hands each replaced state back for the next tick to refill.
   for (std::size_t i = 0; i < modules_.size(); ++i) {
     ModuleState& state = sync_states_[i];
@@ -130,24 +129,26 @@ void PipelineRuntime::SyncTick() {
     SortSamples(state.wait_samples, sort_scratch_);
   }
   lifecycle_.ResyncGovernor(sync_states_);
-  for (ModuleState& state : sync_states_) {
-    state = board_.Publish(std::move(state));
-  }
-  policy_->OnSync(now);
-  ++sync_count_;
+  const ControlPlane::SyncStats stats = control_.Sync(sync_states_, now);
+  const auto epoch = static_cast<std::int64_t>(control_.SnapshotEpoch());
   if (options_.trace != nullptr) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kEpochSync;
     ev.module = -1;
     ev.ts = now;
-    ev.arg0 = sync_count_;
+    ev.arg0 = epoch;
     options_.trace->Emit(ev);
   }
   // Sim-mode metrics sampling happens here — at sim-event granularity on the
   // single simulator thread — so the exported series is a deterministic
-  // function of the seed (no wall-clock sampler involved).
+  // function of the seed (no wall-clock sampler, and no wall-clock sync
+  // duration, which only serve records).
   if (options_.metrics != nullptr) {
-    options_.metrics->GetGauge("control.sync_epoch")->Set(sync_count_);
+    options_.metrics->GetGauge("control.snapshot_epoch")->Set(epoch);
+    options_.metrics->GetCounter("control.refresh_modules_refreshed")->Add(stats.refreshed);
+    options_.metrics->GetCounter("control.refresh_modules_skipped")->Add(stats.skipped);
+    options_.metrics->GetGauge("resilience.stale_fallbacks")
+        ->Set(static_cast<std::int64_t>(control_.StaleFallbacks()));
     options_.metrics->Sample(now);
   }
   if (now <= last_arrival_ + options_.drain) {

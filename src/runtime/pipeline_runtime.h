@@ -4,11 +4,13 @@
 // pipeline module, the shared StateBoard, the network-delay hop between
 // modules, the periodic state-sync tick and the optional resource-scaling
 // engine. It is every module's ModuleHost (runtime/module_host.h) and their
-// kernel their ModuleTimer; the Request Broker's decisions come straight
-// from the DropPolicy. The request lifecycle — stamping, DAG split/merge, fates and their
-// accounting — is the one the serving runtime uses too
-// (runtime/request_lifecycle.h). A run injects a trace of client arrivals
-// and leaves behind the full set of Request records for offline analysis.
+// kernel their ModuleTimer. The Request Broker's decisions and the sync come
+// from the same ControlPlane the serving runtime uses
+// (runtime/control_plane.h), refreshed inline on the event loop, and so does
+// the request lifecycle — stamping, DAG split/merge, fates and their
+// accounting (runtime/request_lifecycle.h). A run injects a trace of client
+// arrivals and leaves behind the full set of Request records for offline
+// analysis.
 #ifndef PARD_RUNTIME_PIPELINE_RUNTIME_H_
 #define PARD_RUNTIME_PIPELINE_RUNTIME_H_
 
@@ -18,6 +20,7 @@
 
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
+#include "runtime/control_plane.h"
 #include "runtime/drop_policy.h"
 #include "runtime/module_host.h"
 #include "runtime/module_runtime.h"
@@ -31,7 +34,8 @@ namespace pard {
 
 class PipelineRuntime final : public ModuleHost {
  public:
-  // `policy` must outlive the runtime. Worker provisioning uses
+  // `policy` must outlive the runtime and provide a PolicyView (the control
+  // plane rejects one that does not). Worker provisioning uses
   // options.fixed_workers if set, otherwise `expected_rate` with the
   // configured headroom.
   PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions& options, DropPolicy* policy,
@@ -45,6 +49,7 @@ class PipelineRuntime final : public ModuleHost {
   Simulation& sim() { return sim_; }
   const PipelineSpec& spec() const { return spec_; }
   const StateBoard& board() const { return board_; }
+  const ControlPlane& control() const { return control_; }
   // Shared worker-roster layer: backend profiles, per-worker states and the
   // timestamped transition log (see runtime/backend_fleet.h).
   const BackendFleet& fleet() const { return fleet_; }
@@ -70,14 +75,6 @@ class PipelineRuntime final : public ModuleHost {
   RequestLifecycle& lifecycle() override { return lifecycle_; }
   // Observability (null when disabled via RuntimeOptions).
   TraceRecorder* trace() override { return options_.trace; }
-  bool PurgeExpired() const override { return policy_->PurgeExpired(); }
-  PopSide ChoosePopSide(int module_id, SimTime now) override {
-    return policy_->ChoosePopSide(module_id, now);
-  }
-  bool ShouldDrop(const AdmissionContext& ctx) override { return policy_->ShouldDrop(ctx); }
-  bool AdmitAtModule(const Request& request, int module_id, SimTime now) override {
-    return policy_->AdmitAtModule(request, module_id, now);
-  }
 
  private:
   void Inject();
@@ -88,9 +85,9 @@ class PipelineRuntime final : public ModuleHost {
   PipelineSpec spec_;
   RuntimeOptions options_;
   RequestLifecycle lifecycle_;
-  DropPolicy* policy_;
   Simulation sim_;
   StateBoard board_;
+  ControlPlane control_;
   BackendFleet fleet_;
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
   std::vector<WorkerSample> worker_history_;
@@ -99,10 +96,9 @@ class PipelineRuntime final : public ModuleHost {
   // the wait-sample sort's working space.
   std::vector<ModuleState> sync_states_;
   std::vector<double> sort_scratch_;
-  std::int64_t sync_count_ = 0;
-  // Chaos stall-sync window: SyncTick keeps rescheduling but skips the
-  // publish while now < stall_until_, so policies read a stale board exactly
-  // like serve readers see a stale snapshot.
+  // Chaos stall-sync window: SyncTick keeps rescheduling but skips the sync
+  // while now < stall_until_, so the published snapshot ages exactly as it
+  // does in serve.
   SimTime stall_until_ = 0;
 };
 

@@ -49,8 +49,9 @@ void Worker::Enqueue(RequestPtr req) {
 
 void Worker::FillFormingBatch() {
   ModuleHost* host = module_->host();
+  ControlPlane* control = module_->control();
   const int batch_size = module_->batch_size();
-  if (host->PurgeExpired()) {
+  if (control->PurgeExpired()) {
     // Requests whose deadline passed while queued are unservable under any
     // policy; evict them from the min end of the DEPQ so backlogs stay
     // bounded by the deadline horizon.
@@ -66,7 +67,7 @@ void Worker::FillFormingBatch() {
     }
   }
   while (static_cast<int>(forming_.size()) < batch_size && !queue_.Empty()) {
-    const PopSide side = host->ChoosePopSide(module_->module_id(), timer_->Now());
+    const PopSide side = control->ChoosePopSide(module_->module_id(), timer_->Now());
     RequestPtr req = queue_.Pop(side);
     if (req == nullptr) {
       break;
@@ -85,7 +86,7 @@ void Worker::FillFormingBatch() {
     ctx.batch_duration = module_->profile().BatchDuration(batch_size);
     ctx.batch_size = batch_size;
     HopRecord& hop = req->hops[static_cast<std::size_t>(module_->module_id())];
-    if (host->ShouldDrop(ctx)) {
+    if (control->ShouldDrop(ctx)) {
       hop.batch_entry = now;
       module_->OnPolicyDrop(std::move(req), DropReason::kBrokerCandidate);
       continue;

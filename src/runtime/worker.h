@@ -2,13 +2,14 @@
 //
 // A worker serves one module on one (virtual) GPU. It is the only batching
 // implementation: the simulator and serve both run it, through the
-// ModuleTimer and ModuleHost its ModuleRuntime was built with. It implements the
-// batching discipline of the paper's Fig. 3b: while a batch executes, the
-// next batch is formed from the queue; requests admitted to the forming
-// batch at t_b start executing at t_e (the running batch's end), giving each
-// request a batch wait W = t_e - t_b in [0, d]. An idle worker launches
-// immediately (W = 0). The drop decision (Request Broker) happens exactly at
-// admission time, when t_e and d_k are known.
+// ModuleTimer, ControlPlane and ModuleHost its ModuleRuntime was built with.
+// It implements the batching discipline of the paper's Fig. 3b: while a
+// batch executes, the next batch is formed from the queue; requests admitted
+// to the forming batch at t_b start executing at t_e (the running batch's
+// end), giving each request a batch wait W = t_e - t_b in [0, d]. An idle
+// worker launches immediately (W = 0). The drop decision (Request Broker,
+// asked of the ControlPlane) happens exactly at admission time, when t_e and
+// d_k are known.
 //
 // Each worker occupies one BackendFleet slot: its backend profile scales
 // profiled batch durations (slot.exec_scale) and sets its cold-start delay,
@@ -77,8 +78,8 @@ class Worker {
  private:
   friend class ModuleRuntime;
 
-  // Pulls queued requests into the forming batch, applying the drop policy
-  // per request.
+  // Pulls queued requests into the forming batch, asking the control plane
+  // for the drop decision per request.
   void FillFormingBatch();
 
   // Launches the forming batch if the GPU is free.

@@ -77,8 +77,8 @@ ServeModule::ServeModule(ServeRuntime* runtime, BackendFleet* fleet, const Modul
       timer_(&runtime->clock()) {
   // The constructor's callbacks into this host need runtime_ only.
   ModuleHost* host = this;
-  module_ = std::make_unique<ModuleRuntime>(&timer_, host, fleet, spec, profile, batch_size,
-                                            workers, options);
+  module_ = std::make_unique<ModuleRuntime>(&timer_, host, &runtime->control(), fleet, spec,
+                                            profile, batch_size, workers, options);
 }
 
 ServeModule::~ServeModule() {
@@ -197,19 +197,5 @@ bool ServeModule::IsTerminal(const Request& req) const { return runtime_->IsTerm
 RequestLifecycle& ServeModule::lifecycle() { return runtime_->lifecycle(); }
 
 TraceRecorder* ServeModule::trace() { return runtime_->trace(); }
-
-bool ServeModule::PurgeExpired() const { return runtime_->control().PurgeExpired(); }
-
-PopSide ServeModule::ChoosePopSide(int module_id, SimTime now) {
-  return runtime_->control().ChoosePopSide(module_id, now);
-}
-
-bool ServeModule::ShouldDrop(const AdmissionContext& ctx) {
-  return runtime_->control().ShouldDrop(ctx);
-}
-
-bool ServeModule::AdmitAtModule(const Request& request, int module_id, SimTime now) {
-  return runtime_->control().AdmitAtModule(request, module_id, now);
-}
 
 }  // namespace pard

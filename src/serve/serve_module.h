@@ -24,11 +24,12 @@
 // on the measured execution, like real kernel-time variance. One thread per
 // module replaces a thread per emulated GPU.
 //
-// The ServeModule is its ModuleRuntime's ModuleHost: the Request Broker
-// reads the ControlPlane's published snapshot, drops resolve the request's
-// fate at once, and requests that finish this module go to an outbox that
-// the thread which fired their completion forwards to their successors only
-// after releasing the mutex — so no thread ever holds two module mutexes.
+// The ServeModule is its ModuleRuntime's ModuleHost: drops resolve the
+// request's fate at once, and requests that finish this module go to an
+// outbox that the thread which fired their completion forwards to their
+// successors only after releasing the mutex — so no thread ever holds two
+// module mutexes. The Request Broker is the runtime's ControlPlane, which
+// the ModuleRuntime asks directly, as in the simulator.
 //
 // Fleet dynamics (control thread): AddWorkers/SetTargetUnits provision
 // workers that serve after their backend's cold start, FailWorkers and the
@@ -164,10 +165,6 @@ class ServeModule final : private ModuleHost {
   bool IsTerminal(const Request& req) const override;
   RequestLifecycle& lifecycle() override;
   TraceRecorder* trace() override;
-  bool PurgeExpired() const override;
-  PopSide ChoosePopSide(int module_id, SimTime now) override;
-  bool ShouldDrop(const AdmissionContext& ctx) override;
-  bool AdmitAtModule(const Request& request, int module_id, SimTime now) override;
 
   ServeRuntime* runtime_;
   const ServeClock& clock_;

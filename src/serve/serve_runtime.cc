@@ -49,9 +49,7 @@ std::vector<int> CapTotalWorkers(std::vector<int> plan, int cap) {
 
 ControlPlane::Options MakeControlOptions(const RuntimeOptions& options,
                                          const ServeOptions& serve) {
-  ControlPlane::Options control;
-  control.seed = options.seed;
-  control.staleness_budget = options.resilience.staleness_budget;
+  ControlPlane::Options control = ControlPlane::RunOptions(options);
   control.parallel_refresh = serve.parallel_refresh;
   control.refresh_threads = serve.refresh_threads;
   return control;

@@ -7,9 +7,9 @@
 // real time, each module is the simulator's own ModuleRuntime and Workers
 // driven by a per-module timer thread (serve/serve_module.h), the PARD
 // broker / estimator / baselines decide against wall-clock deadlines
-// through the ControlPlane's published snapshot, and a control thread
-// publishes ModuleState snapshots once per virtual second exactly like the
-// paper's gRPC state exchange. Admission and the Request Broker's drop
+// through the simulator's ControlPlane and its published snapshot, and a
+// control thread publishes ModuleState snapshots once per virtual second
+// exactly like the paper's gRPC state exchange. Admission and the Request Broker's drop
 // decision run inside the module, as in the simulator: admission at
 // arrival, the drop decision when a request enters the forming batch,
 // against the running batch's end t_e. With serve.broker_threads > 1 the
@@ -47,7 +47,7 @@
 //     across a delivery.
 //   - Each module's state sits behind its module mutex (serve_module.h); the
 //     control plane's snapshot publication synchronizes itself
-//     (control_plane.h).
+//     (runtime/control_plane.h).
 //
 // Scope vs the simulator: inter-module network delay is folded into real
 // forwarding cost, and runs are NOT bit-deterministic — thread scheduling
@@ -73,7 +73,7 @@
 #include "runtime/request_lifecycle.h"
 #include "runtime/runtime_options.h"
 #include "runtime/state_board.h"
-#include "serve/control_plane.h"
+#include "runtime/control_plane.h"
 #include "serve/serve_clock.h"
 #include "serve/serve_module.h"
 #include "serve/serve_options.h"

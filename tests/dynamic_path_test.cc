@@ -81,6 +81,22 @@ TEST(DynamicPath, StaticPipelinesUnaffected) {
   EXPECT_TRUE(r->hops[2].executed);
 }
 
+// pard-path's L_sub for `req` at module 0, read off its view's drop
+// boundary: with no elapsed time and a zero-length current batch, the view
+// drops iff L_sub > SLO. Checks L_sub == `expected` exactly: kept at an SLO of
+// `expected`, dropped 1 us below it.
+void ExpectPathEstimate(const PolicyView& view, Request req, Duration expected) {
+  AdmissionContext ctx;
+  ctx.request = &req;
+  ctx.module_id = 0;
+  req.sent = 0;
+  for (const Duration slo : {expected, expected - 1}) {
+    req.slo = slo;
+    req.deadline = slo;
+    EXPECT_EQ(view.ShouldDrop(ctx), slo < expected) << "slo " << slo;
+  }
+}
+
 TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
   const PipelineSpec da = MakeDagLiveVideo();
   StateBoard board(5);
@@ -90,10 +106,13 @@ TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
     s.batch_duration = (i == 1) ? 50 * kUsPerMs : 5 * kUsPerMs;  // Pose slow.
     board.Publish(std::move(s));
   }
-  EstimatorOptions options;
-  options.include_wait = false;
-  options.include_queue = false;
-  LatencyEstimator est(&da, &board, options, Rng(2));
+  PardOptions options;
+  options.path_prediction = true;  // pard-path.
+  options.estimator.include_wait = false;
+  options.estimator.include_queue = false;
+  PardPolicy policy(options);
+  policy.Bind(&da, &board);
+  const std::shared_ptr<const PolicyView> view = policy.MakeView();
 
   HopRecord face_hops[5];
   face_hops[0].branch_choice = 2;  // Face branch chosen at the fork.
@@ -101,20 +120,19 @@ TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
   via_face.dynamic_path = true;
   via_face.hops = HopSlots(face_hops, 5);
   // Static estimate from module 0 takes the slow pose path: 50+5+5 = 60 ms.
-  EXPECT_EQ(est.EstimateSubsequent(0), 60 * kUsPerMs);
+  EXPECT_EQ(policy.estimator()->EstimateSubsequent(0), 60 * kUsPerMs);
   // Path-aware estimate follows the chosen face branch: 5+5+5 = 15 ms.
-  EXPECT_EQ(est.EstimateSubsequentForRequest(0, via_face), 15 * kUsPerMs);
+  ExpectPathEstimate(*view, via_face, 15 * kUsPerMs);
 
   HopRecord pose_hops[5];
   pose_hops[0].branch_choice = 1;
   Request via_pose;
   via_pose.dynamic_path = true;
   via_pose.hops = HopSlots(pose_hops, 5);
-  EXPECT_EQ(est.EstimateSubsequentForRequest(0, via_pose), 60 * kUsPerMs);
+  ExpectPathEstimate(*view, via_pose, 60 * kUsPerMs);
 
   // Static requests fall back to the conservative maximum.
-  Request static_req;
-  EXPECT_EQ(est.EstimateSubsequentForRequest(0, static_req), 60 * kUsPerMs);
+  ExpectPathEstimate(*view, Request(), 60 * kUsPerMs);
 }
 
 TEST(DynamicPath, ConservationHoldsUnderLoad) {

@@ -17,7 +17,9 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -94,7 +96,8 @@ ExperimentConfig TracedSimConfig() {
 
 TEST(TraceRecorder, SimulatorRunExportsBitIdenticalTraceOnReplay) {
   // Same seed, same workload, sample rate 0.5 (the sampling filter must make
-  // the same decisions both times): the exported JSON strings are identical.
+  // the same decisions both times): the exported JSON strings — the trace and
+  // the metrics series — are identical.
   auto run = [] {
     ExperimentConfig config = TracedSimConfig();
     TraceRecorder::Options options;
@@ -106,12 +109,22 @@ TEST(TraceRecorder, SimulatorRunExportsBitIdenticalTraceOnReplay) {
     config.runtime.metrics = &registry;
     const ExperimentResult result = RunExperiment(config);
     EXPECT_GT(result.analysis->Total(), 0u);
-    return recorder.ChromeTraceJson();
+    return std::make_pair(recorder.ChromeTraceJson(), registry.ToJson().Dump());
   };
-  const std::string first = run();
-  const std::string second = run();
+  const auto [first, first_metrics] = run();
+  const auto [second, second_metrics] = run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
+  EXPECT_EQ(first_metrics, second_metrics);
+
+  // The control-plane metrics carry serve's names; the wall-clock sync
+  // duration stays serve-only so the series stays a function of the seed.
+  const JsonValue metrics = ParseJson(first_metrics);
+  EXPECT_GT(metrics.At("gauges").At("control.snapshot_epoch").AsInt(), 1);
+  EXPECT_NE(metrics.At("totals").Find("control.refresh_modules_refreshed"), nullptr);
+  EXPECT_NE(metrics.At("totals").Find("control.refresh_modules_skipped"), nullptr);
+  EXPECT_EQ(metrics.At("gauges").Find("control.sync_epoch"), nullptr);
+  EXPECT_EQ(metrics.At("histograms").Find("control.sync_duration_us"), nullptr);
 
   // And the export is well-formed Chrome trace JSON with real events.
   const JsonValue doc = ParseJson(first);

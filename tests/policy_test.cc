@@ -9,6 +9,7 @@
 #include "baselines/overload_control_policy.h"
 #include "baselines/policy_factory.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/pard_policy.h"
 #include "pipeline/apps.h"
 #include "runtime/batch_planner.h"
@@ -42,6 +43,14 @@ AdmissionContext MakeContext(const Request& req, int module_id, SimTime now,
   return ctx;
 }
 
+// Every decision is read from the policy's view, as both runtimes read it
+// through the control plane.
+std::shared_ptr<const PolicyView> Bound(DropPolicy& policy, const PipelineSpec& spec,
+                                        const StateBoard& board) {
+  policy.Bind(&spec, &board);
+  return policy.MakeView();
+}
+
 StateBoard QuietBoard(const PipelineSpec& spec, Duration d = 10 * kUsPerMs) {
   StateBoard board(spec.NumModules());
   for (int i = 0; i < spec.NumModules(); ++i) {
@@ -61,25 +70,27 @@ TEST(NexusPolicy, KeepsWhenCurrentModuleFits) {
   NexusPolicy policy;
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv);
-  policy.Bind(&lv, &board);
+  const auto view = Bound(policy, lv, board);
   const Request req = MakeRequest(0, MsToUs(500));
   // batch ends at 100ms + 10ms execution = 110ms << 500ms: keep, even though
   // four more modules follow (the reactive blindness the paper critiques).
-  EXPECT_FALSE(policy.ShouldDrop(MakeContext(req, 0, MsToUs(90), MsToUs(100), 10 * kUsPerMs)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, MsToUs(90), MsToUs(100), 10 * kUsPerMs)));
 }
 
 TEST(NexusPolicy, DropsWhenCurrentModuleAloneBusts) {
   NexusPolicy policy;
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv);
-  policy.Bind(&lv, &board);
+  const auto view = Bound(policy, lv, board);
   const Request req = MakeRequest(0, MsToUs(500));
-  EXPECT_TRUE(policy.ShouldDrop(MakeContext(req, 0, MsToUs(495), MsToUs(495), 10 * kUsPerMs)));
+  EXPECT_TRUE(view->ShouldDrop(MakeContext(req, 0, MsToUs(495), MsToUs(495), 10 * kUsPerMs)));
 }
 
 TEST(NexusPolicy, UsesArrivalOrder) {
   NexusPolicy policy;
-  EXPECT_EQ(policy.ChoosePopSide(0, 0), PopSide::kOldest);
+  const PipelineSpec lv = MakeLiveVideo();
+  StateBoard board = QuietBoard(lv);
+  EXPECT_EQ(Bound(policy, lv, board)->ChoosePopSide(0, 0), PopSide::kOldest);
 }
 
 // ---- Clipper++ -------------------------------------------------------------------
@@ -88,15 +99,17 @@ TEST(ClipperPolicy, DropsOnlyAfterCumulativeBudgetExceeded) {
   ClipperPlusPolicy policy;
   const PipelineSpec tm = MakeTrafficMonitoring();
   StateBoard board = QuietBoard(tm);
-  policy.Bind(&tm, &board);
+  const auto view = Bound(policy, tm, board);
   const std::vector<Duration> budgets = CumulativeSplitBudgets(tm, PlanBatchSizes(tm));
   const Request req = MakeRequest(0, tm.slo());
   // Just inside module 0's cumulative budget: keep.
-  EXPECT_FALSE(policy.ShouldDrop(MakeContext(req, 0, budgets[0] - 1, budgets[0] - 1, 1000)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, budgets[0] - 1, budgets[0] - 1, 1000)));
   // Just past it: drop — even though the end-to-end SLO still has room.
-  EXPECT_TRUE(policy.ShouldDrop(MakeContext(req, 0, budgets[0] + 1, budgets[0] + 1, 1000)));
+  EXPECT_TRUE(view->ShouldDrop(MakeContext(req, 0, budgets[0] + 1, budgets[0] + 1, 1000)));
   // The same elapsed time at a later module is fine (bigger cumulative budget).
-  EXPECT_FALSE(policy.ShouldDrop(MakeContext(req, 2, budgets[0] + 1, budgets[0] + 1, 1000)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 2, budgets[0] + 1, budgets[0] + 1, 1000)));
+  // FIFO, like Clipper.
+  EXPECT_EQ(view->ChoosePopSide(0, 0), PopSide::kOldest);
 }
 
 // ---- Overload control (PARD-oc) -----------------------------------------------------
@@ -108,25 +121,28 @@ TEST(OverloadControlPolicy, ShedsWhenQueueDelayAboveThreshold) {
   OverloadControlPolicy policy(options);
   const PipelineSpec tm = MakeTrafficMonitoring();
   StateBoard board = QuietBoard(tm);
-  policy.Bind(&tm, &board);
+  const auto quiet = Bound(policy, tm, board);
+  ASSERT_TRUE(quiet->NeedsAdmissionRng());
+  Rng rng(1);  // The control plane hands over one of its admission shards.
   const Request req = MakeRequest(0, tm.slo());
-  EXPECT_TRUE(policy.AdmitAtModule(req, 1, 0));  // Not overloaded.
+  EXPECT_TRUE(quiet->AdmitAtModule(req, 1, 0, &rng));  // Not overloaded.
   ModuleState overloaded;
   overloaded.module_id = 1;
   overloaded.avg_queue_delay = 25.0 * kUsPerMs;
   board.Publish(std::move(overloaded));
-  EXPECT_FALSE(policy.AdmitAtModule(req, 1, 0));  // Module itself sheds.
-  EXPECT_FALSE(policy.AdmitAtModule(req, 0, 0));  // Ingress sheds for it.
-  EXPECT_TRUE(policy.AdmitAtModule(req, 2, 0));   // Other modules unaffected.
+  const auto view = policy.MakeView();  // The next sync's view.
+  EXPECT_FALSE(view->AdmitAtModule(req, 1, 0, &rng));  // Module itself sheds.
+  EXPECT_FALSE(view->AdmitAtModule(req, 0, 0, &rng));  // Ingress sheds for it.
+  EXPECT_TRUE(view->AdmitAtModule(req, 2, 0, &rng));   // Other modules unaffected.
 }
 
 TEST(OverloadControlPolicy, NeverDropsAtBroker) {
   OverloadControlPolicy policy;
   const PipelineSpec tm = MakeTrafficMonitoring();
   StateBoard board = QuietBoard(tm);
-  policy.Bind(&tm, &board);
+  const auto view = Bound(policy, tm, board);
   const Request req = MakeRequest(0, tm.slo());
-  EXPECT_FALSE(policy.ShouldDrop(MakeContext(req, 0, 0, 0, 1000)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, 0, 0, 1000)));
 }
 
 // ---- PARD ------------------------------------------------------------------------
@@ -137,25 +153,24 @@ TEST(PardPolicy, ProactivelyDropsForDownstreamBudget) {
   PardPolicy policy(options);
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv, 10 * kUsPerMs);
-  policy.Bind(&lv, &board);
+  const auto view = Bound(policy, lv, board);
   const Request req = MakeRequest(0, MsToUs(500));
   // At module 0 with 440ms already burned: 4 downstream modules need ~40ms+
   // of exec alone, so PARD drops where Nexus (current-module-only) keeps.
   const AdmissionContext ctx =
       MakeContext(req, 0, MsToUs(440), MsToUs(440), 10 * kUsPerMs);
-  EXPECT_TRUE(policy.ShouldDrop(ctx));
+  EXPECT_TRUE(view->ShouldDrop(ctx));
   NexusPolicy nexus;
-  nexus.Bind(&lv, &board);
-  EXPECT_FALSE(nexus.ShouldDrop(ctx));
+  EXPECT_FALSE(Bound(nexus, lv, board)->ShouldDrop(ctx));
 }
 
 TEST(PardPolicy, KeepsWhenBudgetSuffices) {
   PardPolicy policy;
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv, 10 * kUsPerMs);
-  policy.Bind(&lv, &board);
+  const auto view = Bound(policy, lv, board);
   const Request req = MakeRequest(0, MsToUs(500));
-  EXPECT_FALSE(policy.ShouldDrop(MakeContext(req, 0, MsToUs(10), MsToUs(10), 10 * kUsPerMs)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, MsToUs(10), MsToUs(10), 10 * kUsPerMs)));
 }
 
 TEST(PardPolicy, BackwardOnlyMatchesNexusPredicate) {
@@ -165,12 +180,12 @@ TEST(PardPolicy, BackwardOnlyMatchesNexusPredicate) {
   NexusPolicy nexus;
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv);
-  policy.Bind(&lv, &board);
-  nexus.Bind(&lv, &board);
+  const auto view = Bound(policy, lv, board);
+  const auto nexus_view = Bound(nexus, lv, board);
   const Request req = MakeRequest(0, MsToUs(500));
   for (SimTime t : {MsToUs(100), MsToUs(300), MsToUs(480), MsToUs(495)}) {
     const AdmissionContext ctx = MakeContext(req, 0, t, t, 10 * kUsPerMs);
-    EXPECT_EQ(policy.ShouldDrop(ctx), nexus.ShouldDrop(ctx)) << t;
+    EXPECT_EQ(view->ShouldDrop(ctx), nexus_view->ShouldDrop(ctx)) << t;
   }
 }
 
@@ -178,9 +193,8 @@ TEST(PardPolicy, AdaptiveOrderFollowsLoadFactor) {
   PardPolicy policy;
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv);
-  policy.Bind(&lv, &board);
   // Initial mode: LBF.
-  EXPECT_EQ(policy.ChoosePopSide(0, 0), PopSide::kMinBudget);
+  EXPECT_EQ(Bound(policy, lv, board)->ChoosePopSide(0, 0), PopSide::kMinBudget);
   // Publish overload on module 0 and sync.
   ModuleState hot;
   hot.module_id = 0;
@@ -188,9 +202,10 @@ TEST(PardPolicy, AdaptiveOrderFollowsLoadFactor) {
   hot.burstiness = 0.1;
   board.Publish(std::move(hot));
   policy.OnSync(SecToUs(1));
-  EXPECT_EQ(policy.ChoosePopSide(0, SecToUs(1)), PopSide::kMaxBudget);
+  const auto view = policy.MakeView();
+  EXPECT_EQ(view->ChoosePopSide(0, SecToUs(1)), PopSide::kMaxBudget);
   // Other modules unchanged.
-  EXPECT_EQ(policy.ChoosePopSide(1, SecToUs(1)), PopSide::kMinBudget);
+  EXPECT_EQ(view->ChoosePopSide(1, SecToUs(1)), PopSide::kMinBudget);
 }
 
 TEST(PardPolicy, FixedOrderVariants) {
@@ -199,18 +214,15 @@ TEST(PardPolicy, FixedOrderVariants) {
   PardOptions fcfs;
   fcfs.order = PardOptions::Order::kFcfs;
   PardPolicy p_fcfs(fcfs);
-  p_fcfs.Bind(&lv, &board);
-  EXPECT_EQ(p_fcfs.ChoosePopSide(0, 0), PopSide::kOldest);
+  EXPECT_EQ(Bound(p_fcfs, lv, board)->ChoosePopSide(0, 0), PopSide::kOldest);
   PardOptions hbf;
   hbf.order = PardOptions::Order::kHbf;
   PardPolicy p_hbf(hbf);
-  p_hbf.Bind(&lv, &board);
-  EXPECT_EQ(p_hbf.ChoosePopSide(0, 0), PopSide::kMaxBudget);
+  EXPECT_EQ(Bound(p_hbf, lv, board)->ChoosePopSide(0, 0), PopSide::kMaxBudget);
   PardOptions lbf;
   lbf.order = PardOptions::Order::kLbf;
   PardPolicy p_lbf(lbf);
-  p_lbf.Bind(&lv, &board);
-  EXPECT_EQ(p_lbf.ChoosePopSide(0, 0), PopSide::kMinBudget);
+  EXPECT_EQ(Bound(p_lbf, lv, board)->ChoosePopSide(0, 0), PopSide::kMinBudget);
 }
 
 TEST(PardPolicy, StaticSplitUsesCumulativeBudgets) {
@@ -219,14 +231,14 @@ TEST(PardPolicy, StaticSplitUsesCumulativeBudgets) {
   PardPolicy policy(options);
   const PipelineSpec tm = MakeTrafficMonitoring();
   StateBoard board = QuietBoard(tm);
-  policy.Bind(&tm, &board);
+  const auto view = Bound(policy, tm, board);
   const std::vector<Duration> budgets = CumulativeSplitBudgets(tm, PlanBatchSizes(tm));
   const Request req = MakeRequest(0, tm.slo());
   const Duration d = 10 * kUsPerMs;
   // Finishing inside module 0's cumulative budget: keep.
-  EXPECT_FALSE(policy.ShouldDrop(MakeContext(req, 0, 0, budgets[0] - d - 1, d)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, 0, budgets[0] - d - 1, d)));
   // Finishing beyond it: drop (proactive within the module, unlike Clipper).
-  EXPECT_TRUE(policy.ShouldDrop(MakeContext(req, 0, 0, budgets[0] - d + 1, d)));
+  EXPECT_TRUE(view->ShouldDrop(MakeContext(req, 0, 0, budgets[0] - d + 1, d)));
 }
 
 TEST(PardPolicy, WclSplitReactsToRuntimeWorstCase) {
@@ -249,7 +261,7 @@ TEST(PardPolicy, WclSplitReactsToRuntimeWorstCase) {
   sink_heavy.worst_stage_latency = 300.0 * kUsPerMs;
   board.Publish(std::move(sink_heavy));
   policy.OnSync(SecToUs(1));
-  EXPECT_TRUE(policy.ShouldDrop(at_m0));
+  EXPECT_TRUE(policy.MakeView()->ShouldDrop(at_m0));
 
   // Flip the bottleneck to module 0: its budget expands and the same
   // decision is now kept — budgets follow the runtime WCL.
@@ -263,7 +275,7 @@ TEST(PardPolicy, WclSplitReactsToRuntimeWorstCase) {
   front_heavy.worst_stage_latency = 300.0 * kUsPerMs;
   board.Publish(std::move(front_heavy));
   policy.OnSync(SecToUs(2));
-  EXPECT_FALSE(policy.ShouldDrop(at_m0));
+  EXPECT_FALSE(policy.MakeView()->ShouldDrop(at_m0));
 }
 
 // ---- Factory ----------------------------------------------------------------------

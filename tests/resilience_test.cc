@@ -7,8 +7,9 @@
 //      concrete timeline for the same (schedule, seed) on every call, so sim
 //      and serve replay identical chaos.
 //   3. Simulator substrate — kill-heavy schedules with retries enabled
-//      conserve every request with exact per-reason attribution, and chaos
-//      runs are bit-deterministic.
+//      conserve every request with exact per-reason attribution, a sync
+//      stall past the staleness budget trips the stale-snapshot fallback,
+//      and chaos runs are bit-deterministic.
 //   4. Serving substrate — the randomized chaos soak: ~30 virtual seconds of
 //      hangs (scheduled + probabilistic), a slowdown, a control-plane sync
 //      stall and live scaling. Asserts conservation, watchdog recovery of
@@ -173,11 +174,10 @@ ExperimentConfig KillHeavyConfig() {
   return config;
 }
 
-TEST(SimResilience, KillHeavyScheduleConservesWithExactReasonAttribution) {
-  const ExperimentResult result = RunExperiment(KillHeavyConfig());
+// Every request is terminal exactly once and every non-good one carries a
+// reason; the per-reason counts sum exactly to the non-good population.
+void ExpectExactReasonConservation(const ExperimentResult& result) {
   const RunAnalysis& analysis = *result.analysis;
-  ASSERT_GT(analysis.Total(), 500u);
-
   std::size_t good = 0;
   std::size_t not_good = 0;
   for (const RequestPtr& req : analysis.requests()) {
@@ -202,10 +202,35 @@ TEST(SimResilience, KillHeavyScheduleConservesWithExactReasonAttribution) {
   }
   EXPECT_EQ(reason_sum, not_good);
   EXPECT_EQ(result.drop_reason_counts[0], 0u);  // kNone never counts.
+}
 
+TEST(SimResilience, KillHeavyScheduleConservesWithExactReasonAttribution) {
+  const ExperimentResult result = RunExperiment(KillHeavyConfig());
+  ASSERT_GT(result.analysis->Total(), 500u);
+  ExpectExactReasonConservation(result);
   // Under overload the killed workers held queued work with budget to spare,
   // so the deadline-aware path must have re-enqueued some of it.
   EXPECT_GT(result.retries, 0u);
+}
+
+TEST(SimResilience, SyncStallPastStalenessBudgetFallsBackAndConserves) {
+  // The simulator decides through the same control plane as serve, so it
+  // honors the staleness budget too: a 3 s sync stall ages the published
+  // snapshot past a 1 s budget and the broker takes the conservative
+  // fallback rules until syncing resumes.
+  ExperimentConfig config = KillHeavyConfig();
+  config.runtime.fleet_events.clear();
+  config.runtime.resilience.chaos = ParseChaosSchedule("4:stall-sync:3");
+  config.runtime.resilience.staleness_budget = 1 * kUsPerSec;
+  const ExperimentResult stalled = RunExperiment(config);
+  ASSERT_GT(stalled.analysis->Total(), 500u);
+  EXPECT_GT(stalled.stale_fallbacks, 0u);
+  ExpectExactReasonConservation(stalled);
+
+  // Without the stall every decision reads a snapshot at most one sync
+  // period old, inside the budget.
+  config.runtime.resilience.chaos = ChaosSchedule();
+  EXPECT_EQ(RunExperiment(config).stale_fallbacks, 0u);
 }
 
 TEST(SimResilience, ChaosRunsAreBitDeterministic) {

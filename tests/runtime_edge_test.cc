@@ -32,8 +32,18 @@ class DropAtModulePolicy : public DropPolicy {
  public:
   DropAtModulePolicy(int module_id, SimTime after = 0)
       : module_id_(module_id), after_(after) {}
-  bool ShouldDrop(const AdmissionContext& ctx) override {
-    return ctx.module_id == module_id_ && ctx.now >= after_;
+  std::shared_ptr<const PolicyView> MakeView() override {
+    struct View final : PolicyView {
+      bool ShouldDrop(const AdmissionContext& ctx) const override {
+        return ctx.module_id == module_id && ctx.now >= after;
+      }
+      int module_id = 0;
+      SimTime after = 0;
+    };
+    auto view = std::make_shared<View>();
+    view->module_id = module_id_;
+    view->after = after_;
+    return view;
   }
   std::string Name() const override { return "drop-at-module"; }
 

@@ -44,7 +44,7 @@
 #include "runtime/backend_fleet.h"
 #include "runtime/drop_policy.h"
 #include "runtime/state_board.h"
-#include "serve/control_plane.h"
+#include "runtime/control_plane.h"
 #include "serve/load_generator.h"
 #include "serve/serve_clock.h"
 #include "serve/serve_options.h"

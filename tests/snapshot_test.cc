@@ -17,7 +17,7 @@
 #include "pipeline/apps.h"
 #include "runtime/snapshot.h"
 #include "runtime/state_board.h"
-#include "serve/control_plane.h"
+#include "runtime/control_plane.h"
 
 namespace pard {
 namespace {
@@ -208,15 +208,13 @@ TEST(ControlPlaneSnapshot, EpochAdvancesPerSync) {
   EXPECT_EQ(states[0].wait_samples.size(), 512u);  // The first sync's state.
 }
 
-// A policy that cannot snapshot its decisions cannot serve: the control plane
-// refuses it up front, naming it, instead of serializing every decision.
+// A policy that cannot snapshot its decisions cannot decide: the control
+// plane refuses it up front, naming it, instead of serializing every
+// decision.
 TEST(ControlPlaneSnapshot, RejectsAPolicyWithoutAView) {
   class ViewlessPolicy : public DropPolicy {
    public:
-    bool ShouldDrop(const AdmissionContext& ctx) override {
-      (void)ctx;
-      return false;
-    }
+    std::shared_ptr<const PolicyView> MakeView() override { return nullptr; }
     std::string Name() const override { return "viewless"; }
   };
   const PipelineSpec lv = MakeLiveVideo();
@@ -230,16 +228,13 @@ TEST(ControlPlaneSnapshot, RejectsAPolicyWithoutAView) {
   }
 }
 
-// The snapshot read path must make the same drop decisions as the policy
-// itself against the same published state — publishing a view may not
-// change semantics, only contention. The reference is a second PardPolicy
-// bound to its own board, published identically and asked directly. Pinned
-// on the deterministic upper-bound wait mode: the sweet-spot Monte-Carlo
-// term intentionally diverges bit-wise between the paths (the snapshot path
-// refreshes from per-module forked streams, a directly asked policy from the
-// lazy shared stream — statistically equivalent, covered by
-// estimator_test's refresh suite), so exact parity is only meaningful where
-// the estimate is RNG-free.
+// The snapshot read path must make the same decisions as the policy's own
+// view against the same published state — publishing a view may not change
+// semantics, only contention. The reference is a second PardPolicy bound to
+// its own board, published and synced identically, whose view is asked
+// directly. Pinned on the deterministic upper-bound wait mode, so the parity
+// is about the publish path and not about which Monte-Carlo stream each
+// estimator's refresh history has consumed.
 TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchThePolicyOnAnIdenticalBoard) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board_plane(lv.NumModules());
@@ -259,6 +254,7 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchThePolicyOnAnIdenticalBoard) {
     board_direct.Publish(std::move(state));
   }
   policy_direct.OnSync(kUsPerSec);
+  const std::shared_ptr<const PolicyView> direct_view = policy_direct.MakeView();
 
   std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
   Request req;
@@ -279,11 +275,12 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchThePolicyOnAnIdenticalBoard) {
       ctx.batch_duration = 10 * kUsPerMs;
       ctx.batch_size = 8;
       const bool snap = plane.ShouldDrop(ctx);
-      const bool direct = policy_direct.ShouldDrop(ctx);
+      const bool direct = direct_view->ShouldDrop(ctx);
       EXPECT_EQ(snap, direct) << "module " << m << " age " << age;
       drops += snap ? 1 : 0;
-      EXPECT_EQ(plane.ChoosePopSide(m, now), policy_direct.ChoosePopSide(m, now));
-      EXPECT_EQ(plane.AdmitAtModule(req, m, now), policy_direct.AdmitAtModule(req, m, now));
+      EXPECT_EQ(plane.ChoosePopSide(m, now), direct_view->ChoosePopSide(m, now));
+      EXPECT_EQ(plane.AdmitAtModule(req, m, now),
+                direct_view->AdmitAtModule(req, m, now, nullptr));
     }
   }
   // The grid must exercise both outcomes, or the parity check is vacuous.

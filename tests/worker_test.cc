@@ -160,7 +160,12 @@ TEST(Worker, NaiveNeverDropsEvenWhenLate) {
 // A policy that drops everything lets us verify the drop path end to end.
 class AlwaysDropPolicy : public DropPolicy {
  public:
-  bool ShouldDrop(const AdmissionContext&) override { return true; }
+  std::shared_ptr<const PolicyView> MakeView() override {
+    struct View final : PolicyView {
+      bool ShouldDrop(const AdmissionContext&) const override { return true; }
+    };
+    return std::make_shared<View>();
+  }
   std::string Name() const override { return "always-drop"; }
 };
 
@@ -180,7 +185,12 @@ TEST(Worker, ExpiredRequestsPurgedFromQueue) {
   // Policy keeps everything, but purging evicts past-deadline queue entries.
   class KeepAllPolicy : public DropPolicy {
    public:
-    bool ShouldDrop(const AdmissionContext&) override { return false; }
+    std::shared_ptr<const PolicyView> MakeView() override {
+      struct View final : PolicyView {
+        bool ShouldDrop(const AdmissionContext&) const override { return false; }
+      };
+      return std::make_shared<View>();
+    }
     std::string Name() const override { return "keep-all"; }
   };
   KeepAllPolicy policy;

@@ -103,9 +103,9 @@ pard::FlagSet BuildFlags() {
                   "hung for longer than this is force-failed and replaced (0 = "
                   "watchdog off)");
   flags.AddDouble("staleness-budget-s", 0.0,
-                  "serving mode: control-snapshot staleness budget in virtual "
-                  "seconds; readers of an older snapshot fall back to conservative "
-                  "static drop rules (0 = never degrade)");
+                  "control-snapshot staleness budget in virtual seconds; readers of "
+                  "an older snapshot fall back to conservative static drop rules "
+                  "(0 = never degrade)");
   flags.AddBool("dynamic-paths", false, "requests take one branch per fork (dynamic DAG)");
   flags.AddBool("json", false, "emit a full JSON report instead of text");
   flags.AddBool("serve", false,
