@@ -203,14 +203,22 @@ struct LifecycleGolden {
   std::uint64_t retries;
 };
 
+//
+// Both rows were re-harvested once when the simulator began deciding through
+// the serving runtime's control plane: its estimator then refreshes from the
+// per-module forked streams serve uses instead of one shared stream, so the
+// Monte-Carlo sweet spot draws different (statistically equivalent) samples.
+// Over seeds 1-10 their mean normalized goodput moved 0.55060 -> 0.55032
+// (lv) and 0.95454 -> 0.95466 (da); every other golden run above came out
+// unchanged.
 constexpr LifecycleGolden kLifecycleGoldens[] = {
-    {{"lv-tenants-chaos-retries", 5298u, 3418u, 1880u, 0.3548508871272178, 0.037457933433418349,
-      167.7386958939648, 0.6451491128727822},
-     {0, 0, 1037, 296, 0, 0, 0, 0, 0, 547},
+    {{"lv-tenants-chaos-retries", 5298u, 3402u, 1896u, 0.35787089467723671, 0.038169742756345153,
+      167.00266831188677, 0.64212910532276335},
+     {0, 0, 1053, 296, 0, 0, 0, 0, 0, 547},
      2u},
-    {{"da-tenants-static-merge", 5298u, 3926u, 1372u, 0.25896564741411854, 0.03579549232830867,
-      191.70602393942403, 0.74103435258588146},
-     {0, 0, 1176, 66, 0, 0, 0, 0, 0, 130},
+    {{"da-tenants-static-merge", 5298u, 3931u, 1367u, 0.25802189505473766, 0.035306161329618238,
+      191.95017323124702, 0.7419781049452624},
+     {0, 0, 1171, 66, 0, 0, 0, 0, 0, 130},
      0u},
 };
 
