@@ -126,7 +126,8 @@ class ControlPlane {
   };
   SyncStats Sync(std::vector<ModuleState>& states, SimTime now);
 
-  // Snapshot epochs are monotone: 1 at construction, +1 per Sync.
+  // Snapshot epochs are monotone: 2 once constructed (the cell's placeholder,
+  // then the initial snapshot), +1 per Sync.
   std::uint64_t SnapshotEpoch() const { return snapshot_.Epoch(); }
   // Broker decisions answered by the conservative static fallback because
   // the pinned snapshot exceeded the staleness budget.

@@ -9,14 +9,11 @@
 // Concurrency contract: not internally synchronized. Publish() replaces a
 // snapshot and bumps the version counter that estimator epoch caches key
 // on, so readers racing a publish could observe a torn (state, version)
-// pair. The simulator's event loop serializes everything. The serving
-// runtime never lets module threads touch this object at all: only the
-// control thread publishes (once per sync period, holding no lock), and
-// after each publish the ControlPlane copies the board
-// into an immutable ControlSnapshot released through an RCU-style cell
-// (src/serve/control_plane.h, src/runtime/snapshot.h). Brokers read that
-// snapshot — a consistent (states, version, policy view) triple — without
-// locking; they can be up to one sync period stale, exactly like the gRPC
+// pair. Only the ControlPlane (runtime/control_plane.h) publishes, from its
+// single syncing thread, and only the policy reads the board, inside the
+// same Sync(); decisions read the immutable policy view the sync then
+// publishes through an RCU-style cell (runtime/snapshot.h), without
+// locking. They can be up to one sync period stale, exactly like the gRPC
 // state exchange in the real system.
 #ifndef PARD_RUNTIME_STATE_BOARD_H_
 #define PARD_RUNTIME_STATE_BOARD_H_
