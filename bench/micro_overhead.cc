@@ -332,7 +332,7 @@ void RunControlSyncRefresh(benchmark::State& state, int dirty_modules) {
     // Sync hands the replaced states back into its argument, so publish a
     // copy: the harness keeps republishing the same warm states.
     std::vector<ModuleState> publish = harness.states;
-    const ControlPlane::SyncStats stats = harness.control->Sync(publish, harness.sync_t);
+    const PolicyRefreshStats stats = harness.control->Sync(publish, harness.sync_t);
     benchmark::DoNotOptimize(stats.refreshed);
   }
   state.counters["dirty_modules"] =

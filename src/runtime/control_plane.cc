@@ -109,7 +109,7 @@ bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime 
   return snap->view->AdmitAtModule(request, module_id, now, &shard.rng);
 }
 
-ControlPlane::SyncStats ControlPlane::Sync(std::vector<ModuleState>& states, SimTime now) {
+PolicyRefreshStats ControlPlane::Sync(std::vector<ModuleState>& states, SimTime now) {
   // Every broker decision reads published snapshots, so the board and policy
   // have exactly one mutating thread — this one — and the whole publish →
   // OnSync → refresh → rebuild sequence needs no mutex. Readers keep
@@ -119,10 +119,7 @@ ControlPlane::SyncStats ControlPlane::Sync(std::vector<ModuleState>& states, Sim
     state = board_->Publish(std::move(state));
   }
   policy_->OnSync(now);
-  const PolicyRefreshStats refresh = policy_->RefreshEstimates(refresh_pool_.get());
-  SyncStats stats;
-  stats.refreshed = refresh.refreshed;
-  stats.skipped = refresh.skipped;
+  const PolicyRefreshStats stats = policy_->RefreshEstimates(refresh_pool_.get());
   auto snap = BuildSnapshot(now);
   // Readers dereference the view unconditionally.
   PARD_CHECK_MSG(snap->view != nullptr,

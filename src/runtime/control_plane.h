@@ -115,16 +115,12 @@ class ControlPlane {
   bool PurgeExpired() const { return purge_expired_; }
 
   // State sync: publishes every module state, lets the policy react,
-  // refreshes its estimator incrementally, then swaps in the next snapshot.
-  // Each states[i] comes back holding the state the board replaced, so the
-  // caller can refill its buffers at the next sync instead of allocating.
-  // Single caller only — the syncing thread owns both the board and the
-  // snapshot cell's writer side.
-  struct SyncStats {
-    int refreshed = 0;  // estimator cache entries recomputed
-    int skipped = 0;    // estimator cache entries reused unchanged
-  };
-  SyncStats Sync(std::vector<ModuleState>& states, SimTime now);
+  // refreshes its estimator incrementally, then swaps in the next snapshot,
+  // and returns what the refresh did. Each states[i] comes back holding the
+  // state the board replaced, so the caller can refill its buffers at the
+  // next sync instead of allocating. Single caller only — the syncing
+  // thread owns both the board and the snapshot cell's writer side.
+  PolicyRefreshStats Sync(std::vector<ModuleState>& states, SimTime now);
 
   // Snapshot epochs are monotone: 2 once constructed (the cell's placeholder,
   // then the initial snapshot), +1 per Sync.

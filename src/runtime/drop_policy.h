@@ -33,8 +33,8 @@ class ThreadPool;
 // What a policy's estimator refresh actually did (see
 // DropPolicy::RefreshEstimates); surfaced as control.refresh_* metrics.
 struct PolicyRefreshStats {
-  int refreshed = 0;
-  int skipped = 0;
+  int refreshed = 0;  // estimator cache entries recomputed
+  int skipped = 0;    // estimator cache entries reused unchanged
 };
 
 // Everything the Request Broker knows when deciding on one request.

@@ -129,7 +129,7 @@ void PipelineRuntime::SyncTick() {
     SortSamples(state.wait_samples, sort_scratch_);
   }
   lifecycle_.ResyncGovernor(sync_states_);
-  const ControlPlane::SyncStats stats = control_.Sync(sync_states_, now);
+  const PolicyRefreshStats stats = control_.Sync(sync_states_, now);
   const auto epoch = static_cast<std::int64_t>(control_.SnapshotEpoch());
   if (options_.trace != nullptr) {
     TraceEvent ev;

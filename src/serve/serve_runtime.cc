@@ -326,7 +326,7 @@ void ServeRuntime::ControlLoop() {
       // lock. Timed in wall-clock terms: sync cost is real CPU work, not
       // virtual time.
       const auto sync_begin = std::chrono::steady_clock::now();
-      const ControlPlane::SyncStats sync_stats = control_.Sync(sync_states_, now);
+      const PolicyRefreshStats sync_stats = control_.Sync(sync_states_, now);
       const auto sync_wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
                                     std::chrono::steady_clock::now() - sync_begin)
                                     .count();

@@ -828,8 +828,8 @@ TEST(ControlPlaneRefresh, ParallelRefreshDeterministicAcrossThreadCounts) {
     const SimTime now = (round + 1) * kUsPerSec;
     std::vector<ModuleState> states_1 = RefreshWarmStates(lv.NumModules(), round, &rng_1);
     std::vector<ModuleState> states_4 = RefreshWarmStates(lv.NumModules(), round, &rng_4);
-    const ControlPlane::SyncStats a = plane_1.Sync(states_1, now);
-    const ControlPlane::SyncStats b = plane_4.Sync(states_4, now);
+    const PolicyRefreshStats a = plane_1.Sync(states_1, now);
+    const PolicyRefreshStats b = plane_4.Sync(states_4, now);
     EXPECT_EQ(a.refreshed, b.refreshed) << round;
     EXPECT_EQ(a.skipped, b.skipped) << round;
 
