@@ -107,6 +107,22 @@ struct ObsSession {
   }
 };
 
+// The fields a finished run fills alike in both substrates; `end` is the
+// run's final virtual time, which closes the fleet's cost integral.
+template <typename Runtime>
+void FillRunResult(Runtime& runtime, SimTime end, DropPolicy& policy, ExperimentResult& result) {
+  result.worker_history = runtime.worker_history();
+  result.retries = runtime.retries();
+  result.fleet_cost = runtime.fleet().AccumulatedCost(end);
+  result.watchdog_recoveries = runtime.watchdog_recoveries();
+  result.stale_fallbacks = runtime.control().StaleFallbacks();
+  if (auto* pard = dynamic_cast<PardPolicy*>(&policy)) {
+    result.transitions = pard->transition_log();
+  }
+  result.analysis = std::make_unique<RunAnalysis>(runtime.requests(), result.spec);
+  result.drop_reason_counts = result.analysis->DropReasonCounts();
+}
+
 }  // namespace
 
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
@@ -122,16 +138,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   PipelineRuntime pipeline(result.spec, runtime, policy.get(), result.mean_input_rate);
   pipeline.RunTrace(arrivals);
   obs.Export(config);
-
-  result.worker_history = pipeline.worker_history();
-  result.retries = pipeline.retries();
-  result.fleet_cost = pipeline.fleet().AccumulatedCost(pipeline.sim().Now());
-  result.stale_fallbacks = pipeline.control().StaleFallbacks();
-  if (auto* pard = dynamic_cast<PardPolicy*>(policy.get())) {
-    result.transitions = pard->transition_log();
-  }
-  result.analysis = std::make_unique<RunAnalysis>(pipeline.requests(), result.spec);
-  result.drop_reason_counts = result.analysis->DropReasonCounts();
+  FillRunResult(pipeline, pipeline.sim().Now(), *policy, result);
   return result;
 }
 
@@ -175,17 +182,7 @@ ExperimentResult RunServeExperiment(const ExperimentConfig& config, const ServeO
   ServeRuntime server(result.spec, runtime, policy.get(), result.mean_input_rate, serve);
   server.RunTrace(arrivals);
   obs.Export(config);
-
-  result.worker_history = server.worker_history();
-  result.retries = server.retries();
-  result.fleet_cost = server.fleet().AccumulatedCost(server.clock().Now());
-  result.watchdog_recoveries = server.watchdog_recoveries();
-  result.stale_fallbacks = server.control().StaleFallbacks();
-  if (auto* pard = dynamic_cast<PardPolicy*>(policy.get())) {
-    result.transitions = pard->transition_log();
-  }
-  result.analysis = std::make_unique<RunAnalysis>(server.requests(), result.spec);
-  result.drop_reason_counts = result.analysis->DropReasonCounts();
+  FillRunResult(server, server.clock().Now(), *policy, result);
   return result;
 }
 

@@ -91,13 +91,13 @@ struct ExperimentResult {
 
   // PARD-specific extras (empty for other policies).
   std::vector<PardPolicy::TransitionSample> transitions;
-  std::vector<PipelineRuntime::WorkerSample> worker_history;
+  std::vector<FleetSample> worker_history;
 
   // Resilience tallies (all zero unless runtime.resilience is configured):
   // successful deadline-aware re-enqueues after worker failures, workers the
-  // serve watchdog force-failed for exceeding the hang budget (always 0 in
-  // sim — the simulator has no watchdog), and broker decisions made under
-  // the stale-snapshot fallback rules (both substrates).
+  // watchdog force-failed for exceeding the hang budget, and broker
+  // decisions made under the stale-snapshot fallback rules (both
+  // substrates).
   std::uint64_t retries = 0;
   std::uint64_t watchdog_recoveries = 0;
   std::uint64_t stale_fallbacks = 0;

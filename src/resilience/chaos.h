@@ -13,8 +13,9 @@
 //                                            progress. With `dur_s` the
 //                                            hang clears by itself; without
 //                                            it the worker hangs until the
-//                                            watchdog force-fails it (serve)
-//                                            or the run's end sweep (sim).
+//                                            watchdog force-fails it (with
+//                                            a hang budget) or the run's
+//                                            end sweep.
 //   <at_s>:<module>:slow:<factor>:<dur_s>    scale the module's exec times by
 //                                            `factor` (>1 = slower) for
 //                                            `dur_s` seconds, modeling

@@ -21,9 +21,10 @@ struct ResilienceOptions {
   // (in-flight work from a failed worker drops as kWorkerFailure).
   int max_retries = 0;
 
-  // Watchdog (serve only): a worker hung for longer than this is failed
-  // (Worker::Fail, the path a scheduled kill takes) and a replacement is
-  // provisioned after cold start. 0 disables the watchdog.
+  // Watchdog (both substrates; runtime/control_loop.h): a worker hung for
+  // longer than this is failed (Worker::Fail, the path a scheduled kill
+  // takes) and a replacement is provisioned after cold start. 0 disables
+  // the watchdog.
   Duration hang_budget = 0;
 
   // Graceful degradation: when the published ControlSnapshot is older than

@@ -2,8 +2,9 @@
 // decisions, one implementation for both substrates.
 //
 // PARD's broker evaluates Eq. 3 at t_b against an L_sub the State Planner
-// refreshes once per sync (§4.2, §5.4). Both runtimes own one ControlPlane:
-// their sync tick calls Sync(), and every ModuleRuntime/Worker asks it for
+// refreshes once per sync (§4.2, §5.4). Each run's ControlLoop
+// (runtime/control_loop.h) owns one ControlPlane in both substrates: its
+// sync job calls Sync(), and every ModuleRuntime/Worker asks it for
 // purge-expired, pop side, the drop decision at batch entry and
 // enqueue-time admission. A policy therefore decides in one place only, its
 // immutable PolicyView. The work splits by write frequency:

@@ -141,9 +141,10 @@ void ModuleRuntime::RecordStageLatency(SimTime now, Duration stage_latency) {
   stage_latency_window_.Add(now, static_cast<double>(stage_latency));
 }
 
-double ModuleRuntime::SmoothedInputRate(SimTime now) { return rate_monitor_.Smoothed(now); }
+double ModuleRuntime::SmoothedInputRate() { return rate_monitor_.Smoothed(timer_->Now()); }
 
-ModuleState ModuleRuntime::Sync(SimTime now, std::vector<double> wait_buffer) {
+ModuleState ModuleRuntime::Sync(std::vector<double> wait_buffer) {
+  const SimTime now = timer_->Now();
   ReapRetired();
   ModuleState state;
   state.module_id = spec_.id;

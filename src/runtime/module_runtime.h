@@ -51,12 +51,12 @@ class ModuleRuntime {
   // Delivery from the dispatcher (or pipeline ingress).
   void Receive(RequestPtr req);
 
-  // Computes this module's ModuleState for the sync tick to publish,
-  // copying the wait samples into `wait_buffer` (a previous state's
-  // wait_samples, recycled so a warm sync allocates nothing). The samples
-  // come back UNSORTED: the caller sorts them before publishing, which
-  // lets serve sort outside its module lock.
-  ModuleState Sync(SimTime now, std::vector<double> wait_buffer);
+  // Computes this module's ModuleState at the timer's now for the sync
+  // tick to publish, copying the wait samples into `wait_buffer` (a
+  // previous state's wait_samples, recycled so a warm sync allocates
+  // nothing). The samples come back UNSORTED: the caller sorts them before
+  // publishing, which lets serve sort outside its module lock.
+  ModuleState Sync(std::vector<double> wait_buffer);
 
   // Scaling: adjusts the active+warming pool toward `target_units` of
   // capacity in baseline-worker units (Σ backend speed), provisioning at
@@ -84,8 +84,8 @@ class ModuleRuntime {
   // virtual time `until`. Later calls override earlier ones.
   void SetSlowdown(double factor, SimTime until);
   // Watchdog: fails every worker that has been hung for longer than
-  // `budget` (Worker::Fail). Returns how many it failed. Only serve runs a
-  // watchdog; the simulator leaves indefinite hangs to the end-of-run sweep.
+  // `budget` (Worker::Fail). Returns how many it failed. The control loop
+  // (runtime/control_loop.h) sweeps it in both substrates.
   int FailHungWorkers(Duration budget);
 
   // Deadline-aware retry for a failed worker's request: when the shared
@@ -107,7 +107,8 @@ class ModuleRuntime {
   // Baseline-grade throughput; heterogeneous capacity is this times the
   // fleet's effective units.
   double PerWorkerThroughput() const { return profile_.Throughput(batch_size_); }
-  double SmoothedInputRate(SimTime now);
+  // Window-smoothed offered rate at the timer's now, for the scaling engine.
+  double SmoothedInputRate();
 
   // True execution duration for a batch on a backend with the given
   // duration multiplier: the profiled d(batch), scaled, with the configured

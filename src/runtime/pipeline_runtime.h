@@ -1,16 +1,16 @@
 // Pipeline runtime: the full serving engine for one application.
 //
 // Owns the simulation kernel, one ModuleRuntime (controller + workers) per
-// pipeline module, the shared StateBoard, the network-delay hop between
-// modules, the periodic state-sync tick and the optional resource-scaling
-// engine. It is every module's ModuleHost (runtime/module_host.h) and their
-// kernel their ModuleTimer. The Request Broker's decisions and the sync come
-// from the same ControlPlane the serving runtime uses
-// (runtime/control_plane.h), refreshed inline on the event loop, and so does
-// the request lifecycle — stamping, DAG split/merge, fates and their
-// accounting (runtime/request_lifecycle.h). A run injects a trace of client
-// arrivals and leaves behind the full set of Request records for offline
-// analysis.
+// pipeline module and the network-delay hop between modules. It is every
+// module's ModuleHost (runtime/module_host.h) and their kernel their
+// ModuleTimer. The periodic control jobs — state sync, scaling, the fault
+// and chaos schedules and the hang watchdog — are the serving runtime's own
+// ControlLoop (runtime/control_loop.h), run as kernel events, so the
+// Request Broker decides through the same ControlPlane, refreshed inline on
+// the event loop. The request lifecycle — stamping, DAG split/merge, fates
+// and their accounting (runtime/request_lifecycle.h) — is shared too. A run
+// injects a trace of client arrivals and leaves behind the full set of
+// Request records for offline analysis.
 #ifndef PARD_RUNTIME_PIPELINE_RUNTIME_H_
 #define PARD_RUNTIME_PIPELINE_RUNTIME_H_
 
@@ -20,6 +20,7 @@
 
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
+#include "runtime/control_loop.h"
 #include "runtime/control_plane.h"
 #include "runtime/drop_policy.h"
 #include "runtime/module_host.h"
@@ -41,15 +42,16 @@ class PipelineRuntime final : public ModuleHost {
   PipelineRuntime(const PipelineSpec& spec, const RuntimeOptions& options, DropPolicy* policy,
                   double expected_rate);
 
-  // Runs the complete trace (sorted client send timestamps) plus drain time.
-  // The arrivals stream through the kernel (Simulation::ScheduleStream)
-  // rather than each taking an event slot.
+  // Runs the complete trace (sorted client send timestamps) plus drain time
+  // (options.drain after the last arrival). The arrivals stream through the
+  // kernel (Simulation::ScheduleStream) rather than each taking an event
+  // slot.
   void RunTrace(const std::vector<SimTime>& arrivals);
 
   Simulation& sim() { return sim_; }
   const PipelineSpec& spec() const { return spec_; }
-  const StateBoard& board() const { return board_; }
-  const ControlPlane& control() const { return control_; }
+  const StateBoard& board() const { return loop_.board(); }
+  const ControlPlane& control() const { return loop_.control(); }
   // Shared worker-roster layer: backend profiles, per-worker states and the
   // timestamped transition log (see runtime/backend_fleet.h).
   const BackendFleet& fleet() const { return fleet_; }
@@ -62,11 +64,12 @@ class PipelineRuntime final : public ModuleHost {
 
   // Worker-count history per module: (time, active workers), recorded at
   // each scaling epoch. Used by the cold-start analysis bench.
-  using WorkerSample = FleetSample;
-  const std::vector<WorkerSample>& worker_history() const { return worker_history_; }
+  const std::vector<FleetSample>& worker_history() const { return loop_.worker_history(); }
 
   // Total successful re-enqueues after worker failures (resilience path).
   std::uint64_t retries() const { return lifecycle_.retries(); }
+  // Hung workers the watchdog failed (options.resilience.hang_budget).
+  std::uint64_t watchdog_recoveries() const { return loop_.watchdog_recoveries(); }
 
   // --- ModuleHost (called by ModuleRuntime/Worker) --------------------------
   void OnModuleDone(RequestPtr req, int module_id) override;
@@ -78,28 +81,17 @@ class PipelineRuntime final : public ModuleHost {
 
  private:
   void Inject();
-  void SyncTick();
-  void ScalingTick();
   void Deliver(RequestPtr req, int module_id);
+  // The loop's jobs run as kernel events and enter modules directly.
+  ControlLoop::Substrate ControlSubstrate();
 
   PipelineSpec spec_;
   RuntimeOptions options_;
   RequestLifecycle lifecycle_;
   Simulation sim_;
-  StateBoard board_;
-  ControlPlane control_;
   BackendFleet fleet_;
+  ControlLoop loop_;
   std::vector<std::unique_ptr<ModuleRuntime>> modules_;
-  std::vector<WorkerSample> worker_history_;
-  SimTime last_arrival_ = 0;
-  // One state per module, carried between sync ticks (see SyncTick), and
-  // the wait-sample sort's working space.
-  std::vector<ModuleState> sync_states_;
-  std::vector<double> sort_scratch_;
-  // Chaos stall-sync window: SyncTick keeps rescheduling but skips the sync
-  // while now < stall_until_, so the published snapshot ages exactly as it
-  // does in serve.
-  SimTime stall_until_ = 0;
 };
 
 }  // namespace pard

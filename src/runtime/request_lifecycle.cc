@@ -1,6 +1,5 @@
 #include "runtime/request_lifecycle.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -17,30 +16,12 @@ RequestLifecycle::RequestLifecycle(const PipelineSpec& spec, const RuntimeOption
       options_(options),
       batch_sizes_(PlanBatchSizes(spec_)),
       topo_order_(spec_.TopoOrder()),
-      fault_schedule_(options_.fleet_events),
-      chaos_schedule_(ExpandChaosSchedule(options_.resilience.chaos, options_.seed)),
       rng_(options_.seed) {
   for (const ModuleSpec& m : spec_.modules()) {
     planned_batch_duration_.push_back(ProfileRegistry::Get(m.model).BatchDuration(
         batch_sizes_[static_cast<std::size_t>(m.id)]));
   }
-  // Validated loudly here: a typo'd module id must fail the run, not
-  // silently no-op.
-  const int modules = spec_.NumModules();
-  for (const FleetEvent& event : fault_schedule_) {
-    PARD_CHECK_MSG(event.module_id >= 0 && event.module_id < modules,
-                   "fleet event targets unknown module " << event.module_id);
-    PARD_CHECK(event.count >= 1);
-  }
-  std::stable_sort(fault_schedule_.begin(), fault_schedule_.end(),
-                   [](const FleetEvent& a, const FleetEvent& b) { return a.at < b.at; });
-  for (const ChaosEvent& event : chaos_schedule_) {
-    PARD_CHECK_MSG(event.kind == ChaosKind::kStallSync ||
-                       (event.module_id >= 0 && event.module_id < modules),
-                   "chaos event targets unknown module " << event.module_id);
-  }
   PARD_CHECK(options_.resilience.max_retries >= 0);
-  PARD_CHECK(options_.resilience.hang_budget >= 0);
   if (!options_.tenants.empty()) {
     governor_ = std::make_unique<TenantGovernor>(options_.tenants, options_.seed);
   }
@@ -220,45 +201,9 @@ void RequestLifecycle::NoteRetry(Request& req, int module_id, SimTime now) {
   }
 }
 
-double RequestLifecycle::ScalingTarget(double rate, double per_worker,
-                                       double provisioned_units) const {
-  // Heterogeneous fleets keep provisioning until Σ speed covers the demand,
-  // which for a homogeneous grade-1.0 fleet lands on exactly the historical
-  // ceil() worker count.
-  if (rate > 0.0 && per_worker > 0.0) {
-    return rate * options_.provision_headroom / per_worker;
-  }
-  return provisioned_units;
-}
-
 void RequestLifecycle::ResyncGovernor(const std::vector<ModuleState>& states) {
   if (governor_ != nullptr) {
     governor_->Resync(states);
-  }
-}
-
-void RequestLifecycle::TraceFleetEvent(const FleetEvent& event) const {
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kFleet;
-    ev.module = event.module_id;
-    ev.ts = event.at;
-    ev.arg0 = event.kind == FleetEvent::Kind::kKill ? 0 : 1;
-    ev.arg1 = event.count;
-    options_.trace->Emit(ev);
-  }
-}
-
-void RequestLifecycle::TraceChaosEvent(const ChaosEvent& event) const {
-  if (options_.trace != nullptr) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kChaos;
-    ev.module = event.module_id;
-    ev.ts = event.at;
-    ev.arg0 = static_cast<std::int64_t>(event.kind);
-    ev.arg1 = event.kind == ChaosKind::kHang ? event.count
-                                             : static_cast<std::int64_t>(event.duration);
-    options_.trace->Emit(ev);
   }
 }
 

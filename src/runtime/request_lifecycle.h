@@ -4,11 +4,11 @@
 // ServeRuntime (real threads) each build one from (spec, options) and call
 // it instead of restating the rules, so stamping, DAG merge and routing,
 // fates and their accounting (fate.*, tenant.<name>.*, resilience.retries
-// and the trace fate/retry instants, named alike in both), the retry
-// verdict, the scaling target and schedule validation are written once. The
-// runtimes keep what really differs: how time passes, the simulator's
-// network-delay hop, serve's broker pool, and fate synchronisation. Queues
-// and batching are shared too, in ModuleRuntime and Worker.
+// and the trace fate/retry instants, named alike in both) and the retry
+// verdict are written once. The runtimes keep what really differs: how time
+// passes, the simulator's network-delay hop, serve's broker pool, and fate
+// synchronisation. Queues and batching are shared too, in ModuleRuntime and
+// Worker, and the periodic control jobs in ControlLoop.
 //
 // Both runtimes allocate their requests here too: each request and its hop
 // slots are one record in the run's RequestArena (runtime/request_arena.h).
@@ -39,7 +39,6 @@
 #include "core/tenant_governor.h"
 #include "obs/drop_reason.h"
 #include "pipeline/pipeline_spec.h"
-#include "resilience/chaos.h"
 #include "runtime/request.h"
 #include "runtime/request_arena.h"
 #include "runtime/runtime_options.h"
@@ -51,8 +50,7 @@ class Counter;  // obs/metrics.h
 
 class RequestLifecycle {
  public:
-  // Validates the fault and chaos schedules (a bad module id fails the run
-  // here, naming the module) and resolves the metric instruments.
+  // Resolves the metric instruments.
   RequestLifecycle(const PipelineSpec& spec, const RuntimeOptions& options);
 
   // --- Injection (one thread) ---------------------------------------------
@@ -116,22 +114,10 @@ class RequestLifecycle {
   // Total re-enqueues so far.
   std::uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
 
-  // --- Control plane --------------------------------------------------------
-  // The scaling engine's target capacity, in baseline-worker units: the
-  // smoothed offered rate with headroom over one baseline worker's
-  // throughput, or the current provisioning while there is no signal.
-  double ScalingTarget(double rate, double per_worker, double provisioned_units) const;
+  // --- Tenant governor ------------------------------------------------------
   // Recomputes the tenant shed plan from the module states about to be
   // published (no-op when untenanted). Once per sync tick.
   void ResyncGovernor(const std::vector<ModuleState>& states);
-  // options.fleet_events, sorted by time.
-  const std::vector<FleetEvent>& fault_schedule() const { return fault_schedule_; }
-  // options.resilience.chaos expanded from the run seed (probabilistic
-  // entries made concrete, so both substrates apply one timeline), sorted.
-  const std::vector<ChaosEvent>& chaos_schedule() const { return chaos_schedule_; }
-  // Trace instants for a schedule event applied at its `at`.
-  void TraceFleetEvent(const FleetEvent& event) const;
-  void TraceChaosEvent(const ChaosEvent& event) const;
 
   // --- Batch plan -----------------------------------------------------------
   const std::vector<int>& batch_sizes() const { return batch_sizes_; }
@@ -150,8 +136,6 @@ class RequestLifecycle {
   std::vector<Duration> planned_batch_duration_;
   // spec_.TopoOrder(), computed once: dynamic paths are drawn along it.
   std::vector<int> topo_order_;
-  std::vector<FleetEvent> fault_schedule_;
-  std::vector<ChaosEvent> chaos_schedule_;
   // Weighted ingress governor; null when options.tenants is empty, which
   // keeps untenanted runs bit-identical to the historical path.
   std::unique_ptr<TenantGovernor> governor_;

@@ -18,10 +18,10 @@
 namespace pard {
 
 // One deterministic fleet disturbance: kill or (re-)provision workers of a
-// module at a virtual instant. Honored by both substrates — the simulator
-// schedules them on the event loop, the serving runtime applies them from
-// its control thread. Parsed from the pardsim --fault-schedule string by
-// ParseFaultSchedule (runtime/backend_fleet.h).
+// module at a virtual instant. Honored by both substrates — the control loop
+// (runtime/control_loop.h) applies each at its instant. Parsed from the
+// pardsim --fault-schedule string by ParseFaultSchedule
+// (runtime/backend_fleet.h).
 struct FleetEvent {
   SimTime at = 0;
   int module_id = 0;
@@ -97,8 +97,10 @@ struct RuntimeOptions {
   bool cost_aware_provisioning = false;
 
   // [both] Virtual time to keep draining after the last arrival so
-  // in-flight requests resolve. Default 5 s. (The serving runtime's drain
-  // budget lives in ServeOptions::drain; this one bounds the simulator.)
+  // in-flight requests resolve. Default 5 s. The simulator stops its
+  // periodic control jobs last arrival + drain; serve abandons what is still
+  // in flight at last arrival + SLO + drain (accounted kLate), which bounds
+  // the run when a queue wedges.
   Duration drain = 5 * kUsPerSec;
 
   // [both] Dynamic request paths (§5.2's "request-specific dynamic paths"):

@@ -169,8 +169,9 @@ void Worker::Hang(Duration duration) {
       exec_end_ += duration;
       exec_event_ = timer_->ScheduleAt(exec_end_, [this] { OnBatchComplete(); });
     }
-    // Indefinite hang: the batch freezes until Fail() rescues it or the
-    // end-of-run sweep accounts it (the simulator has no watchdog).
+    // Indefinite hang: the batch freezes until Fail() rescues it (the
+    // watchdog, when a hang budget is set) or the end-of-run sweep accounts
+    // it.
   }
 }
 

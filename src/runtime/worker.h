@@ -69,9 +69,9 @@ class Worker {
   // Chaos hang: the worker freezes without dying — it stops accepting
   // dispatch and, if executing, its batch stalls. A finite hang (`duration`
   // > 0) delays the in-flight batch by the hang window and clears via
-  // Unhang(); an indefinite hang (0) freezes the batch until Fail() or the
-  // end-of-run sweep (the simulator has no watchdog — serve's calls
-  // ModuleRuntime::FailHungWorkers).
+  // Unhang(); an indefinite hang (0) freezes the batch until Fail() — the
+  // control loop's watchdog calls it through ModuleRuntime::FailHungWorkers
+  // in both substrates — or the end-of-run sweep.
   void Hang(Duration duration);
   void Unhang();
 

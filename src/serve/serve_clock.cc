@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -96,6 +97,61 @@ void ServeClock::Alarm::Wait() {
   while (read(fd_, &expirations, sizeof(expirations)) < 0) {
     PARD_CHECK_MSG(errno == EINTR, "timerfd read failed (errno " << errno << ")");
   }
+}
+
+EventId ServeTimer::ScheduleAt(SimTime t, Callback cb) {
+  const EventId id = next_id_++;
+  events_.push_back(Event{t, id, std::move(cb)});
+  if (t < armed_) {
+    Arm(t);
+  }
+  return id;
+}
+
+bool ServeTimer::Cancel(EventId id) {
+  // The alarm may still fire for a cancelled event; FireDue then finds
+  // nothing due and re-arms.
+  for (auto it = events_.begin(); it != events_.end(); ++it) {
+    if (it->id == id) {
+      events_.erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
+void ServeTimer::FireDue(SimTime now) {
+  for (;;) {
+    auto next = events_.end();
+    for (auto it = events_.begin(); it != events_.end(); ++it) {
+      if (it->t <= now &&
+          (next == events_.end() || it->t < next->t || (it->t == next->t && it->id < next->id))) {
+        next = it;
+      }
+    }
+    if (next == events_.end()) {
+      break;
+    }
+    // Out of the vector before it runs: the callback may schedule or cancel.
+    Callback cb = std::move(next->cb);
+    events_.erase(next);
+    cb();
+  }
+  SimTime due = kSimTimeMax;
+  for (const Event& ev : events_) {
+    due = std::min(due, ev.t);
+  }
+  // Every event left is later than `now`, so an alarm armed for `due` has
+  // not fired yet (the owner marks the expiries it consumes): only a
+  // new deadline costs the system call.
+  if (due != armed_) {
+    Arm(due);
+  }
+}
+
+void ServeTimer::Arm(SimTime t) {
+  armed_ = t;
+  alarm_.Arm(t);
 }
 
 }  // namespace pard

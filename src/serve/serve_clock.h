@@ -27,8 +27,10 @@
 #define PARD_SERVE_SERVE_CLOCK_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/time_types.h"
+#include "sim/timer.h"
 
 namespace pard {
 
@@ -84,6 +86,50 @@ class ServeClock {
   double speedup_;
   bool started_ = false;
   std::int64_t epoch_ns_ = 0;  // CLOCK_MONOTONIC at Start().
+};
+
+// A ModuleTimer on a ServeClock, fired by the thread that owns it: one per
+// module (serve/serve_module.h) and one for the control loop
+// (runtime/control_loop.h, on ServeRuntime's control thread). Pending events
+// sit in a small vector (a few per worker, or one per control job and
+// scheduled event) and an Alarm is armed at the earliest of them; the owning
+// thread waits on it, then fires every event that is due. Nothing here is
+// synchronized: the owner serializes every call but Wait() — the module
+// mutex, or the control thread, the control timer's only user once the run
+// starts.
+class ServeTimer final : public ModuleTimer {
+ public:
+  explicit ServeTimer(const ServeClock* clock) : clock_(clock), alarm_(clock) {}
+  SimTime Now() const override { return clock_->Now(); }
+  EventId ScheduleAt(SimTime t, Callback cb) override;
+  bool Cancel(EventId id) override;
+  // Runs, in (time, scheduling) order, every event due by `now`, including
+  // ones the callbacks schedule that are already due, then re-arms the
+  // alarm at the earliest event left unless it is already armed there.
+  void FireDue(SimTime now);
+  // The owner consumed the alarm's expiry: nothing is armed until the next
+  // FireDue or ScheduleAt arms it again.
+  void Expired() { armed_ = kSimTimeMax; }
+  // Arms the alarm to fire at once (shutdown).
+  void Interrupt() { Arm(0); }
+  // Blocks until the alarm fires. Events scheduled before the clock started
+  // armed it to fire at once, so the first wake re-arms it against the
+  // started clock.
+  void Wait() { alarm_.Wait(); }
+
+ private:
+  struct Event {
+    SimTime t;
+    EventId id;
+    Callback cb;
+  };
+  void Arm(SimTime t);
+
+  const ServeClock* clock_;
+  ServeClock::Alarm alarm_;
+  SimTime armed_ = kSimTimeMax;  // When alarm_ fires next; kSimTimeMax: not armed.
+  std::vector<Event> events_;
+  EventId next_id_ = 1;
 };
 
 }  // namespace pard

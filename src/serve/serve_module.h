@@ -11,12 +11,12 @@
 //     admission, least-loaded dispatch and Worker::Enqueue, so the Request
 //     Broker decides at arrival with the running batch's real end t_e, and
 //     an idle worker launches at once;
-//   - the module's own timer thread waits on an alarm armed at the
-//     earliest pending event's absolute ServeClock deadline (re-armed by
-//     whichever thread schedules an earlier one) and fires every event that
-//     is due: batch completions (hop records, the next batch launched
-//     back-to-back from the forming batch), cold-start activations and the
-//     end of finite hangs.
+//   - the module's own timer thread (a ServeTimer, serve_clock.h) waits on an
+//     alarm armed at the earliest pending event's absolute ServeClock
+//     deadline (re-armed by whichever thread schedules an earlier one) and
+//     fires every event that is due: batch completions (hop records, the
+//     next batch launched back-to-back from the forming batch), cold-start
+//     activations and the end of finite hangs.
 // Every entry first fires the events already due, so a busy module's
 // completions never wait for its timer thread to be scheduled: the next
 // caller in fires them, in deadline order, before its own work. A batch
@@ -31,23 +31,24 @@
 // module mutexes. The Request Broker is the runtime's ControlPlane, which
 // the ModuleRuntime asks directly, as in the simulator.
 //
-// Fleet dynamics (control thread): AddWorkers/SetTargetUnits provision
-// workers that serve after their backend's cold start, FailWorkers and the
-// watchdog (FailHungWorkers) run Worker::Fail, HangWorkers runs
-// Worker::Hang — the simulator's semantics exactly, including the retry of
-// a failed worker's queued and in-flight requests on surviving workers.
+// The control loop (runtime/control_loop.h, on the runtime's control
+// thread) enters the module through With(): the sync, scaling, fault and
+// chaos events and the watchdog call the ModuleRuntime under the module
+// mutex — the simulator's semantics exactly, including the retry of a
+// failed worker's queued and in-flight requests on surviving workers.
 //
 // Concurrency contract (lock ranks per common/lock_order.h):
 //   - mu_ (kModule) guards everything above. Under it a thread may take an
 //     admission-shard mutex (broker admission) and a fate stripe (drops,
 //     IsTerminal), never another module's mutex.
-//   - Sync() only copies the wait samples under mu_; they come back
-//     unsorted, for the caller to sort with no lock held.
-//   - Start() and Stop() come from the thread that runs the serve run; the
-//     fleet-dynamics calls from the control thread.
+//   - The control loop's sync only copies the wait samples under mu_;
+//     they come back unsorted, for it to sort with no lock held.
+//   - Start() and Stop() come from the thread that runs the serve run,
+//     With() from the control thread.
 #ifndef PARD_SERVE_SERVE_MODULE_H_
 #define PARD_SERVE_SERVE_MODULE_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -60,9 +61,7 @@
 #include "runtime/module_runtime.h"
 #include "runtime/request.h"
 #include "runtime/runtime_options.h"
-#include "runtime/state_board.h"
 #include "serve/serve_clock.h"
-#include "sim/timer.h"
 
 namespace pard {
 
@@ -89,61 +88,11 @@ class ServeModule final : private ModuleHost {
   // settled).
   void Receive(RequestPtr req);
 
-  // --- Fleet dynamics (control thread) --------------------------------------
-  // Provisions up to `count` cold workers (per-module cap); returns how many.
-  int AddWorkers(int count);
-  void FailWorkers(int count);
-  void HangWorkers(int count, Duration duration);
-  void SetSlowdown(double factor, SimTime until);
-  // Watchdog: fails workers hung for longer than `budget`; returns how many.
-  int FailHungWorkers(Duration budget);
-  void SetTargetUnits(double target_units, int max_new_workers);
-
-  // Refills `state` for the control sync (ModuleRuntime::Sync), recycling
-  // its wait-sample buffer; the samples come back unsorted.
-  void Sync(ModuleState& state);
-  // Window-smoothed offered rate, for the scaling engine.
-  double SmoothedInputRate();
-  double PerWorkerThroughput() const { return profile_.Throughput(batch_size_); }
-  int module_id() const { return module_id_; }
+  // Control entry (control thread): runs fn on the module's ModuleRuntime
+  // under the module mutex, like any other entry. A no-op once stopped.
+  void With(const std::function<void(ModuleRuntime&)>& fn);
 
  private:
-  // The module's timer: pending events in a small vector (a module has a
-  // few per worker at most) and an alarm armed at the earliest of them, which
-  // TimerLoop waits on. Every member is guarded by the module mutex.
-  class Timer final : public ModuleTimer {
-   public:
-    explicit Timer(const ServeClock* clock) : clock_(clock), alarm_(clock) {}
-    SimTime Now() const override { return clock_->Now(); }
-    EventId ScheduleAt(SimTime t, Callback cb) override;
-    bool Cancel(EventId id) override;
-    // Runs, in (time, scheduling) order, every event due by `now`, including
-    // ones the callbacks schedule that are already due, then re-arms the
-    // alarm at the earliest event left unless it is already armed there.
-    void FireDue(SimTime now);
-    // The timer thread consumed the alarm's expiry: nothing is armed until
-    // the next FireDue or ScheduleAt arms it again.
-    void Expired() { armed_ = kSimTimeMax; }
-    // Arms the alarm to fire at once (shutdown).
-    void Interrupt();
-    // Blocks until the alarm fires. The one call made without the mutex.
-    void Wait() { alarm_.Wait(); }
-
-   private:
-    struct Event {
-      SimTime t;
-      EventId id;
-      Callback cb;
-    };
-    void Arm(SimTime t);
-
-    const ServeClock* clock_;
-    ServeClock::Alarm alarm_;
-    SimTime armed_ = kSimTimeMax;  // When alarm_ fires next; kSimTimeMax: not armed.
-    std::vector<Event> events_;
-    EventId next_id_ = 1;
-  };
-
   // A request that finished this module, waiting for the lock to drop.
   struct Handoff {
     RequestPtr req;
@@ -168,13 +117,11 @@ class ServeModule final : private ModuleHost {
 
   ServeRuntime* runtime_;
   const ServeClock& clock_;
-  const ModelProfile& profile_;
-  const int batch_size_;
   const int module_id_;
 
   std::mutex mu_;  // LockRank::kModule.
   bool stop_ = false;
-  Timer timer_;
+  ServeTimer timer_;
   std::unique_ptr<ModuleRuntime> module_;
   std::vector<Handoff> outbox_;
   WorkerGroup thread_;

@@ -7,7 +7,6 @@
 #ifndef PARD_SERVE_SERVE_OPTIONS_H_
 #define PARD_SERVE_SERVE_OPTIONS_H_
 
-#include "common/time_types.h"
 #include "serve/load_generator.h"
 
 namespace pard {
@@ -30,11 +29,6 @@ struct ServeOptions {
   Arrivals arrivals = Arrivals::kTrace;
   double poisson_rate = 120.0;  // req/s (virtual), kPoisson only.
   MmppOptions mmpp;             // kMmpp only; defaults in load_generator.h.
-
-  // Virtual drain budget (us) after the last arrival before in-flight
-  // requests are abandoned (accounted kLate). Default 5 s. Bounds the run
-  // when a queue wedges.
-  Duration drain = 5 * kUsPerSec;
 
   // Fleet-wide cap on emulated workers across all modules; provisioning
   // scales down proportionally when the plan exceeds it, and scale-ups and

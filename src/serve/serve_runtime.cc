@@ -1,7 +1,6 @@
 #include "serve/serve_runtime.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -9,9 +8,7 @@
 #include "common/lock_order.h"
 #include "models/registry.h"
 #include "obs/metrics.h"
-#include "obs/trace_recorder.h"
 #include "runtime/batch_planner.h"
-#include "stats/empirical_distribution.h"
 
 namespace pard {
 
@@ -47,14 +44,6 @@ std::vector<int> CapTotalWorkers(std::vector<int> plan, int cap) {
   return plan;
 }
 
-ControlPlane::Options MakeControlOptions(const RuntimeOptions& options,
-                                         const ServeOptions& serve) {
-  ControlPlane::Options control = ControlPlane::RunOptions(options);
-  control.parallel_refresh = serve.parallel_refresh;
-  control.refresh_threads = serve.refresh_threads;
-  return control;
-}
-
 }  // namespace
 
 ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& options,
@@ -64,10 +53,9 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
       serve_(serve),
       lifecycle_(spec_, options_),
       clock_(serve.speedup),
-      board_(spec.NumModules()),
-      control_(&spec_, policy, &board_, MakeControlOptions(options, serve)),
+      control_timer_(&clock_),
       fleet_(spec_, options.cold_start, options.cost_aware_provisioning),
-      sync_states_(static_cast<std::size_t>(spec.NumModules())) {
+      loop_(spec_, options_, policy, &lifecycle_, &fleet_, ControlSubstrate()) {
   PARD_CHECK(serve_.max_total_threads >= spec_.NumModules());
   PARD_CHECK_MSG(serve_.broker_threads >= 1, "broker_threads must be >= 1");
   const std::vector<int>& batch_sizes = lifecycle_.batch_sizes();
@@ -80,18 +68,20 @@ ServeRuntime::ServeRuntime(const PipelineSpec& spec, const RuntimeOptions& optio
         batch_sizes[static_cast<std::size_t>(m.id)],
         worker_plan_[static_cast<std::size_t>(m.id)], options_));
   }
-  if (options_.metrics != nullptr) {
-    watchdog_counter_ = options_.metrics->GetCounter("resilience.watchdog_kills");
-    // Control-sync tail: wall-clock Sync() cost per epoch. 0..20 ms in
-    // 0.5 ms buckets comfortably brackets both the incremental fast path
-    // (tens of us) and a pathological full recompute.
-    sync_duration_hist_ =
-        options_.metrics->GetHistogram("control.sync_duration_us", 0.0, 20000.0, 40);
-    refresh_refreshed_counter_ =
-        options_.metrics->GetCounter("control.refresh_modules_refreshed");
-    refresh_skipped_counter_ =
-        options_.metrics->GetCounter("control.refresh_modules_skipped");
-  }
+}
+
+ControlLoop::Substrate ServeRuntime::ControlSubstrate() {
+  ControlLoop::Substrate substrate;
+  substrate.timer = &control_timer_;
+  substrate.with_module = [this](int id, const ControlLoop::ModuleFn& fn) {
+    modules_[static_cast<std::size_t>(id)]->With(fn);
+  };
+  substrate.control = ControlPlane::RunOptions(options_);
+  substrate.control.parallel_refresh = serve_.parallel_refresh;
+  substrate.control.refresh_threads = serve_.refresh_threads;
+  substrate.max_total_workers = serve_.max_total_threads;
+  substrate.wall_clock = true;
+  return substrate;
 }
 
 bool ServeRuntime::IsTerminal(const Request& req) const {
@@ -188,180 +178,14 @@ void ServeRuntime::Drop(const RequestPtr& req, int module_id, SimTime now,
   ResolveFate(*req, [&](Request& r) { return lifecycle_.Drop(r, module_id, now, reason); });
 }
 
-void ServeRuntime::ScalingTick(SimTime now) {
-  FleetSample sample;
-  sample.t = now;
-  for (auto& module : modules_) {
-    const double target_units =
-        lifecycle_.ScalingTarget(module->SmoothedInputRate(), module->PerWorkerThroughput(),
-                                 fleet_.ProvisionedUnits(module->module_id()));
-    // Workers are capped fleet-wide; scale-ups spend the remaining budget,
-    // scale-downs always apply.
-    const int budget = serve_.max_total_threads - fleet_.TotalProvisioned();
-    module->SetTargetUnits(target_units, std::max(0, budget));
-    sample.workers.push_back(fleet_.ActiveCount(module->module_id()));
-  }
-  worker_history_.push_back(std::move(sample));
-}
-
-void ServeRuntime::ControlLoop() {
-  const std::vector<FleetEvent>& faults = lifecycle_.fault_schedule();
-  const std::vector<ChaosEvent>& chaos = lifecycle_.chaos_schedule();
-  SimTime next_sync = options_.sync_period;
-  SimTime next_scale = options_.enable_scaling ? options_.scaling_epoch : -1;
-  std::size_t next_fault = 0;
-  std::size_t next_chaos = 0;
-  // Watchdog cadence: a fraction of the hang budget, so a hang is detected
-  // within budget + one sweep period (floored to keep the control thread
-  // from spinning under a tiny budget).
-  const Duration hang_budget = options_.resilience.hang_budget;
-  const Duration watchdog_period =
-      hang_budget > 0 ? std::max<Duration>(hang_budget / 4, 10 * kUsPerMs) : 0;
-  SimTime next_watchdog = hang_budget > 0 ? watchdog_period : -1;
-  // stall-sync chaos: sync epochs falling inside the stall window are
-  // skipped, so the published snapshot ages exactly as a wedged sync thread
-  // would leave it.
-  SimTime sync_stalled_until = 0;
-  while (!stop_control_.load(std::memory_order_relaxed)) {
-    SimTime wake = next_sync;
-    if (next_scale >= 0) {
-      wake = std::min(wake, next_scale);
-    }
-    if (next_fault < faults.size()) {
-      wake = std::min(wake, faults[next_fault].at);
-    }
-    if (next_chaos < chaos.size()) {
-      wake = std::min(wake, chaos[next_chaos].at);
-    }
-    if (next_watchdog >= 0) {
-      wake = std::min(wake, next_watchdog);
-    }
-    clock_.SleepUntil(wake);
+void ServeRuntime::ControlThread() {
+  for (;;) {
+    control_timer_.Wait();
     if (stop_control_.load(std::memory_order_relaxed)) {
       return;
     }
-    const SimTime now = clock_.Now();
-    // Deterministic fault schedule first: kill/recover as scheduled, applied
-    // (and logged in the fleet) when this thread wakes for it.
-    while (next_fault < faults.size() && faults[next_fault].at <= now) {
-      const FleetEvent& event = faults[next_fault++];
-      ServeModule& module = *modules_[static_cast<std::size_t>(event.module_id)];
-      if (event.kind == FleetEvent::Kind::kKill) {
-        module.FailWorkers(event.count);
-      } else {
-        // Recovery spends the remaining worker budget like any scale-up — a
-        // fault schedule cannot push past the fleet-wide cap.
-        const int budget =
-            std::max(0, serve_.max_total_threads - fleet_.TotalProvisioned());
-        module.AddWorkers(std::min(event.count, budget));
-      }
-      lifecycle_.TraceFleetEvent(event);
-    }
-    // Chaos schedule: hang/slow land on the target module; stall-sync arms
-    // the sync-skip window below.
-    while (next_chaos < chaos.size() && chaos[next_chaos].at <= now) {
-      const ChaosEvent& event = chaos[next_chaos++];
-      switch (event.kind) {
-        case ChaosKind::kHang:
-          modules_[static_cast<std::size_t>(event.module_id)]->HangWorkers(event.count,
-                                                                           event.duration);
-          break;
-        case ChaosKind::kSlow:
-          modules_[static_cast<std::size_t>(event.module_id)]->SetSlowdown(
-              event.factor, event.at + event.duration);
-          break;
-        case ChaosKind::kStallSync:
-          sync_stalled_until = std::max(sync_stalled_until, event.at + event.duration);
-          break;
-      }
-      lifecycle_.TraceChaosEvent(event);
-    }
-    // Watchdog: fail workers hung past the budget and provision
-    // replacements from the remaining worker budget.
-    if (next_watchdog >= 0 && now >= next_watchdog) {
-      for (auto& module : modules_) {
-        const int killed = module->FailHungWorkers(hang_budget);
-        if (killed == 0) {
-          continue;
-        }
-        watchdog_kills_.fetch_add(static_cast<std::uint64_t>(killed),
-                                  std::memory_order_relaxed);
-        if (watchdog_counter_ != nullptr) {
-          watchdog_counter_->Add(killed);
-        }
-        const int budget =
-            std::max(0, serve_.max_total_threads - fleet_.TotalProvisioned());
-        module->AddWorkers(std::min(killed, budget));
-        if (options_.trace != nullptr) {
-          TraceEvent ev;
-          ev.kind = TraceEventKind::kWatchdog;
-          ev.module = module->module_id();
-          ev.ts = now;
-          ev.arg0 = killed;
-          options_.trace->Emit(ev);
-        }
-      }
-      next_watchdog = now + watchdog_period;
-    }
-    if (next_scale >= 0 && now >= next_scale) {
-      ScalingTick(now);
-      next_scale += options_.scaling_epoch;
-    }
-    if (now >= next_sync && now < sync_stalled_until) {
-      // stall-sync chaos: skip this epoch; the snapshot published before the
-      // stall keeps serving readers (and aging toward the staleness budget).
-      next_sync += options_.sync_period;
-    } else if (now >= next_sync) {
-      // One module lock at a time; each state refills the buffers the board
-      // handed back at the previous sync. Only the copy holds the module's
-      // lock; the samples sort after it is released.
-      for (std::size_t i = 0; i < modules_.size(); ++i) {
-        modules_[i]->Sync(sync_states_[i]);
-        SortSamples(sync_states_[i].wait_samples, sort_scratch_);
-      }
-      // Weighted shed plan from the same states the brokers are about to
-      // read — the governor is never fresher than the snapshot.
-      lifecycle_.ResyncGovernor(sync_states_);
-      // Publishes a fresh immutable snapshot for the brokers, holding no
-      // lock. Timed in wall-clock terms: sync cost is real CPU work, not
-      // virtual time.
-      const auto sync_begin = std::chrono::steady_clock::now();
-      const PolicyRefreshStats sync_stats = control_.Sync(sync_states_, now);
-      const auto sync_wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                                    std::chrono::steady_clock::now() - sync_begin)
-                                    .count();
-      if (options_.trace != nullptr) {
-        TraceEvent ev;
-        ev.kind = TraceEventKind::kEpochSync;
-        ev.module = -1;
-        ev.ts = now;
-        ev.arg0 = static_cast<std::int64_t>(control_.SnapshotEpoch());
-        options_.trace->Emit(ev);
-        TraceEvent refresh_ev;
-        refresh_ev.kind = TraceEventKind::kControlRefresh;
-        refresh_ev.module = -1;
-        refresh_ev.ts = now;
-        refresh_ev.dur = sync_wall_us;
-        refresh_ev.arg0 = sync_stats.refreshed;
-        refresh_ev.arg1 = sync_stats.skipped;
-        options_.trace->Emit(refresh_ev);
-      }
-      if (sync_duration_hist_ != nullptr) {
-        sync_duration_hist_->Observe(static_cast<double>(sync_wall_us));
-        refresh_refreshed_counter_->Add(sync_stats.refreshed);
-        refresh_skipped_counter_->Add(sync_stats.skipped);
-      }
-      if (options_.metrics != nullptr) {
-        options_.metrics->GetGauge("control.snapshot_epoch")
-            ->Set(static_cast<std::int64_t>(control_.SnapshotEpoch()));
-        // How far behind schedule this sync ran (virtual us): the sampler's
-        // view of control-plane health under load.
-        options_.metrics->GetGauge("control.sync_lag_us")->Set(now - next_sync);
-        options_.metrics->GetGauge("resilience.stale_fallbacks")
-            ->Set(static_cast<std::int64_t>(control_.StaleFallbacks()));
-      }
-      next_sync += options_.sync_period;
-    }
+    control_timer_.Expired();
+    control_timer_.FireDue(clock_.Now());
   }
 }
 
@@ -428,7 +252,7 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
       broker_pool_.Spawn([this] { BrokerLoop(); });
     }
   }
-  control_thread_.Spawn([this] { ControlLoop(); });
+  control_thread_.Spawn([this] { ControlThread(); });
   if (options_.metrics != nullptr && options_.metrics_interval > 0) {
     sampler_thread_.Spawn([this] { SamplerLoop(); });
   }
@@ -439,7 +263,7 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
     generator.Join();
 
     // Drain: wait for in-flight requests to resolve, bounded by SLO + drain.
-    const SimTime deadline = generator.LastArrival() + spec_.slo() + serve_.drain;
+    const SimTime deadline = generator.LastArrival() + spec_.slo() + options_.drain;
     const auto poll = static_cast<Duration>(2.0 * kUsPerMs * clock_.speedup());  // 2 wall ms.
     bool drained = AllTerminal();
     while (!drained && clock_.Now() < deadline) {

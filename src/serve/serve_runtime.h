@@ -5,28 +5,25 @@
 // through one discrete-event loop, ServeRuntime is a live prototype of the
 // paper's system: an open-loop load generator injects requests in (scaled)
 // real time, each module is the simulator's own ModuleRuntime and Workers
-// driven by a per-module timer thread (serve/serve_module.h), the PARD
+// driven by a per-module timer thread (serve/serve_module.h), and the PARD
 // broker / estimator / baselines decide against wall-clock deadlines
-// through the simulator's ControlPlane and its published snapshot, and a
-// control thread publishes ModuleState snapshots once per virtual second
-// exactly like the paper's gRPC state exchange. Admission and the Request Broker's drop
-// decision run inside the module, as in the simulator: admission at
-// arrival, the drop decision when a request enters the forming batch,
-// against the running batch's end t_e. With serve.broker_threads > 1 the
-// source module's deliveries run on a pool of broker threads fed from a
-// shared ingress backlog.
+// through the simulator's ControlPlane and its published snapshot.
+// Admission and the Request Broker's drop decision run inside the module,
+// as in the simulator: admission at arrival, the drop decision when a
+// request enters the forming batch, against the running batch's end t_e.
+// With serve.broker_threads > 1 the source module's deliveries run on a
+// pool of broker threads fed from a shared ingress backlog.
 //
-// Fleet dynamics: worker rosters live in a BackendFleet shared with the
-// simulator's abstraction — slots draw (possibly heterogeneous) backend
-// profiles from the pipeline's catalog. With options.enable_scaling the
-// control thread runs the same scaling engine as the simulator every
-// scaling_epoch (target capacity in baseline-worker units from the smoothed
-// offered rate; scale-ups serve only after their profile's cold start,
-// bounded by serve.max_total_threads workers fleet-wide), recording the
-// per-epoch worker history. options.fleet_events applies a deterministic
-// kill/recover schedule mid-run, and a watchdog fails workers hung past
-// options.resilience.hang_budget; both kill through Worker::Fail, exactly
-// as the simulator does.
+// Control: the simulator's own ControlLoop (runtime/control_loop.h) runs on
+// a control thread, a timer thread like a module's (ServeTimer, serve_clock.h):
+// it publishes ModuleState snapshots once per virtual second like the
+// paper's gRPC state exchange, runs the scaling engine every scaling_epoch
+// (options.enable_scaling), applies the fault and chaos schedules and runs
+// the hang watchdog. It enters each module under the module lock, and
+// scale-ups, recoveries and watchdog replacements spend only what is left
+// of serve.max_total_threads workers fleet-wide. Worker rosters live in a
+// BackendFleet shared with the simulator's abstraction — slots draw
+// (possibly heterogeneous) backend profiles from the pipeline's catalog.
 //
 // The request lifecycle — stamping, DAG merge readiness and routing, fates
 // and their accounting, the retry verdict — is the simulator's own
@@ -48,6 +45,8 @@
 //   - Each module's state sits behind its module mutex (serve_module.h); the
 //     control plane's snapshot publication synchronizes itself
 //     (runtime/control_plane.h).
+//   - The control loop and its timer belong to the control thread; the
+//     worker history is read only after it has joined.
 //
 // Scope vs the simulator: inter-module network delay is folded into real
 // forwarding cost, and runs are NOT bit-deterministic — thread scheduling
@@ -68,20 +67,17 @@
 #include "exec/thread_pool.h"
 #include "pipeline/pipeline_spec.h"
 #include "runtime/backend_fleet.h"
+#include "runtime/control_loop.h"
+#include "runtime/control_plane.h"
 #include "runtime/drop_policy.h"
 #include "runtime/request.h"
 #include "runtime/request_lifecycle.h"
 #include "runtime/runtime_options.h"
-#include "runtime/state_board.h"
-#include "runtime/control_plane.h"
 #include "serve/serve_clock.h"
 #include "serve/serve_module.h"
 #include "serve/serve_options.h"
 
 namespace pard {
-
-class Counter;          // obs/metrics.h
-class AtomicHistogram;  // obs/metrics.h
 
 class ServeRuntime {
  public:
@@ -96,7 +92,7 @@ class ServeRuntime {
 
   // Serves the complete arrival stream (sorted virtual send timestamps) in
   // scaled wall time and blocks until every request is terminal or the drain
-  // deadline passes. Call at most once.
+  // deadline (last arrival + SLO + options.drain) passes. Call at most once.
   void RunTrace(const std::vector<SimTime>& arrivals);
 
   // Terminal request records (valid after RunTrace returns); same shape the
@@ -105,14 +101,14 @@ class ServeRuntime {
 
   const PipelineSpec& spec() const { return spec_; }
   const ServeClock& clock() const { return clock_; }
-  ControlPlane& control() { return control_; }
+  ControlPlane& control() { return loop_.control(); }
   const std::vector<int>& batch_sizes() const { return lifecycle_.batch_sizes(); }
   const std::vector<int>& worker_plan() const { return worker_plan_; }
   // Shared roster layer: backend profiles, per-worker states, transitions.
   const BackendFleet& fleet() const { return fleet_; }
   // Per-scaling-epoch active worker counts (empty when scaling is off).
   // Valid after RunTrace returns.
-  const std::vector<FleetSample>& worker_history() const { return worker_history_; }
+  const std::vector<FleetSample>& worker_history() const { return loop_.worker_history(); }
 
   // --- Internal transitions (called from the modules) ----------------------
   // Routes a request that finished `module_id` at `now`; called with no
@@ -132,9 +128,7 @@ class ServeRuntime {
   std::uint64_t retries() const { return lifecycle_.retries(); }
   // Hung workers the watchdog force-failed (each one also provisions a
   // replacement, thread budget permitting).
-  std::uint64_t watchdog_recoveries() const {
-    return watchdog_kills_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t watchdog_recoveries() const { return loop_.watchdog_recoveries(); }
 
  private:
   static constexpr std::size_t kFateStripes = 16;
@@ -163,10 +157,13 @@ class ServeRuntime {
   // accounting outside the stripe.
   template <typename Transition>
   void ResolveFate(Request& req, Transition transition);
-  // Control thread: state sync every sync_period, the scaling engine every
-  // scaling_epoch (when enabled), and the deterministic fault schedule.
-  void ControlLoop();
-  void ScalingTick(SimTime now);
+  // The control thread fires the loop's jobs on control_timer_, the only
+  // thread to touch it once the run starts. Every periodic job keeps an
+  // event pending, so a stop is seen within one sync period.
+  void ControlThread();
+  // The loop's jobs run on the control timer and enter modules under their
+  // locks, within the serve.max_total_threads worker budget.
+  ControlLoop::Substrate ControlSubstrate();
   // O(1): reads the in-flight counter, so the 2 ms drain poll never scans
   // the request log while workers race the deadline.
   bool AllTerminal() const { return in_flight_.load(std::memory_order_acquire) == 0; }
@@ -180,18 +177,11 @@ class ServeRuntime {
   // Declared before every thread-owning member, so it outlives them all.
   RequestLifecycle lifecycle_;
   ServeClock clock_;
-  StateBoard board_;
-  ControlPlane control_;
+  ServeTimer control_timer_;
   std::vector<int> worker_plan_;
   BackendFleet fleet_;
+  ControlLoop loop_;
   std::vector<std::unique_ptr<ServeModule>> modules_;
-  // Written by the control thread only; read after RunTrace joins it.
-  std::vector<FleetSample> worker_history_;
-  // One state per module, carried between control syncs so each sync
-  // refills the buffers the board handed back, and the wait-sample sort's
-  // working space (control thread only).
-  std::vector<ModuleState> sync_states_;
-  std::vector<double> sort_scratch_;
 
   // Striped fate locks (LockRank::kFate): request fate/finish transitions
   // and DAG merge counters for request r serialize on stripe r.id % 16.
@@ -215,19 +205,6 @@ class ServeRuntime {
   std::atomic<bool> stop_sampler_{false};
   WorkerGroup sampler_thread_;
   bool ran_ = false;
-
-  // Watchdog kills: bumped by the control thread; read by the getter and
-  // the text summary.
-  std::atomic<std::uint64_t> watchdog_kills_{0};
-
-  // Pre-resolved instruments (null when options_.metrics is null).
-  Counter* watchdog_counter_ = nullptr;
-  // Control-sync health: wall-clock Sync() duration (us) and what the
-  // incremental estimator refresh did each epoch. Bumped by the control
-  // thread only.
-  AtomicHistogram* sync_duration_hist_ = nullptr;
-  Counter* refresh_refreshed_counter_ = nullptr;
-  Counter* refresh_skipped_counter_ = nullptr;
 };
 
 }  // namespace pard

@@ -7,10 +7,12 @@
 //   - the simulator passes its discrete-event kernel (Simulation), where
 //     time jumps from event to event;
 //   - serve passes a per-module timer whose thread fires each event at its
-//     absolute wall-clock deadline (serve/serve_module.h).
+//     absolute wall-clock deadline (ServeTimer, serve/serve_clock.h).
+// The control loop (runtime/control_loop.h) schedules its periodic jobs
+// through the same interface: on the kernel, or on serve's control timer.
 //
 // Callers serialize every call with the callbacks themselves: the event loop
-// in the simulator, the module mutex in serve.
+// in the simulator, the module mutex (or the control thread) in serve.
 #ifndef PARD_SIM_TIMER_H_
 #define PARD_SIM_TIMER_H_
 

@@ -9,7 +9,9 @@
 //   3. Simulator substrate — kill-heavy schedules with retries enabled
 //      conserve every request with exact per-reason attribution, a sync
 //      stall past the staleness budget trips the stale-snapshot fallback,
-//      and chaos runs are bit-deterministic.
+//      the watchdog recovers an indefinite hang on a deterministic
+//      timeline, and chaos runs are bit-deterministic. Both runtimes refuse
+//      a fault or chaos event naming an unknown module.
 //   4. Serving substrate — the randomized chaos soak: ~30 virtual seconds of
 //      hangs (scheduled + probabilistic), a slowdown, a control-plane sync
 //      stall and live scaling. Asserts conservation, watchdog recovery of
@@ -31,10 +33,12 @@
 #include "common/check.h"
 #include "common/time_types.h"
 #include "harness/experiment.h"
+#include "metrics/analysis.h"
 #include "obs/drop_reason.h"
 #include "pipeline/apps.h"
 #include "resilience/chaos.h"
 #include "runtime/backend_fleet.h"
+#include "runtime/pipeline_runtime.h"
 #include "serve/serve_options.h"
 #include "serve/serve_runtime.h"
 
@@ -175,9 +179,10 @@ ExperimentConfig KillHeavyConfig() {
 }
 
 // Every request is terminal exactly once and every non-good one carries a
-// reason; the per-reason counts sum exactly to the non-good population.
-void ExpectExactReasonConservation(const ExperimentResult& result) {
-  const RunAnalysis& analysis = *result.analysis;
+// reason; the per-reason counts (indexed by DropReason) sum exactly to the
+// non-good population.
+void ExpectExactReasonConservation(const RunAnalysis& analysis,
+                                   const std::vector<std::size_t>& drop_reason_counts) {
   std::size_t good = 0;
   std::size_t not_good = 0;
   for (const RequestPtr& req : analysis.requests()) {
@@ -195,13 +200,17 @@ void ExpectExactReasonConservation(const ExperimentResult& result) {
   EXPECT_EQ(good + not_good, analysis.Total());
 
   // The per-reason counts sum exactly to the non-good population.
-  ASSERT_EQ(result.drop_reason_counts.size(), static_cast<std::size_t>(kNumDropReasons));
+  ASSERT_EQ(drop_reason_counts.size(), static_cast<std::size_t>(kNumDropReasons));
   std::size_t reason_sum = 0;
   for (int r = 1; r < kNumDropReasons; ++r) {
-    reason_sum += result.drop_reason_counts[static_cast<std::size_t>(r)];
+    reason_sum += drop_reason_counts[static_cast<std::size_t>(r)];
   }
   EXPECT_EQ(reason_sum, not_good);
-  EXPECT_EQ(result.drop_reason_counts[0], 0u);  // kNone never counts.
+  EXPECT_EQ(drop_reason_counts[0], 0u);  // kNone never counts.
+}
+
+void ExpectExactReasonConservation(const ExperimentResult& result) {
+  ExpectExactReasonConservation(*result.analysis, result.drop_reason_counts);
 }
 
 TEST(SimResilience, KillHeavyScheduleConservesWithExactReasonAttribution) {
@@ -231,6 +240,120 @@ TEST(SimResilience, SyncStallPastStalenessBudgetFallsBackAndConserves) {
   // period old, inside the budget.
   config.runtime.resilience.chaos = ChaosSchedule();
   EXPECT_EQ(RunExperiment(config).stale_fallbacks, 0u);
+}
+
+// The serve soak's overload (tm, two workers per module, 150 req/s evenly
+// spaced for 30 virtual seconds) with one indefinite module-1 hang at t=3 s,
+// run on the simulator. The policy outlives the runtime.
+struct SimHangRun {
+  std::unique_ptr<DropPolicy> policy;
+  std::unique_ptr<PipelineRuntime> runtime;
+};
+
+SimHangRun RunIndefiniteHang(Duration hang_budget) {
+  RuntimeOptions options;
+  options.seed = 11;
+  options.enable_scaling = false;  // Recovery comes from the watchdog path.
+  options.fixed_workers = {2, 2, 2};
+  options.resilience.chaos = ParseChaosSchedule("3:1:hang:1");
+  options.resilience.max_retries = 2;
+  options.resilience.hang_budget = hang_budget;
+  SimHangRun run;
+  run.policy = MakePolicy("pard", PolicyParams{});
+  run.runtime = std::make_unique<PipelineRuntime>(MakeApp("tm"), options, run.policy.get(), 150.0);
+  std::vector<SimTime> arrivals;
+  for (int i = 0; i < 4500; ++i) {
+    arrivals.push_back(static_cast<SimTime>(i) * 6667);
+  }
+  run.runtime->RunTrace(arrivals);
+  return run;
+}
+
+TEST(SimResilience, WatchdogRecoversIndefiniteHang) {
+  // The simulator runs the serve watchdog's control job, so the hang is
+  // caught on an exact timeline: hung at 3 s, past the 2 s budget after
+  // 5 s, failed at the first sweep (every budget / 4) after that.
+  constexpr SimTime kHangAt = 3 * kUsPerSec;
+  constexpr Duration kBudget = 2 * kUsPerSec;
+  constexpr Duration kSweep = kBudget / 4;
+  const SimHangRun run = RunIndefiniteHang(kBudget);
+  const PipelineRuntime& rt = *run.runtime;
+  const RunAnalysis analysis(rt.requests(), rt.spec());
+  ASSERT_EQ(analysis.Total(), 4500u);
+  ExpectExactReasonConservation(analysis, analysis.DropReasonCounts());
+  EXPECT_GE(rt.watchdog_recoveries(), 1u);
+
+  SimTime first_kill = -1;
+  bool saw_replacement_cold = false;
+  bool saw_replacement_active = false;
+  for (const FleetTransition& t : rt.fleet().transitions()) {
+    if (t.module_id != 1) {
+      continue;
+    }
+    if (t.to == BackendState::kFailed && first_kill < 0) {
+      first_kill = t.at;
+    } else if (first_kill >= 0 && t.to == BackendState::kColdStarting) {
+      saw_replacement_cold = true;
+    } else if (saw_replacement_cold && t.to == BackendState::kActive) {
+      saw_replacement_active = true;
+    }
+  }
+  ASSERT_GE(first_kill, 0) << "watchdog never failed the hung module-1 worker";
+  EXPECT_GE(first_kill, kHangAt + kBudget);
+  EXPECT_LE(first_kill, kHangAt + kBudget + kSweep);
+  EXPECT_TRUE(saw_replacement_cold);
+  EXPECT_TRUE(saw_replacement_active);
+
+  // Deterministic: a second run leaves the identical fleet log.
+  const SimHangRun again = RunIndefiniteHang(kBudget);
+  const std::vector<FleetTransition>& a = rt.fleet().transitions();
+  const std::vector<FleetTransition>& b = again.runtime->fleet().transitions();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].at, b[i].at) << i;
+    EXPECT_EQ(a[i].module_id, b[i].module_id) << i;
+    EXPECT_EQ(a[i].worker_id, b[i].worker_id) << i;
+    EXPECT_EQ(a[i].to, b[i].to) << i;
+  }
+  EXPECT_EQ(again.runtime->watchdog_recoveries(), rt.watchdog_recoveries());
+
+  // With the watchdog off the hung worker stays hung until the run ends.
+  const SimHangRun off = RunIndefiniteHang(0);
+  EXPECT_EQ(off.runtime->watchdog_recoveries(), 0u);
+  for (const FleetTransition& t : off.runtime->fleet().transitions()) {
+    EXPECT_NE(t.to, BackendState::kFailed) << "module " << t.module_id << " at " << t.at;
+  }
+}
+
+TEST(ScheduleValidation, UnknownModuleFailsBothRuntimes) {
+  // A schedule naming a module the pipeline does not have must fail
+  // construction loudly, naming the module, in both substrates.
+  const PipelineSpec spec = MakeApp("tm");
+  const std::string unknown = std::to_string(spec.NumModules());
+  std::vector<RuntimeOptions> bad(2);
+  bad[0].fleet_events = ParseFaultSchedule("1:" + unknown + ":kill:1");
+  bad[1].resilience.chaos = ParseChaosSchedule("1:" + unknown + ":hang:1");
+  ServeOptions serve;
+  serve.parallel_refresh = false;
+  for (RuntimeOptions& options : bad) {
+    options.fixed_workers = {1, 1, 1};
+    std::unique_ptr<DropPolicy> policy = MakePolicy("pard", PolicyParams{});
+    const auto message_of = [&](auto construct) -> std::string {
+      try {
+        construct();
+      } catch (const CheckError& e) {
+        return e.what();
+      }
+      return "";
+    };
+    const std::string sim =
+        message_of([&] { PipelineRuntime rt(spec, options, policy.get(), 10.0); });
+    const std::string served =
+        message_of([&] { ServeRuntime rt(spec, options, policy.get(), 10.0, serve); });
+    for (const std::string& msg : {sim, served}) {
+      EXPECT_NE(msg.find("unknown module " + unknown), std::string::npos) << "'" << msg << "'";
+    }
+  }
 }
 
 TEST(SimResilience, ChaosRunsAreBitDeterministic) {

@@ -99,9 +99,8 @@ pard::FlagSet BuildFlags() {
                "deadline-aware retry budget for requests lost to worker failures "
                "(0 = legacy behavior: in-flight work on a killed worker is dropped)");
   flags.AddDouble("hang-budget-s", 0.0,
-                  "serving mode: watchdog hang budget in virtual seconds; a worker "
-                  "hung for longer than this is force-failed and replaced (0 = "
-                  "watchdog off)");
+                  "watchdog hang budget in virtual seconds; a worker hung for longer "
+                  "than this is force-failed and replaced (0 = watchdog off)");
   flags.AddDouble("staleness-budget-s", 0.0,
                   "control-snapshot staleness budget in virtual seconds; readers of "
                   "an older snapshot fall back to conservative static drop rules "
