@@ -2,7 +2,7 @@
 // request rate rises past cluster capacity; goodput should saturate near the
 // optimum (min(rate, capacity)) for PARD and degrade for the baselines.
 //
-// The (rate x system) grid is a SweepRunner workload: 24 independent runs
+// The (rate x system) grid is a RunExperiments workload: 24 independent runs
 // execute on PARD_JOBS worker threads (metrics are bit-identical for every
 // job count), so the full paper-length sweep fits in CI time. Override the
 // per-point duration with PARD_BENCH_DURATION_S.

@@ -8,12 +8,10 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "exec/sharded_trace.h"
+#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
-#include "exec/sweep_runner.h"
-#include "exec/thread_pool.h"
 #include "pipeline/apps.h"
-#include "serve/load_generator.h"
 #include "serve/serve_runtime.h"
 #include "trace/arrival_generator.h"
 
@@ -145,34 +143,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 ExperimentResult RunServeExperiment(const ExperimentConfig& config, const ServeOptions& serve) {
   ExperimentResult result;
   result.spec = BuildSpec(config);
-
-  // Arrival stream: matched trace replay by default (identical to what the
-  // simulator would inject, so sim-vs-serve comparisons share workloads
-  // exactly), or synthesized open-loop Poisson/MMPP processes.
-  std::vector<SimTime> arrivals;
-  switch (serve.arrivals) {
-    case ServeOptions::Arrivals::kTrace:
-      arrivals = BuildWorkload(config, result);
-      break;
-    case ServeOptions::Arrivals::kPoisson: {
-      result.trace = RateFunction::Constant(serve.poisson_rate);
-      result.mean_input_rate = serve.poisson_rate;
-      Rng rng = Rng(config.seed).Fork("serve:poisson");
-      arrivals = SynthesizePoissonArrivals(serve.poisson_rate, 0, SecToUs(config.duration_s), rng);
-      break;
-    }
-    case ServeOptions::Arrivals::kMmpp: {
-      const MmppOptions& mmpp = serve.mmpp;
-      const double duty =
-          mmpp.mean_burst_s / (mmpp.mean_base_s + mmpp.mean_burst_s);
-      result.mean_input_rate = mmpp.base_rate * (1.0 - duty) + mmpp.burst_rate * duty;
-      result.trace = RateFunction::Constant(result.mean_input_rate);
-      Rng rng = Rng(config.seed).Fork("serve:mmpp");
-      arrivals = SynthesizeMmppArrivals(mmpp, 0, SecToUs(config.duration_s), rng);
-      break;
-    }
-  }
-  PARD_CHECK_MSG(!arrivals.empty(), "serve workload produced no arrivals");
+  const std::vector<SimTime> arrivals = BuildWorkload(config, result);
 
   std::unique_ptr<DropPolicy> policy = BuildPolicy(config, config.seed);
   RuntimeOptions runtime = BuildRuntimeOptions(config, config.seed);
@@ -188,9 +159,12 @@ ExperimentResult RunServeExperiment(const ExperimentConfig& config, const ServeO
 
 std::vector<ExperimentResult> RunExperiments(const std::vector<ExperimentConfig>& configs,
                                              int jobs) {
-  SweepOptions options;
-  options.jobs = jobs;
-  return SweepRunner(options).Run(configs);
+  // Each task builds its own policy and runtime, so tasks share nothing
+  // mutable and each result lands at its config's index.
+  std::vector<ExperimentResult> results(configs.size());
+  ParallelFor(jobs, configs.size(),
+              [&](std::size_t i) { results[i] = RunExperiment(configs[i]); });
+  return results;
 }
 
 ExperimentResult RunShardedExperiment(const ExperimentConfig& config, int shards, int jobs) {

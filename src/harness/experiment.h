@@ -31,7 +31,7 @@ namespace pard {
 
 struct ExperimentConfig {
   std::string app = "lv";      // tm | lv | gm | da
-  std::string trace = "tweet";  // wiki | tweet | azure
+  std::string trace = "tweet";  // wiki | tweet | azure | poisson | mmpp
   std::string policy = "pard";  // Any MakePolicy name.
 
   // When set, overrides `app` with an arbitrary pipeline (e.g. a JSON-loaded
@@ -72,7 +72,7 @@ struct ExperimentConfig {
     std::string trace_out;              // Chrome trace-event JSON (Perfetto).
     double trace_sample_rate = 1.0;     // Fraction of requests traced.
     std::string metrics_out;            // Metrics JSON (totals + time series).
-    double metrics_interval_s = 1.0;    // Serve-mode sampler period (virtual s).
+    double metrics_interval_s = 1.0;    // Sampling period (virtual s).
   };
   ObsConfig obs;
 };
@@ -113,9 +113,10 @@ struct ExperimentResult {
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 // Runs a grid of independent experiments on `jobs` worker threads (jobs < 1
-// means one per hardware thread; see exec/sweep_runner.h). Results are
+// means one per hardware thread; see exec/thread_pool.h). Results are
 // positionally matched to configs and bit-identical for every job count —
-// parallelism changes wall-clock only, never numbers.
+// parallelism changes wall-clock only, never numbers. The first exception
+// any experiment throws is re-thrown here once every config has run.
 std::vector<ExperimentResult> RunExperiments(const std::vector<ExperimentConfig>& configs,
                                              int jobs);
 
@@ -129,8 +130,8 @@ std::vector<ExperimentResult> RunExperiments(const std::vector<ExperimentConfig>
 ExperimentResult RunShardedExperiment(const ExperimentConfig& config, int shards, int jobs);
 
 // Serves the experiment's workload through the wall-clock threaded runtime
-// (src/serve/) instead of the discrete-event simulator: same spec, same
-// deterministic arrival stream (for serve.arrivals == kTrace), same policy
+// (src/serve/) instead of the discrete-event simulator: same spec, the same
+// deterministic arrival stream RunExperiment injects, same policy
 // construction, and the same metrics records/analysis — but module workers
 // are real threads fed by an open-loop load generator, so the run takes
 // duration_s / serve.speedup of wall time and numbers vary run to run.

@@ -16,10 +16,11 @@
 //     never touch the mutex again. The mutex is a leaf (unranked in
 //     common/lock_order.h): it is never held while calling other code.
 //   * Sample() takes the registry mutex, reads every instrument (a racy but
-//     coherent snapshot), and appends a row to the in-memory series. In
-//     serve mode a dedicated sampler thread drives it on the virtual clock
-//     (`--metrics-interval-s`); in sim mode PipelineRuntime calls it at
-//     sync ticks, so the series is a deterministic function of the seed.
+//     coherent snapshot), and appends a row to the in-memory series. The
+//     control loop (runtime/control_loop.h) calls it every
+//     `--metrics-interval-s` of virtual time in both substrates: on serve's
+//     control thread, and as a kernel event in the simulator, where the
+//     series is a deterministic function of the seed.
 //   * A null MetricsRegistry* in RuntimeOptions disables everything; the
 //     instrumentation sites reduce to one pointer test.
 #ifndef PARD_OBS_METRICS_H_

@@ -99,6 +99,10 @@ ControlLoop::ControlLoop(const PipelineSpec& spec, const RuntimeOptions& options
 
   ModuleTimer* timer = substrate_.timer;
   Every(timer->Now() + options_.sync_period, options_.sync_period, &ControlLoop::SyncTick);
+  if (options_.metrics != nullptr && options_.metrics_interval > 0) {
+    Every(timer->Now() + options_.metrics_interval, options_.metrics_interval,
+          &ControlLoop::SampleTick);
+  }
   if (options_.enable_scaling) {
     Every(timer->Now() + options_.scaling_epoch, options_.scaling_epoch,
           &ControlLoop::ScalingTick);
@@ -174,13 +178,11 @@ void ControlLoop::SyncTick(SimTime t) {
       // How far behind schedule this sync ran (virtual us): the sampler's
       // view of control-plane health under load.
       options_.metrics->GetGauge("control.sync_lag_us")->Set(now - t);
-    } else {
-      // Sampled at sim-event granularity on the simulator's one thread, so
-      // the exported series is a deterministic function of the seed.
-      options_.metrics->Sample(now);
     }
   }
 }
+
+void ControlLoop::SampleTick(SimTime) { options_.metrics->Sample(substrate_.timer->Now()); }
 
 void ControlLoop::ScalingTick(SimTime) {
   FleetSample sample;
@@ -194,12 +196,13 @@ void ControlLoop::ScalingTick(SimTime) {
   worker_history_.push_back(std::move(sample));
 }
 
-void ControlLoop::WatchdogTick(SimTime) {
+void ControlLoop::WatchdogTick(SimTime t) {
   const SimTime now = substrate_.timer->Now();
   for (int i = 0; i < NumModules(); ++i) {
     int killed = 0;
     substrate_.with_module(i, [&](ModuleRuntime& m) {
-      killed = m.FailHungWorkers(options_.resilience.hang_budget);
+      // Judged at the sweep's scheduled instant, against the hang's.
+      killed = m.FailHungWorkers(options_.resilience.hang_budget, t);
       if (killed > 0) {
         m.AddWorkers(std::min(killed, WorkerBudget()));
       }
@@ -230,7 +233,7 @@ void ControlLoop::ApplyChaos(const ChaosEvent& event) {
   switch (event.kind) {
     case ChaosKind::kHang:
       substrate_.with_module(event.module_id, [&](ModuleRuntime& m) {
-        m.HangWorkers(event.count, event.duration);
+        m.HangWorkers(event.count, event.at, event.duration);
       });
       break;
     case ChaosKind::kSlow:

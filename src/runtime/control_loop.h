@@ -6,6 +6,9 @@
 //   - the state sync, every sync_period: module states → SortSamples →
 //     tenant governor resync → ControlPlane::Sync → trace and metrics,
 //     skipped inside a chaos stall-sync window;
+//   - the metrics sample (MetricsRegistry::Sample), every metrics_interval
+//     when options.metrics is set and the interval is positive; where it
+//     falls on a sync instant it samples right after that sync;
 //   - the scaling tick, every scaling_epoch (options.enable_scaling);
 //   - the fault and chaos schedules, each event once at its instant;
 //   - the hang watchdog, every max(hang_budget / 4, 10 ms) when
@@ -65,9 +68,8 @@ class ControlLoop {
     // passes its max_total_threads; the simulator is uncapped.
     int max_total_workers = std::numeric_limits<int>::max();
     // Serve: time each sync on the wall clock (control.sync_duration_us,
-    // control.sync_lag_us, the kControlRefresh span) and leave metrics
-    // sampling to its sampler thread. The simulator instead samples the
-    // registry at every sync, so the series is a function of the seed.
+    // control.sync_lag_us, the kControlRefresh span). The simulator leaves
+    // them out, so its exports stay a function of the seed.
     bool wall_clock = false;
   };
 
@@ -106,6 +108,7 @@ class ControlLoop {
   // t <= until_.
   void Every(SimTime t, Duration period, Job job);
   void SyncTick(SimTime t);
+  void SampleTick(SimTime t);
   void ScalingTick(SimTime t);
   void WatchdogTick(SimTime t);
   void ApplyFault(const FleetEvent& event);

@@ -221,7 +221,7 @@ int ModuleRuntime::AddWorkers(int count) {
   return std::max(0, count);
 }
 
-void ModuleRuntime::HangWorkers(int count, Duration duration) {
+void ModuleRuntime::HangWorkers(int count, SimTime at, Duration duration) {
   for (auto& worker : workers_) {
     if (count <= 0) {
       break;
@@ -229,11 +229,11 @@ void ModuleRuntime::HangWorkers(int count, Duration duration) {
     if (!worker->Dispatchable()) {
       continue;
     }
-    worker->Hang(duration);
+    worker->Hang(at, duration);
     if (duration > 0) {
       // Self-clearing hang; weak_ptr so a drained-and-reaped worker no-ops.
       std::weak_ptr<Worker> weak = worker;
-      timer_->ScheduleAt(timer_->Now() + duration, [weak] {
+      timer_->ScheduleAt(at + duration, [weak] {
         if (auto w = weak.lock()) {
           w->Unhang();
         }
@@ -249,8 +249,7 @@ void ModuleRuntime::SetSlowdown(double factor, SimTime until) {
   slow_until_ = until;
 }
 
-int ModuleRuntime::FailHungWorkers(Duration budget) {
-  const SimTime now = timer_->Now();
+int ModuleRuntime::FailHungWorkers(Duration budget, SimTime now) {
   int failed = 0;
   for (auto& worker : workers_) {
     if (worker->hung() && worker->state() != Worker::State::kRetired &&

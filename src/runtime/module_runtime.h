@@ -76,17 +76,19 @@ class ModuleRuntime {
   // profile's cold start. Returns how many it provisioned.
   int AddWorkers(int count);
 
-  // Chaos injection: hangs up to `count` dispatchable workers for `duration`
-  // (0 = indefinitely; see Worker::Hang). Finite hangs self-clear via a
-  // scheduled Unhang.
-  void HangWorkers(int count, Duration duration);
+  // Chaos injection: hangs up to `count` dispatchable workers from `at` for
+  // `duration` (0 = indefinitely; see Worker::Hang). Finite hangs
+  // self-clear via an Unhang scheduled at `at` + `duration`.
+  void HangWorkers(int count, SimTime at, Duration duration);
   // Chaos injection: scales every sampled exec duration by `factor` until
   // virtual time `until`. Later calls override earlier ones.
   void SetSlowdown(double factor, SimTime until);
   // Watchdog: fails every worker that has been hung for longer than
-  // `budget` (Worker::Fail). Returns how many it failed. The control loop
-  // (runtime/control_loop.h) sweeps it in both substrates.
-  int FailHungWorkers(Duration budget);
+  // `budget` at `now` (Worker::Fail). Returns how many it failed. The
+  // control loop (runtime/control_loop.h) sweeps it in both substrates,
+  // passing each sweep's scheduled instant, so a late serve wake-up judges
+  // a hang as the simulator does.
+  int FailHungWorkers(Duration budget, SimTime now);
 
   // Deadline-aware retry for a failed worker's request: when the shared
   // RequestLifecycle::RetryVerdict allows it, re-enqueue directly on a

@@ -3,8 +3,8 @@
 // Every option below documents its default, its unit, and which substrate
 // honors it: [sim] = discrete-event simulator (runtime/pipeline_runtime.h),
 // [serve] = wall-clock serving runtime (serve/serve_runtime.h),
-// [both] = identical semantics on both. Serve-only knobs (speedup, arrival
-// process, broker threads) live in serve/serve_options.h.
+// [both] = identical semantics on both. Serve-only knobs (speedup, worker
+// cap, broker and refresh threads) live in serve/serve_options.h.
 #ifndef PARD_RUNTIME_RUNTIME_OPTIONS_H_
 #define PARD_RUNTIME_RUNTIME_OPTIONS_H_
 
@@ -45,9 +45,9 @@ struct RuntimeOptions {
   // uninstrumented kernel.
   TraceRecorder* trace = nullptr;
   MetricsRegistry* metrics = nullptr;
-  // [serve] Sampler period for MetricsRegistry::Sample, virtual us.
-  // Default 1 s. The simulator instead samples deterministically at every
-  // sync tick and ignores this.
+  // [both] Period of the control loop's MetricsRegistry::Sample job,
+  // virtual us; 0 = totals only, no series. Default 1 s. A sample due at a
+  // sync instant runs right after that sync.
   Duration metrics_interval = 1 * kUsPerSec;
 
   // [both] Controller state-sync period, virtual us (paper: once per

@@ -156,12 +156,12 @@ void Worker::Fail() {
   }
 }
 
-void Worker::Hang(Duration duration) {
+void Worker::Hang(SimTime at, Duration duration) {
   if (state_ != State::kActive || hung_) {
     return;
   }
   hung_ = true;
-  hung_at_ = timer_->Now();
+  hung_at_ = at;
   if (executing_) {
     timer_->Cancel(exec_event_);
     if (duration > 0) {

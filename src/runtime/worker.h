@@ -66,13 +66,15 @@ class Worker {
   // kWorkerFailure / kRetryExhausted).
   void Fail();
 
-  // Chaos hang: the worker freezes without dying — it stops accepting
-  // dispatch and, if executing, its batch stalls. A finite hang (`duration`
-  // > 0) delays the in-flight batch by the hang window and clears via
-  // Unhang(); an indefinite hang (0) freezes the batch until Fail() — the
-  // control loop's watchdog calls it through ModuleRuntime::FailHungWorkers
-  // in both substrates — or the end-of-run sweep.
-  void Hang(Duration duration);
+  // Chaos hang, begun at `at` (the chaos event's scheduled instant, which a
+  // late serve wake-up trails): the worker freezes without dying — it stops
+  // accepting dispatch and, if executing, its batch stalls. A finite hang
+  // (`duration` > 0) delays the in-flight batch by the hang window and
+  // clears via Unhang(); an indefinite hang (0) freezes the batch until
+  // Fail() — the control loop's watchdog calls it through
+  // ModuleRuntime::FailHungWorkers in both substrates — or the end-of-run
+  // sweep.
+  void Hang(SimTime at, Duration duration);
   void Unhang();
 
  private:

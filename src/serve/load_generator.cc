@@ -7,56 +7,6 @@
 
 namespace pard {
 
-std::vector<SimTime> SynthesizePoissonArrivals(double rate, SimTime begin, SimTime end,
-                                               Rng& rng) {
-  PARD_CHECK_MSG(rate > 0.0, "Poisson rate must be positive");
-  PARD_CHECK(begin <= end);
-  std::vector<SimTime> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(UsToSec(end - begin) * rate) + 16);
-  const double mean_gap_us = 1e6 / rate;
-  double t = static_cast<double>(begin);
-  for (;;) {
-    t += rng.Exponential(mean_gap_us);
-    if (t >= static_cast<double>(end)) {
-      break;
-    }
-    arrivals.push_back(static_cast<SimTime>(t));
-  }
-  return arrivals;
-}
-
-std::vector<SimTime> SynthesizeMmppArrivals(const MmppOptions& options, SimTime begin,
-                                            SimTime end, Rng& rng) {
-  PARD_CHECK_MSG(options.base_rate > 0.0 && options.burst_rate > 0.0,
-                 "MMPP rates must be positive");
-  PARD_CHECK_MSG(options.mean_base_s > 0.0 && options.mean_burst_s > 0.0,
-                 "MMPP dwell means must be positive");
-  PARD_CHECK(begin <= end);
-  std::vector<SimTime> arrivals;
-  bool burst = false;
-  double segment_start = static_cast<double>(begin);
-  // Walk state segments; within each, arrivals are Poisson at the state rate.
-  while (segment_start < static_cast<double>(end)) {
-    const double dwell_us =
-        rng.Exponential((burst ? options.mean_burst_s : options.mean_base_s) * 1e6);
-    const double segment_end =
-        std::min(segment_start + dwell_us, static_cast<double>(end));
-    const double rate = burst ? options.burst_rate : options.base_rate;
-    const double mean_gap_us = 1e6 / rate;
-    double t = segment_start;
-    for (;;) {
-      t += rng.Exponential(mean_gap_us);
-      if (t >= segment_end) {
-        break;
-      }
-      arrivals.push_back(static_cast<SimTime>(t));
-    }
-    segment_start = segment_end;
-    burst = !burst;
-  }
-  return arrivals;
-}
-
 LoadGenerator::LoadGenerator(const ServeClock* clock, std::vector<SimTime> arrivals,
                              std::function<void(SimTime)> inject)
     : clock_(clock), arrivals_(std::move(arrivals)), inject_(std::move(inject)) {

@@ -4,45 +4,24 @@
 // for the system — the arrival process the paper (and every serving study
 // since) uses, because closed-loop clients mask overload by self-throttling.
 //
-// Two halves:
-//   1. Arrival synthesis — pure functions that produce a sorted vector of
-//      virtual send timestamps, either by replaying a trace's rate curve
-//      (the harness reuses GenerateArrivals for that) or by synthesizing
-//      Poisson / MMPP processes here. Deterministic in the Rng.
-//   2. LoadGenerator — a thread that walks the timestamp vector against a
-//      ServeClock, sleeping until each arrival's wall time and invoking the
-//      inject callback. If the system falls behind, injection does NOT slow
-//      down (open loop); the callback runs late and the request's budget is
-//      simply that much more consumed.
+// The schedule is a sorted vector of virtual send timestamps, drawn by the
+// harness from the workload's rate curve (trace/arrival_generator.h) exactly
+// as for the simulator. LoadGenerator is a thread that walks it against a
+// ServeClock, sleeping until each arrival's wall time and invoking the
+// inject callback. If the system falls behind, injection does NOT slow down
+// (open loop); the callback runs late and the request's budget is simply
+// that much more consumed.
 #ifndef PARD_SERVE_LOAD_GENERATOR_H_
 #define PARD_SERVE_LOAD_GENERATOR_H_
 
 #include <functional>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/time_types.h"
 #include "exec/thread_pool.h"
 #include "serve/serve_clock.h"
 
 namespace pard {
-
-// Homogeneous Poisson arrivals at `rate` req/s over [begin, end).
-std::vector<SimTime> SynthesizePoissonArrivals(double rate, SimTime begin, SimTime end,
-                                               Rng& rng);
-
-// Two-state Markov-modulated Poisson process: the rate alternates between a
-// base state and a burst state with exponentially distributed dwell times.
-// Captures the on/off burstiness of the paper's traces without replaying
-// one — the serving-mode stress workload.
-struct MmppOptions {
-  double base_rate = 100.0;    // req/s in the quiet state.
-  double burst_rate = 400.0;   // req/s in the burst state.
-  double mean_base_s = 8.0;    // Mean dwell in the quiet state, seconds.
-  double mean_burst_s = 2.0;   // Mean dwell in the burst state, seconds.
-};
-std::vector<SimTime> SynthesizeMmppArrivals(const MmppOptions& options, SimTime begin,
-                                            SimTime end, Rng& rng);
 
 // Replays `arrivals` (sorted virtual timestamps) in wall time against
 // `clock`, calling `inject(t)` for each. Start() spawns the generator

@@ -1,13 +1,13 @@
 // Configuration specific to the wall-clock serving runtime.
 //
 // Same documentation convention as runtime/runtime_options.h: every option
-// states its default and unit. Everything here is [serve]-only — the
-// simulator never reads ServeOptions; knobs both substrates honor live in
-// RuntimeOptions.
+// states its default and unit. Everything here is [serve]-only — how fast
+// wall time runs and which threads carry the work; the simulator never
+// reads ServeOptions. The workload (ExperimentConfig's trace) and every
+// knob both substrates honor, metrics sampling included, live elsewhere
+// (harness/experiment.h, runtime/runtime_options.h).
 #ifndef PARD_SERVE_SERVE_OPTIONS_H_
 #define PARD_SERVE_SERVE_OPTIONS_H_
-
-#include "serve/load_generator.h"
 
 namespace pard {
 
@@ -19,16 +19,6 @@ struct ServeOptions {
   // speedup in virtual terms, so very large values blur the latency
   // decomposition — keep <= ~100 for meaningful numbers.
   double speedup = 20.0;
-
-  // How the load generator produces arrivals. Default kTrace.
-  //   kTrace   — replay the harness trace's virtual timestamps (matched
-  //              workload for sim-vs-serve comparison).
-  //   kPoisson — open-loop homogeneous Poisson at `poisson_rate`.
-  //   kMmpp    — two-state Markov-modulated Poisson (bursty stress).
-  enum class Arrivals { kTrace, kPoisson, kMmpp };
-  Arrivals arrivals = Arrivals::kTrace;
-  double poisson_rate = 120.0;  // req/s (virtual), kPoisson only.
-  MmppOptions mmpp;             // kMmpp only; defaults in load_generator.h.
 
   // Fleet-wide cap on emulated workers across all modules; provisioning
   // scales down proportionally when the plan exceeds it, and scale-ups and

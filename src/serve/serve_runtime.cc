@@ -7,8 +7,8 @@
 #include "common/check.h"
 #include "common/lock_order.h"
 #include "models/registry.h"
-#include "obs/metrics.h"
 #include "runtime/batch_planner.h"
+#include "serve/load_generator.h"
 
 namespace pard {
 
@@ -189,18 +189,6 @@ void ServeRuntime::ControlThread() {
   }
 }
 
-void ServeRuntime::SamplerLoop() {
-  SimTime next = options_.metrics_interval;
-  while (!stop_sampler_.load(std::memory_order_relaxed)) {
-    clock_.SleepUntil(next);
-    if (stop_sampler_.load(std::memory_order_relaxed)) {
-      return;
-    }
-    options_.metrics->Sample(clock_.Now());
-    next += options_.metrics_interval;
-  }
-}
-
 void ServeRuntime::Shutdown() {
   // Brokers go first: on a drained run their backlog is empty (a backlogged
   // request is non-terminal, so the drain loop would still be waiting);
@@ -213,10 +201,6 @@ void ServeRuntime::Shutdown() {
   }
   broker_ready_.notify_all();
   broker_pool_.Join();
-  // The sampler only reads the registry; stop it before the control thread
-  // so its final sample still sees live gauges (bounded by one clock sleep).
-  stop_sampler_.store(true, std::memory_order_relaxed);
-  sampler_thread_.Join();
   stop_control_.store(true, std::memory_order_relaxed);
   control_thread_.Join();
   // A timer thread forwards into other modules, which keep accepting work
@@ -253,9 +237,6 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
     }
   }
   control_thread_.Spawn([this] { ControlThread(); });
-  if (options_.metrics != nullptr && options_.metrics_interval > 0) {
-    sampler_thread_.Spawn([this] { SamplerLoop(); });
-  }
 
   try {
     LoadGenerator generator(&clock_, arrivals, [this](SimTime t) { Inject(t); });

@@ -18,8 +18,9 @@
 // a control thread, a timer thread like a module's (ServeTimer, serve_clock.h):
 // it publishes ModuleState snapshots once per virtual second like the
 // paper's gRPC state exchange, runs the scaling engine every scaling_epoch
-// (options.enable_scaling), applies the fault and chaos schedules and runs
-// the hang watchdog. It enters each module under the module lock, and
+// (options.enable_scaling), applies the fault and chaos schedules, runs
+// the hang watchdog and samples the metrics registry every
+// options.metrics_interval. It enters each module under the module lock, and
 // scale-ups, recoveries and watchdog replacements spend only what is left
 // of serve.max_total_threads workers fleet-wide. Worker rosters live in a
 // BackendFleet shared with the simulator's abstraction — slots draw
@@ -138,18 +139,13 @@ class ServeRuntime {
   // the source module. Only active with broker_threads > 1.
   void BrokerLoop();
   // Stops the broker pool first (its backlog is empty on a drained run and
-  // discarded otherwise), then the sampler and the control thread (so no
-  // fleet change races the stop), then every module's timer thread. Events
+  // discarded otherwise), then the control thread (so no fleet change races
+  // the stop), then every module's timer thread. Events
   // still pending never fire: what they would have moved stays in flight for
   // RunTrace's conservation sweep. Idempotent; runs on the normal exit path
   // AND before rethrowing a mid-run exception, so no thread is left running
   // into a destroyed runtime.
   void Shutdown();
-  // Metrics sampler thread: snapshots the registry every
-  // options_.metrics_interval of virtual time while the run is live. Reads
-  // only lock-free instruments + the registry's leaf mutex, so it can stop
-  // at any point in the shutdown sequence.
-  void SamplerLoop();
   // Merge bookkeeping, then delivery to the module.
   void Deliver(const RequestPtr& req, int module_id);
   // Runs one lifecycle fate transition (returning false when the request
@@ -202,8 +198,6 @@ class ServeRuntime {
 
   std::atomic<bool> stop_control_{false};
   WorkerGroup control_thread_;
-  std::atomic<bool> stop_sampler_{false};
-  WorkerGroup sampler_thread_;
   bool ran_ = false;
 };
 

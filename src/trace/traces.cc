@@ -91,6 +91,26 @@ RateFunction MakeAzureTrace(const TraceOptions& options) {
   return RateFunction(std::move(pts));
 }
 
+RateFunction MakeMmppTrace(const MmppOptions& mmpp, SimTime end, Rng& rng) {
+  PARD_CHECK_MSG(mmpp.base_rate > 0.0 && mmpp.burst_rate > 0.0, "MMPP rates must be positive");
+  PARD_CHECK_MSG(mmpp.mean_base_s > 0.0 && mmpp.mean_burst_s > 0.0,
+                 "MMPP dwell means must be positive");
+  std::vector<RateFunction::Point> points;
+  bool burst = false;
+  for (SimTime t = 0; t < end; burst = !burst) {
+    const double mean_us = (burst ? mmpp.mean_burst_s : mmpp.mean_base_s) * 1e6;
+    const SimTime next =
+        std::min(end, t + std::max<SimTime>(2, std::llround(rng.Exponential(mean_us))));
+    const double rate = burst ? mmpp.burst_rate : mmpp.base_rate;
+    points.push_back({t, rate});
+    if (next - 1 > t) {  // Only a 1 us segment cut at `end` has no second point.
+      points.push_back({next - 1, rate});
+    }
+    t = next;
+  }
+  return RateFunction(std::move(points));
+}
+
 RateFunction MakeTrace(const std::string& name, const TraceOptions& options) {
   if (name == "wiki") {
     return MakeWikiTrace(options);
@@ -100,6 +120,16 @@ RateFunction MakeTrace(const std::string& name, const TraceOptions& options) {
   }
   if (name == "azure") {
     return MakeAzureTrace(options);
+  }
+  if (name == "poisson") {
+    return RateFunction::Constant(options.base_rate);
+  }
+  if (name == "mmpp") {
+    MmppOptions mmpp;
+    mmpp.base_rate = options.base_rate;
+    mmpp.burst_rate = 4.0 * options.base_rate;
+    Rng rng = Rng(options.seed).Fork("mmpp-schedule");
+    return MakeMmppTrace(mmpp, SecToUs(options.duration_s), rng);
   }
   PARD_CHECK_MSG(false, "unknown trace: " << name);
 }

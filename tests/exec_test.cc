@@ -13,7 +13,6 @@
 #include "common/check.h"
 #include "common/time_types.h"
 #include "exec/sharded_trace.h"
-#include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
 #include "pipeline/apps.h"
 #include "runtime/pipeline_runtime.h"
@@ -93,12 +92,6 @@ TEST(ThreadPool, ResolveJobs) {
   EXPECT_EQ(ThreadPool::ResolveJobs(8), 8);
   EXPECT_GE(ThreadPool::ResolveJobs(0), 1);
   EXPECT_GE(ThreadPool::ResolveJobs(-3), 1);
-}
-
-TEST(TaskSeedTest, DependsOnIndexAndBase) {
-  EXPECT_NE(TaskSeed(7, 0), TaskSeed(7, 1));
-  EXPECT_NE(TaskSeed(7, 0), TaskSeed(8, 0));
-  EXPECT_EQ(TaskSeed(7, 3), TaskSeed(7, 3));
 }
 
 std::vector<SimTime> EvenArrivals(std::size_t count, Duration step) {

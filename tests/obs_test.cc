@@ -9,13 +9,16 @@
 //   - AtomicHistogram routes under/overflow (and NaN) to dedicated buckets
 //     and refuses to Merge across different layouts.
 //   - Striped counters tally exactly under concurrent writers.
-//   - The registry returns stable pointers and valid JSON.
+//   - The registry returns stable pointers and valid JSON, and the
+//     simulator samples it every metrics_interval, right after the sync
+//     where both fall on one instant.
 //   - Drop-reason attribution is conservative in sim mode: every dropped
 //     request carries a non-kNone reason and the reasons sum to the drop
 //     count (the serve-mode twin lives in tests/serve_test.cc).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <thread>
@@ -28,6 +31,7 @@
 #include "obs/drop_reason.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
+#include "runtime/runtime_options.h"
 
 namespace pard {
 namespace {
@@ -158,6 +162,82 @@ TEST(TraceRecorder, WiringTraceDoesNotChangeSimOutcomes) {
     ASSERT_EQ(a->fate, b->fate) << i;
     ASSERT_EQ(a->finish, b->finish) << i;
   }
+}
+
+// When a simulator run sampled the metrics registry and when it synced,
+// read back from the metrics series and the trace's sync_epoch instants, in
+// virtual us.
+struct SampleTimeline {
+  std::vector<SimTime> samples;
+  // Each row's control.snapshot_epoch gauge; -1 before the first sync
+  // registers it.
+  std::vector<std::int64_t> sample_epochs;
+  std::vector<SimTime> syncs;
+};
+
+SampleTimeline RunSampledSim(Duration metrics_interval) {
+  ExperimentConfig config = TracedSimConfig();
+  config.duration_s = 6.0;
+  TraceRecorder::Options options;
+  options.seed = config.seed;
+  TraceRecorder recorder(options);
+  MetricsRegistry registry;
+  config.runtime.trace = &recorder;
+  config.runtime.metrics = &registry;
+  config.runtime.metrics_interval = metrics_interval;
+  RunExperiment(config);
+
+  SampleTimeline timeline;
+  const JsonValue metrics = registry.ToJson();
+  for (const JsonValue& row : metrics.At("samples").AsArray()) {
+    timeline.samples.push_back(std::llround(row.At("t_s").AsDouble() * 1e6));
+    const JsonValue* epoch = row.At("gauges").Find("control.snapshot_epoch");
+    timeline.sample_epochs.push_back(epoch != nullptr ? epoch->AsInt() : -1);
+  }
+  const JsonValue trace = ParseJson(recorder.ChromeTraceJson());
+  for (const JsonValue& ev : trace.At("traceEvents").AsArray()) {
+    if (const JsonValue* name = ev.Find("name");
+        name != nullptr && name->AsString() == "sync_epoch") {
+      timeline.syncs.push_back(std::llround(ev.At("ts").AsDouble()));
+    }
+  }
+  return timeline;
+}
+
+TEST(MetricsRegistry, SimulatorSamplesEveryMetricsInterval) {
+  // Sampling is a control-loop job in both substrates, so the simulator
+  // honors metrics_interval: at the defaults (1 s, the sync period) every
+  // sample lands on a sync instant and sees the epoch that sync published
+  // (the gauge only exists once the first sync has run)...
+  const SampleTimeline defaults = RunSampledSim(RuntimeOptions{}.metrics_interval);
+  ASSERT_GT(defaults.syncs.size(), 5u);
+  EXPECT_EQ(defaults.samples, defaults.syncs);
+  ASSERT_GE(defaults.sample_epochs.front(), 0);
+  for (std::size_t i = 0; i < defaults.sample_epochs.size(); ++i) {
+    EXPECT_EQ(defaults.sample_epochs[i],
+              defaults.sample_epochs.front() + static_cast<std::int64_t>(i))
+        << i;
+  }
+
+  // ...at 0.25 s it samples four times per sync, for as long as it syncs,
+  // and each whole-second row again follows that second's sync...
+  const SampleTimeline quarter = RunSampledSim(250 * kUsPerMs);
+  EXPECT_EQ(quarter.syncs, defaults.syncs);
+  ASSERT_FALSE(quarter.samples.empty());
+  for (std::size_t i = 0; i < quarter.samples.size(); ++i) {
+    EXPECT_EQ(quarter.samples[i], static_cast<SimTime>(i + 1) * 250 * kUsPerMs) << i;
+    const std::size_t syncs_before = (i + 1) / 4;  // Syncs at or before this row.
+    EXPECT_EQ(quarter.sample_epochs[i],
+              syncs_before == 0 ? -1 : defaults.sample_epochs[syncs_before - 1])
+        << i;
+  }
+  EXPECT_GT(quarter.samples.back(), defaults.syncs.back() - kUsPerSec);
+  EXPECT_LE(quarter.samples.back(), defaults.syncs.back());
+
+  // ...and at 0 it keeps totals only.
+  const SampleTimeline none = RunSampledSim(0);
+  EXPECT_EQ(none.syncs, defaults.syncs);
+  EXPECT_TRUE(none.samples.empty());
 }
 
 TEST(AtomicHistogram, RoutesUnderOverflowAndNan) {

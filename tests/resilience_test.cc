@@ -10,7 +10,8 @@
 //      conserve every request with exact per-reason attribution, a sync
 //      stall past the staleness budget trips the stale-snapshot fallback,
 //      the watchdog recovers an indefinite hang on a deterministic
-//      timeline, and chaos runs are bit-deterministic. Both runtimes refuse
+//      timeline (judged at scheduled instants even when the clock reads
+//      late, as serve's does), and chaos runs are bit-deterministic. Both runtimes refuse
 //      a fault or chaos event naming an unknown module.
 //   4. Serving substrate — the randomized chaos soak: ~30 virtual seconds of
 //      hangs (scheduled + probabilistic), a slowdown, a control-plane sync
@@ -27,6 +28,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/policy_factory.h"
@@ -34,13 +36,19 @@
 #include "common/time_types.h"
 #include "harness/experiment.h"
 #include "metrics/analysis.h"
+#include "models/registry.h"
 #include "obs/drop_reason.h"
 #include "pipeline/apps.h"
 #include "resilience/chaos.h"
 #include "runtime/backend_fleet.h"
+#include "runtime/control_loop.h"
+#include "runtime/module_host.h"
+#include "runtime/module_runtime.h"
 #include "runtime/pipeline_runtime.h"
+#include "runtime/request_lifecycle.h"
 #include "serve/serve_options.h"
 #include "serve/serve_runtime.h"
+#include "sim/simulation.h"
 
 namespace pard {
 namespace {
@@ -323,6 +331,81 @@ TEST(SimResilience, WatchdogRecoversIndefiniteHang) {
   for (const FleetTransition& t : off.runtime->fleet().transitions()) {
     EXPECT_NE(t.to, BackendState::kFailed) << "module " << t.module_id << " at " << t.at;
   }
+}
+
+// The simulator's kernel read through a clock that runs 1 ms late per
+// virtual second, as serve's timer threads wake after their deadlines: every
+// event still fires at its scheduled instant, but Now() trails it by more
+// the later the event.
+class LateTimer final : public ModuleTimer {
+ public:
+  explicit LateTimer(Simulation* sim) : sim_(sim) {}
+  SimTime Now() const override { return sim_->Now() + sim_->Now() / 1000; }
+  EventId ScheduleAt(SimTime t, Callback cb) override { return sim_->ScheduleAt(t, std::move(cb)); }
+  bool Cancel(EventId id) override { return sim_->Cancel(id); }
+
+ private:
+  Simulation* sim_;
+};
+
+// Host of a one-module pipeline that never sees a request.
+class IdleHost final : public ModuleHost {
+ public:
+  explicit IdleHost(RequestLifecycle* lifecycle) : lifecycle_(lifecycle) {}
+  void OnModuleDone(RequestPtr, int) override { ADD_FAILURE() << "no request was injected"; }
+  void Drop(RequestPtr, int, DropReason) override { ADD_FAILURE() << "no request was injected"; }
+  bool IsTerminal(const Request& req) const override { return req.Terminal(); }
+  RequestLifecycle& lifecycle() override { return *lifecycle_; }
+  TraceRecorder* trace() override { return nullptr; }
+
+ private:
+  RequestLifecycle* lifecycle_;
+};
+
+TEST(SimResilience, LateWakeUpsJudgeHangsAtTheirScheduledInstants) {
+  // smoke_pardsim_chaos's timing: a hang at 1 s, a 1 s budget, sweeps every
+  // 0.25 s. The sweep at 2.0 s finds the worker hung for exactly the budget,
+  // not longer, so the first kill is the 2.25 s sweep's — even when each
+  // job reads the clock late, and the 2.0 s sweep later than the hang.
+  constexpr SimTime kHangAt = 1 * kUsPerSec;
+  constexpr Duration kBudget = 1 * kUsPerSec;
+  constexpr SimTime kFirstKill = kHangAt + kBudget + kBudget / 4;
+  ModuleSpec module;
+  module.id = 0;
+  module.model = "eye_tracking";
+  const PipelineSpec spec("one", 200 * kUsPerMs, {module});
+  RuntimeOptions options;
+  options.resilience.chaos = ParseChaosSchedule("1:0:hang:1");
+  options.resilience.hang_budget = kBudget;
+  std::unique_ptr<DropPolicy> policy = MakePolicy("pard", PolicyParams{});
+
+  Simulation sim;
+  LateTimer timer(&sim);
+  RequestLifecycle lifecycle(spec, options);
+  BackendFleet fleet(spec, options.cold_start, options.cost_aware_provisioning);
+  IdleHost host(&lifecycle);
+  std::unique_ptr<ModuleRuntime> runtime;
+  ControlLoop::Substrate substrate;
+  substrate.timer = &timer;
+  substrate.with_module = [&runtime](int, const ControlLoop::ModuleFn& fn) { fn(*runtime); };
+  substrate.control = ControlPlane::RunOptions(options);
+  ControlLoop loop(spec, options, policy.get(), &lifecycle, &fleet, substrate);
+  runtime = std::make_unique<ModuleRuntime>(&timer, &host, &loop.control(), &fleet, module,
+                                            ProfileRegistry::Get(module.model),
+                                            lifecycle.batch_sizes()[0], 2, options);
+  loop.StopAfter(3 * kUsPerSec);
+  sim.Run();
+
+  SimTime first_kill = -1;
+  for (const FleetTransition& t : fleet.transitions()) {
+    if (t.to == BackendState::kFailed) {
+      first_kill = t.at;
+      break;
+    }
+  }
+  EXPECT_EQ(loop.watchdog_recoveries(), 1u);
+  // Fail() stamps the late clock: the 2.25 s sweep reads 2.25225 s.
+  EXPECT_EQ(first_kill, kFirstKill + kFirstKill / 1000);
 }
 
 TEST(ScheduleValidation, UnknownModuleFailsBothRuntimes) {

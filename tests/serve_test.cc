@@ -2,8 +2,9 @@
 //
 // Two kinds of assertion live here:
 //   1. Hard invariants — conservation (every injected request ends terminal,
-//      exactly once, with consistent hop records), load-generator
-//      determinism, clock monotonicity. These never depend on timing.
+//      exactly once, with consistent hop records), the load generator
+//      replaying every arrival in order, the simulator's request count on
+//      every trace, clock monotonicity. These never depend on timing.
 //   2. Sim-vs-serve validation bands on matched arrival streams. Serve runs
 //      the simulator's own ModuleRuntime/Worker state machine, so what is
 //      left between them is wall-clock wake-up lateness: normalized goodput
@@ -50,6 +51,7 @@
 #include "serve/serve_options.h"
 #include "serve/serve_runtime.h"
 #include "trace/arrival_generator.h"
+#include "trace/traces.h"
 
 namespace pard {
 namespace {
@@ -111,36 +113,6 @@ TEST(ServeClock, SleepUntilSetsOneNanosecondTimerSlackOnTheCallingThread) {
 TEST(ServeClock, RejectsNonPositiveSpeedup) {
   EXPECT_THROW(ServeClock(0.0), CheckError);
   EXPECT_THROW(ServeClock(-3.0), CheckError);
-}
-
-TEST(LoadGen, PoissonArrivalsAreDeterministicSortedAndRateShaped) {
-  Rng rng_a(123);
-  Rng rng_b(123);
-  const auto a = SynthesizePoissonArrivals(200.0, 0, 10 * kUsPerSec, rng_a);
-  const auto b = SynthesizePoissonArrivals(200.0, 0, 10 * kUsPerSec, rng_b);
-  EXPECT_EQ(a, b);
-  EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
-  // 2000 expected arrivals; 5 sigma is ~±224.
-  EXPECT_GT(a.size(), 1700u);
-  EXPECT_LT(a.size(), 2300u);
-  EXPECT_GE(a.front(), 0);
-  EXPECT_LT(a.back(), 10 * kUsPerSec);
-}
-
-TEST(LoadGen, MmppArrivalRateLandsBetweenBaseAndBurst) {
-  MmppOptions mmpp;
-  mmpp.base_rate = 50.0;
-  mmpp.burst_rate = 400.0;
-  mmpp.mean_base_s = 4.0;
-  mmpp.mean_burst_s = 2.0;
-  Rng rng(7);
-  const auto arrivals = SynthesizeMmppArrivals(mmpp, 0, 120 * kUsPerSec, rng);
-  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
-  const double rate = static_cast<double>(arrivals.size()) / 120.0;
-  EXPECT_GT(rate, mmpp.base_rate);
-  EXPECT_LT(rate, mmpp.burst_rate);
-  Rng rng2(7);
-  EXPECT_EQ(arrivals, SynthesizeMmppArrivals(mmpp, 0, 120 * kUsPerSec, rng2));
 }
 
 TEST(LoadGen, ReplaysEveryArrivalInOrder) {
@@ -212,6 +184,38 @@ ExperimentConfig Fig08SmokeConfig(const std::string& app, const std::string& pol
   config.provision_factor = 1.25;
   config.runtime.enable_scaling = false;
   return config;
+}
+
+// The bursty stress shape: an MMPP rate alternating `base` and `burst`
+// req/s with 0.5 s mean dwells, as a custom trace over `duration_s`. Its
+// seed draws bursts over 0.48-0.96 s, 1.11-1.49 s and 1.62-2.42 s.
+RateFunction BurstyTrace(double base, double burst, double duration_s) {
+  MmppOptions mmpp;
+  mmpp.base_rate = base;
+  mmpp.burst_rate = burst;
+  mmpp.mean_base_s = 0.5;
+  mmpp.mean_burst_s = 0.5;
+  Rng rng = Rng(1).Fork("mmpp-schedule");
+  return MakeMmppTrace(mmpp, SecToUs(duration_s), rng);
+}
+
+TEST(ServeRuntime, InjectsTheSimulatorsArrivalsOnEveryTrace) {
+  // Every workload is a rate curve the harness samples once for both
+  // substrates, so serve injects exactly the simulator's request count —
+  // for the synthetic Poisson and MMPP shapes as for a paper trace.
+  for (const char* trace : {"tweet", "poisson", "mmpp"}) {
+    ExperimentConfig config = Fig08SmokeConfig("tm", "pard");
+    config.trace = trace;
+    config.duration_s = 4.0;
+    config.base_rate = 50.0;
+    ServeOptions serve;
+    serve.speedup = 40.0;
+    const ExperimentResult sim = RunExperiment(config);
+    const ExperimentResult served = RunServeExperiment(config, serve);
+    ASSERT_GT(sim.analysis->Total(), 0u) << trace;
+    EXPECT_EQ(served.analysis->Total(), sim.analysis->Total()) << trace;
+    EXPECT_EQ(served.mean_input_rate, sim.mean_input_rate) << trace;
+  }
 }
 
 TEST(ServeRuntime, ConservesEveryRequestOnAChain) {
@@ -397,14 +401,10 @@ TEST(ServeRuntime, DagMergeAndOverloadUnderContention) {
   // cannot flake.
   ExperimentConfig config = Fig08SmokeConfig("da", "pard");
   config.duration_s = 2.0;
+  config.custom_trace = BurstyTrace(60.0, 800.0, config.duration_s);
   config.runtime.fixed_workers = std::vector<int>(5, 1);  // da has 5 modules.
   ServeOptions serve;
   serve.speedup = 40.0;
-  serve.arrivals = ServeOptions::Arrivals::kMmpp;
-  serve.mmpp.base_rate = 60.0;
-  serve.mmpp.burst_rate = 800.0;
-  serve.mmpp.mean_base_s = 0.5;
-  serve.mmpp.mean_burst_s = 0.5;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 0u);
   for (const RequestPtr& req : result.analysis->requests()) {
@@ -431,11 +431,10 @@ TEST(ServeRuntime, DrainDeadlineBoundsDropFreePolicyUnderOverload) {
   // out — RunServeExperiment returning promptly with every request terminal
   // and a nonzero late share IS the bound.
   ExperimentConfig config = Fig08SmokeConfig("tm", "naive");
+  config.custom_trace = RateFunction::Constant(500.0);
   config.runtime.fixed_workers = std::vector<int>(3, 1);  // tm has 3 modules.
   ServeOptions serve;
   serve.speedup = 40.0;
-  serve.arrivals = ServeOptions::Arrivals::kPoisson;
-  serve.poisson_rate = 500.0;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 100u);
   for (const RequestPtr& req : result.analysis->requests()) {
@@ -569,10 +568,9 @@ TEST(ServeRuntime, ScalingEngineGrowsFleetUnderOverloadAndRecordsHistory) {
   config.runtime.enable_scaling = true;
   config.runtime.scaling_epoch = 1 * kUsPerSec;
   config.runtime.cold_start = 200 * kUsPerMs;
+  config.custom_trace = RateFunction::Constant(300.0);
   ServeOptions serve;
   serve.speedup = 25.0;
-  serve.arrivals = ServeOptions::Arrivals::kPoisson;
-  serve.poisson_rate = 300.0;
   const ExperimentResult result = RunServeExperiment(config, serve);
   for (const RequestPtr& req : result.analysis->requests()) {
     ASSERT_TRUE(req->Terminal());
@@ -618,10 +616,9 @@ TEST(ServeRuntime, PardGoodputAtLeastDropFreeBaselineOnHeterogeneousScenario) {
     config.provision_factor = 0.6;
     config.runtime.cold_start = 200 * kUsPerMs;
     config.runtime.fleet_events = ParseFaultSchedule("1.5:2:kill:1,2:2:add:1");
+    config.custom_trace = RateFunction::Constant(300.0);
     ServeOptions serve;
     serve.speedup = 40.0;
-    serve.arrivals = ServeOptions::Arrivals::kPoisson;
-    serve.poisson_rate = 300.0;
     return RunServeExperiment(config, serve);
   };
   const ExperimentResult pard = run("pard");
@@ -649,14 +646,10 @@ TEST(ServeRuntime, ShardedBrokersWithScalingAndFaultsConserve) {
   config.runtime.scaling_epoch = 1 * kUsPerSec;
   config.runtime.cold_start = 100 * kUsPerMs;
   config.runtime.fleet_events = ParseFaultSchedule("0.8:1:kill:1,1.2:1:add:1");
+  config.custom_trace = BurstyTrace(80.0, 600.0, config.duration_s);
   ServeOptions serve;
   serve.speedup = 25.0;
   serve.broker_threads = 4;
-  serve.arrivals = ServeOptions::Arrivals::kMmpp;
-  serve.mmpp.base_rate = 80.0;
-  serve.mmpp.burst_rate = 600.0;
-  serve.mmpp.mean_base_s = 0.5;
-  serve.mmpp.mean_burst_s = 0.5;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 0u);
   std::size_t good = 0;
@@ -681,14 +674,10 @@ TEST(ServeRuntime, DropReasonsConserveUnderStructuralOverload) {
   // sweeps, drain abandonment).
   ExperimentConfig config = Fig08SmokeConfig("da", "pard");
   config.duration_s = 2.0;
+  config.custom_trace = BurstyTrace(60.0, 800.0, config.duration_s);
   config.runtime.fixed_workers = std::vector<int>(5, 1);
   ServeOptions serve;
   serve.speedup = 40.0;
-  serve.arrivals = ServeOptions::Arrivals::kMmpp;
-  serve.mmpp.base_rate = 60.0;
-  serve.mmpp.burst_rate = 800.0;
-  serve.mmpp.mean_base_s = 0.5;
-  serve.mmpp.mean_burst_s = 0.5;
   const ExperimentResult result = RunServeExperiment(config, serve);
   const RunAnalysis& analysis = *result.analysis;
   ASSERT_GT(analysis.DroppedCount(), 0u);
@@ -716,7 +705,7 @@ TEST(ServeRuntime, ObsExportWritesLoadableTraceAndMetrics) {
   // End-to-end --trace-out/--metrics-out through the serving runtime: both
   // files must parse as JSON, the trace must contain real lifecycle events
   // (Perfetto loads exactly this shape) and the metrics series must have
-  // sampler rows.
+  // rows from the control loop's sample job.
   ExperimentConfig config = Fig08SmokeConfig("tm", "pard");
   config.obs.trace_out = testing::TempDir() + "serve_obs_trace.json";
   config.obs.metrics_out = testing::TempDir() + "serve_obs_metrics.json";
@@ -757,7 +746,7 @@ TEST(ServeRuntime, ObsExportWritesLoadableTraceAndMetrics) {
   const JsonValue metrics = ParseJson(read_file(config.obs.metrics_out));
   ASSERT_TRUE(metrics.At("samples").IsArray());
   EXPECT_GT(metrics.At("samples").AsArray().size(), 0u)
-      << "sampler thread produced no rows";
+      << "the control loop took no metrics sample";
   // Every terminal request bumps exactly one fate.* counter. Assert the
   // conservation sum rather than completions alone — under sanitizer
   // slowdown a short run can legitimately complete zero requests.
@@ -775,10 +764,9 @@ TEST(ServeRuntime, ObsExportWritesLoadableTraceAndMetrics) {
 TEST(ServeRuntime, DynamicPathsServeTerminalUnderBursts) {
   ExperimentConfig config = Fig08SmokeConfig("da", "pard");
   config.runtime.dynamic_paths = true;
+  config.custom_trace = RateFunction::Constant(120.0);
   ServeOptions serve;
   serve.speedup = 40.0;
-  serve.arrivals = ServeOptions::Arrivals::kPoisson;
-  serve.poisson_rate = 120.0;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 0u);
   for (const RequestPtr& req : result.analysis->requests()) {

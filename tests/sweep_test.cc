@@ -1,13 +1,12 @@
-// Determinism contract of the parallel sweep runner: job count changes
-// wall-clock, never numbers. Also covers the sharded-experiment harness
-// entry point.
+// Determinism contract of the parallel harness entry points
+// (RunExperiments, RunShardedExperiment, RunReplicated): job count changes
+// wall-clock, never numbers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "exec/sweep_runner.h"
 #include "harness/experiment.h"
 
 namespace pard {
@@ -48,26 +47,6 @@ TEST(SweepDeterminism, JobCountNeverChangesMetrics) {
     EXPECT_EQ(MetricBytes(serial[i]), MetricBytes(parallel[i]))
         << grid[i].app << "/" << grid[i].policy;
   }
-}
-
-TEST(SweepDeterminism, DerivedTaskSeedsAreOrderIndependent) {
-  SweepOptions one;
-  one.jobs = 1;
-  one.derive_task_seeds = true;
-  SweepOptions eight;
-  eight.jobs = 8;
-  eight.derive_task_seeds = true;
-
-  const std::vector<ExperimentConfig> grid = SmallGrid();
-  const std::vector<ExperimentResult> serial = SweepRunner(one).Run(grid);
-  const std::vector<ExperimentResult> parallel = SweepRunner(eight).Run(grid);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(MetricBytes(serial[i]), MetricBytes(parallel[i]));
-  }
-  // Derived seeds decorrelate grid points that share a base seed: the same
-  // (app, policy) pair at different indices sees different workloads.
-  EXPECT_NE(MetricBytes(serial[0]), MetricBytes(RunExperiments(grid, 1)[0]));
 }
 
 TEST(SweepDeterminism, ResultsMatchSerialRunExperiment) {

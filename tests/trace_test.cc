@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -122,17 +122,143 @@ TEST(Traces, DispatchByName) {
   EXPECT_NO_THROW(MakeTrace("wiki", o));
   EXPECT_NO_THROW(MakeTrace("tweet", o));
   EXPECT_NO_THROW(MakeTrace("azure", o));
+  EXPECT_NO_THROW(MakeTrace("poisson", o));
+  EXPECT_NO_THROW(MakeTrace("mmpp", o));
   EXPECT_THROW(MakeTrace("bogus", o), CheckError);
 }
 
 TEST(Traces, BurstRegionInsideTrace) {
   const TraceOptions o = DefaultOptions();
-  for (const char* name : {"wiki", "tweet", "azure"}) {
+  for (const char* name : {"wiki", "tweet", "azure", "poisson", "mmpp"}) {
     const TraceRegion r = BurstRegion(name, o);
     EXPECT_GE(r.begin, 0);
     EXPECT_GT(r.end, r.begin);
     EXPECT_LE(r.end, SecToUs(o.duration_s));
   }
+}
+
+// ---- synthetic shapes -------------------------------------------------------------
+
+TEST(Traces, PoissonIsFlatAtBaseRateAndDrawsPoissonArrivals) {
+  TraceOptions o = DefaultOptions();
+  o.duration_s = 10.0;
+  const RateFunction f = MakeTrace("poisson", o);
+  EXPECT_DOUBLE_EQ(f.At(0), o.base_rate);
+  EXPECT_DOUBLE_EQ(f.At(SecToUs(7.5)), o.base_rate);
+  EXPECT_DOUBLE_EQ(f.MaxRate(), o.base_rate);
+  Rng a(123);
+  Rng b(123);
+  const auto arrivals = GenerateArrivals(f, 0, SecToUs(10), a);
+  EXPECT_EQ(arrivals, GenerateArrivals(f, 0, SecToUs(10), b));
+  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
+  // 2000 expected arrivals; 5 sigma is ~±224.
+  EXPECT_GT(arrivals.size(), 1700u);
+  EXPECT_LT(arrivals.size(), 2300u);
+}
+
+MmppOptions TestMmpp() {
+  MmppOptions mmpp;
+  mmpp.base_rate = 50.0;
+  mmpp.burst_rate = 400.0;
+  mmpp.mean_base_s = 4.0;
+  mmpp.mean_burst_s = 2.0;
+  return mmpp;
+}
+
+TEST(Traces, MmppCurveTakesOnlyItsTwoRates) {
+  const MmppOptions mmpp = TestMmpp();
+  const SimTime end = SecToUs(120);
+  Rng rng(7);
+  const RateFunction f = MakeMmppTrace(mmpp, end, rng);
+  EXPECT_DOUBLE_EQ(f.points().front().rate, mmpp.base_rate);  // Starts quiet.
+  EXPECT_LT(f.End(), end);
+  std::size_t burst_points = 0;
+  for (const RateFunction::Point& p : f.points()) {
+    EXPECT_TRUE(p.rate == mmpp.base_rate || p.rate == mmpp.burst_rate) << p.rate;
+    burst_points += p.rate == mmpp.burst_rate ? 1 : 0;
+  }
+  // 120 s of 4 s / 2 s mean dwells switches state ~40 times.
+  EXPECT_GT(burst_points, 10u);
+  EXPECT_GT(f.points().size() - burst_points, 10u);
+  // A step curve: each edge ramps over 1 us, so at whole microseconds the
+  // rate is always one of the two.
+  for (SimTime t = SecToUs(0.5); t < end; t += SecToUs(1)) {
+    const double r = f.At(t);
+    EXPECT_TRUE(r == mmpp.base_rate || r == mmpp.burst_rate) << r << " at " << t;
+  }
+  const double mean = f.MeanRate(0, end);
+  EXPECT_GT(mean, mmpp.base_rate);
+  EXPECT_LT(mean, mmpp.burst_rate);
+  // The arrivals drawn on it land between the two rates as well.
+  Rng arrival_rng(8);
+  const auto arrivals = GenerateArrivals(f, 0, end, arrival_rng);
+  EXPECT_TRUE(std::is_sorted(arrivals.begin(), arrivals.end()));
+  const double rate = static_cast<double>(arrivals.size()) / UsToSec(end);
+  EXPECT_GT(rate, mmpp.base_rate);
+  EXPECT_LT(rate, mmpp.burst_rate);
+}
+
+TEST(Traces, MmppCurveIsDeterministicPerSeed) {
+  const MmppOptions mmpp = TestMmpp();
+  const auto curve = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    return MakeMmppTrace(mmpp, SecToUs(120), rng).points();
+  };
+  const auto same = [](const std::vector<RateFunction::Point>& a,
+                       const std::vector<RateFunction::Point>& b) {
+    if (a.size() != b.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].t != b[i].t || a[i].rate != b[i].rate) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(same(curve(7), curve(7)));
+  EXPECT_FALSE(same(curve(7), curve(8)));
+
+  // By name: the burst rate is 4x base_rate and the dwells come from the
+  // trace seed.
+  const TraceOptions o = DefaultOptions();
+  const RateFunction named = MakeTrace("mmpp", o);
+  for (const RateFunction::Point& p : named.points()) {
+    EXPECT_TRUE(p.rate == o.base_rate || p.rate == 4.0 * o.base_rate) << p.rate;
+  }
+  EXPECT_TRUE(same(named.points(), MakeTrace("mmpp", o).points()));
+  TraceOptions reseeded = o;
+  reseeded.seed = o.seed + 1;
+  EXPECT_FALSE(same(named.points(), MakeTrace("mmpp", reseeded).points()));
+}
+
+TEST(Traces, MmppCurveKeepsStrictlyIncreasingPointsWhenCutOneMicrosecondIn) {
+  // 1 us mean dwells: segments are mostly the 2 us minimum, so across these
+  // ends the cut at `end` leaves some a 1 us last segment. It gets a single
+  // point (a second would repeat its instant), so the curve's last two
+  // points belong to different states.
+  MmppOptions mmpp = TestMmpp();
+  mmpp.mean_base_s = 1e-6;
+  mmpp.mean_burst_s = 1e-6;
+  int single_point_tails = 0;
+  for (SimTime end = 3; end < 40; ++end) {
+    Rng rng(3);
+    const std::vector<RateFunction::Point> points = MakeMmppTrace(mmpp, end, rng).points();
+    ASSERT_GE(points.size(), 2u);
+    EXPECT_EQ(points.back().t, end - 1);
+    single_point_tails += points.back().rate != points[points.size() - 2].rate ? 1 : 0;
+  }
+  EXPECT_GT(single_point_tails, 0);
+}
+
+TEST(Traces, MmppCurveRejectsNonPositiveRatesAndDwells) {
+  MmppOptions mmpp = TestMmpp();
+  Rng rng(1);
+  mmpp.burst_rate = 0.0;
+  EXPECT_THROW(MakeMmppTrace(mmpp, SecToUs(10), rng), CheckError);
+  mmpp = TestMmpp();
+  mmpp.mean_base_s = 0.0;
+  EXPECT_THROW(MakeMmppTrace(mmpp, SecToUs(10), rng), CheckError);
 }
 
 // ---- arrival generation ----------------------------------------------------------

@@ -38,7 +38,9 @@ namespace {
 pard::FlagSet BuildFlags() {
   pard::FlagSet flags;
   flags.AddString("app", "lv", "pipeline application: tm | lv | gm | da | lvhet");
-  flags.AddString("trace", "tweet", "workload trace: wiki | tweet | azure");
+  flags.AddString("trace", "tweet",
+                  "workload trace: wiki | tweet | azure | poisson (constant --base-rate) "
+                  "| mmpp (bursty: --base-rate and 4x --base-rate)");
   flags.AddString("policy", "pard",
                   "drop policy: pard, nexus, clipper++, naive, pard-back, pard-sf, "
                   "pard-oc, pard-split, pard-wcl, pard-lower, pard-upper, pard-fcfs, "
@@ -113,11 +115,6 @@ pard::FlagSet BuildFlags() {
                 "discrete-event simulator");
   flags.AddDouble("speedup", 20.0,
                   "serving mode: virtual seconds per wall second (1 = real time)");
-  flags.AddString("arrivals", "trace",
-                  "serving mode load generator: trace (replay --trace), poisson "
-                  "(constant --base-rate), mmpp (bursty, --base-rate/--burst-rate)");
-  flags.AddDouble("burst-rate", 0.0,
-                  "serving mode mmpp burst-state rate, req/s (0 = 4x --base-rate)");
   flags.AddInt("broker-threads", 1,
                "serving mode: broker threads fanning injected requests into the "
                "pipeline (N > 1 admits concurrently through the lock-free control "
@@ -140,9 +137,25 @@ pard::FlagSet BuildFlags() {
                   "write live-metrics JSON (counter totals, gauges, histograms and "
                   "a sampled time series) to this path; empty = metrics off");
   flags.AddDouble("metrics-interval-s", 1.0,
-                  "metrics sampling period in virtual seconds (--serve mode; the "
-                  "simulator samples at control-plane sync ticks)");
+                  "metrics sampling period in virtual seconds (both substrates)");
   return flags;
+}
+
+// Reads all of `path` into `text`; prints "cannot open <path>" and returns
+// false when it cannot be opened.
+bool ReadFile(const std::string& path, std::string* text) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    text->append(buf, n);
+  }
+  std::fclose(f);
+  return true;
 }
 
 }  // namespace
@@ -220,18 +233,10 @@ int main(int argc, char** argv) {
     config.slo_override = pard::MsToUs(flags.GetDouble("slo-ms"));
   }
   if (!flags.GetString("pipeline-json").empty()) {
-    FILE* f = std::fopen(flags.GetString("pipeline-json").c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", flags.GetString("pipeline-json").c_str());
+    std::string text;
+    if (!ReadFile(flags.GetString("pipeline-json"), &text)) {
       return 2;
     }
-    std::string text;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(f);
     try {
       config.custom_spec = pard::PipelineSpec::FromJsonText(text);
     } catch (const std::exception& e) {
@@ -261,18 +266,10 @@ int main(int argc, char** argv) {
   }
   config.runtime.cost_aware_provisioning = flags.GetBool("cost-aware");
   if (!flags.GetString("tenants").empty()) {
-    FILE* f = std::fopen(flags.GetString("tenants").c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", flags.GetString("tenants").c_str());
+    std::string text;
+    if (!ReadFile(flags.GetString("tenants"), &text)) {
       return 2;
     }
-    std::string text;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(f);
     try {
       config.runtime.tenants = pard::ParseTenantCatalogText(text);
     } catch (const std::exception& e) {
@@ -326,22 +323,6 @@ int main(int argc, char** argv) {
     serve.speedup = flags.GetDouble("speedup");
     if (!(serve.speedup > 0.0)) {
       std::fprintf(stderr, "--speedup must be > 0 (got %g)\n", serve.speedup);
-      return 2;
-    }
-    const std::string& arrivals = flags.GetString("arrivals");
-    if (arrivals == "trace") {
-      serve.arrivals = pard::ServeOptions::Arrivals::kTrace;
-    } else if (arrivals == "poisson") {
-      serve.arrivals = pard::ServeOptions::Arrivals::kPoisson;
-      serve.poisson_rate = config.base_rate;
-    } else if (arrivals == "mmpp") {
-      serve.arrivals = pard::ServeOptions::Arrivals::kMmpp;
-      serve.mmpp.base_rate = config.base_rate;
-      const double burst = flags.GetDouble("burst-rate");
-      serve.mmpp.burst_rate = burst > 0.0 ? burst : 4.0 * config.base_rate;
-    } else {
-      std::fprintf(stderr, "--arrivals must be trace | poisson | mmpp (got %s)\n",
-                   arrivals.c_str());
       return 2;
     }
     const std::int64_t broker_threads = flags.GetInt("broker-threads");
@@ -424,9 +405,8 @@ int main(int argc, char** argv) {
     std::printf(", %d shards on %d jobs", shards, jobs);
   }
   if (serve_mode) {
-    std::printf(", serving live (%s arrivals, speedup %gx; wall-clock timing — "
-                "numbers vary run to run)",
-                flags.GetString("arrivals").c_str(), serve.speedup);
+    std::printf(", serving live (speedup %gx; wall-clock timing — numbers vary run to run)",
+                serve.speedup);
   }
   std::printf("\n");
   if (resilience_on) {
