@@ -153,7 +153,7 @@ inline ExperimentConfig StdConfig(const std::string& app, const std::string& tra
   // with headroom, so drops concentrate in the burst/cold-start windows and
   // queueing stays in the sub-SLO regime where estimation quality decides
   // outcomes.
-  c.provision_factor = 1.25;
+  c.runtime.provision_headroom = 1.25;
   c.runtime.enable_scaling = true;
   c.runtime.scaling_epoch = 5 * kUsPerSec;
   return c;

@@ -30,7 +30,7 @@ int main() {
     c.duration_s = 150.0;
     c.base_rate = 200.0;
     c.seed = 7;
-    c.provision_factor = 1.25;
+    c.runtime.provision_headroom = 1.25;
     c.runtime.enable_scaling = true;
     c.runtime.scaling_epoch = 5 * pard::kUsPerSec;
     c.runtime.fleet_events = pard::ParseFaultSchedule("60:1:kill:2");

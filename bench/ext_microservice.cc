@@ -58,7 +58,7 @@ int main() {
     c.duration_s = 120.0;
     c.base_rate = 400.0;
     c.seed = 7;
-    c.provision_factor = 1.25;
+    c.runtime.provision_headroom = 1.25;
     c.runtime.enable_scaling = true;
     c.runtime.scaling_epoch = 5 * pard::kUsPerSec;
     c.runtime.exec_jitter = 0.25;

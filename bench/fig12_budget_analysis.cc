@@ -21,7 +21,7 @@ int main() {
   pard::bench::Section("(a) mean consumed latency budget per module (ms), SLO-compliant requests");
   pard::ExperimentConfig scaled = StdConfig("lv", "tweet", "pard");
   scaled.runtime.enable_scaling = true;
-  scaled.provision_factor = 0.9;
+  scaled.runtime.provision_headroom = 0.9;
   const auto run_scaled = pard::RunExperiment(scaled);
   {
     const auto consumed = run_scaled.analysis->MeanConsumedBudgetPerModule();

@@ -640,7 +640,7 @@ void BM_TenantConsolidationRun(benchmark::State& state) {
   config.duration_s = 2.0;
   config.base_rate = 60.0;
   config.seed = 7;
-  config.provision_factor = 1.25;
+  config.runtime.provision_headroom = 1.25;
   config.runtime.enable_scaling = true;
   config.runtime.scaling_epoch = 5 * kUsPerSec;
   config.runtime.tenants = MakeReferenceTenantCatalog();
@@ -668,7 +668,7 @@ void BM_EndToEndRun(benchmark::State& state) {
   config.duration_s = 2.0;
   config.base_rate = 60.0;
   config.seed = 7;
-  config.provision_factor = 1.25;
+  config.runtime.provision_headroom = 1.25;
   config.runtime.enable_scaling = true;
   config.runtime.scaling_epoch = 5 * kUsPerSec;
   std::size_t requests = 0;
@@ -693,7 +693,7 @@ void BM_EndToEndRunTraced(benchmark::State& state) {
   config.duration_s = 2.0;
   config.base_rate = 60.0;
   config.seed = 7;
-  config.provision_factor = 1.25;
+  config.runtime.provision_headroom = 1.25;
   config.runtime.enable_scaling = true;
   config.runtime.scaling_epoch = 5 * kUsPerSec;
   std::size_t requests = 0;

@@ -1,9 +1,9 @@
 // Fixed-size worker pool for running independent simulation tasks.
 //
 // The simulator kernel itself stays single-threaded and deterministic; this
-// pool parallelizes *across* runs — sweep grids, replicated seeds and trace
-// shards — each of which owns its whole object graph (policy, runtime,
-// request records) and therefore needs no locking beyond the work queue.
+// pool parallelizes *across* runs — sweep grids and replicated seeds — each
+// of which owns its whole object graph (policy, runtime, request records)
+// and therefore needs no locking beyond the work queue.
 //
 // Exceptions thrown by a task are captured and re-thrown from Wait() /
 // ParallelFor() on the submitting thread (first one wins; later ones are
@@ -71,10 +71,10 @@ void ParallelFor(ThreadPool& pool, std::size_t n, const std::function<void(std::
 void ParallelFor(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 // A group of long-running threads, as opposed to ThreadPool's queue of
-// short tasks. The serving runtime (src/serve/) runs its load generator,
-// brokers, control thread and each module's timer thread this way: threads
-// that live for the whole run, blocking between deadlines — work that would
-// wedge a shared task queue.
+// short tasks. The serving runtime (src/serve/) runs its brokers, control
+// thread and each module's timer thread this way: threads that live for the
+// whole run, blocking between deadlines — work that would wedge a shared
+// task queue.
 //
 // Join() (or the destructor) joins every spawned thread and then re-throws
 // the first exception any of them ended with (later ones are swallowed), so

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "exec/sharded_trace.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
@@ -52,18 +51,15 @@ std::vector<SimTime> BuildWorkload(const ExperimentConfig& config, ExperimentRes
   return arrivals;
 }
 
-RuntimeOptions BuildRuntimeOptions(const ExperimentConfig& config, std::uint64_t seed) {
+RuntimeOptions BuildRuntimeOptions(const ExperimentConfig& config) {
   RuntimeOptions runtime = config.runtime;
-  runtime.seed = seed;
-  if (runtime.provision_headroom == RuntimeOptions{}.provision_headroom) {
-    runtime.provision_headroom = config.provision_factor;
-  }
+  runtime.seed = config.seed;
   return runtime;
 }
 
-std::unique_ptr<DropPolicy> BuildPolicy(const ExperimentConfig& config, std::uint64_t seed) {
+std::unique_ptr<DropPolicy> BuildPolicy(const ExperimentConfig& config) {
   PolicyParams params = config.params;
-  params.seed = seed;
+  params.seed = config.seed;
   return MakePolicy(config.policy, params);
 }
 
@@ -91,7 +87,6 @@ struct ObsSession {
     if (!config.obs.metrics_out.empty()) {
       metrics = std::make_unique<MetricsRegistry>();
       runtime.metrics = metrics.get();
-      runtime.metrics_interval = SecToUs(config.obs.metrics_interval_s);
     }
   }
 
@@ -128,8 +123,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.spec = BuildSpec(config);
   const std::vector<SimTime> arrivals = BuildWorkload(config, result);
 
-  std::unique_ptr<DropPolicy> policy = BuildPolicy(config, config.seed);
-  RuntimeOptions runtime = BuildRuntimeOptions(config, config.seed);
+  std::unique_ptr<DropPolicy> policy = BuildPolicy(config);
+  RuntimeOptions runtime = BuildRuntimeOptions(config);
   ObsSession obs;
   obs.Wire(config, runtime, /*ring_capacity=*/std::size_t{1} << 20);
 
@@ -145,8 +140,8 @@ ExperimentResult RunServeExperiment(const ExperimentConfig& config, const ServeO
   result.spec = BuildSpec(config);
   const std::vector<SimTime> arrivals = BuildWorkload(config, result);
 
-  std::unique_ptr<DropPolicy> policy = BuildPolicy(config, config.seed);
-  RuntimeOptions runtime = BuildRuntimeOptions(config, config.seed);
+  std::unique_ptr<DropPolicy> policy = BuildPolicy(config);
+  RuntimeOptions runtime = BuildRuntimeOptions(config);
   ObsSession obs;
   obs.Wire(config, runtime, /*ring_capacity=*/std::size_t{1} << 16);
 
@@ -165,41 +160,6 @@ std::vector<ExperimentResult> RunExperiments(const std::vector<ExperimentConfig>
   ParallelFor(jobs, configs.size(),
               [&](std::size_t i) { results[i] = RunExperiment(configs[i]); });
   return results;
-}
-
-ExperimentResult RunShardedExperiment(const ExperimentConfig& config, int shards, int jobs) {
-  if (shards <= 1) {
-    return RunExperiment(config);
-  }
-  PARD_CHECK_MSG(config.obs.trace_out.empty() && config.obs.metrics_out.empty(),
-                 "--trace-out/--metrics-out are not supported with --shards > 1");
-  ExperimentResult result;
-  result.spec = BuildSpec(config);
-  const std::vector<SimTime> arrivals = BuildWorkload(config, result);
-
-  ShardOptions shard_options;
-  shard_options.shards = shards;
-  const ShardedTrace sharded(arrivals, 0, SecToUs(config.duration_s), shard_options);
-
-  // Each shard owns a full runtime under a shard-indexed seed, so outcomes
-  // depend only on the partition — never on which thread ran which shard.
-  std::vector<std::vector<RequestPtr>> shard_requests(sharded.size());
-  const double expected_rate = result.mean_input_rate;
-  const PipelineSpec& spec = result.spec;
-  ParallelFor(jobs, sharded.size(), [&](std::size_t i) {
-    const std::uint64_t shard_seed =
-        Rng(config.seed).Fork("shard:" + std::to_string(i)).NextU64();
-    std::unique_ptr<DropPolicy> policy = BuildPolicy(config, shard_seed);
-    const RuntimeOptions runtime = BuildRuntimeOptions(config, shard_seed);
-    PipelineRuntime pipeline(spec, runtime, policy.get(), expected_rate);
-    pipeline.RunTrace(sharded.shards()[i].arrivals);
-    shard_requests[i] = pipeline.requests();
-  });
-
-  result.analysis = std::make_unique<RunAnalysis>(
-      MergeShardRecords(sharded, std::move(shard_requests)), result.spec);
-  result.drop_reason_counts = result.analysis->DropReasonCounts();
-  return result;
 }
 
 namespace {

@@ -50,12 +50,10 @@ struct ExperimentConfig {
   double base_rate = 120.0;
   std::uint64_t seed = 42;
 
-  // Provisioning: capacity is planned for `provision_factor` x the trace's
-  // mean rate (bursts then exceed capacity, as in the paper's bursty
-  // regions). Set fixed_workers in `runtime` to override entirely.
-  double provision_factor = 1.15;
-
   PolicyParams params;
+  // Capacity is planned for runtime.provision_headroom x the trace's mean
+  // rate (bursts then exceed capacity, as in the paper's bursty regions);
+  // runtime.fixed_workers overrides it entirely.
   RuntimeOptions runtime;
 
   // Optional SLO override (us); 0 keeps the app default.
@@ -64,15 +62,13 @@ struct ExperimentConfig {
   // Observability (src/obs/). When trace_out / metrics_out are non-empty the
   // harness owns a TraceRecorder / MetricsRegistry for the run, wires the
   // borrowed pointers into `runtime`, and writes the export file after the
-  // run returns. Leave the paths empty (the default) to disable all
-  // instrumentation — goldens stay bit-identical. Not supported for sharded
-  // runs (RunShardedExperiment rejects it; shard traces would interleave one
-  // trace clock across shard-local clocks).
+  // run returns; runtime.metrics_interval sets the sampling period. Leave
+  // the paths empty (the default) to disable all instrumentation — goldens
+  // stay bit-identical.
   struct ObsConfig {
     std::string trace_out;              // Chrome trace-event JSON (Perfetto).
     double trace_sample_rate = 1.0;     // Fraction of requests traced.
     std::string metrics_out;            // Metrics JSON (totals + time series).
-    double metrics_interval_s = 1.0;    // Sampling period (virtual s).
   };
   ObsConfig obs;
 };
@@ -105,8 +101,7 @@ struct ExperimentResult {
   // Total provisioning cost of the run in cost-units: each worker accrues
   // its backend's cost_per_s over the interval it was provisioned (see
   // BackendFleet::AccumulatedCost). With the default single-grade catalog
-  // (cost_per_s == 1.0 everywhere) this is worker-seconds. Zero for sharded
-  // runs, which discard per-runtime fleets.
+  // (cost_per_s == 1.0 everywhere) this is worker-seconds.
   double fleet_cost = 0.0;
 };
 
@@ -120,21 +115,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config);
 std::vector<ExperimentResult> RunExperiments(const std::vector<ExperimentConfig>& configs,
                                              int jobs);
 
-// Runs one long experiment by time-sharding its arrival stream across
-// `shards` independent runtimes executing on `jobs` threads (see
-// exec/sharded_trace.h for the warm-up-overlap approximation this makes).
-// For a fixed shard count the result is bit-identical across job counts;
-// shards == 1 is exactly RunExperiment. The merged result carries the
-// request records and analysis; the PARD transition log and worker history
-// are per-runtime artifacts and stay empty for sharded runs.
-ExperimentResult RunShardedExperiment(const ExperimentConfig& config, int shards, int jobs);
-
 // Serves the experiment's workload through the wall-clock threaded runtime
 // (src/serve/) instead of the discrete-event simulator: same spec, the same
 // deterministic arrival stream RunExperiment injects, same policy
 // construction, and the same metrics records/analysis — but module workers
-// are real threads fed by an open-loop load generator, so the run takes
-// duration_s / serve.speedup of wall time and numbers vary run to run.
+// are real threads fed by an open-loop replay on the calling thread, so the
+// run takes duration_s / serve.speedup of wall time and numbers vary run to
+// run.
 // runtime.enable_scaling runs the live scaling engine (scale-ups are real
 // threads after their backend's cold start, capped at
 // serve.max_total_threads) and populates worker_history with the per-epoch

@@ -12,8 +12,8 @@
 // pipeline costs 32 + 88 + 5 x 48 = 360 B with libstdc++ on LP64.
 //
 // RequestLifecycle owns the run's arena and allocates for both substrates:
-// the simulator's event loop and serve's load-generator thread, its only
-// injecting thread.
+// the simulator's event loop and the thread running serve's RunTrace, its
+// only injecting thread.
 //
 // Lifetime: each allocator copy keeps a shared_ptr to the arena, and
 // allocate_shared stores an allocator copy inside the control block — the
@@ -22,7 +22,7 @@
 // slots live in the same arena, so they last exactly as long. Deallocation is
 // a no-op and no destructor runs (memory returns when the arena dies), which
 // matches the requests' run-long lifetime. Not thread-safe: one injecting
-// thread per arena; sharded runs use one arena per shard.
+// thread per arena, and one arena per run.
 #ifndef PARD_RUNTIME_REQUEST_ARENA_H_
 #define PARD_RUNTIME_REQUEST_ARENA_H_
 

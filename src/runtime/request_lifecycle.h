@@ -15,8 +15,8 @@
 //
 // Concurrency. The lifecycle takes no lock; its methods fall in three groups.
 //   - Injection (NewRequest, Inject, requests()) belongs to one thread: the
-//     simulator, or serve's load generator. Other threads read the log only
-//     after the run.
+//     simulator, or the thread running serve's RunTrace. Other threads read
+//     the log only after the run.
 //   - Fate transitions (MergeReady, Drop, Complete) write a request's
 //     terminal fields and merge counters (hops[k].merge_arrivals). The
 //     caller synchronises them: the simulator needs nothing, serve holds the

@@ -60,8 +60,10 @@ struct RuntimeOptions {
   // M = 10 000 samples).
   int reservoir_capacity = 10000;
 
-  // [both] Per-hop transfer latency between modules (data-plane network),
-  // virtual us. Default 500 us.
+  // [sim] Per-hop transfer latency between modules (data-plane network),
+  // virtual us. Default 500 us. Only the simulator's delivery
+  // (PipelineRuntime::Deliver) adds it; serve forwards a request to the
+  // next module directly, so its hop costs whatever the real hand-off takes.
   Duration network_delay = 500;
 
   // [sim] Multiplicative execution-time jitter: each batch executes for

@@ -6,44 +6,32 @@
 //
 // The schedule is a sorted vector of virtual send timestamps, drawn by the
 // harness from the workload's rate curve (trace/arrival_generator.h) exactly
-// as for the simulator. LoadGenerator is a thread that walks it against a
-// ServeClock, sleeping until each arrival's wall time and invoking the
+// as for the simulator. ReplayArrivals walks it against a ServeClock on the
+// calling thread, sleeping until each arrival's wall time and invoking the
 // inject callback. If the system falls behind, injection does NOT slow down
 // (open loop); the callback runs late and the request's budget is simply
 // that much more consumed.
 #ifndef PARD_SERVE_LOAD_GENERATOR_H_
 #define PARD_SERVE_LOAD_GENERATOR_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/time_types.h"
-#include "exec/thread_pool.h"
 #include "serve/serve_clock.h"
 
 namespace pard {
 
 // Replays `arrivals` (sorted virtual timestamps) in wall time against
-// `clock`, calling `inject(t)` for each. Start() spawns the generator
-// thread; Join() blocks until the stream is exhausted. The callback runs on
-// the generator thread and must be thread-safe.
-class LoadGenerator {
- public:
-  LoadGenerator(const ServeClock* clock, std::vector<SimTime> arrivals,
-                std::function<void(SimTime)> inject);
-
-  void Start();
-  void Join();
-
-  // Last scheduled send time (0 when the stream is empty).
-  SimTime LastArrival() const;
-
- private:
-  const ServeClock* clock_;
-  std::vector<SimTime> arrivals_;
-  std::function<void(SimTime)> inject_;
-  WorkerGroup thread_;
-};
+// `clock`, calling `inject(t)` for each on the calling thread; returns once
+// the last arrival is injected.
+template <typename Inject>
+void ReplayArrivals(const ServeClock& clock, const std::vector<SimTime>& arrivals,
+                    Inject&& inject) {
+  for (SimTime t : arrivals) {
+    clock.SleepUntil(t);
+    inject(t);
+  }
+}
 
 }  // namespace pard
 

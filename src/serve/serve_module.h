@@ -6,11 +6,11 @@
 // ModuleRuntime, every Worker's DEPQ, forming and executing batch, the
 // monitoring windows and the pending timer events — sits behind ONE mutex.
 // Two kinds of thread enter it:
-//   - upstream threads (the load generator, ingress brokers, other modules'
-//     timer threads) call Receive(), which runs ModuleRuntime::Receive:
-//     admission, least-loaded dispatch and Worker::Enqueue, so the Request
-//     Broker decides at arrival with the running batch's real end t_e, and
-//     an idle worker launches at once;
+//   - upstream threads (the injecting thread, ingress brokers, other
+//     modules' timer threads) call Receive(), which runs
+//     ModuleRuntime::Receive: admission, least-loaded dispatch and
+//     Worker::Enqueue, so the Request Broker decides at arrival with the
+//     running batch's real end t_e, and an idle worker launches at once;
 //   - the module's own timer thread (a ServeTimer, serve_clock.h) waits on an
 //     alarm armed at the earliest pending event's absolute ServeClock
 //     deadline (re-armed by whichever thread schedules an earlier one) and

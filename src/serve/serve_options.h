@@ -28,11 +28,12 @@ struct ServeOptions {
   int max_total_threads = 64;
 
   // Request-broker ingress threads. 1 (default) delivers each arrival
-  // inline on the load-generator thread. N > 1 fans source-module
-  // deliveries (admission, dispatch, enqueue) across N broker threads
-  // pulling from a shared backlog, exercising the control plane's lock-free
-  // snapshot path concurrently. Delivery order at the source module becomes
-  // approximate across brokers.
+  // inline on the injecting thread (the one running ServeRuntime::RunTrace).
+  // N > 1 fans source-module deliveries (admission, dispatch, enqueue)
+  // across N broker threads pulling from a shared backlog. Admission runs
+  // inside the source module under its mutex, so the brokers serialize
+  // there and add only a queue hop. Delivery order at the source module
+  // becomes approximate across brokers.
   int broker_threads = 1;
 
   // Fan the policy's incremental estimator refresh across a thread pool at

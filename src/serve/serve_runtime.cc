@@ -110,16 +110,16 @@ void ServeRuntime::Inject(SimTime scheduled) {
   (void)scheduled;  // Open loop: the *actual* instant is the send time.
   const SimTime now = clock_.Now();
   // No lock: the lifecycle's injection state (arena, id counter, RNG,
-  // request log) belongs to this (the load generator's) thread; identity
+  // request log) belongs to this (RunTrace's) thread; identity
   // fields and the drawn route are immutable once the request is visible to
   // any other thread (runtime/request.h).
   RequestPtr req = lifecycle_.NewRequest();
   const bool admitted = lifecycle_.Inject(req, now);
   in_flight_.fetch_add(1, std::memory_order_release);
   if (!admitted) {
-    // Weighted ingress shed: lock-free threshold read on this (the load
-    // generator's) thread; the request is recorded for conservation but
-    // never reaches the broker backlog or any module queue.
+    // Weighted ingress shed: lock-free threshold read on RunTrace's thread;
+    // the request is recorded for conservation but never reaches the broker
+    // backlog or any module queue.
     Drop(req, spec_.SourceModule(), now, DropReason::kTenantShed);
     return;
   }
@@ -239,12 +239,11 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
   control_thread_.Spawn([this] { ControlThread(); });
 
   try {
-    LoadGenerator generator(&clock_, arrivals, [this](SimTime t) { Inject(t); });
-    generator.Start();
-    generator.Join();
+    ReplayArrivals(clock_, arrivals, [this](SimTime t) { Inject(t); });
 
     // Drain: wait for in-flight requests to resolve, bounded by SLO + drain.
-    const SimTime deadline = generator.LastArrival() + spec_.slo() + options_.drain;
+    const SimTime last_arrival = arrivals.empty() ? 0 : arrivals.back();
+    const SimTime deadline = last_arrival + spec_.slo() + options_.drain;
     const auto poll = static_cast<Duration>(2.0 * kUsPerMs * clock_.speedup());  // 2 wall ms.
     bool drained = AllTerminal();
     while (!drained && clock_.Now() < deadline) {
@@ -255,7 +254,7 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
     // under overload) the backlog is abandoned here rather than served out.
     Shutdown();
   } catch (...) {
-    // An injector or module-thread exception must not leave sibling threads
+    // An injection or module-thread exception must not leave sibling threads
     // running into a destroyed runtime. Shutdown re-throws the first timer
     // thread error, which would mask the in-flight one — so swallow
     // secondary errors here and rethrow the original.

@@ -3,16 +3,18 @@
 //
 // Where PipelineRuntime multiplexes every module, worker and control tick
 // through one discrete-event loop, ServeRuntime is a live prototype of the
-// paper's system: an open-loop load generator injects requests in (scaled)
-// real time, each module is the simulator's own ModuleRuntime and Workers
-// driven by a per-module timer thread (serve/serve_module.h), and the PARD
-// broker / estimator / baselines decide against wall-clock deadlines
-// through the simulator's ControlPlane and its published snapshot.
+// paper's system: the thread that calls RunTrace replays the open-loop
+// arrival stream in (scaled) real time (serve/load_generator.h), each
+// module is the simulator's own ModuleRuntime and Workers driven by a
+// per-module timer thread (serve/serve_module.h), and the PARD broker /
+// estimator / baselines decide against wall-clock deadlines through the
+// simulator's ControlPlane and its published snapshot.
 // Admission and the Request Broker's drop decision run inside the module,
 // as in the simulator: admission at arrival, the drop decision when a
 // request enters the forming batch, against the running batch's end t_e.
 // With serve.broker_threads > 1 the source module's deliveries run on a
-// pool of broker threads fed from a shared ingress backlog.
+// pool of broker threads fed from a shared ingress backlog; admission runs
+// under the source module's mutex, so the brokers serialize there.
 //
 // Control: the simulator's own ControlLoop (runtime/control_loop.h) runs on
 // a control thread, a timer thread like a module's (ServeTimer, serve_clock.h):
@@ -39,7 +41,7 @@
 //     lifecycle's accounting (counters, trace) runs after the stripe is
 //     released.
 //   - The lifecycle's injection state (request log, id counter and
-//     dynamic-path RNG) belongs to the load generator thread alone; the
+//     dynamic-path RNG) belongs to the thread running RunTrace alone; its
 //     final conservation sweep reads it only after every thread has joined.
 //   - The ingress backlog (broker pool) has its own leaf mutex, never held
 //     across a delivery.
@@ -92,8 +94,9 @@ class ServeRuntime {
                double expected_rate, const ServeOptions& serve);
 
   // Serves the complete arrival stream (sorted virtual send timestamps) in
-  // scaled wall time and blocks until every request is terminal or the drain
-  // deadline (last arrival + SLO + options.drain) passes. Call at most once.
+  // scaled wall time, injecting each arrival on the calling thread, and
+  // blocks until every request is terminal or the drain deadline (last
+  // arrival + SLO + options.drain) passes. Call at most once.
   void RunTrace(const std::vector<SimTime>& arrivals);
 
   // Terminal request records (valid after RunTrace returns); same shape the

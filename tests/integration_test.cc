@@ -205,7 +205,7 @@ TEST(Integration, ScalingEngineAddsWorkersUnderLoad) {
   ExperimentConfig c = QuickConfig("tm", "tweet", "pard");
   c.base_rate = 550.0;  // High enough that worker targets actually move.
   c.runtime.enable_scaling = true;
-  c.provision_factor = 0.7;  // Start under-provisioned; scaling must react.
+  c.runtime.provision_headroom = 0.7;  // Start under-provisioned; scaling must react.
   const ExperimentResult r = RunExperiment(c);
   ASSERT_FALSE(r.worker_history.empty());
   int max_workers = 0;

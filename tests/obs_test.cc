@@ -93,7 +93,7 @@ ExperimentConfig TracedSimConfig() {
   config.duration_s = 1.5;
   config.base_rate = 40.0;
   config.seed = 7;
-  config.provision_factor = 1.25;
+  config.runtime.provision_headroom = 1.25;
   config.runtime.enable_scaling = false;
   return config;
 }

@@ -122,17 +122,16 @@ TEST(LoadGen, ReplaysEveryArrivalInOrder) {
   for (int i = 0; i < 50; ++i) {
     schedule.push_back(i * 10 * kUsPerMs);  // 10 ms virtual apart.
   }
-  std::atomic<int> injected{0};
+  int injected = 0;
   SimTime last = -1;
-  LoadGenerator generator(&clock, schedule, [&](SimTime t) {
+  ReplayArrivals(clock, schedule, [&](SimTime t) {
     EXPECT_GT(t, last);
+    EXPECT_GE(clock.Now(), t - 1);  // Not early, up to 1 us of rounding.
     last = t;
-    injected.fetch_add(1);
+    ++injected;
   });
-  generator.Start();
-  generator.Join();
-  EXPECT_EQ(injected.load(), 50);
-  EXPECT_EQ(generator.LastArrival(), schedule.back());
+  EXPECT_EQ(injected, 50);
+  EXPECT_EQ(last, schedule.back());
 }
 
 TEST(WorkerGroup, JoinRethrowsFirstWorkerException) {
@@ -181,7 +180,7 @@ ExperimentConfig Fig08SmokeConfig(const std::string& app, const std::string& pol
   config.duration_s = 1.5;
   config.base_rate = 40.0;
   config.seed = 7;
-  config.provision_factor = 1.25;
+  config.runtime.provision_headroom = 1.25;
   config.runtime.enable_scaling = false;
   return config;
 }
@@ -613,7 +612,7 @@ TEST(ServeRuntime, PardGoodputAtLeastDropFreeBaselineOnHeterogeneousScenario) {
     config.policy = policy;
     config.duration_s = 20.0;
     config.seed = 7;
-    config.provision_factor = 0.6;
+    config.runtime.provision_headroom = 0.6;
     config.runtime.cold_start = 200 * kUsPerMs;
     config.runtime.fleet_events = ParseFaultSchedule("1.5:2:kill:1,2:2:add:1");
     config.custom_trace = RateFunction::Constant(300.0);
@@ -709,7 +708,7 @@ TEST(ServeRuntime, ObsExportWritesLoadableTraceAndMetrics) {
   ExperimentConfig config = Fig08SmokeConfig("tm", "pard");
   config.obs.trace_out = testing::TempDir() + "serve_obs_trace.json";
   config.obs.metrics_out = testing::TempDir() + "serve_obs_metrics.json";
-  config.obs.metrics_interval_s = 0.25;
+  config.runtime.metrics_interval = SecToUs(0.25);
   ServeOptions serve;
   serve.speedup = 25.0;
   const ExperimentResult result = RunServeExperiment(config, serve);

@@ -1,6 +1,6 @@
 // Determinism contract of the parallel harness entry points
-// (RunExperiments, RunShardedExperiment, RunReplicated): job count changes
-// wall-clock, never numbers.
+// (RunExperiments, RunReplicated): job count changes wall-clock, never
+// numbers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -55,51 +55,6 @@ TEST(SweepDeterminism, ResultsMatchSerialRunExperiment) {
   // Spot-check one grid point against a direct serial run.
   const ExperimentResult direct = RunExperiment(grid[4]);
   EXPECT_EQ(MetricBytes(swept[4]), MetricBytes(direct));
-}
-
-TEST(ShardedExperiment, JobCountNeverChangesMetrics) {
-  ExperimentConfig config;
-  config.app = "tm";
-  config.trace = "tweet";
-  config.policy = "pard";
-  config.duration_s = 60.0;
-  config.base_rate = 120.0;
-  config.seed = 5;
-
-  const ExperimentResult serial = RunShardedExperiment(config, 4, 1);
-  const ExperimentResult parallel = RunShardedExperiment(config, 4, 8);
-  EXPECT_EQ(MetricBytes(serial), MetricBytes(parallel));
-}
-
-TEST(ShardedExperiment, AccountsForEveryArrivalExactlyOnce) {
-  ExperimentConfig config;
-  config.app = "tm";
-  config.trace = "wiki";
-  config.policy = "pard";
-  config.duration_s = 60.0;
-  config.base_rate = 100.0;
-  config.seed = 9;
-
-  const ExperimentResult unsharded = RunExperiment(config);
-  const ExperimentResult sharded = RunShardedExperiment(config, 5, 2);
-  // Sharding approximates pipeline state at boundaries but never loses or
-  // duplicates a request: the merged record set covers the same arrivals.
-  EXPECT_EQ(sharded.analysis->Total(), unsharded.analysis->Total());
-  // Under an uncontended workload the approximation is tight.
-  EXPECT_NEAR(sharded.analysis->NormalizedGoodput(),
-              unsharded.analysis->NormalizedGoodput(), 0.05);
-}
-
-TEST(ShardedExperiment, OneShardIsExactlyRunExperiment) {
-  ExperimentConfig config;
-  config.app = "lv";
-  config.trace = "tweet";
-  config.policy = "nexus";
-  config.duration_s = 30.0;
-  config.base_rate = 100.0;
-  const ExperimentResult direct = RunExperiment(config);
-  const ExperimentResult sharded = RunShardedExperiment(config, 1, 8);
-  EXPECT_EQ(MetricBytes(direct), MetricBytes(sharded));
 }
 
 TEST(Replicated, ParallelReplicasMatchSerial) {

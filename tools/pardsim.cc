@@ -11,17 +11,14 @@
 //   pardsim --app lv --backend-grades 1.0,0.5 --fault-schedule 60:1:kill:2,80:1:add:2
 //           --serve --enable-scaling --speedup 25
 //
-// Long traces can be time-sharded across cores: --shards N splits the
-// arrival stream into N independent runtimes executed on --jobs worker
-// threads (see src/exec/sharded_trace.h for the warm-up-overlap
-// approximation). See --help for all knobs.
+// See --help for all knobs.
 #include <cstdio>
 #include <string>
 
+#include "baselines/policy_factory.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "core/latency_estimator.h"
-#include "exec/thread_pool.h"
 #include "harness/experiment.h"
 #include "jsonio/json.h"
 #include "metrics/report.h"
@@ -32,6 +29,7 @@
 #include "pipeline/tenant_spec.h"
 #include "resilience/chaos.h"
 #include "runtime/backend_fleet.h"
+#include "trace/traces.h"
 
 namespace {
 
@@ -58,12 +56,6 @@ pard::FlagSet BuildFlags() {
   flags.AddDouble("provision", 1.25, "capacity headroom over the mean rate");
   flags.AddDouble("window-s", 5.0, "state-planner sliding window length");
   flags.AddInt("seed", 7, "master random seed");
-  flags.AddInt("jobs", 0,
-               "worker threads for sharded execution (0 = one per hardware thread; "
-               "not meaningful with --serve, which provisions its own module workers)");
-  flags.AddInt("shards", 1,
-               "time-shard the trace across this many independent runtimes (1 = exact "
-               "single-runtime simulation)");
   flags.AddBool("enable-scaling", true,
                 "enable the resource-scaling engine (both substrates; in --serve mode "
                 "scale-ups serve after their backend's cold start, capped at the "
@@ -83,8 +75,7 @@ pard::FlagSet BuildFlags() {
                   "path to a {\"tenants\": [...]} JSON catalog (see "
                   "configs/tenants_mixed.json); requests are hash-assigned to "
                   "tenants, admission maximizes weighted goodput, and the "
-                  "summary/JSON gain a per-tenant block. Conflicts with "
-                  "--shards > 1");
+                  "summary/JSON gain a per-tenant block");
   flags.AddString("fault-schedule", "",
                   "deterministic fleet disturbances: comma-separated "
                   "<at_s>:<module>:<kill|add>:<count> events (e.g. "
@@ -117,8 +108,9 @@ pard::FlagSet BuildFlags() {
                   "serving mode: virtual seconds per wall second (1 = real time)");
   flags.AddInt("broker-threads", 1,
                "serving mode: broker threads fanning injected requests into the "
-               "pipeline (N > 1 admits concurrently through the lock-free control "
-               "plane; delivery order across brokers is approximate)");
+               "pipeline (admission runs under the source module's mutex, so N > 1 "
+               "brokers serialize there; delivery order across brokers is "
+               "approximate)");
   flags.AddBool("parallel-refresh", true,
                 "serving mode: fan the incremental estimator refresh across a "
                 "thread pool at every control sync (per-module RNG streams keep "
@@ -158,6 +150,19 @@ bool ReadFile(const std::string& path, std::string* text) {
   return true;
 }
 
+// Runs `make`, which builds something from a name flag; prints the
+// CheckError an unknown name raises under `flag` and returns false.
+template <typename Make>
+bool KnownName(const char* flag, Make make) {
+  try {
+    make();
+  } catch (const pard::CheckError& e) {
+    std::fprintf(stderr, "%s: %s\n", flag, e.what());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,7 +185,7 @@ int main(int argc, char** argv) {
   config.duration_s = flags.GetDouble("duration-s");
   config.base_rate = flags.GetDouble("base-rate");
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
-  config.provision_factor = flags.GetDouble("provision");
+  config.runtime.provision_headroom = flags.GetDouble("provision");
   config.params.lambda = flags.GetDouble("lambda");
   const std::int64_t mc_samples = flags.GetInt("mc-samples");
   if (mc_samples < 1 || mc_samples > 1000000) {
@@ -245,6 +250,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Unknown names are flag errors, so they fail here rather than in the run.
+  if (!KnownName("--trace", [&] { pard::MakeTrace(config.trace, pard::TraceOptions{}); }) ||
+      (!config.custom_spec.has_value() &&
+       !KnownName("--app", [&] { pard::MakeApp(config.app); })) ||
+      !KnownName("--policy", [&] { pard::MakePolicy(config.policy); })) {
+    return 2;
+  }
   if (!flags.GetString("backend-grades").empty()) {
     pard::PipelineSpec spec = config.custom_spec.has_value()
                                   ? *config.custom_spec
@@ -287,35 +299,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.obs.metrics_out = flags.GetString("metrics-out");
-  config.obs.metrics_interval_s = flags.GetDouble("metrics-interval-s");
-  if (!(config.obs.metrics_interval_s > 0.0)) {
-    std::fprintf(stderr, "--metrics-interval-s must be > 0 (got %g)\n",
-                 config.obs.metrics_interval_s);
+  const double metrics_interval_s = flags.GetDouble("metrics-interval-s");
+  if (!(metrics_interval_s > 0.0)) {
+    std::fprintf(stderr, "--metrics-interval-s must be > 0 (got %g)\n", metrics_interval_s);
     return 2;
   }
-
-  const int shards = static_cast<int>(flags.GetInt("shards"));
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1 (got %d)\n", shards);
-    return 2;
-  }
-  if (shards > 1 &&
-      (!config.obs.trace_out.empty() || !config.obs.metrics_out.empty())) {
-    std::fprintf(stderr,
-                 "--trace-out/--metrics-out are not supported with --shards > 1\n");
-    return 2;
-  }
-  if (shards > 1 && !config.runtime.tenants.empty()) {
-    std::fprintf(stderr, "--tenants is not supported with --shards > 1\n");
-    return 2;
-  }
-  const std::int64_t jobs_flag = flags.GetInt("jobs");
-  if (jobs_flag < 0) {
-    std::fprintf(stderr, "--jobs must be >= 0 (got %lld; 0 = one per hardware thread)\n",
-                 static_cast<long long>(jobs_flag));
-    return 2;
-  }
-  const int jobs = pard::ThreadPool::ResolveJobs(static_cast<int>(jobs_flag));
+  config.runtime.metrics_interval = pard::SecToUs(metrics_interval_s);
 
   const bool serve_mode = flags.GetBool("serve");
   pard::ServeOptions serve;
@@ -340,22 +329,11 @@ int main(int argc, char** argv) {
     }
     serve.parallel_refresh = flags.GetBool("parallel-refresh");
     serve.refresh_threads = static_cast<int>(refresh_threads);
-    if (shards > 1) {
-      std::fprintf(stderr, "--serve and --shards are mutually exclusive\n");
-      return 2;
-    }
-    if (jobs_flag > 0) {
-      std::fprintf(stderr,
-                   "note: --jobs has no effect with --serve (module workers are "
-                   "provisioned from the workload)\n");
-    }
   }
 
   pard::ExperimentResult result;
   try {
-    result = serve_mode ? pard::RunServeExperiment(config, serve)
-             : shards > 1 ? pard::RunShardedExperiment(config, shards, jobs)
-                          : pard::RunExperiment(config);
+    result = serve_mode ? pard::RunServeExperiment(config, serve) : pard::RunExperiment(config);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "experiment failed: %s\n", e.what());
     return 1;
@@ -401,9 +379,6 @@ int main(int argc, char** argv) {
               result.mean_input_rate);
   std::printf("workload: duration %g s, base rate %g req/s", config.duration_s,
               config.base_rate);
-  if (shards > 1) {
-    std::printf(", %d shards on %d jobs", shards, jobs);
-  }
   if (serve_mode) {
     std::printf(", serving live (speedup %gx; wall-clock timing — numbers vary run to run)",
                 serve.speedup);
