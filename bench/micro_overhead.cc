@@ -11,11 +11,11 @@
 //  - end-to-end experiment runs (the number every other speedup rolls into)
 //
 // Machine-readable output: pass --json to emit the google-benchmark JSON
-// format on stdout (an alias for --benchmark_format=json). The checked-in
-// bench/BENCH_PR3.json is the pre-slab-kernel baseline captured with
-//   micro_overhead --json > bench/BENCH_PR3.json
-// and is the reference future perf work regresses against (see README
-// "Performance").
+// format on stdout (an alias for --benchmark_format=json). Each checked-in
+// bench/BENCH_PR<n>.json is one such capture,
+//   micro_overhead --json > bench/BENCH_PR<n>.json
+// and the newest is the baseline tools/bench_compare gates against (see
+// README "Performance").
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -260,7 +260,7 @@ BENCHMARK(BM_BrokerDecisionColdEpoch);
 
 // --- Control sync + incremental refresh --------------------------------------
 
-// One full serve-mode control sync per iteration — publish 16 warm module
+// One full control sync per iteration — publish 16 warm module
 // states (2 000-sample reservoirs), OnSync, the incremental estimator
 // refresh, view rebuild and snapshot swap — with the LAST `dirty` modules'
 // batch duration actually changed each epoch. Before ISSUE 10 every epoch
@@ -270,12 +270,14 @@ BENCHMARK(BM_BrokerDecisionColdEpoch);
 // path sums as element-wise adds. Flipping the tail of the chain is the
 // conservative cut: module 15 sits on every downstream path, so dirty=1
 // still recomputes 15 of 16 cache entries — the saving measured here is
-// redraw work, not recompute skips. The 1/4/16 legs are separate named
-// benchmarks so bench_compare can gate each against bench/BENCH_PR10.json.
+// redraw work, not recompute skips. The refresh runs inline, as in every
+// run, so cpu_time (the calling thread's) times all of it on any core
+// count. The 1/4/16 legs are separate named benchmarks so bench_compare
+// gates each one.
 struct SyncRefreshHarness {
   SyncRefreshHarness() : spec(MakeRefreshChain()), board(16) {
     control = std::make_unique<ControlPlane>(&spec, &policy, &board,
-                                             ControlPlane::Options());
+                                             ControlPlane::RunOptions(RuntimeOptions{}));
     Rng rng(17);
     for (int i = 0; i < 16; ++i) {
       ModuleState s;
@@ -388,11 +390,12 @@ BENCHMARK(BM_StateSyncPayload);
 // what the overload scenario's control loop does every period (compressed
 // here to microbenchmark timescales; the frequent-republication regime the
 // ROADMAP's dynamic-interference item needs). Run at 1, 4 and 8 broker
-// threads. bench_compare gates the counter against bench/BENCH_PR6.json (see
-// tests: bench_compare_pr6_self, and the CI bench-smoke job).
+// threads. The republishing Sync refreshes inline, as in every run.
+// bench_compare gates the counter (ctest -C perf -L perf).
 struct AdmissionHarness {
   AdmissionHarness() : spec(MakeLiveVideo()), board(5) {
-    control = std::make_unique<ControlPlane>(&spec, &policy, &board, ControlPlane::Options());
+    control = std::make_unique<ControlPlane>(&spec, &policy, &board,
+                                             ControlPlane::RunOptions(RuntimeOptions{}));
     Rng rng(11);
     for (int i = 0; i < 5; ++i) {
       ModuleState s;
@@ -605,8 +608,8 @@ BENCHMARK(BM_RetryPathKillHeavy)->Unit(benchmark::kMillisecond);
 // The tenant governor's ingress tax: one TenantOf + one AdmitAtIngress per
 // iteration against a live shed plan (overloaded fleet, mid-run thresholds).
 // This is the entire per-request cost of tenancy on the hot path — two
-// splitmix64 hashes, one atomic threshold load and two relaxed counter
-// bumps — and the gate pins it at nanoseconds next to the ~µs broker
+// splitmix64 hashes, one atomic threshold load and, on a shed, one relaxed
+// counter bump — and the gate pins it at nanoseconds next to the ~µs broker
 // decision. Captured in bench/BENCH_PR9.json.
 void BM_TenantAdmissionDecision(benchmark::State& state) {
   TenantGovernor governor(MakeReferenceTenantCatalog(), /*seed=*/42);
@@ -718,7 +721,7 @@ BENCHMARK(BM_EndToEndRunTraced)->Unit(benchmark::kMillisecond);
 }  // namespace pard
 
 // BENCHMARK_MAIN plus one alias: --json expands to --benchmark_format=json so
-// tooling (CI bench-smoke, tools/bench_compare.py) has a stable spelling.
+// tooling (the perf ctest tier, tools/bench_compare) has a stable spelling.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   static char json_flag[] = "--benchmark_format=json";

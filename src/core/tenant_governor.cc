@@ -64,7 +64,6 @@ int TenantGovernor::TenantOf(std::uint64_t request_id) const {
 
 bool TenantGovernor::AdmitAtIngress(std::uint64_t request_id, int tenant) {
   TenantState& state = state_[static_cast<std::size_t>(tenant)];
-  state.offered.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t draw = SplitMix64(request_id ^ seed_ ^ kAdmitTag);
   if (draw <= state.threshold.load(std::memory_order_relaxed)) {
     return true;
@@ -78,7 +77,6 @@ void TenantGovernor::Resync(const std::vector<ModuleState>& states) {
   for (const ModuleState& state : states) {
     load = std::max(load, state.load_factor);
   }
-  last_load_.store(load, std::memory_order_relaxed);
   const std::size_t n = catalog_.size();
   std::vector<double> probs(n, 1.0);
   if (std::isfinite(load) && load > 1.0) {
@@ -119,10 +117,6 @@ double TenantGovernor::AdmitProbability(int tenant) const {
     return 1.0;
   }
   return static_cast<double>(threshold) * 0x1.0p-64;
-}
-
-std::uint64_t TenantGovernor::OfferedCount(int tenant) const {
-  return state_[static_cast<std::size_t>(tenant)].offered.load(std::memory_order_relaxed);
 }
 
 std::uint64_t TenantGovernor::ShedCount(int tenant) const {

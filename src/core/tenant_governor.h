@@ -49,7 +49,6 @@ class TenantGovernor {
   // hashes across runs while keeping them deterministic per run.
   TenantGovernor(std::vector<TenantSpec> catalog, std::uint64_t seed);
 
-  int NumTenants() const { return static_cast<int>(catalog_.size()); }
   const TenantSpec& Tenant(int t) const { return catalog_[static_cast<std::size_t>(t)]; }
   const std::vector<TenantSpec>& catalog() const { return catalog_; }
 
@@ -70,15 +69,12 @@ class TenantGovernor {
 
   // Introspection (relaxed reads; exact once the run has quiesced).
   double AdmitProbability(int tenant) const;
-  std::uint64_t OfferedCount(int tenant) const;
   std::uint64_t ShedCount(int tenant) const;
-  double LastLoadFactor() const { return last_load_.load(std::memory_order_relaxed); }
 
  private:
   struct alignas(64) TenantState {
     // Admit iff hash <= threshold; UINT64_MAX = admit everything.
     std::atomic<std::uint64_t> threshold{~std::uint64_t{0}};
-    std::atomic<std::uint64_t> offered{0};
     std::atomic<std::uint64_t> shed{0};
   };
 
@@ -87,7 +83,6 @@ class TenantGovernor {
   std::vector<int> by_weight_;            // Tenant indices, ascending weight.
   std::uint64_t seed_;
   std::unique_ptr<TenantState[]> state_;
-  std::atomic<double> last_load_{0.0};
 };
 
 }  // namespace pard

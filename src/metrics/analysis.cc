@@ -264,27 +264,6 @@ std::vector<SeriesPoint> RunAnalysis::GoodputSeries(Duration bin) const {
   return out;
 }
 
-std::vector<SeriesPoint> RunAnalysis::InputRateSeries(Duration bin) const {
-  PARD_CHECK(bin > 0);
-  std::vector<SimTime> sent;
-  for (const RequestPtr& r : requests_) {
-    sent.push_back(r->sent);
-  }
-  const SimTime begin = SpanBegin();
-  const SimTime end = SpanEnd();
-  std::vector<SeriesPoint> out;
-  if (requests_.empty()) {
-    return out;
-  }
-  const std::vector<int> counts = BinCounts(sent, begin, end, bin);
-  out.reserve(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    out.push_back(SeriesPoint{begin + static_cast<SimTime>(i) * bin,
-                              static_cast<double>(counts[i]) / UsToSec(bin)});
-  }
-  return out;
-}
-
 std::vector<SeriesPoint> RunAnalysis::NormalizedGoodputSeries(Duration bin) const {
   PARD_CHECK(bin > 0);
   if (requests_.empty()) {

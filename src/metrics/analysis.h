@@ -88,8 +88,6 @@ class RunAnalysis {
   // --- Time series ----------------------------------------------------------
   // Goodput (req/s) binned by completion time.
   std::vector<SeriesPoint> GoodputSeries(Duration bin) const;
-  // Input rate (req/s) binned by send time.
-  std::vector<SeriesPoint> InputRateSeries(Duration bin) const;
   // Normalized goodput per bin: good(bin)/arrivals(bin), keyed by send time.
   std::vector<SeriesPoint> NormalizedGoodputSeries(Duration bin) const;
   // Transient drop rate per bin (drops keyed by send time) — Fig. 2d.

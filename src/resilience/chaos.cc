@@ -46,18 +46,6 @@ long ParseLongField(int event_index, const std::string& entry,
 
 }  // namespace
 
-const char* ChaosKindName(ChaosKind kind) {
-  switch (kind) {
-    case ChaosKind::kHang:
-      return "hang";
-    case ChaosKind::kSlow:
-      return "slow";
-    case ChaosKind::kStallSync:
-      return "stall-sync";
-  }
-  return "unknown";
-}
-
 ChaosSchedule ParseChaosSchedule(std::string_view text) {
   ChaosSchedule schedule;
   int event_index = 0;

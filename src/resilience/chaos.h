@@ -54,8 +54,6 @@ enum class ChaosKind : std::uint8_t {
   kStallSync = 2,  // control-plane sync pauses; snapshots go stale
 };
 
-const char* ChaosKindName(ChaosKind kind);
-
 struct ChaosEvent {
   SimTime at = 0;
   int module_id = -1;  // -1 = control-plane scope (kStallSync)

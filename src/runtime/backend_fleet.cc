@@ -246,11 +246,6 @@ double BackendFleet::AccumulatedCost(SimTime now) const {
   return cost;
 }
 
-const BackendProfile& BackendFleet::Profile(int index) const {
-  PARD_CHECK(index >= 0 && index < CatalogSize());
-  return catalog_[static_cast<std::size_t>(index)];
-}
-
 std::vector<FleetTransition> BackendFleet::transitions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return transitions_;

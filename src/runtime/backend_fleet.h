@@ -119,7 +119,6 @@ class BackendFleet {
   double PublishCapacity(int module_id, double per_worker_throughput, ModuleState& state) const;
 
   int CatalogSize() const { return static_cast<int>(catalog_.size()); }
-  const BackendProfile& Profile(int index) const;
 
   // Total fleet spend up to `now`, in $ (profile cost_per_s integrated over
   // each slot's provisioned lifetime — provision to retire/fail, still

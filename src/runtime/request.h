@@ -71,7 +71,6 @@ struct HopRecord {
   Duration QueueDelay() const { return batch_entry - arrive; }
   Duration BatchWait() const { return exec_start - batch_entry; }
   Duration ExecDuration() const { return exec_end - exec_start; }
-  bool Visited() const { return arrive >= 0; }
 };
 
 // The route fields must stay in the padding: every hop slot costs 48 B.

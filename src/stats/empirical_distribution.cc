@@ -54,11 +54,6 @@ void SortSamples(std::vector<double>& samples, std::vector<double>& scratch) {
 EmpiricalDistribution::EmpiricalDistribution(std::vector<double> samples)
     : samples_(std::move(samples)), sorted_(false) {}
 
-void EmpiricalDistribution::Assign(std::vector<double> samples) {
-  samples_ = std::move(samples);
-  sorted_ = false;
-}
-
 void EmpiricalDistribution::Add(double sample) {
   samples_.push_back(sample);
   sorted_ = false;

@@ -24,7 +24,6 @@ class EmpiricalDistribution {
   // Takes ownership of samples; they need not be sorted.
   explicit EmpiricalDistribution(std::vector<double> samples);
 
-  void Assign(std::vector<double> samples);
   void Add(double sample);
 
   bool Empty() const { return samples_.size() == 0; }

@@ -13,9 +13,6 @@ SlidingWindow::SlidingWindow(Duration length) : length_(length) {
 void SlidingWindow::Add(SimTime t, double value) {
   PARD_CHECK_MSG(entries_.empty() || t >= entries_.back().t,
                  "sliding window timestamps must be non-decreasing");
-  if (first_add_ < 0) {
-    first_add_ = t;
-  }
   entries_.push_back(Entry{t, value});
 }
 
@@ -68,15 +65,6 @@ double SlidingWindow::Max(SimTime now, double fallback) {
     best = std::max(best, e.value);
   }
   return best;
-}
-
-double SlidingWindow::RatePerSec(SimTime now) {
-  Evict(now);
-  if (entries_.empty() || first_add_ < 0) {
-    return 0.0;
-  }
-  const Duration covered = std::min<Duration>(length_, std::max<Duration>(now - first_add_, 1));
-  return static_cast<double>(entries_.size()) / UsToSec(covered);
 }
 
 }  // namespace pard

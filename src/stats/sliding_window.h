@@ -34,15 +34,8 @@ class SlidingWindow {
   // Maximum in-window value; `fallback` when empty.
   double Max(SimTime now, double fallback = 0.0);
 
-  // Number of in-window observations per second of window actually covered.
-  // Uses the full window length as denominator once the window has been
-  // running for at least one length (steady state), otherwise the elapsed
-  // time, so early-run rates are not underestimated.
-  double RatePerSec(SimTime now);
-
   std::size_t Size() const { return entries_.size(); }
   Duration length() const { return length_; }
-  void set_length(Duration length) { length_ = length; }
 
  private:
   struct Entry {
@@ -52,7 +45,6 @@ class SlidingWindow {
 
   Duration length_;
   std::deque<Entry> entries_;
-  SimTime first_add_ = -1;
 };
 
 }  // namespace pard

@@ -37,7 +37,6 @@ class RateFunction {
   // [begin, end] — the burstiness measure the paper quotes per trace.
   double Cv(SimTime begin, SimTime end) const;
 
-  SimTime Begin() const { return points_.empty() ? 0 : points_.front().t; }
   SimTime End() const { return points_.empty() ? 0 : points_.back().t; }
   const std::vector<Point>& points() const { return points_; }
 

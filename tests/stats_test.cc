@@ -92,15 +92,6 @@ TEST(SlidingWindow, MaxTracksWindow) {
   EXPECT_DOUBLE_EQ(w.Max(SecToUs(7)), 1.0);  // The 100 aged out.
 }
 
-TEST(SlidingWindow, RatePerSecSteadyState) {
-  SlidingWindow w(SecToUs(5));
-  // 10 events per second for 10 seconds.
-  for (int i = 0; i < 100; ++i) {
-    w.Add(static_cast<SimTime>(i) * kUsPerSec / 10, 1.0);
-  }
-  EXPECT_NEAR(w.RatePerSec(SecToUs(10)), 10.0, 1.0);
-}
-
 TEST(SlidingWindow, RejectsOutOfOrderTimestamps) {
   SlidingWindow w(SecToUs(5));
   w.Add(SecToUs(2), 1.0);

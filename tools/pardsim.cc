@@ -12,6 +12,7 @@
 //           --serve --enable-scaling --speedup 25
 //
 // See --help for all knobs.
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -177,6 +178,25 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.Usage("pardsim").c_str());
     return 0;
   }
+  // Numbers a run cannot use are flag errors, so they fail here rather than
+  // in the run (or, worse, run quietly).
+  for (const char* name : {"duration-s", "base-rate", "window-s", "provision"}) {
+    const double value = flags.GetDouble(name);
+    if (!(value > 0.0) || !std::isfinite(value)) {
+      std::fprintf(stderr, "--%s must be finite and > 0 (got %g)\n", name, value);
+      return 2;
+    }
+  }
+  const double lambda = flags.GetDouble("lambda");
+  if (!(lambda >= 0.0 && lambda <= 1.0)) {
+    std::fprintf(stderr, "--lambda must be in [0, 1] (got %g)\n", lambda);
+    return 2;
+  }
+  const double slo_ms = flags.GetDouble("slo-ms");
+  if (!(slo_ms >= 0.0) || !std::isfinite(slo_ms)) {
+    std::fprintf(stderr, "--slo-ms must be finite and >= 0 (got %g)\n", slo_ms);
+    return 2;
+  }
 
   pard::ExperimentConfig config;
   config.app = flags.GetString("app");
@@ -186,7 +206,7 @@ int main(int argc, char** argv) {
   config.base_rate = flags.GetDouble("base-rate");
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   config.runtime.provision_headroom = flags.GetDouble("provision");
-  config.params.lambda = flags.GetDouble("lambda");
+  config.params.lambda = lambda;
   const std::int64_t mc_samples = flags.GetInt("mc-samples");
   if (mc_samples < 1 || mc_samples > 1000000) {
     std::fprintf(stderr, "--mc-samples must be in [1, 1000000] (got %lld)\n",
@@ -234,8 +254,8 @@ int main(int argc, char** argv) {
   }
   config.runtime.resilience.staleness_budget =
       pard::SecToUs(flags.GetDouble("staleness-budget-s"));
-  if (flags.GetDouble("slo-ms") > 0.0) {
-    config.slo_override = pard::MsToUs(flags.GetDouble("slo-ms"));
+  if (slo_ms > 0.0) {
+    config.slo_override = pard::MsToUs(slo_ms);
   }
   if (!flags.GetString("pipeline-json").empty()) {
     std::string text;
@@ -375,8 +395,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("app=%s trace=%s policy=%s  (%zu requests, mean input %.0f req/s)\n",
-              config.app.c_str(), config.trace.c_str(), config.policy.c_str(), a.Total(),
-              result.mean_input_rate);
+              result.spec.app_name().c_str(), config.trace.c_str(), config.policy.c_str(),
+              a.Total(), result.mean_input_rate);
   std::printf("workload: duration %g s, base rate %g req/s", config.duration_s,
               config.base_rate);
   if (serve_mode) {
