@@ -460,11 +460,13 @@ void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
   ctx.batch_start = now;
   ctx.batch_duration = 10 * kUsPerMs;
   ctx.batch_size = 8;
+  // Each thread admits with its own RNG, as each module does in a run.
+  Rng admit_rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
   if (state.thread_index() == 0) {
     harness.StartRepublisher();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness.control->AdmitAtModule(req, 0, now));
+    benchmark::DoNotOptimize(harness.control->AdmitAtModule(req, 0, now, &admit_rng));
     benchmark::DoNotOptimize(harness.control->ShouldDrop(ctx));
   }
   if (state.thread_index() == 0) {
@@ -515,11 +517,12 @@ void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
   ctx.batch_start = now;
   ctx.batch_duration = 10 * kUsPerMs;
   ctx.batch_size = 8;
+  Rng admit_rng(1);
   benchmark::DoNotOptimize(trace);
   benchmark::DoNotOptimize(metrics);
   std::uint64_t n = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness->control->AdmitAtModule(req, 0, now));
+    benchmark::DoNotOptimize(harness->control->AdmitAtModule(req, 0, now, &admit_rng));
     benchmark::DoNotOptimize(harness->control->ShouldDrop(ctx));
     ++n;
     if (metrics != nullptr) {

@@ -3,10 +3,9 @@
 // The serve-side locks form a strict hierarchy; a thread may only acquire a
 // lock whose rank is STRICTLY GREATER than every lock it already holds:
 //
-//   kModule (1)          ServeModule::mu_ — the module's ModuleRuntime,
-//                        workers, timer and outbox.
-//   kAdmissionShard (2)  ControlPlane striped admission-RNG mutexes.
-//   kFate (3)            ServeRuntime striped request-fate mutexes.
+//   kModule (1)  ServeModule::mu_ — the module's ModuleRuntime (its
+//                admission RNG included), workers, timer and outbox.
+//   kFate (2)    ServeRuntime striped request-fate mutexes.
 //
 // Two module locks are never held at once: a module hands requests to its
 // successors through an outbox drained after its own lock is released.
@@ -25,15 +24,14 @@ namespace pard {
 
 enum class LockRank : int {
   kModule = 1,
-  kAdmissionShard = 2,
-  kFate = 3,
+  kFate = 2,
 };
 
 #ifndef NDEBUG
 
 namespace lock_order_internal {
 // Per-thread stack of held ranks. Depth 8 is far above the deepest legal
-// chain (module -> admission shard -> fate is 3).
+// chain (module -> fate is 2).
 inline constexpr int kMaxHeld = 8;
 struct HeldRanks {
   int ranks[kMaxHeld];

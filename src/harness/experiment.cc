@@ -113,7 +113,6 @@ void FillRunResult(Runtime& runtime, SimTime end, DropPolicy& policy, Experiment
     result.transitions = pard->transition_log();
   }
   result.analysis = std::make_unique<RunAnalysis>(runtime.requests(), result.spec);
-  result.drop_reason_counts = result.analysis->DropReasonCounts();
 }
 
 }  // namespace

@@ -80,11 +80,6 @@ struct ExperimentResult {
   TraceRegion burst_region{0, 0};
   double mean_input_rate = 0.0;
 
-  // Dropped-request counts by DropReason, indexed by the enum value (size
-  // kNumDropReasons); mirrors analysis->DropReasonCounts() so callers that
-  // only keep the summary still get the breakdown.
-  std::vector<std::size_t> drop_reason_counts;
-
   // PARD-specific extras (empty for other policies).
   std::vector<PardPolicy::TransitionSample> transitions;
   std::vector<FleetSample> worker_history;

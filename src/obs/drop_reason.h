@@ -4,9 +4,9 @@
 // one DropReason naming the mechanism that killed it — without this the
 // metrics can say *that* goodput was lost but never *why*. Reasons are
 // assigned at the drop site (ModuleRuntime/Worker in both substrates, plus
-// the runtimes' ingress and end-of-run sweep) and are conserved: the
-// per-reason counts sum exactly to the run's total drop count (pinned by
-// tests/serve_test.cc and tests/obs_test.cc).
+// the runtimes' ingress and end-of-run sweep) and are conserved: every run's
+// record check (CheckRunInvariants) requires a reason exactly when a request
+// counts as dropped, so the per-reason counts sum to the run's drop count.
 //
 // Glossary (see README "Observability" for the operator-facing version):
 //   kProactiveAdmission — the enqueue-time admission check (the paper's
@@ -40,7 +40,7 @@
 namespace pard {
 
 enum class DropReason : std::uint8_t {
-  kNone = 0,  // Not dropped (or dropped without attribution — a bug).
+  kNone = 0,  // Not dropped; a dropped request at kNone fails the run.
   kProactiveAdmission = 1,
   kBrokerCandidate = 2,
   kPurgeExpired = 3,

@@ -1,19 +1,15 @@
 #include "runtime/control_plane.h"
 
-#include <string>
 #include <utility>
 
 #include "common/check.h"
-#include "common/lock_order.h"
 #include "exec/thread_pool.h"
 
 namespace pard {
 
 ControlPlane::Options ControlPlane::RunOptions(const RuntimeOptions& runtime) {
   Options options;
-  options.seed = runtime.seed;
   options.staleness_budget = runtime.resilience.staleness_budget;
-  options.parallel_refresh = false;
   return options;
 }
 
@@ -28,10 +24,6 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
   PARD_CHECK(options.refresh_threads >= 0);
   policy_->Bind(spec, board_);
   purge_expired_ = policy_->PurgeExpired();
-  Rng seeder(options.seed);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i].rng = seeder.Fork("admission-shard:" + std::to_string(i));
-  }
   if (options.parallel_refresh) {
     refresh_pool_ =
         std::make_unique<ThreadPool>(ThreadPool::ResolveJobs(options.refresh_threads));
@@ -95,7 +87,8 @@ PopSide ControlPlane::ChoosePopSide(int module_id, SimTime now) {
   return snap->view->ChoosePopSide(module_id, now);
 }
 
-bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime now) {
+bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime now,
+                                 Rng* rng) {
   auto snap = snapshot_.Read();
   if (Stale(*snap, now)) {
     return request.RemainingBudget(now) > 0;
@@ -103,10 +96,8 @@ bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime 
   if (!snap->view->NeedsAdmissionRng()) {
     return snap->view->AdmitAtModule(request, module_id, now, nullptr);
   }
-  AdmissionShard& shard = ShardFor(request);
-  LockOrderGuard order(LockRank::kAdmissionShard);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return snap->view->AdmitAtModule(request, module_id, now, &shard.rng);
+  PARD_CHECK(rng != nullptr);
+  return snap->view->AdmitAtModule(request, module_id, now, rng);
 }
 
 PolicyRefreshStats ControlPlane::Sync(std::vector<ModuleState>& states, SimTime now) {

@@ -26,31 +26,25 @@
 //   stalls a broker decision. Retired snapshots are reclaimed once no reader
 //   pins them.
 //
-//   SHARDED RESIDUE: policies whose admission needs randomness (the DAGOR
-//   baseline's Bernoulli shed) draw from per-shard RNGs behind striped
-//   mutexes picked by request id, so admission entropy scales with shards
-//   instead of serializing globally. The simulator draws from the same
-//   shards, in event order.
+//   ADMISSION RANDOMNESS: a view that draws (the DAGOR baseline's Bernoulli
+//   shed) draws from the RNG its one caller, ModuleRuntime::Receive, passes:
+//   the module's own, used only under the module's serialization.
 //
 // Every policy must provide a view: construction rejects a policy whose
 // MakeView() returns null, naming it. All in-tree policies do.
 //
-// Lock ordering (enforced in debug builds by common/lock_order.h): a serve
-// module thread may take an admission-shard mutex while holding its module
-// lock, never the reverse. The sync path snapshots module state first (one
-// module lock at a time) and publishes second, holding nothing. TSan-
-// cleanliness of the serve suite pins the whole contract.
+// Locking: the control plane takes no lock. The sync path snapshots module
+// state first (one module lock at a time, common/lock_order.h) and
+// publishes second, holding nothing. TSan-cleanliness of the serve suite
+// pins the whole contract.
 #ifndef PARD_RUNTIME_CONTROL_PLANE_H_
 #define PARD_RUNTIME_CONTROL_PLANE_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "common/rng.h"
 #include "runtime/drop_policy.h"
 #include "runtime/runtime_options.h"
 #include "runtime/snapshot.h"
@@ -58,6 +52,7 @@
 
 namespace pard {
 
+class Rng;
 class ThreadPool;
 
 // One sync interval's frozen control state: the policy's immutable decision
@@ -73,8 +68,6 @@ struct ControlSnapshot {
 class ControlPlane {
  public:
   struct Options {
-    // Seeds the per-shard admission RNG forks.
-    std::uint64_t seed = 1234;
     // Graceful degradation: when > 0 and the pinned snapshot's published_at
     // is older than this, broker decisions fall back to a conservative
     // static rule instead of trusting a stale estimator (see the reader
@@ -82,19 +75,16 @@ class ControlPlane {
     Duration staleness_budget = 0;
     // Fan the policy's incremental estimator refresh across a thread pool
     // during Sync() (per-module forked RNG streams keep the result
-    // identical at any thread count). false = run the refresh inline on the
-    // syncing thread; the refresh itself stays incremental either way.
-    bool parallel_refresh = true;
+    // identical at any thread count). false (the default) runs the refresh
+    // inline on the syncing thread; it stays incremental either way.
+    bool parallel_refresh = false;
     // Refresh-pool threads; 0 = one per hardware thread
     // (ThreadPool::ResolveJobs). Ignored unless parallel_refresh.
     int refresh_threads = 0;
   };
-  // A run's options: the seed and staleness budget from `runtime`, and the
-  // refresh inline, so no pool thread starts unless the caller asks.
+  // A run's options: the staleness budget from `runtime`, and the refresh
+  // inline, so no pool thread starts unless the caller asks.
   static Options RunOptions(const RuntimeOptions& runtime);
-
-  // Striped admission-RNG shards for randomized admission policies.
-  static constexpr int kAdmissionShards = 8;
 
   // `policy` and `board` must outlive the control plane. Binds the policy to
   // the spec and board, and publishes the initial snapshot so readers never
@@ -110,7 +100,8 @@ class ControlPlane {
   // --- Request Broker decisions (lock-free snapshot reads) ----------------
   bool ShouldDrop(const AdmissionContext& ctx);
   PopSide ChoosePopSide(int module_id, SimTime now);
-  bool AdmitAtModule(const Request& request, int module_id, SimTime now);
+  // `rng`: the caller's own, for a view that NeedsAdmissionRng().
+  bool AdmitAtModule(const Request& request, int module_id, SimTime now, Rng* rng);
   // A fixed per-policy property, cached at construction so every batch
   // formation does not pin a snapshot just to re-read it.
   bool PurgeExpired() const { return purge_expired_; }
@@ -133,11 +124,6 @@ class ControlPlane {
   }
 
  private:
-  struct alignas(64) AdmissionShard {
-    std::mutex mu;
-    Rng rng{1};
-  };
-
   // Builds the snapshot for the current policy state, stamped with the
   // publish time. Caller is the syncing thread (or the constructor): the
   // policy has no other readers or writers.
@@ -145,16 +131,12 @@ class ControlPlane {
   // True when the staleness budget is enabled and `snap` is too old at
   // `now`; counts the fallback.
   bool Stale(const ControlSnapshot& snap, SimTime now);
-  AdmissionShard& ShardFor(const Request& request) {
-    return shards_[static_cast<std::size_t>(request.id) % shards_.size()];
-  }
 
   DropPolicy* policy_;
   StateBoard* board_;
   bool purge_expired_ = false;
   Duration staleness_budget_ = 0;
   std::atomic<std::uint64_t> stale_fallbacks_{0};
-  std::array<AdmissionShard, kAdmissionShards> shards_;
   // Workers for the policy's incremental estimator refresh; null when
   // Options::parallel_refresh is off (refresh runs inline on the syncing
   // thread). Owned here so the pool outlives every Sync.

@@ -57,11 +57,10 @@ struct AdmissionContext {
 // build time, and the const methods may not touch mutable policy or board
 // state.
 //
-// Randomized admission (the DAGOR-style baseline's Bernoulli shed) cannot be
-// lock-free with a shared RNG, so a view declares NeedsAdmissionRng() and
-// the control plane hands AdmitAtModule() an exclusively-held RNG from its
-// striped admission shards — contention spreads across shards instead of
-// serializing on one mutex.
+// Randomized admission (the DAGOR-style baseline's Bernoulli shed) needs an
+// RNG the const view cannot own, so a view declares NeedsAdmissionRng() and
+// the control plane hands AdmitAtModule() the admitting module's own RNG,
+// which only that module's serialization draws from — no lock is shared.
 class PolicyView {
  public:
   virtual ~PolicyView() = default;
@@ -78,8 +77,8 @@ class PolicyView {
   }
 
   // Enqueue-time admission; false = shed before queueing. `rng` is non-null
-  // iff NeedsAdmissionRng(): the control plane's per-shard RNG, exclusively
-  // held for this call.
+  // iff NeedsAdmissionRng(): the admitting module's RNG, exclusively held
+  // for this call.
   virtual bool AdmitAtModule(const Request& request, int module_id, SimTime now,
                              Rng* rng) const {
     (void)request;

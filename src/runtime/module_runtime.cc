@@ -24,6 +24,7 @@ ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, ControlPlane*
       batch_size_(batch_size),
       options_(options),
       jitter_rng_(Rng(options.seed).Fork("jitter:" + std::to_string(spec.id))),
+      admission_rng_(Rng(options.seed).Fork("admission:" + std::to_string(spec.id))),
       queue_delay_window_(options.stats_window),
       stage_latency_window_(options.stats_window),
       wait_reservoir_(static_cast<std::size_t>(options.reservoir_capacity)),
@@ -95,7 +96,7 @@ void ModuleRuntime::Receive(RequestPtr req) {
   if (host_->IsTerminal(*req)) {
     return;  // Dropped on another branch before delivery.
   }
-  if (!control_->AdmitAtModule(*req, spec_.id, now)) {
+  if (!control_->AdmitAtModule(*req, spec_.id, now, &admission_rng_)) {
     req->hops[static_cast<std::size_t>(spec_.id)].arrive = now;
     OnPolicyDrop(std::move(req), DropReason::kProactiveAdmission);
     return;
@@ -272,6 +273,10 @@ void ModuleRuntime::RetryOrDrop(RequestPtr req) {
   if (verdict == DropReason::kNone) {
     if (Worker* worker = ChooseWorker(); worker != nullptr) {
       lifecycle.NoteRetry(*req, spec_.id, now);
+      // The lost attempt's stamps go: Enqueue re-stamps arrive, and the
+      // retry enters and runs a batch of its own.
+      HopRecord& hop = req->hops[static_cast<std::size_t>(spec_.id)];
+      hop.batch_entry = hop.exec_start = hop.exec_end = -1;
       worker->Enqueue(std::move(req));
       return;
     }

@@ -93,7 +93,8 @@ class ModuleRuntime {
   // Deadline-aware retry for a failed worker's request: when the shared
   // RequestLifecycle::RetryVerdict allows it, re-enqueue directly on a
   // surviving worker (kWorkerFailure when none is left), else drop with the
-  // verdict's reason. The retry skips re-admission.
+  // verdict's reason. The retry skips re-admission and clears the lost
+  // attempt's batch-entry and execution stamps at this module.
   void RetryOrDrop(RequestPtr req);
 
   int module_id() const { return spec_.id; }
@@ -149,6 +150,7 @@ class ModuleRuntime {
   int batch_size_;
   RuntimeOptions options_;
   Rng jitter_rng_;
+  Rng admission_rng_;  // Randomized admission draws, under this module's serialization.
 
   // shared_ptr so deferred cold-start events can hold weak references and
   // safely no-op if the worker was drained and reaped in the meantime.

@@ -83,9 +83,9 @@ void PipelineRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
     throw;
   }
   // Any request still in flight after the queues fully drain is abandoned
-  // (can only happen via infrastructure corner cases); account it as late so
-  // conservation holds.
-  lifecycle_.AbandonInFlight(sim_.Now());
+  // (can only happen via infrastructure corner cases) and accounted as late
+  // so conservation holds; then the log is checked (CheckRunInvariants).
+  lifecycle_.EndRun(sim_.Now());
 }
 
 }  // namespace pard

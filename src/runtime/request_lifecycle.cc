@@ -1,6 +1,7 @@
 #include "runtime/request_lifecycle.h"
 
 #include <cmath>
+#include <sstream>
 #include <string>
 
 #include "common/check.h"
@@ -10,6 +11,29 @@
 #include "runtime/batch_planner.h"
 
 namespace pard {
+
+namespace {
+
+// CheckRunInvariants' rules, numbered from 1 as in request_lifecycle.h.
+constexpr const char* kRunRules[] = {"fate and attribution agree", "hop stamps are monotone",
+                                     "finish and completion agree", "log in injection order",
+                                     "tenant tag in range"};
+constexpr int kNumRunRules = static_cast<int>(sizeof(kRunRules) / sizeof(kRunRules[0]));
+
+// Rule 2 for one hop of a request sent at `sent`: a stamp set after an unset
+// one, or before the previous one, breaks it.
+bool StampsMonotone(const HopRecord& hop, SimTime sent) {
+  SimTime last = sent;
+  for (const SimTime stamp : {hop.arrive, hop.batch_entry, hop.exec_start, hop.exec_end}) {
+    if (stamp >= 0 && (last < 0 || stamp < last)) {
+      return false;
+    }
+    last = stamp;
+  }
+  return hop.executed == (hop.exec_end >= 0);
+}
+
+}  // namespace
 
 RequestLifecycle::RequestLifecycle(const PipelineSpec& spec, const RuntimeOptions& options)
     : spec_(spec),
@@ -154,8 +178,7 @@ void RequestLifecycle::RecordFate(const Request& req) {
   }
 }
 
-std::size_t RequestLifecycle::AbandonInFlight(SimTime now) {
-  std::size_t abandoned = 0;
+void RequestLifecycle::EndRun(SimTime now) {
   for (const RequestPtr& req : requests_) {
     if (req->Terminal()) {
       continue;
@@ -164,9 +187,8 @@ std::size_t RequestLifecycle::AbandonInFlight(SimTime now) {
     req->finish = now;
     req->drop_reason = DropReason::kDrainAbandoned;
     Count(*req);
-    ++abandoned;
   }
-  return abandoned;
+  CheckRunInvariants(requests_, spec_, options_.tenants.size());
 }
 
 DropReason RequestLifecycle::RetryVerdict(const Request& req, int module_id, SimTime now) const {
@@ -205,6 +227,78 @@ void RequestLifecycle::ResyncGovernor(const std::vector<ModuleState>& states) {
   if (governor_ != nullptr) {
     governor_->Resync(states);
   }
+}
+
+void CheckRunInvariants(const std::vector<RequestPtr>& requests, const PipelineSpec& spec,
+                        std::size_t num_tenants) {
+  std::size_t broken[kNumRunRules] = {};
+  const Request* first[kNumRunRules] = {};
+  int first_module[kNumRunRules] = {};
+  bool clean = true;
+  const auto breaks = [&](int rule, const Request& req, int module) {
+    clean = false;
+    if (broken[rule - 1]++ == 0) {
+      first[rule - 1] = &req;
+      first_module[rule - 1] = module;
+    }
+  };
+  const int modules = spec.NumModules();
+  const int source = spec.SourceModule();
+  const Request* previous = nullptr;
+  for (const RequestPtr& ptr : requests) {
+    const Request& req = *ptr;
+    if (!req.Terminal() || (req.drop_reason == DropReason::kNone) == req.CountsDropped() ||
+        (req.fate == RequestFate::kDropped ? req.drop_module < 0 || req.drop_module >= modules
+                                           : req.drop_module != -1)) {
+      breaks(1, req, req.drop_module);
+    }
+    // A completion left the sink: kCompleted, or kLate for kSloLate.
+    const bool completed = req.Good() || req.drop_reason == DropReason::kSloLate;
+    int unordered = -1;
+    int unexecuted = -1;
+    for (int k = 0; k < static_cast<int>(req.hops.size()); ++k) {
+      const HopRecord& hop = req.hops[static_cast<std::size_t>(k)];
+      if (unordered < 0 && !StampsMonotone(hop, req.sent)) {
+        unordered = k;
+      }
+      const bool on_path = !req.dynamic_path || k == source || hop.expected_arrivals > 0;
+      if (unexecuted < 0 && completed && on_path && !hop.executed) {
+        unexecuted = k;
+      }
+    }
+    if (unordered >= 0) {
+      breaks(2, req, unordered);
+    }
+    if (req.finish < req.sent || unexecuted >= 0 ||
+        (completed && (req.finish <= req.deadline) != req.Good())) {
+      breaks(3, req, unexecuted);
+    }
+    if (previous != nullptr && (req.id <= previous->id || req.sent < previous->sent)) {
+      breaks(4, req, -1);
+    }
+    previous = &req;
+    if (num_tenants == 0 ? req.tenant != -1
+                         : req.tenant < 0 || static_cast<std::size_t>(req.tenant) >= num_tenants) {
+      breaks(5, req, -1);
+    }
+  }
+  if (clean) {
+    return;
+  }
+  std::ostringstream message;
+  message << "run invariants broken";
+  const char* separator = ": ";
+  for (int r = 0; r < kNumRunRules; ++r) {
+    if (broken[r] > 0) {
+      message << separator << "rule " << r + 1 << " (" << kRunRules[r] << "): " << broken[r]
+              << " of " << requests.size() << " requests, first request " << first[r]->id;
+      if (first_module[r] >= 0) {
+        message << " at module " << first_module[r];
+      }
+      separator = "; ";
+    }
+  }
+  throw CheckError(message.str());
 }
 
 }  // namespace pard

@@ -12,6 +12,9 @@
 //
 // Both runtimes allocate their requests here too: each request and its hop
 // slots are one record in the run's RequestArena (runtime/request_arena.h).
+// And both end a run here: EndRun resolves what is still in flight, then
+// checks the log (CheckRunInvariants below), so a run that breaks a rule
+// throws instead of skewing its metrics.
 //
 // Concurrency. The lifecycle takes no lock; its methods fall in three groups.
 //   - Injection (NewRequest, Inject, requests()) belongs to one thread: the
@@ -20,8 +23,8 @@
 //   - Fate transitions (MergeReady, Drop, Complete) write a request's
 //     terminal fields and merge counters (hops[k].merge_arrivals). The
 //     caller synchronises them: the simulator needs nothing, serve holds the
-//     request's fate stripe (LockRank::kFate). AbandonInFlight runs after
-//     every thread has joined.
+//     request's fate stripe (LockRank::kFate). EndRun runs after every
+//     thread has joined.
 //   - Accounting (RecordFate, NoteRetry) bumps lock-free counters and emits
 //     to per-thread trace rings, so serve calls it outside the fate stripe.
 //     NoteRetry also bumps req.retry_count, written only by the thread that
@@ -99,9 +102,10 @@ class RequestLifecycle {
   // Counts the fate `req` just took and emits its sampled trace instant.
   void RecordFate(const Request& req);
   // End of run, with every thread joined: resolves each request still in
-  // flight as kLate / kDrainAbandoned so conservation holds, and counts it.
-  // Returns how many it resolved.
-  std::size_t AbandonInFlight(SimTime now);
+  // flight as kLate / kDrainAbandoned so conservation holds, and counts it;
+  // then checks the log (CheckRunInvariants), throwing CheckError on a
+  // broken rule.
+  void EndRun(SimTime now);
 
   // --- Resilience -----------------------------------------------------------
   // Verdict for a request stranded at `module_id` by a failed or hung
@@ -156,6 +160,27 @@ class RequestLifecycle {
   std::vector<Counter*> tenant_completed_;
   std::vector<Counter*> tenant_dropped_;
 };
+
+// The rules a finished run's request log obeys, checked by both runtimes in
+// EndRun, in every build:
+//   1. Every request is terminal; drop_reason is kNone exactly when it does
+//      not count as dropped; drop_module is a module id exactly when the fate
+//      is kDropped, else -1.
+//   2. Hop stamps are monotone, -1 meaning unset: sent <= arrive <=
+//      batch_entry <= exec_start <= exec_end, no set stamp after an unset
+//      one, and `executed` exactly when exec_end is set.
+//   3. finish >= sent. A completion (kCompleted, or kLate for kSloLate) met
+//      its deadline exactly when kCompleted, and executed every module on its
+//      path: all of them, or under dynamic paths the source and each module
+//      that expects an arrival.
+//   4. In log order ids strictly increase and sent never decreases.
+//   5. The tenant tag is -1 without a catalog (num_tenants 0), else in
+//      [0, num_tenants).
+// Throws CheckError naming each broken rule with its count and the first
+// offending request id and module. One pass; allocates nothing when every
+// rule holds.
+void CheckRunInvariants(const std::vector<RequestPtr>& requests, const PipelineSpec& spec,
+                        std::size_t num_tenants);
 
 }  // namespace pard
 

@@ -38,8 +38,8 @@
 // failed worker's queued and in-flight requests on surviving workers.
 //
 // Concurrency contract (lock ranks per common/lock_order.h):
-//   - mu_ (kModule) guards everything above. Under it a thread may take an
-//     admission-shard mutex (broker admission) and a fate stripe (drops,
+//   - mu_ (kModule) guards everything above, the module's admission RNG
+//     included. Under it a thread may take a fate stripe (drops,
 //     IsTerminal), never another module's mutex.
 //   - The control loop's sync only copies the wait samples under mu_;
 //     they come back unsorted, for it to sort with no lock held.

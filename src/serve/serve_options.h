@@ -38,10 +38,10 @@ struct ServeOptions {
 
   // Fan the policy's incremental estimator refresh across a thread pool at
   // every control sync (ControlPlane::Options::parallel_refresh). Default
-  // true. Per-module forked RNG streams keep the refreshed estimates
-  // identical at any thread count; false runs the same incremental refresh
-  // inline on the control thread.
-  bool parallel_refresh = true;
+  // false: the same incremental refresh runs inline on the control thread,
+  // as in the simulator, and no pool thread starts. Per-module forked RNG
+  // streams keep the refreshed estimates identical at any thread count.
+  bool parallel_refresh = false;
 
   // Refresh-pool threads; 0 (default) = one per hardware thread. Ignored
   // unless parallel_refresh.

@@ -267,8 +267,9 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
 
   // Conservation: anything still in flight (wedged queue, drain timeout,
   // discarded broker backlog) is accounted as late rather than silently
-  // vanishing. Every thread has joined; no lock needed.
-  in_flight_.fetch_sub(lifecycle_.AbandonInFlight(clock_.Now()), std::memory_order_release);
+  // vanishing, then the log is checked (CheckRunInvariants). Every thread
+  // has joined; no lock needed.
+  lifecycle_.EndRun(clock_.Now());
 }
 
 }  // namespace pard

@@ -211,14 +211,15 @@ constexpr LifecycleGolden kLifecycleGoldens[] = {
 };
 
 std::size_t ReasonCount(const ExperimentResult& result, DropReason reason) {
-  return result.drop_reason_counts[static_cast<std::size_t>(reason)];
+  return result.analysis->DropReasonCounts()[static_cast<std::size_t>(reason)];
 }
 
 void ExpectLifecycleGolden(const LifecycleGolden& golden, const ExperimentResult& result) {
   ExpectGolden(golden.run, result);
-  ASSERT_EQ(result.drop_reason_counts.size(), static_cast<std::size_t>(kNumDropReasons));
+  const std::vector<std::size_t> reasons = result.analysis->DropReasonCounts();
+  ASSERT_EQ(reasons.size(), static_cast<std::size_t>(kNumDropReasons));
   for (int r = 0; r < kNumDropReasons; ++r) {
-    EXPECT_EQ(result.drop_reason_counts[static_cast<std::size_t>(r)], golden.drop_reasons[r])
+    EXPECT_EQ(reasons[static_cast<std::size_t>(r)], golden.drop_reasons[r])
         << golden.run.name << " " << DropReasonName(static_cast<DropReason>(r));
   }
   EXPECT_EQ(result.retries, golden.retries) << golden.run.name;

@@ -123,7 +123,7 @@ TEST(OverloadControlPolicy, ShedsWhenQueueDelayAboveThreshold) {
   StateBoard board = QuietBoard(tm);
   const auto quiet = Bound(policy, tm, board);
   ASSERT_TRUE(quiet->NeedsAdmissionRng());
-  Rng rng(1);  // The control plane hands over one of its admission shards.
+  Rng rng(1);  // The admitting module hands over its own RNG.
   const Request req = MakeRequest(0, tm.slo());
   EXPECT_TRUE(quiet->AdmitAtModule(req, 1, 0, &rng));  // Not overloaded.
   ModuleState overloaded;

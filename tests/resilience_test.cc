@@ -6,16 +6,17 @@
 //   2. Deterministic expansion — probabilistic entries expand to the same
 //      concrete timeline for the same (schedule, seed) on every call, so sim
 //      and serve replay identical chaos.
-//   3. Simulator substrate — kill-heavy schedules with retries enabled
-//      conserve every request with exact per-reason attribution, a sync
-//      stall past the staleness budget trips the stale-snapshot fallback,
+//   3. Simulator substrate — kill-heavy schedules with retries enabled run
+//      to a log that passes the end-of-run check (CheckRunInvariants), a
+//      retried request keeps no stamp of its lost attempt, a sync stall past
+//      the staleness budget trips the stale-snapshot fallback,
 //      the watchdog recovers an indefinite hang on a deterministic
 //      timeline (judged at scheduled instants even when the clock reads
 //      late, as serve's does), and chaos runs are bit-deterministic. Both runtimes refuse
 //      a fault or chaos event naming an unknown module.
 //   4. Serving substrate — the randomized chaos soak: ~30 virtual seconds of
 //      hangs (scheduled + probabilistic), a slowdown, a control-plane sync
-//      stall and live scaling. Asserts conservation, watchdog recovery of
+//      stall and live scaling. Asserts watchdog recovery of
 //      hung workers within the hang budget (plus sweep/scheduling slack),
 //      replacement provisioning, and stale-snapshot fallback activity. Runs
 //      under TSan in the tsan preset, pinning the watchdog and
@@ -186,48 +187,33 @@ ExperimentConfig KillHeavyConfig() {
   return config;
 }
 
-// Every request is terminal exactly once and every non-good one carries a
-// reason; the per-reason counts (indexed by DropReason) sum exactly to the
-// non-good population.
-void ExpectExactReasonConservation(const RunAnalysis& analysis,
-                                   const std::vector<std::size_t>& drop_reason_counts) {
-  std::size_t good = 0;
-  std::size_t not_good = 0;
-  for (const RequestPtr& req : analysis.requests()) {
-    ASSERT_TRUE(req->Terminal());
-    if (req->Good()) {
-      ++good;
-      EXPECT_EQ(req->drop_reason, DropReason::kNone);
-    } else {
-      ++not_good;
-      // Every non-good request carries a reason — nothing is lost silently,
-      // even mid-batch on a dying worker.
-      EXPECT_NE(req->drop_reason, DropReason::kNone);
-    }
+TEST(SimResilience, RetriedRequestKeepsNoStampOfItsLostAttempt) {
+  // Three workers per module under overload with a 2 s SLO, one worker of
+  // module i % 3 killed at each second i = 1..10 and added back 0.4 s
+  // later: hundreds of requests are re-enqueued mid-batch. A retry must drop
+  // the lost batch's batch_entry and exec_start; kept, a retried request
+  // reads arrive after exec_start and the run's end-of-run check throws
+  // (rule 2, monotone hop stamps).
+  ExperimentConfig config;
+  config.app = "tm";
+  config.trace = "tweet";
+  config.policy = "pard";
+  config.duration_s = 12.0;
+  config.base_rate = 260.0;
+  config.seed = 11;
+  config.slo_override = 2 * kUsPerSec;
+  config.runtime.enable_scaling = false;
+  config.runtime.fixed_workers = {3, 3, 3};
+  config.runtime.resilience.max_retries = 3;
+  std::string schedule;
+  for (int i = 1; i <= 10; ++i) {
+    const std::string module = std::to_string(i % 3);
+    schedule += (i > 1 ? "," : "") + std::to_string(i) + ":" + module + ":kill:1," +
+                std::to_string(i) + ".4:" + module + ":add:1";
   }
-  EXPECT_EQ(good + not_good, analysis.Total());
-
-  // The per-reason counts sum exactly to the non-good population.
-  ASSERT_EQ(drop_reason_counts.size(), static_cast<std::size_t>(kNumDropReasons));
-  std::size_t reason_sum = 0;
-  for (int r = 1; r < kNumDropReasons; ++r) {
-    reason_sum += drop_reason_counts[static_cast<std::size_t>(r)];
-  }
-  EXPECT_EQ(reason_sum, not_good);
-  EXPECT_EQ(drop_reason_counts[0], 0u);  // kNone never counts.
-}
-
-void ExpectExactReasonConservation(const ExperimentResult& result) {
-  ExpectExactReasonConservation(*result.analysis, result.drop_reason_counts);
-}
-
-TEST(SimResilience, KillHeavyScheduleConservesWithExactReasonAttribution) {
-  const ExperimentResult result = RunExperiment(KillHeavyConfig());
-  ASSERT_GT(result.analysis->Total(), 500u);
-  ExpectExactReasonConservation(result);
-  // Under overload the killed workers held queued work with budget to spare,
-  // so the deadline-aware path must have re-enqueued some of it.
-  EXPECT_GT(result.retries, 0u);
+  config.runtime.fleet_events = ParseFaultSchedule(schedule);
+  const ExperimentResult result = RunExperiment(config);
+  EXPECT_GT(result.retries, 100u);
 }
 
 TEST(SimResilience, SyncStallPastStalenessBudgetFallsBackAndConserves) {
@@ -242,7 +228,6 @@ TEST(SimResilience, SyncStallPastStalenessBudgetFallsBackAndConserves) {
   const ExperimentResult stalled = RunExperiment(config);
   ASSERT_GT(stalled.analysis->Total(), 500u);
   EXPECT_GT(stalled.stale_fallbacks, 0u);
-  ExpectExactReasonConservation(stalled);
 
   // Without the stall every decision reads a snapshot at most one sync
   // period old, inside the budget.
@@ -288,7 +273,6 @@ TEST(SimResilience, WatchdogRecoversIndefiniteHang) {
   const PipelineRuntime& rt = *run.runtime;
   const RunAnalysis analysis(rt.requests(), rt.spec());
   ASSERT_EQ(analysis.Total(), 4500u);
-  ExpectExactReasonConservation(analysis, analysis.DropReasonCounts());
   EXPECT_GE(rt.watchdog_recoveries(), 1u);
 
   SimTime first_kill = -1;
@@ -417,7 +401,6 @@ TEST(ScheduleValidation, UnknownModuleFailsBothRuntimes) {
   bad[0].fleet_events = ParseFaultSchedule("1:" + unknown + ":kill:1");
   bad[1].resilience.chaos = ParseChaosSchedule("1:" + unknown + ":hang:1");
   ServeOptions serve;
-  serve.parallel_refresh = false;
   for (RuntimeOptions& options : bad) {
     options.fixed_workers = {1, 1, 1};
     std::unique_ptr<DropPolicy> policy = MakePolicy("pard", PolicyParams{});
@@ -446,6 +429,7 @@ TEST(SimResilience, ChaosRunsAreBitDeterministic) {
   const ExperimentResult a = RunExperiment(config);
   const ExperimentResult b = RunExperiment(config);
   ASSERT_EQ(a.analysis->Total(), b.analysis->Total());
+  EXPECT_GT(a.retries, 0u);  // The kills strand queued work with budget to spare.
   EXPECT_EQ(a.retries, b.retries);
   for (std::size_t i = 0; i < a.analysis->requests().size(); ++i) {
     const Request& x = *a.analysis->requests()[i];
@@ -458,19 +442,15 @@ TEST(SimResilience, ChaosRunsAreBitDeterministic) {
 
 TEST(SimResilience, FiniteHangDelaysButConserves) {
   // A finite hang freezes one of two workers for 2 s mid-run: throughput
-  // halves during the window, then the worker resumes. Everything stays
-  // terminal and attributed; the hang itself drops nothing.
+  // halves during the window, then the worker resumes. The run's log passes
+  // its end-of-run check; the hang itself drops nothing.
   ExperimentConfig config = KillHeavyConfig();
   config.runtime.fleet_events.clear();
   config.runtime.resilience.chaos = ParseChaosSchedule("3:1:hang:1:2");
   const ExperimentResult result = RunExperiment(config);
-  for (const RequestPtr& req : result.analysis->requests()) {
-    ASSERT_TRUE(req->Terminal());
-  }
-  EXPECT_EQ(result.drop_reason_counts[static_cast<std::size_t>(DropReason::kWorkerFailure)],
-            0u);
-  EXPECT_EQ(
-      result.drop_reason_counts[static_cast<std::size_t>(DropReason::kRetryExhausted)], 0u);
+  const std::vector<std::size_t> reasons = result.analysis->DropReasonCounts();
+  EXPECT_EQ(reasons[static_cast<std::size_t>(DropReason::kWorkerFailure)], 0u);
+  EXPECT_EQ(reasons[static_cast<std::size_t>(DropReason::kRetryExhausted)], 0u);
 }
 
 TEST(SimResilience, PardBeatsDropFreeBaselineUnderChaosOverload) {
@@ -523,30 +503,8 @@ TEST(ServeResilience, ChaosSoakRecoversHungWorkersAndConserves) {
   for (int i = 0; i < 4500; ++i) {
     arrivals.push_back(static_cast<SimTime>(i) * 6667);
   }
-  runtime.RunTrace(arrivals);
-
-  // Conservation under chaos: terminal exactly once, reasons partition the
-  // non-good population.
+  runtime.RunTrace(arrivals);  // Throws when the chaos broke a record.
   ASSERT_EQ(runtime.requests().size(), arrivals.size());
-  std::size_t good = 0;
-  std::size_t not_good = 0;
-  std::vector<std::size_t> reason_counts(static_cast<std::size_t>(kNumDropReasons), 0);
-  for (const RequestPtr& req : runtime.requests()) {
-    ASSERT_TRUE(req->Terminal());
-    if (req->Good()) {
-      ++good;
-    } else {
-      ++not_good;
-      ASSERT_NE(req->drop_reason, DropReason::kNone);
-      ++reason_counts[static_cast<std::size_t>(req->drop_reason)];
-    }
-  }
-  EXPECT_EQ(good + not_good, arrivals.size());
-  std::size_t reason_sum = 0;
-  for (int r = 1; r < kNumDropReasons; ++r) {
-    reason_sum += reason_counts[static_cast<std::size_t>(r)];
-  }
-  EXPECT_EQ(reason_sum, not_good);
 
   // The watchdog force-failed the scheduled indefinite hang (plus any
   // probabilistic hangs it caught mid-batch), and each kill provisioned a

@@ -1,6 +1,7 @@
 // Edge-case coverage for the serving runtime: DAG drop interactions, invalid
-// accounting across branches, state-board staleness, network delay, and
-// queue-order consequences.
+// accounting across branches, state-board staleness, network delay,
+// queue-order consequences, and the end-of-run record check
+// (CheckRunInvariants), one test per rule.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,10 +11,13 @@
 
 #include "baselines/naive_policy.h"
 #include "baselines/nexus_policy.h"
+#include "common/check.h"
 #include "common/rng.h"
+#include "core/pard_policy.h"
 #include "metrics/analysis.h"
 #include "pipeline/apps.h"
 #include "runtime/pipeline_runtime.h"
+#include "runtime/request_lifecycle.h"
 #include "trace/arrival_generator.h"
 
 namespace pard {
@@ -230,30 +234,101 @@ TEST(Runtime, ThrowingRunDetachesTheArrivalStream) {
 // alive, so the log stays readable once the runtime and its policy are gone,
 // as perfbench and the harness read it. ASan flags a read of freed slots.
 TEST(Runtime, RequestsOutliveTheRuntime) {
+  const PipelineSpec spec = MakeDagLiveVideo();
   auto policy = std::make_unique<NexusPolicy>();
-  auto rt = std::make_unique<PipelineRuntime>(MakeDagLiveVideo(), FixedWorkers({2, 1, 2, 2, 2}),
-                                              policy.get(), 100.0);
+  auto rt =
+      std::make_unique<PipelineRuntime>(spec, FixedWorkers({2, 1, 2, 2, 2}), policy.get(), 100.0);
   rt->RunTrace(GenerateUniformArrivals(300.0, 0, SecToUs(2)));
   const std::vector<RequestPtr> requests = rt->requests();
   rt.reset();
   policy.reset();
 
   ASSERT_GT(requests.size(), 500u);
+  EXPECT_NO_THROW(CheckRunInvariants(requests, spec, 0));  // Reads every field.
   std::size_t executed = 0;
   for (const RequestPtr& req : requests) {
-    ASSERT_TRUE(req->Terminal());
     ASSERT_EQ(req->hops.size(), 5u);
     for (const HopRecord& hop : req->hops) {
-      const bool monotone =
-          (hop.batch_entry < 0 || hop.arrive <= hop.batch_entry) &&
-          (hop.exec_start < 0 || (0 <= hop.batch_entry && hop.batch_entry <= hop.exec_start)) &&
-          (hop.exec_end < 0 || (0 <= hop.exec_start && hop.exec_start <= hop.exec_end));
-      ASSERT_TRUE(monotone) << "request " << req->id;
       executed += hop.executed ? 1 : 0;
     }
     EXPECT_LE(req->hops[3].merge_arrivals, 2);  // Module 3 merges two branches.
   }
   EXPECT_GT(executed, requests.size());
+}
+
+// ---- The end-of-run record check: each test corrupts one field of one
+// record in a finished run's log and expects the rule it breaks named.
+
+// A finished DAG run under overload: its log holds completions, drops at
+// modules and executed hops on both branches.
+struct FinishedRun {
+  PipelineSpec spec = MakeDagLiveVideo();
+  std::vector<RequestPtr> requests;
+
+  FinishedRun() {
+    PardPolicy policy;
+    PipelineRuntime rt(spec, FixedWorkers({2, 1, 2, 2, 2}), &policy, 100.0);
+    rt.RunTrace(GenerateUniformArrivals(300.0, 0, SecToUs(2)));
+    requests = rt.requests();
+  }
+
+  // The first record that satisfies `pred`; the test fails without one.
+  template <typename Pred>
+  Request& First(Pred pred) {
+    for (const RequestPtr& req : requests) {
+      if (pred(*req)) {
+        return *req;
+      }
+    }
+    throw std::logic_error("no record fits the corruption");
+  }
+
+  // CheckRunInvariants' message on the log, "" when every rule holds.
+  std::string Message() const {
+    try {
+      CheckRunInvariants(requests, spec, 0);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "";
+  }
+};
+
+TEST(RunInvariants, Rule1DropWithoutAReason) {
+  FinishedRun run;
+  run.First([](const Request& r) { return r.fate == RequestFate::kDropped; }).drop_reason =
+      DropReason::kNone;
+  EXPECT_NE(run.Message().find("rule 1 ("), std::string::npos) << run.Message();
+}
+
+TEST(RunInvariants, Rule2ExecutionBeforeBatchEntry) {
+  FinishedRun run;
+  Request& req = run.First([](const Request& r) { return r.Good(); });
+  req.hops[2].exec_start = req.hops[2].batch_entry - 1;
+  EXPECT_NE(run.Message().find("rule 2 (hop stamps are monotone): 1 of " +
+                               std::to_string(run.requests.size()) + " requests, first request " +
+                               std::to_string(req.id) + " at module 2"),
+            std::string::npos)
+      << run.Message();
+}
+
+TEST(RunInvariants, Rule3FinishBeforeSend) {
+  FinishedRun run;
+  Request& req = run.First([](const Request& r) { return r.Good(); });
+  req.finish = req.sent - 1;
+  EXPECT_NE(run.Message().find("rule 3 ("), std::string::npos) << run.Message();
+}
+
+TEST(RunInvariants, Rule4IdsOutOfOrder) {
+  FinishedRun run;
+  run.requests[1]->id = run.requests[0]->id;
+  EXPECT_NE(run.Message().find("rule 4 ("), std::string::npos) << run.Message();
+}
+
+TEST(RunInvariants, Rule5TenantWithoutACatalog) {
+  FinishedRun run;
+  run.requests.back()->tenant = 0;
+  EXPECT_NE(run.Message().find("rule 5 ("), std::string::npos) << run.Message();
 }
 
 TEST(Runtime, BatchSizesPlannedPerModule) {

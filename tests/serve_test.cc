@@ -1,10 +1,12 @@
 // Tests for the wall-clock serving runtime (src/serve/).
 //
 // Two kinds of assertion live here:
-//   1. Hard invariants — conservation (every injected request ends terminal,
-//      exactly once, with consistent hop records), the load generator
-//      replaying every arrival in order, the simulator's request count on
-//      every trace, clock monotonicity. These never depend on timing.
+//   1. Hard invariants — the load generator replaying every arrival in
+//      order, the simulator's request count on every trace, clock
+//      monotonicity. These never depend on timing. Every serve run also
+//      checks its own request log when RunTrace ends (CheckRunInvariants:
+//      terminal fates, drop attribution, monotone hop stamps), so each
+//      scenario below fails on a broken record without restating the rules.
 //   2. Sim-vs-serve validation bands on matched arrival streams. Serve runs
 //      the simulator's own ModuleRuntime/Worker state machine, so what is
 //      left between them is wall-clock wake-up lateness: normalized goodput
@@ -44,6 +46,7 @@
 #include "pipeline/backend_profile.h"
 #include "runtime/backend_fleet.h"
 #include "runtime/drop_policy.h"
+#include "runtime/request_lifecycle.h"
 #include "runtime/state_board.h"
 #include "runtime/control_plane.h"
 #include "serve/load_generator.h"
@@ -217,39 +220,6 @@ TEST(ServeRuntime, InjectsTheSimulatorsArrivalsOnEveryTrace) {
   }
 }
 
-TEST(ServeRuntime, ConservesEveryRequestOnAChain) {
-  ExperimentConfig config = Fig08SmokeConfig("tm", "pard");
-  ServeOptions serve;
-  serve.speedup = 25.0;
-  const ExperimentResult result = RunServeExperiment(config, serve);
-  ASSERT_NE(result.analysis, nullptr);
-  const RunAnalysis& analysis = *result.analysis;
-  ASSERT_GT(analysis.Total(), 0u);
-  std::size_t good = 0;
-  std::size_t dropped = 0;
-  for (const RequestPtr& req : analysis.requests()) {
-    // Terminal exactly once, finish stamped, fates partition the stream.
-    ASSERT_TRUE(req->Terminal());
-    EXPECT_GE(req->finish, req->sent);
-    if (req->Good()) {
-      ++good;
-      EXPECT_LE(req->finish, req->deadline);
-      // A good request executed every module on its path; on a chain that
-      // is every module.
-      for (const HopRecord& hop : req->hops) {
-        EXPECT_TRUE(hop.executed);
-        EXPECT_GE(hop.batch_entry, hop.arrive);
-        EXPECT_GE(hop.exec_start, hop.batch_entry);
-        EXPECT_GE(hop.exec_end, hop.exec_start);
-      }
-    } else if (req->CountsDropped()) {
-      ++dropped;
-    }
-  }
-  EXPECT_EQ(good + dropped, analysis.Total());
-  EXPECT_EQ(good, analysis.GoodCount());
-}
-
 TEST(ServeRuntime, GoodputWithinToleranceOfSimulatorOnFig08SmokeTrace) {
   // The acceptance band for the serving prototype: identical arrival stream
   // (kTrace replays the exact timestamps the simulator injects), identical
@@ -350,38 +320,30 @@ TEST(ServeRuntime, BaselinePoliciesServeCleanly) {
     serve.speedup = 25.0;
     const ExperimentResult result = RunServeExperiment(config, serve);
     ASSERT_GT(result.analysis->Total(), 0u) << policy;
-    for (const RequestPtr& req : result.analysis->requests()) {
-      ASSERT_TRUE(req->Terminal()) << policy;
-    }
   }
 }
 
 // Serve's requests come from the lifecycle's arena too: the log, hop slots
 // included, stays readable once the runtime and its policy are destroyed.
 TEST(ServeRuntime, RequestsOutliveTheRuntime) {
+  const PipelineSpec spec = MakeDagLiveVideo();
   RuntimeOptions options;
   options.fixed_workers = {2, 1, 2, 2, 2};
   ServeOptions serve;
   serve.speedup = 25.0;
   auto policy = std::make_unique<PardPolicy>();
-  auto server = std::make_unique<ServeRuntime>(MakeDagLiveVideo(), options, policy.get(), 100.0,
-                                               serve);
+  auto server = std::make_unique<ServeRuntime>(spec, options, policy.get(), 100.0, serve);
   server->RunTrace(GenerateUniformArrivals(100.0, 0, SecToUs(2)));
   const std::vector<RequestPtr> requests = server->requests();
   server.reset();
   policy.reset();
 
   ASSERT_GT(requests.size(), 100u);
+  EXPECT_NO_THROW(CheckRunInvariants(requests, spec, 0));  // Reads every field.
   std::size_t executed = 0;
   for (const RequestPtr& req : requests) {
-    ASSERT_TRUE(req->Terminal());
     ASSERT_EQ(req->hops.size(), 5u);
     for (const HopRecord& hop : req->hops) {
-      const bool monotone =
-          (hop.batch_entry < 0 || hop.arrive <= hop.batch_entry) &&
-          (hop.exec_start < 0 || (0 <= hop.batch_entry && hop.batch_entry <= hop.exec_start)) &&
-          (hop.exec_end < 0 || (0 <= hop.exec_start && hop.exec_start <= hop.exec_end));
-      ASSERT_TRUE(monotone) << "request " << req->id;
       executed += hop.executed ? 1 : 0;
     }
     EXPECT_LE(req->hops[3].merge_arrivals, 2);  // Module 3 merges two branches.
@@ -406,9 +368,6 @@ TEST(ServeRuntime, DagMergeAndOverloadUnderContention) {
   serve.speedup = 40.0;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 0u);
-  for (const RequestPtr& req : result.analysis->requests()) {
-    ASSERT_TRUE(req->Terminal());
-  }
   // Under an 800 req/s burst this fleet must shed load, so drops are
   // guaranteed. Goodput is NOT asserted positive: under TSan's ~10x CPU
   // slowdown every completion can legitimately miss the SLO, and this test's
@@ -427,8 +386,8 @@ TEST(ServeRuntime, DrainDeadlineBoundsDropFreePolicyUnderOverload) {
   // The naive policy never drops and never purges expired requests, so under
   // structural overload the backlog at the drain deadline is large. The run
   // must end by abandoning it (leftovers swept kLate) rather than serving it
-  // out — RunServeExperiment returning promptly with every request terminal
-  // and a nonzero late share IS the bound.
+  // out — RunServeExperiment returning promptly, its log checked, with a
+  // nonzero late share IS the bound.
   ExperimentConfig config = Fig08SmokeConfig("tm", "naive");
   config.custom_trace = RateFunction::Constant(500.0);
   config.runtime.fixed_workers = std::vector<int>(3, 1);  // tm has 3 modules.
@@ -436,9 +395,6 @@ TEST(ServeRuntime, DrainDeadlineBoundsDropFreePolicyUnderOverload) {
   serve.speedup = 40.0;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 100u);
-  for (const RequestPtr& req : result.analysis->requests()) {
-    ASSERT_TRUE(req->Terminal());
-  }
   // Overload + no dropping means abandoned/late requests must exist.
   EXPECT_GT(result.analysis->DropRate(), 0.0);
 }
@@ -446,8 +402,9 @@ TEST(ServeRuntime, DrainDeadlineBoundsDropFreePolicyUnderOverload) {
 TEST(ServeRuntime, HeterogeneousFleetFailureAndRecoveryConserves) {
   // ISSUE 5 acceptance scenario, invariant half: a mixed-grade fleet takes a
   // mid-run worker kill and a scale-up recovery (cold start) and still
-  // accounts for every request exactly once. Runs under TSan in the tsan
-  // preset, pinning the roster-mutation concurrency contract.
+  // accounts for every request exactly once (the run checks its log). Runs
+  // under TSan in the tsan preset, pinning the roster-mutation concurrency
+  // contract.
   PipelineSpec spec = MakeApp("tm");
   BackendProfile fast;
   fast.name = "fast";
@@ -477,18 +434,7 @@ TEST(ServeRuntime, HeterogeneousFleetFailureAndRecoveryConserves) {
     arrivals.push_back(i * 25 * kUsPerMs);  // 40 req/s for 3 s.
   }
   runtime.RunTrace(arrivals);
-
-  // Exact conservation: terminal exactly once, fates partition the stream.
   ASSERT_EQ(runtime.requests().size(), arrivals.size());
-  std::size_t good = 0;
-  std::size_t dropped = 0;
-  for (const RequestPtr& req : runtime.requests()) {
-    ASSERT_TRUE(req->Terminal());
-    EXPECT_GE(req->finish, req->sent);
-    good += req->Good() ? 1 : 0;
-    dropped += req->CountsDropped() ? 1 : 0;
-  }
-  EXPECT_EQ(good + dropped, arrivals.size());
 
   // The fleet log tells the whole story: the scheduled kill, then a
   // cold-starting replacement that eventually activates. The kill runs
@@ -571,9 +517,6 @@ TEST(ServeRuntime, ScalingEngineGrowsFleetUnderOverloadAndRecordsHistory) {
   ServeOptions serve;
   serve.speedup = 25.0;
   const ExperimentResult result = RunServeExperiment(config, serve);
-  for (const RequestPtr& req : result.analysis->requests()) {
-    ASSERT_TRUE(req->Terminal());
-  }
   ASSERT_FALSE(result.worker_history.empty());
   int peak_workers = 0;
   for (const auto& sample : result.worker_history) {
@@ -624,9 +567,6 @@ TEST(ServeRuntime, PardGoodputAtLeastDropFreeBaselineOnHeterogeneousScenario) {
   const ExperimentResult naive = run("naive");
   ASSERT_EQ(pard.analysis->Total(), naive.analysis->Total())
       << "matched scenario must inject the identical arrival stream";
-  for (const RequestPtr& req : pard.analysis->requests()) {
-    ASSERT_TRUE(req->Terminal());
-  }
   EXPECT_GE(pard.analysis->NormalizedGoodput(), naive.analysis->NormalizedGoodput());
 }
 
@@ -651,53 +591,8 @@ TEST(ServeRuntime, ShardedBrokersWithScalingAndFaultsConserve) {
   serve.broker_threads = 4;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 0u);
-  std::size_t good = 0;
-  std::size_t dropped = 0;
-  for (const RequestPtr& req : result.analysis->requests()) {
-    ASSERT_TRUE(req->Terminal());
-    EXPECT_GE(req->finish, req->sent);
-    good += req->Good() ? 1 : 0;
-    dropped += req->CountsDropped() ? 1 : 0;
-  }
-  EXPECT_EQ(good + dropped, result.analysis->Total());
   // Structural overload (600 req/s bursts into this fleet): load was shed.
   EXPECT_GT(result.analysis->DropRate(), 0.0);
-}
-
-TEST(ServeRuntime, DropReasonsConserveUnderStructuralOverload) {
-  // Observability acceptance, attribution half: under MMPP bursts far beyond
-  // a pinned single-worker fleet, many requests drop — and every one of them
-  // must carry a DropReason. Conservation is exact: the per-reason counts
-  // sum to DroppedCount() and no dropped request is left at kNone, across
-  // every concurrent drop site (admission shedding, broker decisions, purge
-  // sweeps, drain abandonment).
-  ExperimentConfig config = Fig08SmokeConfig("da", "pard");
-  config.duration_s = 2.0;
-  config.custom_trace = BurstyTrace(60.0, 800.0, config.duration_s);
-  config.runtime.fixed_workers = std::vector<int>(5, 1);
-  ServeOptions serve;
-  serve.speedup = 40.0;
-  const ExperimentResult result = RunServeExperiment(config, serve);
-  const RunAnalysis& analysis = *result.analysis;
-  ASSERT_GT(analysis.DroppedCount(), 0u);
-  const std::vector<std::size_t> reasons = analysis.DropReasonCounts();
-  ASSERT_EQ(reasons.size(), static_cast<std::size_t>(kNumDropReasons));
-  EXPECT_EQ(reasons[0], 0u) << "dropped request without attribution";
-  std::size_t sum = 0;
-  for (std::size_t r = 1; r < reasons.size(); ++r) {
-    sum += reasons[r];
-  }
-  EXPECT_EQ(sum, analysis.DroppedCount());
-  EXPECT_EQ(result.drop_reason_counts, reasons);
-  // Requests that never terminated would break both sums; spot-check too.
-  for (const RequestPtr& req : analysis.requests()) {
-    ASSERT_TRUE(req->Terminal());
-    if (req->CountsDropped()) {
-      EXPECT_NE(req->drop_reason, DropReason::kNone);
-    } else {
-      EXPECT_EQ(req->drop_reason, DropReason::kNone);
-    }
-  }
 }
 
 TEST(ServeRuntime, ObsExportWritesLoadableTraceAndMetrics) {
@@ -768,9 +663,6 @@ TEST(ServeRuntime, DynamicPathsServeTerminalUnderBursts) {
   serve.speedup = 40.0;
   const ExperimentResult result = RunServeExperiment(config, serve);
   ASSERT_GT(result.analysis->Total(), 0u);
-  for (const RequestPtr& req : result.analysis->requests()) {
-    ASSERT_TRUE(req->Terminal());
-  }
 }
 
 // ---- Off-lock sync + parallel refresh (ISSUE 10) ---------------------------
@@ -803,8 +695,10 @@ TEST(ControlPlaneRefresh, ParallelRefreshDeterministicAcrossThreadCounts) {
   PardPolicy policy_1;
   PardPolicy policy_4;
   ControlPlane::Options opt_1;
+  opt_1.parallel_refresh = true;
   opt_1.refresh_threads = 1;
   ControlPlane::Options opt_4;
+  opt_4.parallel_refresh = true;
   opt_4.refresh_threads = 4;
   ControlPlane plane_1(&lv, &policy_1, &board_1, opt_1);
   ControlPlane plane_4(&lv, &policy_4, &board_4, opt_4);
@@ -855,6 +749,7 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
   StateBoard board(lv.NumModules());
   PardPolicy policy;
   ControlPlane::Options options;
+  options.parallel_refresh = true;
   options.refresh_threads = 2;
   ControlPlane plane(&lv, &policy, &board, options);
 
@@ -868,6 +763,7 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
       req.id = static_cast<std::uint64_t>(t) + 1;
       req.slo = lv.slo();
       req.hops = HopSlots(hops.data(), hops.size());
+      Rng admit_rng(static_cast<std::uint64_t>(t) + 1);  // Each module's own, in a run.
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         for (int m = 0; m < lv.NumModules(); ++m) {
@@ -883,7 +779,7 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
           ctx.batch_size = 4;
           plane.ShouldDrop(ctx);
           plane.ChoosePopSide(m, now);
-          plane.AdmitAtModule(req, m, now);
+          plane.AdmitAtModule(req, m, now, &admit_rng);
           ++local;
         }
       }

@@ -2,7 +2,8 @@
 // and bucket structures reach their high-water mark, scheduling, cancelling
 // and firing events must not touch the heap, and a stream of instants
 // (ScheduleStream) never takes a slot at all. Injecting a request takes its
-// record from the run's arena, so it makes no heap call of its own either.
+// record from the run's arena, so it makes no heap call of its own either,
+// and the end-of-run record check makes none on a clean log.
 //
 // The whole test binary counts global operator new calls; the steady-state
 // section asserts the counter does not move. Keep this suite out of
@@ -16,9 +17,12 @@
 #include <new>
 #include <vector>
 
+#include "baselines/naive_policy.h"
 #include "pipeline/apps.h"
+#include "runtime/pipeline_runtime.h"
 #include "runtime/request_lifecycle.h"
 #include "sim/simulation.h"
+#include "trace/arrival_generator.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -188,6 +192,19 @@ TEST(RequestAllocation, InjectionMakesNoHeapCallPerRequest) {
   // A fork/merge DAG drawing a path per request: branch choices and expected
   // arrivals land in the hop slots, not in per-request vectors.
   EXPECT_LT(InjectionAllocations(MakeDagLiveVideo(), true, kRequests), kRequests / 100u);
+}
+
+TEST(RequestAllocation, CheckingAFinishedRunMakesNoHeapCall) {
+  NaivePolicy policy;
+  RuntimeOptions options;
+  options.fixed_workers = {1, 1, 1, 1, 1};
+  options.dynamic_paths = true;
+  PipelineRuntime rt(MakeDagLiveVideo(), options, &policy, 100.0);
+  rt.RunTrace(GenerateUniformArrivals(100.0, 0, SecToUs(5)));
+  ASSERT_GT(rt.requests().size(), 400u);
+  const std::uint64_t before = g_allocations.load();
+  CheckRunInvariants(rt.requests(), rt.spec(), 0);
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "the record check allocated on a clean log";
 }
 
 }  // namespace

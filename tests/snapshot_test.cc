@@ -141,14 +141,16 @@ TEST(SnapshotCell, ConcurrentReadersUnderWriterChurn) {
 
 TEST(LockOrder, InOrderAcquisitionPasses) {
   LockOrderGuard module(LockRank::kModule);
-  LockOrderGuard shard(LockRank::kAdmissionShard);
   LockOrderGuard fate(LockRank::kFate);
 }
 
 TEST(LockOrder, OutOfOrderAcquisitionThrows) {
-  LockOrderGuard shard(LockRank::kAdmissionShard);
-  EXPECT_THROW(LockOrderGuard module(LockRank::kModule), CheckError);
+  {
+    LockOrderGuard fate(LockRank::kFate);
+    EXPECT_THROW(LockOrderGuard module(LockRank::kModule), CheckError);
+  }
   // The failed guard must not corrupt the stack: in-order still works.
+  LockOrderGuard module(LockRank::kModule);
   LockOrderGuard fate(LockRank::kFate);
 }
 
@@ -279,7 +281,7 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchThePolicyOnAnIdenticalBoard) {
       EXPECT_EQ(snap, direct) << "module " << m << " age " << age;
       drops += snap ? 1 : 0;
       EXPECT_EQ(plane.ChoosePopSide(m, now), direct_view->ChoosePopSide(m, now));
-      EXPECT_EQ(plane.AdmitAtModule(req, m, now),
+      EXPECT_EQ(plane.AdmitAtModule(req, m, now, nullptr),
                 direct_view->AdmitAtModule(req, m, now, nullptr));
     }
   }

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "baselines/policy_factory.h"
 #include "common/check.h"
@@ -112,7 +113,7 @@ pard::FlagSet BuildFlags() {
                "pipeline (admission runs under the source module's mutex, so N > 1 "
                "brokers serialize there; delivery order across brokers is "
                "approximate)");
-  flags.AddBool("parallel-refresh", true,
+  flags.AddBool("parallel-refresh", false,
                 "serving mode: fan the incremental estimator refresh across a "
                 "thread pool at every control sync (per-module RNG streams keep "
                 "results identical at any thread count); false = refresh inline "
@@ -179,23 +180,28 @@ int main(int argc, char** argv) {
     return 0;
   }
   // Numbers a run cannot use are flag errors, so they fail here rather than
-  // in the run (or, worse, run quietly).
-  for (const char* name : {"duration-s", "base-rate", "window-s", "provision"}) {
+  // in the run (or, worse, run quietly), whichever substrate runs.
+  for (const char* name : {"duration-s", "base-rate", "window-s", "provision", "speedup",
+                           "metrics-interval-s"}) {
     const double value = flags.GetDouble(name);
     if (!(value > 0.0) || !std::isfinite(value)) {
       std::fprintf(stderr, "--%s must be finite and > 0 (got %g)\n", name, value);
       return 2;
     }
   }
-  const double lambda = flags.GetDouble("lambda");
-  if (!(lambda >= 0.0 && lambda <= 1.0)) {
-    std::fprintf(stderr, "--lambda must be in [0, 1] (got %g)\n", lambda);
-    return 2;
+  for (const char* name : {"slo-ms", "hang-budget-s", "staleness-budget-s"}) {
+    const double value = flags.GetDouble(name);
+    if (!(value >= 0.0) || !std::isfinite(value)) {
+      std::fprintf(stderr, "--%s must be finite and >= 0 (got %g)\n", name, value);
+      return 2;
+    }
   }
-  const double slo_ms = flags.GetDouble("slo-ms");
-  if (!(slo_ms >= 0.0) || !std::isfinite(slo_ms)) {
-    std::fprintf(stderr, "--slo-ms must be finite and >= 0 (got %g)\n", slo_ms);
-    return 2;
+  for (const char* name : {"lambda", "trace-sample-rate"}) {
+    const double value = flags.GetDouble(name);
+    if (!(value >= 0.0 && value <= 1.0)) {
+      std::fprintf(stderr, "--%s must be in [0, 1] (got %g)\n", name, value);
+      return 2;
+    }
   }
 
   pard::ExperimentConfig config;
@@ -206,7 +212,7 @@ int main(int argc, char** argv) {
   config.base_rate = flags.GetDouble("base-rate");
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
   config.runtime.provision_headroom = flags.GetDouble("provision");
-  config.params.lambda = lambda;
+  config.params.lambda = flags.GetDouble("lambda");
   const std::int64_t mc_samples = flags.GetInt("mc-samples");
   if (mc_samples < 1 || mc_samples > 1000000) {
     std::fprintf(stderr, "--mc-samples must be in [1, 1000000] (got %lld)\n",
@@ -241,21 +247,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.runtime.resilience.max_retries = static_cast<int>(max_retries);
-  if (flags.GetDouble("hang-budget-s") < 0.0) {
-    std::fprintf(stderr, "--hang-budget-s must be >= 0 (got %g)\n",
-                 flags.GetDouble("hang-budget-s"));
-    return 2;
-  }
   config.runtime.resilience.hang_budget = pard::SecToUs(flags.GetDouble("hang-budget-s"));
-  if (flags.GetDouble("staleness-budget-s") < 0.0) {
-    std::fprintf(stderr, "--staleness-budget-s must be >= 0 (got %g)\n",
-                 flags.GetDouble("staleness-budget-s"));
-    return 2;
-  }
   config.runtime.resilience.staleness_budget =
       pard::SecToUs(flags.GetDouble("staleness-budget-s"));
-  if (slo_ms > 0.0) {
-    config.slo_override = pard::MsToUs(slo_ms);
+  if (flags.GetDouble("slo-ms") > 0.0) {
+    config.slo_override = pard::MsToUs(flags.GetDouble("slo-ms"));
   }
   if (!flags.GetString("pipeline-json").empty()) {
     std::string text;
@@ -296,6 +292,23 @@ int main(int argc, char** argv) {
     }
     config.custom_spec = std::move(spec);
   }
+  // Schedules name modules by id; check them against the pipeline that runs.
+  const int modules = config.custom_spec.has_value() ? config.custom_spec->NumModules()
+                                                     : pard::MakeApp(config.app).NumModules();
+  for (const pard::FleetEvent& event : config.runtime.fleet_events) {
+    if (event.module_id >= modules) {
+      std::fprintf(stderr, "--fault-schedule names module %d; the pipeline has modules 0..%d\n",
+                   event.module_id, modules - 1);
+      return 2;
+    }
+  }
+  for (const pard::ChaosEvent& event : config.runtime.resilience.chaos.events) {
+    if (event.module_id >= modules) {
+      std::fprintf(stderr, "--chaos-schedule names module %d; the pipeline has modules 0..%d\n",
+                   event.module_id, modules - 1);
+      return 2;
+    }
+  }
   config.runtime.cost_aware_provisioning = flags.GetBool("cost-aware");
   if (!flags.GetString("tenants").empty()) {
     std::string text;
@@ -313,43 +326,28 @@ int main(int argc, char** argv) {
 
   config.obs.trace_out = flags.GetString("trace-out");
   config.obs.trace_sample_rate = flags.GetDouble("trace-sample-rate");
-  if (config.obs.trace_sample_rate < 0.0 || config.obs.trace_sample_rate > 1.0) {
-    std::fprintf(stderr, "--trace-sample-rate must be in [0, 1] (got %g)\n",
-                 config.obs.trace_sample_rate);
-    return 2;
-  }
   config.obs.metrics_out = flags.GetString("metrics-out");
-  const double metrics_interval_s = flags.GetDouble("metrics-interval-s");
-  if (!(metrics_interval_s > 0.0)) {
-    std::fprintf(stderr, "--metrics-interval-s must be > 0 (got %g)\n", metrics_interval_s);
-    return 2;
-  }
-  config.runtime.metrics_interval = pard::SecToUs(metrics_interval_s);
+  config.runtime.metrics_interval = pard::SecToUs(flags.GetDouble("metrics-interval-s"));
 
+  // Serve's options are checked, and ignored, in a simulator run too.
   const bool serve_mode = flags.GetBool("serve");
   pard::ServeOptions serve;
-  if (serve_mode) {
-    serve.speedup = flags.GetDouble("speedup");
-    if (!(serve.speedup > 0.0)) {
-      std::fprintf(stderr, "--speedup must be > 0 (got %g)\n", serve.speedup);
-      return 2;
-    }
-    const std::int64_t broker_threads = flags.GetInt("broker-threads");
-    if (broker_threads < 1 || broker_threads > 64) {
-      std::fprintf(stderr, "--broker-threads must be in [1, 64] (got %lld)\n",
-                   static_cast<long long>(broker_threads));
-      return 2;
-    }
-    serve.broker_threads = static_cast<int>(broker_threads);
-    const std::int64_t refresh_threads = flags.GetInt("refresh-threads");
-    if (refresh_threads < 0 || refresh_threads > 64) {
-      std::fprintf(stderr, "--refresh-threads must be in [0, 64] (got %lld)\n",
-                   static_cast<long long>(refresh_threads));
-      return 2;
-    }
-    serve.parallel_refresh = flags.GetBool("parallel-refresh");
-    serve.refresh_threads = static_cast<int>(refresh_threads);
+  serve.speedup = flags.GetDouble("speedup");
+  const std::int64_t broker_threads = flags.GetInt("broker-threads");
+  if (broker_threads < 1 || broker_threads > 64) {
+    std::fprintf(stderr, "--broker-threads must be in [1, 64] (got %lld)\n",
+                 static_cast<long long>(broker_threads));
+    return 2;
   }
+  serve.broker_threads = static_cast<int>(broker_threads);
+  const std::int64_t refresh_threads = flags.GetInt("refresh-threads");
+  if (refresh_threads < 0 || refresh_threads > 64) {
+    std::fprintf(stderr, "--refresh-threads must be in [0, 64] (got %lld)\n",
+                 static_cast<long long>(refresh_threads));
+    return 2;
+  }
+  serve.parallel_refresh = flags.GetBool("parallel-refresh");
+  serve.refresh_threads = static_cast<int>(refresh_threads);
 
   pard::ExperimentResult result;
   try {
@@ -423,10 +421,13 @@ int main(int argc, char** argv) {
   const std::size_t total_dropped = a.DroppedCount();
   if (total_dropped > 0) {
     std::printf("drop reasons   (of %zu dropped)\n", total_dropped);
-    for (int r = 0; r < pard::kNumDropReasons; ++r) {
-      const std::size_t count = result.drop_reason_counts[static_cast<std::size_t>(r)];
+    // Every dropped request names its reason (CheckRunInvariants' rule 1), so
+    // the kNone slot stays 0.
+    const std::vector<std::size_t> reasons = a.DropReasonCounts();
+    for (int r = 1; r < pard::kNumDropReasons; ++r) {
+      const std::size_t count = reasons[static_cast<std::size_t>(r)];
       if (count == 0) {
-        continue;  // "none" only prints when attribution leaked (a bug).
+        continue;
       }
       std::printf("  %-20s %8zu  (%.1f%%)\n",
                   pard::DropReasonName(static_cast<pard::DropReason>(r)), count,
