@@ -227,7 +227,6 @@ double BackendFleet::PublishCapacity(int module_id, double per_worker_throughput
   // The no-active floor mirrors the historical max(1, active) worker floor.
   state.effective_units = active > 0 ? units : static_cast<double>(state.num_workers);
   state.mean_speed = state.effective_units / static_cast<double>(state.num_workers);
-  state.per_worker_throughput = per_worker_throughput;
   return per_worker_throughput * state.effective_units;
 }
 

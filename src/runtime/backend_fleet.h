@@ -111,9 +111,9 @@ class BackendFleet {
   // Publishes the fleet's capacity view into a ModuleState under ONE lock
   // acquisition (count and units from the same roster snapshot): sets
   // num_workers (max(1, active) — the historical floor), effective_units
-  // (active units, falling back to num_workers when nothing is active),
-  // mean_speed and per_worker_throughput; returns the effective capacity
-  // (per_worker_throughput * effective_units) for the caller's load_factor.
+  // (active units, falling back to num_workers when nothing is active) and
+  // mean_speed; returns the effective capacity (per_worker_throughput *
+  // effective_units) for the caller's load_factor.
   // Both substrates' state publishers go through here so the estimator can
   // assume definitionally identical fields.
   double PublishCapacity(int module_id, double per_worker_throughput, ModuleState& state) const;

@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
-#include "stats/empirical_distribution.h"
 
 namespace pard {
 
@@ -142,14 +141,12 @@ void ControlLoop::SyncTick(SimTime t) {
   }
   const SimTime now = substrate_.timer->Now();
   // One module at a time; each state refills the buffers the board handed
-  // back at the previous sync. In serve only the copy holds the module's
-  // lock: the samples sort after it is released.
+  // back at the previous sync.
   for (std::size_t i = 0; i < sync_states_.size(); ++i) {
     ModuleState& state = sync_states_[i];
     substrate_.with_module(static_cast<int>(i), [&state](ModuleRuntime& m) {
       state = m.Sync(std::move(state.wait_samples));
     });
-    SortSamples(state.wait_samples, sort_scratch_);
   }
   // The weighted shed plan comes from the states about to be published, so
   // the governor is never fresher than the snapshot.

@@ -3,9 +3,9 @@
 // Request Broker decision reads, the sync buffers, the worker history and
 // the watchdog tally, and schedules each control job on a ModuleTimer, in
 // this order (events due at one instant run in scheduling order):
-//   - the state sync, every sync_period: module states → SortSamples →
-//     tenant governor resync → ControlPlane::Sync → trace and metrics,
-//     skipped inside a chaos stall-sync window;
+//   - the state sync, every sync_period: module states → tenant governor
+//     resync → ControlPlane::Sync → trace and metrics, skipped inside a
+//     chaos stall-sync window;
 //   - the metrics sample (MetricsRegistry::Sample), every metrics_interval
 //     when options.metrics is set and the interval is positive; where it
 //     falls on a sync instant it samples right after that sync;
@@ -130,9 +130,8 @@ class ControlLoop {
   std::vector<FleetEvent> fault_schedule_;
   std::vector<ChaosEvent> chaos_schedule_;
   // One state per module, carried between syncs so each sync refills the
-  // buffers the board handed back, and the wait-sample sort's working space.
+  // buffers the board handed back.
   std::vector<ModuleState> sync_states_;
-  std::vector<double> sort_scratch_;
   std::vector<FleetSample> worker_history_;
   SimTime until_ = kSimTimeMax;
   // Chaos stall-sync window: syncs due before it ends are skipped, so the

@@ -133,8 +133,7 @@ void ModuleRuntime::RecordQueueDelay(SimTime now, Duration q_delay) {
   queue_delay_window_.Add(now, static_cast<double>(q_delay));
 }
 
-void ModuleRuntime::RecordBatchWait(SimTime now, Duration wait) {
-  (void)now;
+void ModuleRuntime::RecordBatchWait(Duration wait) {
   wait_reservoir_.Add(static_cast<double>(wait));
 }
 
@@ -156,9 +155,7 @@ ModuleState ModuleRuntime::Sync(std::vector<double> wait_buffer) {
   state.batch_size = batch_size_;
   state.batch_duration = profile_.BatchDuration(batch_size_);
   const double capacity = fleet_->PublishCapacity(spec_.id, PerWorkerThroughput(), state);
-  state.input_rate = rate_monitor_.Raw(now);
-  state.smoothed_rate = rate_monitor_.Smoothed(now);
-  state.load_factor = capacity > 0.0 ? state.smoothed_rate / capacity : 0.0;
+  state.load_factor = capacity > 0.0 ? rate_monitor_.Smoothed(now) / capacity : 0.0;
   state.burstiness = rate_monitor_.Burstiness(now);
   state.wait_samples = std::move(wait_buffer);
   state.wait_samples.assign(wait_reservoir_.values().begin(), wait_reservoir_.values().end());

@@ -54,8 +54,7 @@ class ModuleRuntime {
   // Computes this module's ModuleState at the timer's now for the sync
   // tick to publish, copying the wait samples into `wait_buffer` (a
   // previous state's wait_samples, recycled so a warm sync allocates
-  // nothing). The samples come back UNSORTED: the caller sorts them before
-  // publishing, which lets serve sort outside its module lock.
+  // nothing) in the reservoir's ring-slot order.
   ModuleState Sync(std::vector<double> wait_buffer);
 
   // Scaling: adjusts the active+warming pool toward `target_units` of
@@ -121,7 +120,7 @@ class ModuleRuntime {
 
   // --- Hooks invoked by workers -------------------------------------------
   void RecordQueueDelay(SimTime now, Duration q_delay);
-  void RecordBatchWait(SimTime now, Duration wait);
+  void RecordBatchWait(Duration wait);
   void RecordStageLatency(SimTime now, Duration stage_latency);
   void OnExecuted(RequestPtr req);          // Forward downstream.
   // Drop with attribution (policy sites pass kProactiveAdmission /

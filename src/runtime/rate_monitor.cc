@@ -25,16 +25,6 @@ void RateMonitor::Evict(SimTime now) {
   }
 }
 
-double RateMonitor::Raw(SimTime now) {
-  Evict(now);
-  if (bins_.empty()) {
-    return 0.0;
-  }
-  const Bin& last = bins_.back();
-  const double coverage = std::clamp(UsToSec(now - last.start), 0.1, 1.0);
-  return static_cast<double>(last.count) / coverage;
-}
-
 double RateMonitor::Smoothed(SimTime now) {
   Evict(now);
   if (bins_.empty()) {

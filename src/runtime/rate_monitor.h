@@ -1,9 +1,10 @@
 // Per-second arrival binning shared by the simulated and serving module
 // controllers.
 //
-// The State Planner derives three quantities from recent arrival counts over
-// the stats window: the raw (last-bin) input rate, the window-smoothed rate,
-// and the paper's burstiness measure eps = sum|T_in - T_mean| / sum T_in.
+// The State Planner derives two quantities from recent arrival counts over
+// the stats window: the window-smoothed rate (the load factor's numerator
+// and the scaling engine's demand signal) and the paper's burstiness
+// measure eps = sum|T_in - T_mean| / sum T_in.
 // ModuleRuntime owns one per module in both substrates, so the estimator
 // sees identically-defined ModuleState inputs on either.
 //
@@ -25,9 +26,6 @@ class RateMonitor {
 
   // Records one arrival at `now`.
   void Bump(SimTime now);
-
-  // Most recent complete view: the last bin scaled by its coverage.
-  double Raw(SimTime now);
 
   // Total in-window arrivals over the covered span (floored at 1 s so a
   // window's first moments are not over-extrapolated).

@@ -40,24 +40,22 @@ struct ModuleState {
   int batch_size = 1;
   Duration batch_duration = 1;  // d_i at batch_size, us.
 
-  // Capacity and load. `per_worker_throughput` is the baseline grade's
-  // req/s; heterogeneous fleets report their effective capacity via
-  // `effective_units` (Σ speed over active workers, in baseline-worker
-  // units) and `mean_speed` (effective_units / active count). Both are
-  // exactly num_workers and 1.0 for a homogeneous grade-1.0 fleet, so
-  // every downstream formula degenerates to the historical arithmetic.
+  // Capacity and load. Heterogeneous fleets report their effective
+  // capacity via `effective_units` (Σ speed over active workers, in
+  // baseline-worker units) and `mean_speed` (effective_units / active
+  // count). Both are exactly num_workers and 1.0 for a homogeneous
+  // grade-1.0 fleet, so every downstream formula degenerates to the
+  // historical arithmetic.
   int num_workers = 1;
-  double per_worker_throughput = 0.0;  // req/s at the baseline grade.
-  double effective_units = 1.0;        // Fleet capacity, baseline units.
-  double mean_speed = 1.0;             // Mean active-worker speed grade.
-  double input_rate = 0.0;             // Recent arrivals, req/s.
-  double smoothed_rate = 0.0;          // Window-smoothed arrivals, req/s.
-  double load_factor = 0.0;            // mu = T_in / (T_m * units).
-  double burstiness = 0.0;             // eps = sum|T_in - T_s| / sum T_in.
+  double effective_units = 1.0;  // Fleet capacity, baseline units.
+  double mean_speed = 1.0;       // Mean active-worker speed grade.
+  double load_factor = 0.0;      // mu = T_in / (T_m * units).
+  double burstiness = 0.0;       // eps = sum|T_in - T_s| / sum T_in.
 
-  // Sorted snapshot of recent per-request batch waits (us). Empty until the
-  // module has observed traffic; estimators fall back to the uniform [0, d]
-  // model in that case.
+  // The module's recent per-request batch waits (us), in the reservoir's
+  // ring-slot order: estimators draw uniform indices, so order is
+  // irrelevant. Empty until the module has observed traffic; estimators
+  // fall back to the uniform [0, d] model in that case.
   std::vector<double> wait_samples;
 };
 
@@ -76,11 +74,12 @@ inline Duration EffectiveBatchDuration(const ModuleState& state) {
 
 // True when `next` differs from `prev` in any field the latency estimator
 // actually reads: the queue-delay term, the effective batch duration
-// (batch_duration stretched by mean_speed) and the wait reservoir. The
-// vector compare early-exits on the first differing sample, so a module
-// with live traffic (whose reservoir shifts every sync) costs O(1) here;
-// the full O(M) compare is only paid by idle modules — exactly the ones
-// whose unchanged verdict lets the estimator skip an O(mc_samples) redraw.
+// (batch_duration stretched by mean_speed) and the wait reservoir. Both
+// reservoirs are ring-slot copies: one still filling changes size, which
+// the compare sees at once, and a full one is compared slot by slot up to
+// the first slot overwritten since the previous sync. Only an idle module
+// pays the full O(M) compare — exactly the one whose unchanged verdict
+// lets the estimator skip an O(mc_samples) redraw.
 inline bool EstimatorInputsChanged(const ModuleState& prev, const ModuleState& next) {
   return prev.avg_queue_delay != next.avg_queue_delay ||
          prev.batch_duration != next.batch_duration ||

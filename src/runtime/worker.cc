@@ -116,7 +116,7 @@ void Worker::MaybeLaunch() {
   for (const RequestPtr& req : executing_batch_) {
     HopRecord& hop = req->hops[static_cast<std::size_t>(module_id)];
     hop.exec_start = now;
-    module_->RecordBatchWait(now, hop.BatchWait());
+    module_->RecordBatchWait(hop.BatchWait());
   }
   exec_event_ = timer_->ScheduleAt(exec_end_, [this] { OnBatchComplete(); });
 }

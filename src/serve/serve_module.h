@@ -41,8 +41,8 @@
 //   - mu_ (kModule) guards everything above, the module's admission RNG
 //     included. Under it a thread may take a fate stripe (drops,
 //     IsTerminal), never another module's mutex.
-//   - The control loop's sync only copies the wait samples under mu_;
-//     they come back unsorted, for it to sort with no lock held.
+//   - The control loop's sync copies the module's state, wait samples
+//     included, under mu_.
 //   - Start() and Stop() come from the thread that runs the serve run,
 //     With() from the control thread.
 #ifndef PARD_SERVE_SERVE_MODULE_H_

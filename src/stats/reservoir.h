@@ -2,10 +2,11 @@
 //
 // The State Planner keeps the most recent M (default 10 000, paper footnote 6)
 // batch-wait observations per module and randomly samples them to build the
-// aggregated batch-wait distribution F_{k+1..N}. A ring buffer of the most
-// recent M values implements "random sampling on recent arrivals" — it tracks
-// workload drift instead of mixing in stale samples as a classic reservoir
-// would.
+// aggregated batch-wait distribution F_{k+1..N} (AddWaitDraws in
+// core/latency_estimator.cc draws uniform indices into a copy of values()).
+// A ring buffer of the most recent M values implements "random sampling on
+// recent arrivals" — it tracks workload drift instead of mixing in stale
+// samples as a classic reservoir would.
 #ifndef PARD_STATS_RESERVOIR_H_
 #define PARD_STATS_RESERVOIR_H_
 
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
 
 namespace pard {
 
@@ -33,23 +33,8 @@ class RecentReservoir {
     }
   }
 
-  std::size_t Size() const { return values_.size(); }
-  bool Empty() const { return values_.empty(); }
-  std::size_t capacity() const { return capacity_; }
-
-  // Uniformly random element. Requires non-empty.
-  double Sample(Rng& rng) const {
-    PARD_CHECK(!values_.empty());
-    return values_[static_cast<std::size_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(values_.size()) - 1))];
-  }
-
+  // The kept values in ring-slot order, not arrival order.
   const std::vector<double>& values() const { return values_; }
-
-  void Clear() {
-    values_.clear();
-    next_ = 0;
-  }
 
  private:
   std::size_t capacity_;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -334,7 +333,6 @@ StateBoard MixedBoard(int n, Duration d, std::uint64_t seed) {
       for (int j = 0; j < 257; ++j) {
         s.wait_samples.push_back(rng.Uniform(0.0, static_cast<double>(d)));
       }
-      std::sort(s.wait_samples.begin(), s.wait_samples.end());
     }
     board.Publish(std::move(s));
   }

@@ -4,6 +4,7 @@
 // (CheckRunInvariants), one test per rule.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "core/pard_policy.h"
 #include "metrics/analysis.h"
+#include "obs/metrics.h"
 #include "pipeline/apps.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/request_lifecycle.h"
@@ -121,8 +123,7 @@ TEST(StateBoard, SyncPublishesFreshStates) {
   });
   rt.RunTrace(arrivals);
   EXPECT_GT(state.updated_at, 0);
-  EXPECT_GT(state.input_rate, 30.0);
-  EXPECT_GT(state.per_worker_throughput, 0.0);
+  EXPECT_GT(state.load_factor, 0.0);
   EXPECT_FALSE(state.wait_samples.empty());
   // Staleness: the snapshot is at most one sync period old.
   EXPECT_GE(state.updated_at, read_at - options.sync_period);
@@ -139,6 +140,56 @@ TEST(StateBoard, LoadFactorReflectsOverload) {
   rt.sim().ScheduleAt(SecToUs(5) + 1, [&] { load_factor = rt.board().Get(0).load_factor; });
   rt.RunTrace(arrivals);
   EXPECT_GT(load_factor, 1.0);
+}
+
+// The sync publishes each wait reservoir in ring-slot order, so the board
+// compares reservoirs slot by slot: a module with traffic must read as
+// changed, and an idle one as unchanged once its stats window has emptied.
+TEST(StateBoard, IdleModulesSkipRefreshOnceStatsWindowEmpties) {
+  PardPolicy policy;
+  MetricsRegistry registry;
+  RuntimeOptions options = FixedWorkers({1, 1, 1});
+  options.metrics = &registry;
+  const Duration traffic = SecToUs(6);
+  options.drain = options.stats_window + SecToUs(6);
+  PipelineRuntime rt(MakeTrafficMonitoring(), options, &policy, 100.0);
+  Rng rng(7);
+  const auto arrivals = GenerateArrivals(RateFunction::Constant(100.0), 0, traffic, rng);
+  const Counter* refreshed = registry.GetCounter("control.refresh_modules_refreshed");
+  const Counter* skipped = registry.GetCounter("control.refresh_modules_skipped");
+  // Each sync's own counts: read the counters just after every sync.
+  struct SyncCounts {
+    SimTime at;
+    std::int64_t refreshed;
+    std::int64_t skipped;
+  };
+  std::vector<SyncCounts> syncs;
+  std::int64_t last_refreshed = 0;
+  std::int64_t last_skipped = 0;
+  const SimTime end = arrivals.back() + options.drain;
+  for (SimTime t = options.sync_period; t <= end; t += options.sync_period) {
+    rt.sim().ScheduleAt(t + 1, [&, t] {
+      syncs.push_back({t, refreshed->Value() - last_refreshed, skipped->Value() - last_skipped});
+      last_refreshed = refreshed->Value();
+      last_skipped = skipped->Value();
+    });
+  }
+  rt.RunTrace(arrivals);
+  const int modules = rt.spec().NumModules();
+  int busy = 0;
+  int idle = 0;
+  for (const SyncCounts& s : syncs) {
+    if (s.at <= traffic) {
+      ++busy;
+      EXPECT_GE(s.refreshed, 1) << "sync at " << s.at;
+    } else if (s.at > arrivals.back() + options.stats_window + options.sync_period) {
+      ++idle;
+      EXPECT_EQ(s.refreshed, 0) << "sync at " << s.at;
+      EXPECT_EQ(s.skipped, modules) << "sync at " << s.at;
+    }
+  }
+  EXPECT_EQ(busy, 6);
+  EXPECT_GE(idle, 4);
 }
 
 TEST(QueueOrder, FifoServesInArrivalOrderUnderBacklog) {

@@ -679,7 +679,6 @@ std::vector<ModuleState> RefreshWarmStates(int n, int round, Rng* rng) {
     for (int j = 0; j < 256; ++j) {
       s.wait_samples.push_back(rng->Uniform(0.0, 12000.0));
     }
-    std::sort(s.wait_samples.begin(), s.wait_samples.end());
     states.push_back(std::move(s));
   }
   return states;

@@ -185,7 +185,6 @@ std::vector<ModuleState> WarmStates(int n, Rng* rng) {
     for (int j = 0; j < 512; ++j) {
       s.wait_samples.push_back(rng->Uniform(0.0, 10000.0));
     }
-    std::sort(s.wait_samples.begin(), s.wait_samples.end());
     states.push_back(std::move(s));
   }
   return states;
