@@ -72,14 +72,14 @@ void BM_DepqPutGet(benchmark::State& state) {
   std::vector<RequestPtr> pool;
   for (std::int64_t i = 0; i < depth; ++i) {
     auto r = std::make_shared<Request>();
-    r->deadline = rng.UniformInt(0, 1 << 20);
+    r->slo = rng.UniformInt(0, 1 << 20);  // Sent at 0: the SLO is the deadline.
     queue.Push(r);
     pool.push_back(std::move(r));
   }
   int flip = 0;
   for (auto _ : state) {
     auto r = std::make_shared<Request>();
-    r->deadline = rng.UniformInt(0, 1 << 20);
+    r->slo = rng.UniformInt(0, 1 << 20);
     queue.Push(std::move(r));
     // Alternate HBF/LBF pops, the adaptive-priority access pattern.
     benchmark::DoNotOptimize(
@@ -450,7 +450,6 @@ void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
   req.id = static_cast<std::uint64_t>(state.thread_index()) + 1;
   req.sent = kUsPerSec;
   req.slo = harness.spec.slo();
-  req.deadline = req.sent + req.slo;
   req.hops = HopSlots(hops, 5);
   const SimTime now = kUsPerSec + 5 * kUsPerMs;
   AdmissionContext ctx;
@@ -507,7 +506,6 @@ void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
   req.id = 1;
   req.sent = kUsPerSec;
   req.slo = harness->spec.slo();
-  req.deadline = req.sent + req.slo;
   req.hops = HopSlots(hops, 5);
   const SimTime now = kUsPerSec + 5 * kUsPerMs;
   AdmissionContext ctx;

@@ -38,7 +38,7 @@ class SlackMarginPolicy : public pard::DropPolicy {
         // Keep only if the remaining budget after this module covers
         // margin x the batch duration of every remaining module.
         const pard::Duration after_current =
-            ctx.request->deadline - (ctx.batch_start + ctx.batch_duration);
+            ctx.request->Deadline() - (ctx.batch_start + ctx.batch_duration);
         const pard::Duration per_hop = static_cast<pard::Duration>(margin * ctx.batch_duration);
         return after_current < downstream_hops[static_cast<std::size_t>(ctx.module_id)] * per_hop;
       }

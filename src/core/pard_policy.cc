@@ -49,8 +49,9 @@ class PardView final : public PolicyView {
       int prev = module_id;
       bool consistent = true;
       for (int id : paths[i]) {
+        const std::vector<int>& subs = spec->Module(prev).subs;
         const int choice = request.hops[static_cast<std::size_t>(prev)].branch_choice;
-        if (spec->Module(prev).subs.size() > 1 && choice != id) {
+        if (subs.size() > 1 && (choice < 0 || subs[static_cast<std::size_t>(choice)] != id)) {
           consistent = false;
           break;
         }

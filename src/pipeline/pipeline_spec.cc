@@ -47,10 +47,6 @@ const ModuleSpec& PipelineSpec::Module(int id) const {
 }
 
 void PipelineSpec::Validate() const {
-  // Requests record their route per module in 16-bit fields (HopRecord).
-  PARD_CHECK_MSG(modules_.size() <= static_cast<std::size_t>(INT16_MAX),
-                 "pipeline has " << modules_.size() << " modules; at most " << INT16_MAX
-                                 << " are supported");
   PARD_CHECK_MSG(!modules_.empty(), "pipeline has no modules");
   PARD_CHECK_MSG(slo_ > 0, "pipeline SLO must be positive");
   const int n = NumModules();
@@ -58,6 +54,12 @@ void PipelineSpec::Validate() const {
     const ModuleSpec& m = modules_[static_cast<std::size_t>(i)];
     PARD_CHECK_MSG(m.id == i, "module ids must be dense and ordered");
     PARD_CHECK_MSG(!m.model.empty(), "module " << i << " has no model name");
+    // Requests count a module's deliveries and name its chosen sub in 8-bit
+    // hop fields (HopRecord).
+    PARD_CHECK_MSG(m.pres.size() <= static_cast<std::size_t>(INT8_MAX) &&
+                       m.subs.size() <= static_cast<std::size_t>(INT8_MAX),
+                   "module " << i << " has " << m.pres.size() << " pres and " << m.subs.size()
+                             << " subs; at most " << INT8_MAX << " of each are supported");
     for (int p : m.pres) {
       PARD_CHECK_MSG(p >= 0 && p < n, "module " << i << " has out-of-range pre " << p);
       const auto& subs = modules_[static_cast<std::size_t>(p)].subs;

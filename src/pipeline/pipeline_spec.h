@@ -48,10 +48,10 @@ class PipelineSpec {
   const ModuleSpec& Module(int id) const;
   const std::vector<ModuleSpec>& modules() const { return modules_; }
 
-  // Validates DAG structure: at most INT16_MAX modules, dense ids, pres/subs
-  // symmetry, acyclicity, exactly one source and one sink. Throws CheckError
-  // with a description on violation. Construction and FromJson validate
-  // automatically.
+  // Validates DAG structure: dense ids, at most INT8_MAX pres and subs per
+  // module, pres/subs symmetry, acyclicity, exactly one source and one sink.
+  // Throws CheckError with a description on violation. Construction and
+  // FromJson validate automatically.
   void Validate() const;
 
   // Module ids in a topological order (stable: ties broken by id).

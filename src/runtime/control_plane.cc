@@ -74,7 +74,7 @@ bool ControlPlane::Stale(const ControlSnapshot& snap, SimTime now) {
 bool ControlPlane::ShouldDrop(const AdmissionContext& ctx) {
   auto snap = snapshot_.Read();
   if (Stale(*snap, ctx.now)) {
-    return ctx.batch_start + ctx.batch_duration > ctx.request->deadline;
+    return ctx.batch_start + ctx.batch_duration > ctx.request->Deadline();
   }
   return snap->view->ShouldDrop(ctx);
 }

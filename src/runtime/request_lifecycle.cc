@@ -79,7 +79,6 @@ bool RequestLifecycle::Inject(const RequestPtr& req, SimTime now) {
     r.weight = tenant.weight;
     r.slo = static_cast<Duration>(std::llround(static_cast<double>(r.slo) * tenant.slo_scale));
   }
-  r.deadline = r.sent + r.slo;
   if (options_.dynamic_paths) {
     AssignDynamicPath(r);
   }
@@ -103,7 +102,7 @@ void RequestLifecycle::AssignDynamicPath(Request& req) {
       const int pick = static_cast<int>(
           rng_.UniformInt(0, static_cast<std::int64_t>(m.subs.size()) - 1));
       const int chosen = m.subs[static_cast<std::size_t>(pick)];
-      req.hops[static_cast<std::size_t>(id)].branch_choice = static_cast<std::int16_t>(chosen);
+      req.hops[static_cast<std::size_t>(id)].branch_choice = static_cast<std::int8_t>(pick);
       ++req.hops[static_cast<std::size_t>(chosen)].expected_arrivals;
     } else {
       for (int s : m.subs) {
@@ -143,7 +142,7 @@ bool RequestLifecycle::Complete(Request& req, SimTime now) const {
     return false;
   }
   req.finish = now;
-  if (now <= req.deadline) {
+  if (now <= req.Deadline()) {
     req.fate = RequestFate::kCompleted;
   } else {
     req.fate = RequestFate::kLate;
@@ -270,7 +269,7 @@ void CheckRunInvariants(const std::vector<RequestPtr>& requests, const PipelineS
       breaks(2, req, unordered);
     }
     if (req.finish < req.sent || unexecuted >= 0 ||
-        (completed && (req.finish <= req.deadline) != req.Good())) {
+        (completed && (req.finish <= req.Deadline()) != req.Good())) {
       breaks(3, req, unexecuted);
     }
     if (previous != nullptr && (req.id <= previous->id || req.sent < previous->sent)) {

@@ -83,7 +83,8 @@ class RequestLifecycle {
   bool Forward(const Request& req, int module_id, Deliver&& deliver) const {
     const ModuleSpec& m = spec_.Module(module_id);
     if (req.dynamic_path && m.subs.size() > 1) {
-      deliver(req.hops[static_cast<std::size_t>(module_id)].branch_choice);
+      const int choice = req.hops[static_cast<std::size_t>(module_id)].branch_choice;
+      deliver(m.subs[static_cast<std::size_t>(choice)]);
       return true;
     }
     for (int sub : m.subs) {
@@ -144,8 +145,9 @@ class RequestLifecycle {
   // keeps untenanted runs bit-identical to the historical path.
   std::unique_ptr<TenantGovernor> governor_;
 
-  // Injection state: the injecting thread's alone. Allocator copies inside
-  // the requests' control blocks keep the arena alive past the lifecycle.
+  // Injection state: the injecting thread's alone. Every RequestPtr shares
+  // the arena's control block, so the arena outlives the lifecycle while
+  // any request does.
   std::shared_ptr<RequestArena> arena_ = std::make_shared<RequestArena>();
   Rng rng_;
   std::uint64_t next_request_id_ = 1;

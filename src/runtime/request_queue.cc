@@ -15,7 +15,7 @@ void RequestQueue::Push(RequestPtr req) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[index];
-  const SimTime deadline = req->deadline;
+  const SimTime deadline = req->Deadline();
   slot.seq = seq;
   slot.live = true;
   slot.req = std::move(req);

@@ -1,5 +1,6 @@
 #include "runtime/worker.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
@@ -192,6 +193,9 @@ void Worker::OnBatchComplete() {
   const int count = static_cast<int>(executing_batch_.size());
   const Duration d = now - exec_start_;
   const Duration gpu_share = d / count;
+  // Hop records keep the share in 32 bits (runtime/request.h).
+  PARD_CHECK_MSG(gpu_share <= INT32_MAX,
+                 "batch GPU share " << gpu_share << " us does not fit a hop record");
   const int module_id = module_->module_id();
   std::vector<RequestPtr> done = std::move(executing_batch_);
   executing_batch_.clear();
@@ -213,7 +217,7 @@ void Worker::OnBatchComplete() {
   for (RequestPtr& req : done) {
     HopRecord& hop = req->hops[static_cast<std::size_t>(module_id)];
     hop.exec_end = now;
-    hop.gpu_time = gpu_share;
+    hop.gpu_time = static_cast<std::int32_t>(gpu_share);
     hop.executed = true;
     if (trace != nullptr && trace->Sampled(req->id)) {
       TraceEvent queue_ev;

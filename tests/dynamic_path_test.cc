@@ -63,7 +63,10 @@ TEST(DynamicPath, MergeWaitsForSingleExpectedArrival) {
   rt.RunTrace({0});
   const RequestPtr& r = rt.requests()[0];
   EXPECT_TRUE(r->Good());
-  const int chosen = r->hops[0].branch_choice;
+  // The fork records the index of the branch it takes into its subs.
+  const int choice = r->hops[0].branch_choice;
+  ASSERT_TRUE(choice == 0 || choice == 1);
+  const int chosen = rt.spec().Module(0).subs[static_cast<std::size_t>(choice)];
   EXPECT_TRUE(chosen == 1 || chosen == 2);
   EXPECT_EQ(r->hops[3].expected_arrivals, 1);  // Merge expects one delivery.
   EXPECT_EQ(r->hops[3].merge_arrivals, 1);
@@ -92,7 +95,6 @@ void ExpectPathEstimate(const PolicyView& view, Request req, Duration expected) 
   req.sent = 0;
   for (const Duration slo : {expected, expected - 1}) {
     req.slo = slo;
-    req.deadline = slo;
     EXPECT_EQ(view.ShouldDrop(ctx), slo < expected) << "slo " << slo;
   }
 }
@@ -115,7 +117,7 @@ TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
   const std::shared_ptr<const PolicyView> view = policy.MakeView();
 
   HopRecord face_hops[5];
-  face_hops[0].branch_choice = 2;  // Face branch chosen at the fork.
+  face_hops[0].branch_choice = 1;  // Face branch (da's subs[1]) chosen at the fork.
   Request via_face;
   via_face.dynamic_path = true;
   via_face.hops = HopSlots(face_hops, 5);
@@ -125,7 +127,7 @@ TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
   ExpectPathEstimate(*view, via_face, 15 * kUsPerMs);
 
   HopRecord pose_hops[5];
-  pose_hops[0].branch_choice = 1;
+  pose_hops[0].branch_choice = 0;  // Pose, subs[0].
   Request via_pose;
   via_pose.dynamic_path = true;
   via_pose.hops = HopSlots(pose_hops, 5);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -18,7 +19,6 @@ RequestPtr Synthetic(std::uint64_t id, SimTime sent, Duration slo, RequestFate f
   r->id = id;
   r->sent = sent;
   r->slo = slo;
-  r->deadline = sent + slo;
   r->fate = fate;
   r->finish = finish;
   r->drop_module = drop_module;
@@ -32,7 +32,7 @@ void AddHop(const RequestPtr& r, int module, SimTime arrive, Duration q, Duratio
   hop.batch_entry = arrive + q;
   hop.exec_start = hop.batch_entry + w;
   hop.exec_end = hop.exec_start + d;
-  hop.gpu_time = gpu;
+  hop.gpu_time = static_cast<std::int32_t>(gpu);
   hop.executed = true;
 }
 

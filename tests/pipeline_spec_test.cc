@@ -121,31 +121,75 @@ TEST(PipelineSpec, ValidateRejectsZeroSlo) {
   EXPECT_THROW(PipelineSpec("bad", 0, modules), CheckError);
 }
 
-// Requests record their route in 16-bit hop fields (runtime/request.h), so a
-// pipeline has at most INT16_MAX modules — rejected before any path is built.
-TEST(PipelineSpec, ValidateRejectsMoreModulesThanRouteFieldsHold) {
-  constexpr int kModules = 32768;
-  const auto expect_limit_named = [](const auto& build) {
-    try {
-      build();
-      ADD_FAILURE() << "an oversized pipeline was accepted";
-    } catch (const CheckError& e) {
-      EXPECT_NE(std::string(e.what()).find("32767"), std::string::npos) << e.what();
+// A DAG whose widest module has `fan` branches: a fork to `fan` modules that
+// join at one merge or, with `split_fork`, two forks of fan / 2 behind a
+// two-way fork, so that only the merge is that wide.
+std::vector<ModuleSpec> ForkJoin(int fan, bool split_fork) {
+  const int first_branch = split_fork ? 3 : 1;
+  const int merge = first_branch + fan;
+  std::vector<ModuleSpec> modules(static_cast<std::size_t>(merge + 1));
+  for (int i = 0; i <= merge; ++i) {
+    modules[static_cast<std::size_t>(i)].id = i;
+    modules[static_cast<std::size_t>(i)].model = "object_detection";
+  }
+  const auto wire = [&modules](int from, int to) {
+    modules[static_cast<std::size_t>(from)].subs.push_back(to);
+    modules[static_cast<std::size_t>(to)].pres.push_back(from);
+  };
+  if (split_fork) {
+    wire(0, 1);
+    wire(0, 2);
+  }
+  for (int b = first_branch; b < merge; ++b) {
+    wire(split_fork ? 1 + (b - first_branch) * 2 / fan : 0, b);
+    wire(b, merge);
+  }
+  return modules;
+}
+
+// `modules` in the pipeline JSON format, which FromJsonText parses.
+std::string ToJsonText(const std::vector<ModuleSpec>& modules) {
+  const auto ids = [](const std::vector<int>& list) {
+    std::string out;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      out += (i > 0 ? "," : "") + std::to_string(list[i]);
+    }
+    return out;
+  };
+  std::string text = R"({"app": "wide", "slo_ms": 500, "modules": [)";
+  for (const ModuleSpec& m : modules) {
+    text += m.id > 0 ? "," : "";
+    text += R"({"id": )" + std::to_string(m.id) + R"(, "name": ")" + m.model + R"(", "pres": [)" +
+            ids(m.pres) + R"(], "subs": [)" + ids(m.subs) + "]}";
+  }
+  return text + "]}";
+}
+
+// Requests count a module's deliveries and name its chosen sub in 8-bit hop
+// fields (runtime/request.h), so a module has at most INT8_MAX pres and subs,
+// checked both when a spec is built directly and when one is parsed.
+TEST(PipelineSpec, ValidateRejectsMoreBranchesThanRouteFieldsHold) {
+  const auto expect_limit_named = [](const std::vector<ModuleSpec>& modules, int wide) {
+    for (const bool parsed : {false, true}) {
+      try {
+        if (parsed) {
+          PipelineSpec::FromJsonText(ToJsonText(modules));
+        } else {
+          PipelineSpec("wide", MsToUs(500), modules);
+        }
+        ADD_FAILURE() << "a module with 128 branches was accepted";
+      } catch (const CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("module " + std::to_string(wide) + " has"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("127"), std::string::npos) << what;
+      }
     }
   };
-  expect_limit_named([] { ChainOf(kModules); });
-
-  std::string text = R"({"app": "long", "slo_ms": 500, "modules": [)";
-  for (int i = 0; i < kModules; ++i) {
-    text += i > 0 ? "," : "";
-    text += R"({"id": )" + std::to_string(i) + R"(, "name": "object_detection", "pres": [)";
-    text += i > 0 ? std::to_string(i - 1) : "";
-    text += R"(], "subs": [)";
-    text += i + 1 < kModules ? std::to_string(i + 1) : "";
-    text += "]}";
-  }
-  text += "]}";
-  expect_limit_named([&] { PipelineSpec::FromJsonText(text); });
+  expect_limit_named(ForkJoin(128, false), 0);   // 128 subs at the fork.
+  expect_limit_named(ForkJoin(128, true), 131);  // 128 pres at the merge.
+  EXPECT_NO_THROW(PipelineSpec::FromJsonText(ToJsonText(ForkJoin(127, false))));
+  EXPECT_NO_THROW(PipelineSpec("wide", MsToUs(500), ForkJoin(127, true)));
 }
 
 TEST(PipelineSpec, JsonRoundTrip) {

@@ -27,7 +27,6 @@ Request MakeRequest(SimTime sent, Duration slo) {
   r.id = 1;
   r.sent = sent;
   r.slo = slo;
-  r.deadline = sent + slo;
   return r;
 }
 

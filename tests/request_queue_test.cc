@@ -12,10 +12,11 @@
 namespace pard {
 namespace {
 
+// A request due at `deadline`: sent at 0 with that SLO.
 RequestPtr MakeReq(std::uint64_t id, SimTime deadline) {
   auto r = std::make_shared<Request>();
   r->id = id;
-  r->deadline = deadline;
+  r->slo = deadline;
   return r;
 }
 
@@ -177,7 +178,7 @@ TEST_P(RequestQueuePropertyTest, AgreesWithReference) {
       } else if (which < 0.67) {
         side = PopSide::kMinBudget;
         for (std::size_t i = 1; i < reference.size(); ++i) {
-          if (reference[i]->deadline < reference[pick]->deadline) {
+          if (reference[i]->Deadline() < reference[pick]->Deadline()) {
             pick = i;
           }
         }
@@ -186,7 +187,7 @@ TEST_P(RequestQueuePropertyTest, AgreesWithReference) {
         for (std::size_t i = 1; i < reference.size(); ++i) {
           // >= : on equal deadlines the queue's PopMax returns the latest
           // arrival (largest sequence number).
-          if (reference[i]->deadline >= reference[pick]->deadline) {
+          if (reference[i]->Deadline() >= reference[pick]->Deadline()) {
             pick = i;
           }
         }

@@ -307,6 +307,26 @@ TEST(Runtime, RequestsOutliveTheRuntime) {
   EXPECT_GT(executed, requests.size());
 }
 
+// The run's arena is the one owner of its requests: every RequestPtr shares
+// its control block, so owner order ties between any two requests of a run,
+// and only requests of another run (another arena) order apart.
+TEST(Runtime, RequestsOfARunShareOneOwner) {
+  NaivePolicy policy;
+  const auto run = [&policy] {
+    PipelineRuntime rt(MakeDagLiveVideo(), FixedWorkers({2, 1, 2, 2, 2}), &policy, 100.0);
+    rt.RunTrace(GenerateUniformArrivals(100.0, 0, SecToUs(2)));
+    return rt.requests();
+  };
+  const std::vector<RequestPtr> requests = run();
+  ASSERT_GT(requests.size(), 100u);
+  for (const RequestPtr& req : requests) {
+    EXPECT_FALSE(req.owner_before(requests.front())) << req->id;
+    EXPECT_FALSE(requests.front().owner_before(req)) << req->id;
+  }
+  const RequestPtr other = run().front();
+  EXPECT_NE(other.owner_before(requests.front()), requests.front().owner_before(other));
+}
+
 // ---- The end-of-run record check: each test corrupts one field of one
 // record in a finished run's log and expects the rule it breaks named.
 

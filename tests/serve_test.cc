@@ -718,7 +718,6 @@ TEST(ControlPlaneRefresh, ParallelRefreshDeterministicAcrossThreadCounts) {
     req.id = 1;
     req.slo = lv.slo();
     req.sent = now;
-    req.deadline = req.sent + req.slo;
     req.hops = HopSlots(hops.data(), hops.size());
     for (int m = 0; m < lv.NumModules(); ++m) {
       EXPECT_EQ(policy_1.estimator()->EstimateSubsequent(m),
@@ -768,7 +767,6 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
         for (int m = 0; m < lv.NumModules(); ++m) {
           const SimTime now = static_cast<SimTime>(local % 7) * 100 * kUsPerMs;
           req.sent = now;
-          req.deadline = req.sent + req.slo;
           AdmissionContext ctx;
           ctx.request = &req;
           ctx.module_id = m;

@@ -26,6 +26,10 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+// The request arena takes its blocks with new[] (std::make_unique<unsigned
+// char[]>) and the request log grows with scalar new, so new[] calls of the
+// block size count the arena's blocks alone.
+std::atomic<std::uint64_t> g_arena_blocks{0};
 }  // namespace
 
 // The replaced operators pair std::malloc with std::free consistently; GCC's
@@ -43,7 +47,12 @@ void* operator new(std::size_t size) {
   return p;
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size) {
+  if (size == pard::RequestArena::kBlockBytes) {
+    ++g_arena_blocks;
+  }
+  return ::operator new(size);
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -166,10 +175,15 @@ TEST(SimulationAllocation, InlineCallbackHoldsRuntimeSizedCaptures) {
   sim.Run();
 }
 
-// operator new calls made by injecting `count` requests into a warmed
-// lifecycle: only the arena's 64 KiB blocks and the request log's growth
-// remain, a few hundred calls for 100k requests.
-std::uint64_t InjectionAllocations(const PipelineSpec& spec, bool dynamic_paths, int count) {
+// Heap calls made by injecting `count` requests into a warmed lifecycle:
+// only the arena's 64 KiB blocks and the request log's growth remain, a few
+// hundred calls for 100k requests.
+struct InjectionCost {
+  std::uint64_t calls = 0;
+  std::uint64_t arena_blocks = 0;
+};
+
+InjectionCost InjectionAllocations(const PipelineSpec& spec, bool dynamic_paths, int count) {
   RuntimeOptions options;
   options.dynamic_paths = dynamic_paths;
   RequestLifecycle lifecycle(spec, options);
@@ -177,21 +191,34 @@ std::uint64_t InjectionAllocations(const PipelineSpec& spec, bool dynamic_paths,
   for (int i = 0; i < 1000; ++i) {
     lifecycle.Inject(lifecycle.NewRequest(), ++now);
   }
-  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t calls_before = g_allocations.load();
+  const std::uint64_t blocks_before = g_arena_blocks.load();
   for (int i = 0; i < count; ++i) {
     lifecycle.Inject(lifecycle.NewRequest(), ++now);
   }
-  const std::uint64_t calls = g_allocations.load() - before;
+  InjectionCost cost;
+  cost.calls = g_allocations.load() - calls_before;
+  cost.arena_blocks = g_arena_blocks.load() - blocks_before;
   EXPECT_EQ(lifecycle.requests().back()->dynamic_path, dynamic_paths);
-  return calls;
+  return cost;
 }
 
 TEST(RequestAllocation, InjectionMakesNoHeapCallPerRequest) {
   constexpr int kRequests = 100000;
-  EXPECT_LT(InjectionAllocations(MakeLiveVideo(), false, kRequests), kRequests / 100u);
-  // A fork/merge DAG drawing a path per request: branch choices and expected
-  // arrivals land in the hop slots, not in per-request vectors.
-  EXPECT_LT(InjectionAllocations(MakeDagLiveVideo(), true, kRequests), kRequests / 100u);
+  // lv, then the da fork/merge DAG drawing a path per request: branch
+  // choices and expected arrivals land in the hop slots, not in per-request
+  // vectors.
+  for (const bool dag : {false, true}) {
+    const PipelineSpec spec = dag ? MakeDagLiveVideo() : MakeLiveVideo();
+    ASSERT_EQ(spec.NumModules(), 5);
+    const InjectionCost cost = InjectionAllocations(spec, dag, kRequests);
+    EXPECT_LT(cost.calls, kRequests / 100u) << spec.app_name();
+    // A 5-module record is 72 + 5 x 40 = 272 B, 240 to a block, so 100k
+    // requests fill at most ceil(100000 / 240) = 417 blocks and need at
+    // least 100000 x 272 B / 64 KiB = 415.
+    EXPECT_LE(cost.arena_blocks, 417u) << spec.app_name();
+    EXPECT_GE(cost.arena_blocks, 415u) << spec.app_name();
+  }
 }
 
 TEST(RequestAllocation, CheckingAFinishedRunMakesNoHeapCall) {

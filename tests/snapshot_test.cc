@@ -266,7 +266,6 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchThePolicyOnAnIdenticalBoard) {
   for (int m = 0; m < lv.NumModules(); ++m) {
     for (Duration age = 0; age <= req.slo + 20 * kUsPerMs; age += 5 * kUsPerMs) {
       req.sent = kUsPerSec;
-      req.deadline = req.sent + req.slo;
       const SimTime now = req.sent + age;
       AdmissionContext ctx;
       ctx.request = &req;
