@@ -18,13 +18,10 @@
 // README "Performance").
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <algorithm>
@@ -383,20 +380,20 @@ BENCHMARK(BM_StateSyncPayload);
 // --- Control-plane admission (multithreaded) -------------------------------
 
 // The serving runtime's broker hot path under overload: one AdmitAtModule
-// plus one ShouldDrop per iteration against a published control snapshot
-// (PARD policy, live-video pipeline, 10 000 wait samples per module), while
-// a control thread keeps republishing state — each Sync() rebuilds the
-// policy view (~125 us of Monte-Carlo work) and swaps the snapshot, exactly
-// what the overload scenario's control loop does every period (compressed
-// here to microbenchmark timescales; the frequent-republication regime the
-// ROADMAP's dynamic-interference item needs). Run at 1, 4 and 8 broker
-// threads. The republishing Sync refreshes inline, as in every run.
+// plus one ShouldDrop per iteration against the control snapshot the
+// deciding thread holds (PARD policy, live-video pipeline, 10 000 wait
+// samples per module), as each module holds its last sync's snapshot. No
+// sync writes a module's snapshot while that module decides — the control
+// loop hands each sync's snapshot over under the module's serialization —
+// so nothing republishes here. Run at 1, 4 and 8 threads, each a module of
+// its own that shares only the immutable view with the others.
 // bench_compare gates the counter (ctest -C perf -L perf).
 struct AdmissionHarness {
   AdmissionHarness() : spec(MakeLiveVideo()), board(5) {
     control = std::make_unique<ControlPlane>(&spec, &policy, &board,
                                              ControlPlane::RunOptions(RuntimeOptions{}));
     Rng rng(11);
+    std::vector<ModuleState> states;
     for (int i = 0; i < 5; ++i) {
       ModuleState s;
       s.module_id = i;
@@ -408,40 +405,13 @@ struct AdmissionHarness {
       std::sort(s.wait_samples.begin(), s.wait_samples.end());
       states.push_back(std::move(s));
     }
-    std::vector<ModuleState> publish = states;
-    control->Sync(publish, sync_t);
-  }
-
-  // The benchmark-scope control loop: republish the same warm state with an
-  // advancing clock, with a breather between syncs so decision threads see
-  // alternating held/free windows rather than a permanently held lock.
-  void StartRepublisher() {
-    stop.store(false, std::memory_order_relaxed);
-    writer = std::thread([this] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        sync_t += kUsPerSec;
-        std::vector<ModuleState> publish = states;
-        control->Sync(publish, sync_t);
-        std::this_thread::sleep_for(std::chrono::microseconds(10));
-      }
-    });
-  }
-
-  void StopRepublisher() {
-    stop.store(true, std::memory_order_relaxed);
-    if (writer.joinable()) {
-      writer.join();
-    }
+    control->Sync(states, kUsPerSec);
   }
 
   PipelineSpec spec;
   StateBoard board;
   PardPolicy policy;
   std::unique_ptr<ControlPlane> control;
-  std::vector<ModuleState> states;
-  SimTime sync_t = kUsPerSec;
-  std::atomic<bool> stop{false};
-  std::thread writer;
 };
 
 void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
@@ -459,17 +429,13 @@ void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
   ctx.batch_start = now;
   ctx.batch_duration = 10 * kUsPerMs;
   ctx.batch_size = 8;
-  // Each thread admits with its own RNG, as each module does in a run.
+  // Each thread holds its own snapshot and admits with its own RNG, as each
+  // module does in a run.
+  const ControlSnapshot held = harness.control->snapshot();
   Rng admit_rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
-  if (state.thread_index() == 0) {
-    harness.StartRepublisher();
-  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness.control->AdmitAtModule(req, 0, now, &admit_rng));
-    benchmark::DoNotOptimize(harness.control->ShouldDrop(ctx));
-  }
-  if (state.thread_index() == 0) {
-    harness.StopRepublisher();
+    benchmark::DoNotOptimize(harness.control->AdmitAtModule(held, req, 0, now, &admit_rng));
+    benchmark::DoNotOptimize(harness.control->ShouldDrop(held, ctx));
   }
   // Summed across threads, divided by wall time: fleet-wide decisions/sec.
   state.counters["AdmissionDecisionsPerSec"] =
@@ -489,7 +455,7 @@ BENCHMARK(BM_AdmissionDecisionSnapshot)->Threads(1)->Threads(4)->Threads(8)->Use
 // --- Observability overhead ------------------------------------------------
 
 // The instrumentation tax on the admission hot path: one broker decision
-// (AdmitAtModule + ShouldDrop against a warm snapshot) per iteration, plus
+// (AdmitAtModule + ShouldDrop against a held warm snapshot) per iteration, plus
 // exactly the extra work ModuleRuntime::Receive does when obs is wired — a
 // striped-counter bump and a sampled trace emit — versus the null-pointer
 // fast path every site reduces to when obs is off. The pair is captured in
@@ -515,13 +481,14 @@ void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
   ctx.batch_start = now;
   ctx.batch_duration = 10 * kUsPerMs;
   ctx.batch_size = 8;
+  const ControlSnapshot held = harness->control->snapshot();
   Rng admit_rng(1);
   benchmark::DoNotOptimize(trace);
   benchmark::DoNotOptimize(metrics);
   std::uint64_t n = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(harness->control->AdmitAtModule(req, 0, now, &admit_rng));
-    benchmark::DoNotOptimize(harness->control->ShouldDrop(ctx));
+    benchmark::DoNotOptimize(harness->control->AdmitAtModule(held, req, 0, now, &admit_rng));
+    benchmark::DoNotOptimize(harness->control->ShouldDrop(held, ctx));
     ++n;
     if (metrics != nullptr) {
       admitted->Add(1);

@@ -4,7 +4,8 @@
 // it builds once per state sync (DropPolicy::MakeView): ShouldDrop (Request
 // Broker, at batch-entry time), ChoosePopSide (queue order), and
 // AdmitAtModule (enqueue-time shedding). Both the simulator and the serving
-// runtime read that view, lock-free, until the next sync replaces it. This
+// runtime hand that view to every module, which decides against it until
+// the next sync replaces it. This
 // example implements a simple "slack margin" rule — drop when the remaining
 // budget falls below a fixed multiple of the current module's batch
 // duration per remaining module — and races it against PARD and Nexus.

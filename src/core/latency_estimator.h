@@ -56,7 +56,7 @@
 // invalidates it. The estimator is touched from exactly one place: the
 // control plane's Sync() (the simulator's event loop, or serve's control
 // thread, holding no lock), since decisions only ever read the immutable
-// PolicyView copies published through the control plane's snapshot cell
+// PolicyView copies the control plane hands each module with its snapshot
 // and never call into the estimator at all. RefreshAll's internal
 // ParallelFor phases touch disjoint per-module buffers, then disjoint
 // per-entry cache slots (with a barrier between the phases), so the fan-out

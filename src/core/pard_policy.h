@@ -70,7 +70,7 @@ class PardPolicy : public DropPolicy {
   // per-module L_sub (max and per-path) read from the estimator's epoch
   // cache, the current priority sides and split budgets. Decisions against
   // the view are pure arithmetic — no estimator, RNG or board access — so
-  // they run lock-free between syncs.
+  // they take no lock between syncs.
   std::shared_ptr<const PolicyView> MakeView() override;
   std::string Name() const override;
 

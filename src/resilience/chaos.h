@@ -23,8 +23,9 @@
 //                                            load.
 //   <at_s>:stall-sync:<dur_s>                pause the control-plane sync for
 //                                            `dur_s` seconds: no snapshot is
-//                                            published, so lock-free readers
-//                                            see an increasingly stale view.
+//                                            handed to the modules, so their
+//                                            decisions see an increasingly
+//                                            stale view.
 //   prob:<module>:hang:<rate_per_s>:<until_s>
 //                                            probabilistic variant: expand to
 //                                            concrete hang events via a

@@ -27,7 +27,7 @@ struct ResilienceOptions {
   // the watchdog.
   Duration hang_budget = 0;
 
-  // Graceful degradation: when the published ControlSnapshot is older than
+  // Graceful degradation: when a module's ControlSnapshot is older than
   // this, admission falls back to a conservative static drop rule instead of
   // trusting a dead estimator. 0 disables the staleness check.
   Duration staleness_budget = 0;

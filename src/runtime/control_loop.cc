@@ -135,11 +135,14 @@ int ControlLoop::WorkerBudget() const {
 
 void ControlLoop::SyncTick(SimTime t) {
   if (t < stall_until_) {
-    // Chaos stall-sync: skip this sync. Readers keep the snapshot published
+    // Chaos stall-sync: skip this sync. Modules keep the snapshot they took
     // before the stall, aging toward the staleness budget.
     return;
   }
   const SimTime now = substrate_.timer->Now();
+  // Sync cost is real CPU work, so serve times it on the wall clock, from
+  // the first state copy to the last hand-off.
+  const auto sync_begin = std::chrono::steady_clock::now();
   // One module at a time; each state refills the buffers the board handed
   // back at the previous sync.
   for (std::size_t i = 0; i < sync_states_.size(); ++i) {
@@ -151,10 +154,14 @@ void ControlLoop::SyncTick(SimTime t) {
   // The weighted shed plan comes from the states about to be published, so
   // the governor is never fresher than the snapshot.
   lifecycle_->ResyncGovernor(sync_states_);
-  // Publishes the next immutable snapshot, holding no lock. Sync cost is
-  // real CPU work, so serve times it on the wall clock.
-  const auto sync_begin = std::chrono::steady_clock::now();
+  // Builds the next immutable snapshot, holding no lock. It needs every
+  // module's state, so the hand-off is a second pass: each module takes the
+  // snapshot under its own serialization.
   const PolicyRefreshStats stats = control_.Sync(sync_states_, now);
+  const ControlSnapshot& snapshot = control_.snapshot();
+  for (int i = 0; i < NumModules(); ++i) {
+    substrate_.with_module(i, [&snapshot](ModuleRuntime& m) { m.SetControlSnapshot(snapshot); });
+  }
   const auto sync_wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
                                 std::chrono::steady_clock::now() - sync_begin)
                                 .count();

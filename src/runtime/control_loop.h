@@ -4,8 +4,9 @@
 // the watchdog tally, and schedules each control job on a ModuleTimer, in
 // this order (events due at one instant run in scheduling order):
 //   - the state sync, every sync_period: module states → tenant governor
-//     resync → ControlPlane::Sync → trace and metrics, skipped inside a
-//     chaos stall-sync window;
+//     resync → ControlPlane::Sync → the hand-off (each module, entered
+//     again, stores the new ControlSnapshot it will decide against) → trace
+//     and metrics, skipped inside a chaos stall-sync window;
 //   - the metrics sample (MetricsRegistry::Sample), every metrics_interval
 //     when options.metrics is set and the interval is positive; where it
 //     falls on a sync instant it samples right after that sync;
@@ -67,9 +68,10 @@ class ControlLoop {
     // and watchdog replacements spend only what is left under it. Serve
     // passes its max_total_threads; the simulator is uncapped.
     int max_total_workers = std::numeric_limits<int>::max();
-    // Serve: time each sync on the wall clock (control.sync_duration_us,
-    // control.sync_lag_us, the kControlRefresh span). The simulator leaves
-    // them out, so its exports stay a function of the seed.
+    // Serve: time each sync on the wall clock, from the first state copy to
+    // the last hand-off (control.sync_duration_us, the kControlRefresh
+    // span), and export control.sync_lag_us. The simulator leaves them out,
+    // so its exports stay a function of the seed.
     bool wall_clock = false;
   };
 
@@ -134,8 +136,8 @@ class ControlLoop {
   std::vector<ModuleState> sync_states_;
   std::vector<FleetSample> worker_history_;
   SimTime until_ = kSimTimeMax;
-  // Chaos stall-sync window: syncs due before it ends are skipped, so the
-  // published snapshot ages as a wedged sync thread would leave it.
+  // Chaos stall-sync window: syncs due before it ends are skipped, so every
+  // module's snapshot ages as a wedged sync thread would leave it.
   SimTime stall_until_ = 0;
   std::atomic<std::uint64_t> watchdog_kills_{0};
 

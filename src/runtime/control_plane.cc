@@ -15,10 +15,7 @@ ControlPlane::Options ControlPlane::RunOptions(const RuntimeOptions& runtime) {
 
 ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBoard* board,
                            Options options)
-    : policy_(policy),
-      board_(board),
-      staleness_budget_(options.staleness_budget),
-      snapshot_(std::make_unique<const ControlSnapshot>()) {
+    : policy_(policy), board_(board), staleness_budget_(options.staleness_budget) {
   PARD_CHECK(spec != nullptr && policy_ != nullptr && board_ != nullptr);
   PARD_CHECK(options.staleness_budget >= 0);
   PARD_CHECK(options.refresh_threads >= 0);
@@ -28,15 +25,9 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
     refresh_pool_ =
         std::make_unique<ThreadPool>(ThreadPool::ResolveJobs(options.refresh_threads));
   }
-  // Replace the placeholder published at member construction with a real
-  // snapshot (the policy is bound now, so it can build a view). Stamped at
-  // t=0: with a staleness budget the first sync must land within it or the
-  // readers degrade, exactly as they would under a stalled sync.
-  auto initial = BuildSnapshot(0);
-  PARD_CHECK_MSG(initial->view != nullptr,
-                 "policy '" << policy_->Name()
-                            << "' returns no PolicyView; deciding needs one (DropPolicy::MakeView)");
-  snapshot_.Publish(std::move(initial));
+  // Stamped at t=0: with a staleness budget the first sync must land within
+  // it or the decisions degrade, exactly as they would under a stalled sync.
+  BuildSnapshot(0);
 }
 
 ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBoard* board)
@@ -44,17 +35,20 @@ ControlPlane::ControlPlane(const PipelineSpec* spec, DropPolicy* policy, StateBo
 
 ControlPlane::~ControlPlane() = default;
 
-std::unique_ptr<const ControlSnapshot> ControlPlane::BuildSnapshot(SimTime now) {
-  auto snap = std::make_unique<ControlSnapshot>();
-  snap->published_at = now;
-  snap->view = policy_->MakeView();
-  return snap;
+void ControlPlane::BuildSnapshot(SimTime now) {
+  std::shared_ptr<const PolicyView> view = policy_->MakeView();
+  // Decisions dereference the view unconditionally.
+  PARD_CHECK_MSG(view != nullptr,
+                 "policy '" << policy_->Name()
+                            << "' returns no PolicyView; deciding needs one (DropPolicy::MakeView)");
+  snapshot_ = ControlSnapshot{now, std::move(view)};
+  ++epoch_;
 }
 
 // Graceful degradation: the estimator's decisions are only as good as the
 // snapshot they read. When the sync stalls (stall-sync chaos, or a genuinely
 // wedged control plane) the snapshot's view describes a fleet that no longer
-// exists, so past the staleness budget the readers stop trusting it and fall
+// exists, so past the staleness budget the decisions stop trusting it and fall
 // back to a conservative static rule keyed only to request-local facts
 // (deadline arithmetic). The rules are deliberately minimal:
 //   ShouldDrop     — drop only requests that provably cannot finish this
@@ -71,51 +65,44 @@ bool ControlPlane::Stale(const ControlSnapshot& snap, SimTime now) {
   return true;
 }
 
-bool ControlPlane::ShouldDrop(const AdmissionContext& ctx) {
-  auto snap = snapshot_.Read();
-  if (Stale(*snap, ctx.now)) {
+bool ControlPlane::ShouldDrop(const ControlSnapshot& snap, const AdmissionContext& ctx) {
+  if (Stale(snap, ctx.now)) {
     return ctx.batch_start + ctx.batch_duration > ctx.request->Deadline();
   }
-  return snap->view->ShouldDrop(ctx);
+  return snap.view->ShouldDrop(ctx);
 }
 
-PopSide ControlPlane::ChoosePopSide(int module_id, SimTime now) {
-  auto snap = snapshot_.Read();
-  if (Stale(*snap, now)) {
+PopSide ControlPlane::ChoosePopSide(const ControlSnapshot& snap, int module_id, SimTime now) {
+  if (Stale(snap, now)) {
     return PopSide::kOldest;
   }
-  return snap->view->ChoosePopSide(module_id, now);
+  return snap.view->ChoosePopSide(module_id, now);
 }
 
-bool ControlPlane::AdmitAtModule(const Request& request, int module_id, SimTime now,
-                                 Rng* rng) {
-  auto snap = snapshot_.Read();
-  if (Stale(*snap, now)) {
+bool ControlPlane::AdmitAtModule(const ControlSnapshot& snap, const Request& request,
+                                 int module_id, SimTime now, Rng* rng) {
+  if (Stale(snap, now)) {
     return request.RemainingBudget(now) > 0;
   }
-  if (!snap->view->NeedsAdmissionRng()) {
-    return snap->view->AdmitAtModule(request, module_id, now, nullptr);
+  if (!snap.view->NeedsAdmissionRng()) {
+    return snap.view->AdmitAtModule(request, module_id, now, nullptr);
   }
   PARD_CHECK(rng != nullptr);
-  return snap->view->AdmitAtModule(request, module_id, now, rng);
+  return snap.view->AdmitAtModule(request, module_id, now, rng);
 }
 
 PolicyRefreshStats ControlPlane::Sync(std::vector<ModuleState>& states, SimTime now) {
-  // Every broker decision reads published snapshots, so the board and policy
-  // have exactly one mutating thread — this one — and the whole publish →
-  // OnSync → refresh → rebuild sequence needs no mutex. Readers keep
-  // deciding against the previous snapshot until the single Publish() below
-  // swaps in the new one.
+  // Every broker decision reads a snapshot its module holds, so the board
+  // and policy have exactly one mutating thread — this one — and the whole
+  // publish → OnSync → refresh → rebuild sequence needs no mutex. Modules
+  // keep deciding against the previous snapshot until the control loop
+  // hands them this one.
   for (ModuleState& state : states) {
     state = board_->Publish(std::move(state));
   }
   policy_->OnSync(now);
   const PolicyRefreshStats stats = policy_->RefreshEstimates(refresh_pool_.get());
-  auto snap = BuildSnapshot(now);
-  // Readers dereference the view unconditionally.
-  PARD_CHECK_MSG(snap->view != nullptr,
-                 "policy '" << policy_->Name() << "' stopped returning a PolicyView");
-  snapshot_.Publish(std::move(snap));
+  BuildSnapshot(now);
   return stats;
 }
 

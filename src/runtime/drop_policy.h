@@ -49,13 +49,13 @@ struct AdmissionContext {
 
 // Immutable decision snapshot of a policy, valid for one sync interval.
 //
-// The control plane asks the policy for a fresh view after every sync and
-// publishes it through an RCU-style snapshot cell; between syncs module and
-// broker threads call the view's const methods with NO lock held. A view
-// must therefore be self-contained: every decision input (estimates,
-// budgets, priority sides, overload flags) is copied out of the policy at
-// build time, and the const methods may not touch mutable policy or board
-// state.
+// The control plane asks the policy for a fresh view after every sync, and
+// the control loop hands that one view to every module; between syncs each
+// module calls the view's const methods under its own serialization only,
+// so in serve several module threads call one view at once. A view must
+// therefore be self-contained: every decision input (estimates, budgets,
+// priority sides, overload flags) is copied out of the policy at build
+// time, and the const methods may not touch mutable policy or board state.
 //
 // Randomized admission (the DAGOR-style baseline's Bernoulli shed) needs an
 // RNG the const view cannot own, so a view declares NeedsAdmissionRng() and
@@ -142,10 +142,10 @@ class DropPolicy {
 
   // Builds an immutable decision snapshot of this policy's current state
   // (see PolicyView). The control plane calls this at construction and
-  // after every RefreshEstimates(); the returned view is then read lock-free
-  // by every decision until the next sync replaces it. The default returns
-  // nullptr, which the control plane rejects at construction: a policy
-  // needs a view to decide.
+  // after every RefreshEstimates(); every module then decides against the
+  // returned view until the next sync hands it a new one. The default
+  // returns nullptr, which the control plane rejects at construction: a
+  // policy needs a view to decide.
   virtual std::shared_ptr<const PolicyView> MakeView() { return nullptr; }
 
   virtual std::string Name() const = 0;

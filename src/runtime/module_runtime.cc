@@ -32,6 +32,7 @@ ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, ControlPlane*
   PARD_CHECK(batch_size_ >= 1);
   PARD_CHECK(initial_workers >= 1);
   PARD_CHECK(control_ != nullptr && fleet_ != nullptr);
+  control_snapshot_ = control_->snapshot();
   for (int i = 0; i < initial_workers; ++i) {
     auto worker = std::make_shared<Worker>(timer_, this, fleet_,
                                            fleet_->Provision(spec_.id, timer_->Now()));
@@ -96,7 +97,7 @@ void ModuleRuntime::Receive(RequestPtr req) {
   if (host_->IsTerminal(*req)) {
     return;  // Dropped on another branch before delivery.
   }
-  if (!control_->AdmitAtModule(*req, spec_.id, now, &admission_rng_)) {
+  if (!control_->AdmitAtModule(control_snapshot_, *req, spec_.id, now, &admission_rng_)) {
     req->hops[static_cast<std::size_t>(spec_.id)].arrive = now;
     OnPolicyDrop(std::move(req), DropReason::kProactiveAdmission);
     return;

@@ -8,13 +8,16 @@
 //
 // One implementation serves both substrates. It reads time and schedules
 // through a ModuleTimer (sim/timer.h), asks the run's ControlPlane
-// (runtime/control_plane.h) for every Request Broker decision, and reaches
-// everything else outside the module through a ModuleHost
-// (runtime/module_host.h): the simulator passes its kernel and
-// PipelineRuntime; serve passes a ServeModule, which owns this object, its
-// timer thread and the mutex that serializes both. Nothing here is
-// synchronized: every call, and every event it scheduled, runs under that
-// owner's serialization (the control plane synchronizes itself).
+// (runtime/control_plane.h) for every Request Broker decision, against the
+// control snapshot this module holds, and reaches everything else outside
+// the module through a ModuleHost (runtime/module_host.h): the simulator
+// passes its kernel and PipelineRuntime; serve passes a ServeModule, which
+// owns this object, its timer thread and the mutex that serializes both.
+// Nothing here is synchronized: every call, and every event it scheduled,
+// runs under that owner's serialization, the control loop's hand-off of
+// each sync's snapshot (SetControlSnapshot) included. The control plane
+// counts stale fallbacks atomically; nothing else it does on the decision
+// path writes shared state.
 #ifndef PARD_RUNTIME_MODULE_RUNTIME_H_
 #define PARD_RUNTIME_MODULE_RUNTIME_H_
 
@@ -43,7 +46,8 @@ class AtomicHistogram;  // obs/metrics.h
 
 class ModuleRuntime {
  public:
-  // Provisions `initial_workers` warm workers at timer->Now().
+  // Provisions `initial_workers` warm workers at timer->Now() and takes the
+  // control plane's current snapshot.
   ModuleRuntime(ModuleTimer* timer, ModuleHost* host, ControlPlane* control,
                 BackendFleet* fleet, const ModuleSpec& spec, const ModelProfile& profile,
                 int batch_size, int initial_workers, const RuntimeOptions& options);
@@ -103,6 +107,13 @@ class ModuleRuntime {
   ControlPlane* control() const { return control_; }
   const RuntimeOptions& options() const { return options_; }
 
+  // The control snapshot this module decides against: the control plane's
+  // at construction, then each sync's, stored by the control loop's
+  // hand-off. A skipped (stalled) sync hands nothing over, so the snapshot
+  // ages toward the staleness budget.
+  const ControlSnapshot& control_snapshot() const { return control_snapshot_; }
+  void SetControlSnapshot(const ControlSnapshot& snapshot) { control_snapshot_ = snapshot; }
+
   int ActiveWorkers() const;
   int ProvisionedWorkers() const;  // Active + cold-starting.
   double ProvisionedUnits() const;
@@ -143,6 +154,7 @@ class ModuleRuntime {
   ModuleTimer* timer_;
   ModuleHost* host_;
   ControlPlane* control_;
+  ControlSnapshot control_snapshot_;
   BackendFleet* fleet_;
   ModuleSpec spec_;
   const ModelProfile& profile_;

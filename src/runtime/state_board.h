@@ -11,10 +11,10 @@
 // on, so readers racing a publish could observe a torn (state, version)
 // pair. Only the ControlPlane (runtime/control_plane.h) publishes, from its
 // single syncing thread, and only the policy reads the board, inside the
-// same Sync(); decisions read the immutable policy view the sync then
-// publishes through an RCU-style cell (runtime/snapshot.h), without
-// locking. They can be up to one sync period stale, exactly like the gRPC
-// state exchange in the real system.
+// same Sync(); decisions read the immutable policy view the sync then hands
+// each module (ControlSnapshot), never the board. They can be up to one
+// sync period stale, exactly like the gRPC state exchange in the real
+// system.
 #ifndef PARD_RUNTIME_STATE_BOARD_H_
 #define PARD_RUNTIME_STATE_BOARD_H_
 

@@ -51,6 +51,7 @@ void Worker::Enqueue(RequestPtr req) {
 void Worker::FillFormingBatch() {
   ModuleHost* host = module_->host();
   ControlPlane* control = module_->control();
+  const ControlSnapshot& snap = module_->control_snapshot();
   const int batch_size = module_->batch_size();
   if (control->PurgeExpired()) {
     // Requests whose deadline passed while queued are unservable under any
@@ -68,7 +69,7 @@ void Worker::FillFormingBatch() {
     }
   }
   while (static_cast<int>(forming_.size()) < batch_size && !queue_.Empty()) {
-    const PopSide side = control->ChoosePopSide(module_->module_id(), timer_->Now());
+    const PopSide side = control->ChoosePopSide(snap, module_->module_id(), timer_->Now());
     RequestPtr req = queue_.Pop(side);
     if (req == nullptr) {
       break;
@@ -87,7 +88,7 @@ void Worker::FillFormingBatch() {
     ctx.batch_duration = module_->profile().BatchDuration(batch_size);
     ctx.batch_size = batch_size;
     HopRecord& hop = req->hops[static_cast<std::size_t>(module_->module_id())];
-    if (control->ShouldDrop(ctx)) {
+    if (control->ShouldDrop(snap, ctx)) {
       hop.batch_entry = now;
       module_->OnPolicyDrop(std::move(req), DropReason::kBrokerCandidate);
       continue;

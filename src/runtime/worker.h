@@ -8,8 +8,8 @@
 // to the forming batch at t_b start executing at t_e (the running batch's
 // end), giving each request a batch wait W = t_e - t_b in [0, d]. An idle
 // worker launches immediately (W = 0). The drop decision (Request Broker,
-// asked of the ControlPlane) happens exactly at admission time, when t_e and
-// d_k are known.
+// asked of the ControlPlane against the module's held control snapshot)
+// happens exactly at admission time, when t_e and d_k are known.
 //
 // Each worker occupies one BackendFleet slot: its backend profile scales
 // profiled batch durations (slot.exec_scale) and sets its cold-start delay,

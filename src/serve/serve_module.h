@@ -29,20 +29,25 @@
 // outbox that the thread which fired their completion forwards to their
 // successors only after releasing the mutex — so no thread ever holds two
 // module mutexes. The Request Broker is the runtime's ControlPlane, which
-// the ModuleRuntime asks directly, as in the simulator.
+// the ModuleRuntime asks directly, as in the simulator, against the control
+// snapshot it holds.
 //
 // The control loop (runtime/control_loop.h, on the runtime's control
 // thread) enters the module through With(): the sync, scaling, fault and
 // chaos events and the watchdog call the ModuleRuntime under the module
 // mutex — the simulator's semantics exactly, including the retry of a
-// failed worker's queued and in-flight requests on surviving workers.
+// failed worker's queued and in-flight requests on surviving workers. One
+// difference, on a µs scale: the simulator's sync hands every module the
+// new snapshot at one instant, while here each module takes it when the
+// control thread enters it, so for the few µs of the hand-off pass some
+// modules decide against the new view and some against the previous one.
 //
 // Concurrency contract (lock ranks per common/lock_order.h):
-//   - mu_ (kModule) guards everything above, the module's admission RNG
-//     included. Under it a thread may take a fate stripe (drops,
-//     IsTerminal), never another module's mutex.
+//   - mu_ (kModule) guards everything above, the module's admission RNG and
+//     its held control snapshot included. Under it a thread may take a fate
+//     stripe (drops, IsTerminal), never another module's mutex.
 //   - The control loop's sync copies the module's state, wait samples
-//     included, under mu_.
+//     included, under mu_, and later stores the new snapshot under it.
 //   - Start() and Stop() come from the thread that runs the serve run,
 //     With() from the control thread.
 #ifndef PARD_SERVE_SERVE_MODULE_H_

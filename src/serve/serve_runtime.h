@@ -8,7 +8,7 @@
 // module is the simulator's own ModuleRuntime and Workers driven by a
 // per-module timer thread (serve/serve_module.h), and the PARD broker /
 // estimator / baselines decide against wall-clock deadlines through the
-// simulator's ControlPlane and its published snapshot.
+// simulator's ControlPlane, against the snapshot each module holds.
 // Admission and the Request Broker's drop decision run inside the module,
 // as in the simulator: admission at arrival, the drop decision when a
 // request enters the forming batch, against the running batch's end t_e.
@@ -18,8 +18,9 @@
 //
 // Control: the simulator's own ControlLoop (runtime/control_loop.h) runs on
 // a control thread, a timer thread like a module's (ServeTimer, serve_clock.h):
-// it publishes ModuleState snapshots once per virtual second like the
-// paper's gRPC state exchange, runs the scaling engine every scaling_epoch
+// it exchanges state with every module once per virtual second like the
+// paper's gRPC state exchange (each module's ModuleState in, the new
+// ControlSnapshot out), runs the scaling engine every scaling_epoch
 // (options.enable_scaling), applies the fault and chaos schedules, runs
 // the hang watchdog and samples the metrics registry every
 // options.metrics_interval. It enters each module under the module lock, and
@@ -45,9 +46,11 @@
 //     final conservation sweep reads it only after every thread has joined.
 //   - The ingress backlog (broker pool) has its own leaf mutex, never held
 //     across a delivery.
-//   - Each module's state sits behind its module mutex (serve_module.h); the
-//     control plane's snapshot publication synchronizes itself
-//     (runtime/control_plane.h).
+//   - Each module's state sits behind its module mutex (serve_module.h),
+//     the control snapshot it decides against included: the control
+//     thread stores each sync's under that mutex. Modules share only the
+//     snapshot's immutable view, and the control plane's stale-fallback
+//     count is atomic (runtime/control_plane.h).
 //   - The control loop and its timer belong to the control thread; the
 //     worker history is read only after it has joined.
 //

@@ -18,6 +18,7 @@
 #include "metrics/analysis.h"
 #include "obs/metrics.h"
 #include "pipeline/apps.h"
+#include "resilience/chaos.h"
 #include "runtime/pipeline_runtime.h"
 #include "runtime/request_lifecycle.h"
 #include "trace/arrival_generator.h"
@@ -190,6 +191,57 @@ TEST(StateBoard, IdleModulesSkipRefreshOnceStatsWindowEmpties) {
   }
   EXPECT_EQ(busy, 6);
   EXPECT_GE(idle, 4);
+}
+
+// The sync's hand-off: probed 1 us after every sync instant, each module
+// holds the control plane's current snapshot, stamped at the last sync that
+// ran. A stall-sync window hands nothing over, so inside it every module
+// keeps the snapshot it took before the stall.
+TEST(StateBoard, EverySyncHandsEachModuleTheNewSnapshot) {
+  PardPolicy policy;
+  RuntimeOptions options = FixedWorkers({1, 1, 1});
+  // With 1 s syncs, the ones at 3, 4 and 5 s fall in the window, so the one
+  // at 2 s is the last before the stall; the one at 6 s runs.
+  ASSERT_EQ(options.sync_period, kUsPerSec);
+  constexpr SimTime kStallFrom = 2500 * kUsPerMs;
+  constexpr SimTime kStallUntil = 5500 * kUsPerMs;
+  constexpr SimTime kLastSyncBeforeStall = 2 * kUsPerSec;
+  options.resilience.chaos = ParseChaosSchedule("2.5:stall-sync:3");
+  const Duration traffic = SecToUs(8);
+  options.drain = SecToUs(2);
+  PipelineRuntime rt(MakeTrafficMonitoring(), options, &policy, 100.0);
+  Rng rng(7);
+  const auto arrivals = GenerateArrivals(RateFunction::Constant(100.0), 0, traffic, rng);
+  const int modules = rt.spec().NumModules();
+  std::shared_ptr<const PolicyView> before_stall;
+  int probes = 0;
+  int stalled = 0;
+  const SimTime end = arrivals.back() + options.drain;
+  for (SimTime t = options.sync_period; t <= end; t += options.sync_period) {
+    rt.sim().ScheduleAt(t + 1, [&, t] {
+      ++probes;
+      const bool in_stall = t >= kStallFrom && t < kStallUntil;
+      const SimTime last_sync = in_stall ? kLastSyncBeforeStall : t;
+      const ControlSnapshot& current = rt.control().snapshot();
+      EXPECT_EQ(current.published_at, last_sync) << "sync at " << t;
+      for (int m = 0; m < modules; ++m) {
+        const ControlSnapshot& held = rt.module(m).control_snapshot();
+        EXPECT_EQ(held.published_at, last_sync) << "module " << m << ", sync at " << t;
+        EXPECT_EQ(held.view, current.view) << "module " << m << ", sync at " << t;
+        if (in_stall) {
+          EXPECT_EQ(held.view, before_stall) << "module " << m << ", sync at " << t;
+        }
+      }
+      if (in_stall) {
+        ++stalled;
+      } else {
+        before_stall = current.view;
+      }
+    });
+  }
+  rt.RunTrace(arrivals);
+  EXPECT_EQ(stalled, 3);
+  EXPECT_GE(probes, 9);
 }
 
 TEST(QueueOrder, FifoServesInArrivalOrderUnderBacklog) {

@@ -22,14 +22,17 @@
 #include <sys/prctl.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -572,12 +575,13 @@ TEST(ServeRuntime, PardGoodputAtLeastDropFreeBaselineOnHeterogeneousScenario) {
 
 TEST(ServeRuntime, ShardedBrokersWithScalingAndFaultsConserve) {
   // Contention stress, sized for the tsan preset: 4 broker threads hammer
-  // the control plane's snapshot-read admission path concurrently while a
-  // DAG pipeline's module timer threads fire batches and forward hand-offs
-  // under MMPP bursts, the scaling engine adds cold-starting workers, and a
-  // fault schedule kills and recovers a worker mid-run. Every request must
-  // still resolve exactly once — and a TSan-clean pass pins the contracts
-  // (SnapshotCell reads, striped fate locks, module mutexes and outboxes).
+  // the source module's admission path concurrently while a DAG pipeline's
+  // module timer threads fire batches and forward hand-offs under MMPP
+  // bursts, the scaling engine adds cold-starting workers, and a fault
+  // schedule kills and recovers a worker mid-run. Every request must still
+  // resolve exactly once — and a TSan-clean pass pins the contracts
+  // (module-held control snapshots, striped fate locks, module mutexes and
+  // outboxes).
   ExperimentConfig config = Fig08SmokeConfig("da", "pard");
   config.duration_s = 2.5;
   config.runtime.fixed_workers = std::vector<int>(5, 2);
@@ -731,17 +735,21 @@ TEST(ControlPlaneRefresh, ParallelRefreshDeterministicAcrossThreadCounts) {
         ctx.batch_start = now + age;
         ctx.batch_duration = 10 * kUsPerMs;
         ctx.batch_size = 4;
-        EXPECT_EQ(plane_1.ShouldDrop(ctx), plane_4.ShouldDrop(ctx))
+        EXPECT_EQ(plane_1.ShouldDrop(plane_1.snapshot(), ctx),
+                  plane_4.ShouldDrop(plane_4.snapshot(), ctx))
             << "round " << round << " module " << m << " age " << age;
       }
     }
   }
 }
 
-// TSan hammer for the off-lock publication: broker threads decide against
-// published snapshots while the control thread runs repeated Syncs — board
-// publish, OnSync, pooled estimator refresh and snapshot swap all happen
-// with no control mutex. A TSan-clean pass pins the single-writer contract.
+// TSan hammer for the module contract: four readers, each standing in for a
+// module with its own mutex and held snapshot, decide only under that mutex
+// while the syncing thread runs repeated Syncs — board publish, OnSync,
+// pooled estimator refresh and snapshot build, with no control mutex — and
+// after each hands every reader the new snapshot under the reader's mutex,
+// as ControlLoop::SyncTick does. A TSan-clean pass pins that the sync and
+// the decisions share nothing but the immutable views.
 TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board(lv.NumModules());
@@ -751,11 +759,21 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
   options.refresh_threads = 2;
   ControlPlane plane(&lv, &policy, &board, options);
 
+  struct Reader {
+    std::mutex mu;
+    ControlSnapshot held;  // Guarded by mu.
+  };
+  std::array<Reader, 4> readers;
+  for (Reader& reader : readers) {
+    reader.held = plane.snapshot();  // What a module takes at construction.
+  }
   std::atomic<bool> stop{false};
+  std::atomic<int> deciding{0};  // Readers past their first decisions.
   std::atomic<std::uint64_t> decisions{0};
-  WorkerGroup readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.Spawn([&, t]() {
+  WorkerGroup threads;
+  for (int t = 0; t < static_cast<int>(readers.size()); ++t) {
+    threads.Spawn([&, t]() {
+      Reader& reader = readers[static_cast<std::size_t>(t)];
       std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
       Request req;
       req.id = static_cast<std::uint64_t>(t) + 1;
@@ -774,24 +792,43 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
           ctx.batch_start = now;
           ctx.batch_duration = 10 * kUsPerMs;
           ctx.batch_size = 4;
-          plane.ShouldDrop(ctx);
-          plane.ChoosePopSide(m, now);
-          plane.AdmitAtModule(req, m, now, &admit_rng);
+          std::lock_guard<std::mutex> lock(reader.mu);
+          plane.ShouldDrop(reader.held, ctx);
+          plane.ChoosePopSide(reader.held, m, now);
+          plane.AdmitAtModule(reader.held, req, m, now, &admit_rng);
           ++local;
+        }
+        if (local == static_cast<std::uint64_t>(lv.NumModules())) {
+          deciding.fetch_add(1, std::memory_order_relaxed);
         }
       }
       decisions.fetch_add(local, std::memory_order_relaxed);
     });
   }
+  // Sync only once every reader decides, so the syncs overlap decisions
+  // even on a loaded host.
+  while (deciding.load(std::memory_order_relaxed) < static_cast<int>(readers.size())) {
+    std::this_thread::yield();
+  }
   Rng rng(66);
   const std::uint64_t epoch_before = plane.SnapshotEpoch();
-  for (int round = 0; round < 50; ++round) {
+  constexpr int kSyncs = 50;
+  for (int round = 0; round < kSyncs; ++round) {
     std::vector<ModuleState> states = RefreshWarmStates(lv.NumModules(), round % 5, &rng);
     plane.Sync(states, (round + 1) * 100 * kUsPerMs);
+    for (Reader& reader : readers) {
+      std::lock_guard<std::mutex> lock(reader.mu);
+      reader.held = plane.snapshot();
+    }
   }
   stop.store(true, std::memory_order_relaxed);
-  readers.Join();
-  EXPECT_EQ(plane.SnapshotEpoch(), epoch_before + 50);
+  threads.Join();
+  EXPECT_EQ(plane.SnapshotEpoch(), epoch_before + kSyncs);
+  for (Reader& reader : readers) {
+    std::lock_guard<std::mutex> lock(reader.mu);
+    EXPECT_EQ(reader.held.view, plane.snapshot().view);
+    EXPECT_EQ(reader.held.published_at, kSyncs * 100 * kUsPerMs);
+  }
   EXPECT_GT(decisions.load(), 0u);
 }
 
