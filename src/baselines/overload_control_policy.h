@@ -32,9 +32,9 @@ class OverloadControlPolicy : public DropPolicy {
 
   // Overload is a per-sync property (avg_queue_delay changes only when the
   // board publishes), so the view precomputes the per-module flags; only the
-  // Bernoulli draw needs entropy, supplied by the control plane's striped
-  // admission RNGs. All shedding happens at admission: the view never drops
-  // at batch entry.
+  // Bernoulli draw needs entropy, supplied by the admitting module's own RNG
+  // (ModuleRuntime::admission_rng_, under that module's serialization). All
+  // shedding happens at admission: the view never drops at batch entry.
   std::shared_ptr<const PolicyView> MakeView() override {
     struct View final : PolicyView {
       bool ShouldDrop(const AdmissionContext&) const override { return false; }

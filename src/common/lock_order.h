@@ -1,20 +1,17 @@
 // Debug-build lock-order enforcement for the serving runtime.
 //
-// The serve-side locks form a strict hierarchy; a thread may only acquire a
-// lock whose rank is STRICTLY GREATER than every lock it already holds:
+// One rule is left: a thread never holds two module mutexes
+// (ServeModule::mu_) at once. A module hands requests to its successors
+// through an outbox drained after its own lock is released, and a request's
+// fate is a compare-and-swap that takes no lock (runtime/request.h). The
+// broker backlog's mutex and BackendFleet's are leaves: they never acquire
+// another lock, so they are deliberately unguarded.
 //
-//   kModule (1)  ServeModule::mu_ — the module's ModuleRuntime (its
-//                admission RNG included), workers, timer and outbox.
-//   kFate (2)    ServeRuntime striped request-fate mutexes.
-//
-// Two module locks are never held at once: a module hands requests to its
-// successors through an outbox drained after its own lock is released.
-// (BackendFleet's internal mutex is a leaf: it never acquires another lock,
-// so it is deliberately unranked.) Instantiate a LockOrderGuard immediately
-// BEFORE acquiring the mutex it describes, so a violation throws while the
-// offending thread still holds only the lower-ranked locks — an ordering
-// bug surfaces as a CheckError in the debug/asan/tsan presets instead of a
-// silent deadlock. Release builds compile the guard away entirely.
+// Instantiate a ModuleLockGuard immediately BEFORE acquiring a module mutex,
+// so a violation throws while the offending thread still holds only its
+// first module lock — an ordering bug surfaces as a CheckError in the
+// debug/asan/tsan presets instead of a silent deadlock. Release builds
+// compile the guard away entirely.
 #ifndef PARD_COMMON_LOCK_ORDER_H_
 #define PARD_COMMON_LOCK_ORDER_H_
 
@@ -22,56 +19,34 @@
 
 namespace pard {
 
-enum class LockRank : int {
-  kModule = 1,
-  kFate = 2,
-};
-
 #ifndef NDEBUG
 
-namespace lock_order_internal {
-// Per-thread stack of held ranks. Depth 8 is far above the deepest legal
-// chain (module -> fate is 2).
-inline constexpr int kMaxHeld = 8;
-struct HeldRanks {
-  int ranks[kMaxHeld];
-  int depth = 0;
-};
-inline HeldRanks& Held() {
-  thread_local HeldRanks held;
-  return held;
-}
-}  // namespace lock_order_internal
-
-class LockOrderGuard {
+class ModuleLockGuard {
  public:
-  explicit LockOrderGuard(LockRank rank) {
-    auto& held = lock_order_internal::Held();
-    PARD_CHECK_MSG(held.depth < lock_order_internal::kMaxHeld,
-                   "lock-order stack overflow (rank " << static_cast<int>(rank) << ")");
-    if (held.depth > 0) {
-      const int top = held.ranks[held.depth - 1];
-      PARD_CHECK_MSG(static_cast<int>(rank) > top,
-                     "lock-order violation: acquiring rank "
-                         << static_cast<int>(rank) << " while holding rank " << top);
-    }
-    held.ranks[held.depth++] = static_cast<int>(rank);
+  ModuleLockGuard() {
+    PARD_CHECK_MSG(!Held(), "lock-order violation: acquiring a module mutex while holding one");
+    Held() = true;
   }
 
-  ~LockOrderGuard() {
-    auto& held = lock_order_internal::Held();
-    --held.depth;
-  }
+  ~ModuleLockGuard() { Held() = false; }
 
-  LockOrderGuard(const LockOrderGuard&) = delete;
-  LockOrderGuard& operator=(const LockOrderGuard&) = delete;
+  ModuleLockGuard(const ModuleLockGuard&) = delete;
+  ModuleLockGuard& operator=(const ModuleLockGuard&) = delete;
+
+ private:
+  // Whether this thread holds a module mutex.
+  static bool& Held() {
+    thread_local bool held = false;
+    return held;
+  }
 };
 
 #else  // NDEBUG
 
-class LockOrderGuard {
+class ModuleLockGuard {
  public:
-  explicit LockOrderGuard(LockRank rank) { (void)rank; }
+  // User-provided, so an unused guard raises no warning.
+  ModuleLockGuard() {}
 };
 
 #endif  // NDEBUG

@@ -90,16 +90,21 @@ Worker* ModuleRuntime::ChooseWorker() {
 }
 
 void ModuleRuntime::Receive(RequestPtr req) {
+  // A merge delivery that waits for its sibling branches is not offered
+  // load: it never reached the module.
+  if (!host_->lifecycle().MergeReady(*req, spec_.id)) {
+    return;
+  }
   const SimTime now = timer_->Now();
   // Offered load is counted before admission, so shed traffic still drives
   // load_factor and burstiness.
   rate_monitor_.Bump(now);
-  if (host_->IsTerminal(*req)) {
+  if (req->Terminal()) {
     return;  // Dropped on another branch before delivery.
   }
   if (!control_->AdmitAtModule(control_snapshot_, *req, spec_.id, now, &admission_rng_)) {
     req->hops[static_cast<std::size_t>(spec_.id)].arrive = now;
-    OnPolicyDrop(std::move(req), DropReason::kProactiveAdmission);
+    OnPolicyDrop(*req, DropReason::kProactiveAdmission);
     return;
   }
   Worker* worker = ChooseWorker();
@@ -107,13 +112,13 @@ void ModuleRuntime::Receive(RequestPtr req) {
     // No dispatchable worker (all cold / draining): treat as a policy-
     // independent infrastructure drop so the request does not dangle.
     req->hops[static_cast<std::size_t>(spec_.id)].arrive = now;
-    OnPolicyDrop(std::move(req), DropReason::kFaultKilled);
+    OnPolicyDrop(*req, DropReason::kFaultKilled);
     return;
   }
   if (admitted_counter_ != nullptr) {
     admitted_counter_->Add();
   }
-  if (TraceRecorder* trace = host_->trace(); trace != nullptr) {
+  if (TraceRecorder* trace = options_.trace; trace != nullptr) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kAdmit;
     ev.module = spec_.id;
@@ -126,8 +131,8 @@ void ModuleRuntime::Receive(RequestPtr req) {
 
 void ModuleRuntime::OnExecuted(RequestPtr req) { host_->OnModuleDone(std::move(req), spec_.id); }
 
-void ModuleRuntime::OnPolicyDrop(RequestPtr req, DropReason reason) {
-  host_->Drop(std::move(req), spec_.id, reason);
+void ModuleRuntime::OnPolicyDrop(Request& req, DropReason reason) {
+  host_->lifecycle().Drop(req, spec_.id, timer_->Now(), reason);
 }
 
 void ModuleRuntime::RecordQueueDelay(SimTime now, Duration q_delay) {
@@ -262,7 +267,7 @@ int ModuleRuntime::FailHungWorkers(Duration budget, SimTime now) {
 }
 
 void ModuleRuntime::RetryOrDrop(RequestPtr req) {
-  if (host_->IsTerminal(*req)) {
+  if (req->Terminal()) {
     return;  // Resolved on another branch; nothing left to rescue.
   }
   RequestLifecycle& lifecycle = host_->lifecycle();
@@ -280,7 +285,7 @@ void ModuleRuntime::RetryOrDrop(RequestPtr req) {
     }
     verdict = DropReason::kWorkerFailure;  // No surviving dispatchable worker.
   }
-  OnPolicyDrop(std::move(req), verdict);
+  OnPolicyDrop(*req, verdict);
 }
 
 void ModuleRuntime::FailWorkers(int count) {

@@ -15,9 +15,12 @@
 // owns this object, its timer thread and the mutex that serializes both.
 // Nothing here is synchronized: every call, and every event it scheduled,
 // runs under that owner's serialization, the control loop's hand-off of
-// each sync's snapshot (SetControlSnapshot) included. The control plane
-// counts stale fallbacks atomically; nothing else it does on the decision
-// path writes shared state.
+// each sync's snapshot (SetControlSnapshot) included. That serialization
+// also owns this module's hop of every request, its merge count included;
+// a request's fate is a claim that any thread may take
+// (RequestLifecycle::Drop/Complete). The control plane counts stale
+// fallbacks atomically; nothing else it does on the decision path writes
+// shared state.
 #ifndef PARD_RUNTIME_MODULE_RUNTIME_H_
 #define PARD_RUNTIME_MODULE_RUNTIME_H_
 
@@ -52,7 +55,8 @@ class ModuleRuntime {
                 BackendFleet* fleet, const ModuleSpec& spec, const ModelProfile& profile,
                 int batch_size, int initial_workers, const RuntimeOptions& options);
 
-  // Delivery from the dispatcher (or pipeline ingress).
+  // Delivery from the dispatcher (or pipeline ingress). At a DAG merge
+  // only the delivery that completes the merge enters the module.
   void Receive(RequestPtr req);
 
   // Computes this module's ModuleState at the timer's now for the sync
@@ -103,7 +107,6 @@ class ModuleRuntime {
   int module_id() const { return spec_.id; }
   int batch_size() const { return batch_size_; }
   const ModelProfile& profile() const { return profile_; }
-  ModuleHost* host() const { return host_; }
   ControlPlane* control() const { return control_; }
   const RuntimeOptions& options() const { return options_; }
 
@@ -134,9 +137,10 @@ class ModuleRuntime {
   void RecordBatchWait(Duration wait);
   void RecordStageLatency(SimTime now, Duration stage_latency);
   void OnExecuted(RequestPtr req);          // Forward downstream.
-  // Drop with attribution (policy sites pass kProactiveAdmission /
-  // kBrokerCandidate / kPurgeExpired; infrastructure sites kFaultKilled).
-  void OnPolicyDrop(RequestPtr req, DropReason reason);
+  // Drop at this module with attribution (policy sites pass
+  // kProactiveAdmission / kBrokerCandidate / kPurgeExpired; infrastructure
+  // sites kFaultKilled); a no-op if the request already has a fate.
+  void OnPolicyDrop(Request& req, DropReason reason);
   // Per-module executed tally + batch-size histogram (null when metrics
   // are disabled).
   Counter* executed_counter() const { return executed_counter_; }

@@ -42,7 +42,7 @@ void PipelineRuntime::Inject() {
   RequestPtr req = lifecycle_.NewRequest();
   if (!lifecycle_.Inject(req, sim_.Now())) {
     // Weighted ingress shed: recorded (conservation) but never delivered.
-    Drop(std::move(req), spec_.SourceModule(), DropReason::kTenantShed);
+    lifecycle_.Drop(*req, spec_.SourceModule(), sim_.Now(), DropReason::kTenantShed);
     return;
   }
   Deliver(std::move(req), spec_.SourceModule());
@@ -51,9 +51,7 @@ void PipelineRuntime::Inject() {
 void PipelineRuntime::Deliver(RequestPtr req, int module_id) {
   // Network hop between client/module and module.
   sim_.ScheduleAfter(options_.network_delay, [this, req = std::move(req), module_id]() mutable {
-    if (lifecycle_.MergeReady(*req, module_id)) {
-      modules_[static_cast<std::size_t>(module_id)]->Receive(std::move(req));
-    }
+    modules_[static_cast<std::size_t>(module_id)]->Receive(std::move(req));
   });
 }
 
@@ -61,15 +59,8 @@ void PipelineRuntime::OnModuleDone(RequestPtr req, int module_id) {
   if (req->Terminal()) {
     return;  // Dropped on a parallel branch while this one executed.
   }
-  if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub); }) &&
-      lifecycle_.Complete(*req, sim_.Now())) {
-    lifecycle_.RecordFate(*req);
-  }
-}
-
-void PipelineRuntime::Drop(RequestPtr req, int module_id, DropReason reason) {
-  if (lifecycle_.Drop(*req, module_id, sim_.Now(), reason)) {
-    lifecycle_.RecordFate(*req);
+  if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub); })) {
+    lifecycle_.Complete(*req, sim_.Now());
   }
 }
 

@@ -73,11 +73,7 @@ class PipelineRuntime final : public ModuleHost {
 
   // --- ModuleHost (called by ModuleRuntime/Worker) --------------------------
   void OnModuleDone(RequestPtr req, int module_id) override;
-  void Drop(RequestPtr req, int module_id, DropReason reason) override;
-  bool IsTerminal(const Request& req) const override { return req.Terminal(); }
   RequestLifecycle& lifecycle() override { return lifecycle_; }
-  // Observability (null when disabled via RuntimeOptions).
-  TraceRecorder* trace() override { return options_.trace; }
 
  private:
   void Inject();

@@ -20,17 +20,14 @@
 // Concurrency contract (serving runtime): identity fields (id, sent, tenant,
 // weight, slo, dynamic_path), and with them the derived Deadline(), and every
 // hop's branch_choice and expected_arrivals are immutable after injection.
-// The stamps of hops[k] (arrive .. executed) are written only under module
-// k's mutex, by whichever thread is running module k's state machine.
-// hops[k].merge_arrivals is written under the request's fate stripe by
-// whichever thread delivers to merge k. The terminal fields (fate,
-// drop_module, drop_reason, finish) change only in the lifecycle's fate
-// transitions, which ServeRuntime runs under that same stripe — one of its
-// 16 striped fate locks, chosen by request id (ServeRuntime::FateMutex). A
-// terminal fate never changes again, so the thread that made the transition
-// reads it back lock-free for the accounting; every other cross-branch
-// reader goes through ServeRuntime::IsTerminal while a run is live. The
-// single-threaded simulator needs none of this.
+// The rest of hops[k], merge_arrivals included, is written only under
+// module k's mutex, by whichever thread is running module k's state machine.
+// A request takes its fate once: the thread whose ClaimFate swaps `fate` out
+// of kInFlight wins, and it alone writes the other terminal fields
+// (drop_module, drop_reason, finish). While a run is live every read of
+// `fate` is an atomic load (Fate(), Terminal(), Good(), CountsDropped()), the
+// winner's own included; the other terminal fields are read by other threads
+// only after the run. The single-threaded simulator takes the same path.
 #ifndef PARD_RUNTIME_REQUEST_H_
 #define PARD_RUNTIME_REQUEST_H_
 
@@ -121,9 +118,11 @@ struct Request {
   // worker failed, which the request's next reader there also holds.
   int retry_count = 0;
 
+  // Claimed once (ClaimFate) and read atomically (Fate()) while a run is
+  // live; a plain field, so readers after the run may use it directly.
   RequestFate fate = RequestFate::kInFlight;
   // Why the request counts as dropped (kNone iff fate is kCompleted or
-  // kInFlight). Written with `fate` under the same synchronization.
+  // kInFlight). Written by the thread that claimed the fate.
   DropReason drop_reason = DropReason::kNone;
   // Dynamic-path routing (§5.2): the request takes one drawn branch at each
   // fork, recorded in its hops' branch_choice and expected_arrivals.
@@ -131,11 +130,26 @@ struct Request {
 
   // The absolute SLO deadline.
   SimTime Deadline() const { return sent + slo; }
-  bool Terminal() const { return fate != RequestFate::kInFlight; }
-  bool Good() const { return fate == RequestFate::kCompleted; }
+  // `fate`, read with acquire ordering: the generic builtin is what
+  // std::atomic_ref compiles to, and RequestFate is not an integral type.
+  RequestFate Fate() const {
+    RequestFate current = RequestFate::kInFlight;
+    __atomic_load(&fate, &current, __ATOMIC_ACQUIRE);
+    return current;
+  }
+  // Swaps `fate` from kInFlight to `to`. True for the one caller that does;
+  // false, changing nothing, once the request has a fate.
+  bool ClaimFate(RequestFate to) {
+    RequestFate expected = RequestFate::kInFlight;
+    return __atomic_compare_exchange(&fate, &expected, &to, /*weak=*/false, __ATOMIC_ACQ_REL,
+                                     __ATOMIC_ACQUIRE);
+  }
+  bool Terminal() const { return Fate() != RequestFate::kInFlight; }
+  bool Good() const { return Fate() == RequestFate::kCompleted; }
   // Paper accounting: completed-but-late counts as dropped.
   bool CountsDropped() const {
-    return fate == RequestFate::kDropped || fate == RequestFate::kLate;
+    const RequestFate current = Fate();
+    return current == RequestFate::kDropped || current == RequestFate::kLate;
   }
   Duration RemainingBudget(SimTime now) const { return Deadline() - now; }
 

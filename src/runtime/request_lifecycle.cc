@@ -83,6 +83,7 @@ bool RequestLifecycle::Inject(const RequestPtr& req, SimTime now) {
     AssignDynamicPath(r);
   }
   requests_.push_back(req);
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
   return governor_ == nullptr || governor_->AdmitAtIngress(r.id, r.tenant);
 }
 
@@ -126,32 +127,32 @@ bool RequestLifecycle::MergeReady(Request& req, int module_id) const {
   return arrived >= expected;
 }
 
-bool RequestLifecycle::Drop(Request& req, int module_id, SimTime now, DropReason reason) const {
-  if (req.Terminal()) {
+bool RequestLifecycle::Drop(Request& req, int module_id, SimTime now, DropReason reason) {
+  if (!req.ClaimFate(RequestFate::kDropped)) {
     return false;
   }
-  req.fate = RequestFate::kDropped;
   req.drop_module = module_id;
   req.finish = now;
   req.drop_reason = reason;
+  RecordFate(req);
   return true;
 }
 
-bool RequestLifecycle::Complete(Request& req, SimTime now) const {
-  if (req.Terminal()) {
+bool RequestLifecycle::Complete(Request& req, SimTime now) {
+  const bool in_time = now <= req.Deadline();
+  if (!req.ClaimFate(in_time ? RequestFate::kCompleted : RequestFate::kLate)) {
     return false;
   }
   req.finish = now;
-  if (now <= req.Deadline()) {
-    req.fate = RequestFate::kCompleted;
-  } else {
-    req.fate = RequestFate::kLate;
+  if (!in_time) {
     req.drop_reason = DropReason::kSloLate;
   }
+  RecordFate(req);
   return true;
 }
 
 void RequestLifecycle::Count(const Request& req) {
+  in_flight_.fetch_sub(1, std::memory_order_release);
   const bool good = req.Good();
   if (Counter* fate = good ? completed_counter_
                            : drop_reason_counters_[static_cast<int>(req.drop_reason)];
@@ -171,7 +172,7 @@ void RequestLifecycle::RecordFate(const Request& req) {
     ev.module = req.drop_module;  // -1 for completions, late or not.
     ev.request_id = req.id;
     ev.ts = req.finish;
-    ev.arg0 = static_cast<std::int64_t>(req.fate);
+    ev.arg0 = static_cast<std::int64_t>(req.Fate());
     ev.arg1 = static_cast<std::int64_t>(req.drop_reason);
     options_.trace->EmitSampled(ev);
   }
@@ -179,10 +180,9 @@ void RequestLifecycle::RecordFate(const Request& req) {
 
 void RequestLifecycle::EndRun(SimTime now) {
   for (const RequestPtr& req : requests_) {
-    if (req->Terminal()) {
+    if (!req->ClaimFate(RequestFate::kLate)) {
       continue;
     }
-    req->fate = RequestFate::kLate;
     req->finish = now;
     req->drop_reason = DropReason::kDrainAbandoned;
     Count(*req);

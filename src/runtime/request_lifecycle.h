@@ -6,9 +6,9 @@
 // fates and their accounting (fate.*, tenant.<name>.*, resilience.retries
 // and the trace fate/retry instants, named alike in both) and the retry
 // verdict are written once. The runtimes keep what really differs: how time
-// passes, the simulator's network-delay hop, serve's broker pool, and fate
-// synchronisation. Queues and batching are shared too, in ModuleRuntime and
-// Worker, and the periodic control jobs in ControlLoop.
+// passes, the simulator's network-delay hop and serve's broker pool. Queues
+// and batching are shared too, in ModuleRuntime and Worker, and the periodic
+// control jobs in ControlLoop.
 //
 // Both runtimes allocate their requests here too: each request and its hop
 // slots are one record in the run's RequestArena (runtime/request_arena.h).
@@ -20,15 +20,14 @@
 //   - Injection (NewRequest, Inject, requests()) belongs to one thread: the
 //     simulator, or the thread running serve's RunTrace. Other threads read
 //     the log only after the run.
-//   - Fate transitions (MergeReady, Drop, Complete) write a request's
-//     terminal fields and merge counters (hops[k].merge_arrivals). The
-//     caller synchronises them: the simulator needs nothing, serve holds the
-//     request's fate stripe (LockRank::kFate). EndRun runs after every
-//     thread has joined.
-//   - Accounting (RecordFate, NoteRetry) bumps lock-free counters and emits
-//     to per-thread trace rings, so serve calls it outside the fate stripe.
-//     NoteRetry also bumps req.retry_count, written only by the thread that
-//     owns the stranded batch.
+//   - MergeReady writes hops[k].merge_arrivals, under module k's
+//     serialization: ModuleRuntime::Receive calls it first.
+//   - Fates (Drop, Complete) may come from any thread at any time. Each
+//     claims the fate (Request::ClaimFate); the one winner writes the
+//     terminal fields, bumps the lock-free counters, emits to its per-thread
+//     trace ring and takes the request off InFlight(). NoteRetry bumps the
+//     same counters and req.retry_count, written only by the thread that
+//     owns the stranded batch. EndRun runs after every thread has joined.
 #ifndef PARD_RUNTIME_REQUEST_LIFECYCLE_H_
 #define PARD_RUNTIME_REQUEST_LIFECYCLE_H_
 
@@ -66,15 +65,16 @@ class RequestLifecycle {
   bool Inject(const RequestPtr& req, SimTime now);
   // Every injected request, in injection order.
   const std::vector<RequestPtr>& requests() const { return requests_; }
+  // Injected requests that have no fate yet (any thread).
+  std::size_t InFlight() const { return in_flight_.load(std::memory_order_acquire); }
 
   // --- Routing --------------------------------------------------------------
-  bool IsMerge(int module_id) const { return spec_.Module(module_id).pres.size() > 1; }
   // Counts one delivery of `req` to `module_id` and says whether it may
-  // enter the module now. Always true for a module with one predecessor. At
-  // a DAG merge (a fate transition: serve holds the fate stripe), true only
-  // once every expected branch has arrived — all predecessors under static
-  // routing, the drawn ones under dynamic paths — and no sibling branch has
-  // already resolved the request.
+  // enter the module now, under that module's serialization. Always true for
+  // a module with one predecessor. At a DAG merge, true only once every
+  // expected branch has arrived — all predecessors under static routing,
+  // the drawn ones under dynamic paths — and no sibling branch has already
+  // resolved the request.
   bool MergeReady(Request& req, int module_id) const;
   // Routes a request that finished `module_id`: calls deliver(sub) for each
   // successor it takes (only the drawn branch at a dynamic-path fork) and
@@ -93,15 +93,15 @@ class RequestLifecycle {
     return !m.subs.empty();
   }
 
-  // --- Fate transitions (caller synchronises) -------------------------------
-  // Each returns false, changing nothing, when the request already has a
-  // fate; otherwise the caller follows up with RecordFate.
+  // --- Fates (any thread) ---------------------------------------------------
+  // Each claims the request's fate and, when it wins, records it: the
+  // terminal fields, the fate counters, the sampled trace instant and
+  // InFlight(). Returns false, changing nothing, when the request already
+  // has a fate.
   // Dropped at `module_id` for `reason`.
-  bool Drop(Request& req, int module_id, SimTime now, DropReason reason) const;
+  bool Drop(Request& req, int module_id, SimTime now, DropReason reason);
   // Leaving a sink: kCompleted within the deadline, else kLate (kSloLate).
-  bool Complete(Request& req, SimTime now) const;
-  // Counts the fate `req` just took and emits its sampled trace instant.
-  void RecordFate(const Request& req);
+  bool Complete(Request& req, SimTime now);
   // End of run, with every thread joined: resolves each request still in
   // flight as kLate / kDrainAbandoned so conservation holds, and counts it;
   // then checks the log (CheckRunInvariants), throwing CheckError on a
@@ -133,7 +133,10 @@ class RequestLifecycle {
 
  private:
   void AssignDynamicPath(Request& req);
+  // Counts the fate `req` just took and takes it off InFlight().
   void Count(const Request& req);
+  // Count, then emit the fate's sampled trace instant.
+  void RecordFate(const Request& req);
 
   PipelineSpec spec_;
   RuntimeOptions options_;
@@ -153,6 +156,7 @@ class RequestLifecycle {
   std::uint64_t next_request_id_ = 1;
   std::vector<RequestPtr> requests_;
 
+  std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> retries_{0};
   // Pre-resolved instruments (null / empty when options.metrics is null).
   // Tenant tallies are indexed by tenant.

@@ -49,7 +49,6 @@ void Worker::Enqueue(RequestPtr req) {
 }
 
 void Worker::FillFormingBatch() {
-  ModuleHost* host = module_->host();
   ControlPlane* control = module_->control();
   const ControlSnapshot& snap = module_->control_snapshot();
   const int batch_size = module_->batch_size();
@@ -62,9 +61,9 @@ void Worker::FillFormingBatch() {
       if (expired == nullptr) {
         break;
       }
-      if (!host->IsTerminal(*expired)) {
+      if (!expired->Terminal()) {
         expired->hops[static_cast<std::size_t>(module_->module_id())].batch_entry = timer_->Now();
-        module_->OnPolicyDrop(std::move(expired), DropReason::kPurgeExpired);
+        module_->OnPolicyDrop(*expired, DropReason::kPurgeExpired);
       }
     }
   }
@@ -74,7 +73,7 @@ void Worker::FillFormingBatch() {
     if (req == nullptr) {
       break;
     }
-    if (host->IsTerminal(*req)) {
+    if (req->Terminal()) {
       // Dropped on another DAG branch while queued here; discard silently —
       // no GPU time was spent at this module.
       continue;
@@ -90,7 +89,7 @@ void Worker::FillFormingBatch() {
     HopRecord& hop = req->hops[static_cast<std::size_t>(module_->module_id())];
     if (control->ShouldDrop(snap, ctx)) {
       hop.batch_entry = now;
-      module_->OnPolicyDrop(std::move(req), DropReason::kBrokerCandidate);
+      module_->OnPolicyDrop(*req, DropReason::kBrokerCandidate);
       continue;
     }
     hop.batch_entry = now;
@@ -151,7 +150,7 @@ void Worker::Fail() {
   }
   while (!queue_.Empty()) {
     RequestPtr req = queue_.Pop(PopSide::kOldest);
-    if (req != nullptr && !module_->host()->IsTerminal(*req)) {
+    if (req != nullptr && !req->Terminal()) {
       req->hops[static_cast<std::size_t>(module_id)].batch_entry = timer_->Now();
       module_->RetryOrDrop(std::move(req));
     }
@@ -205,7 +204,7 @@ void Worker::OnBatchComplete() {
     module_->executed_counter()->Add(count);
     module_->batch_size_hist()->Observe(static_cast<double>(count));
   }
-  TraceRecorder* trace = module_->host()->trace();
+  TraceRecorder* trace = module_->options().trace;
   if (trace != nullptr) {
     TraceEvent batch_ev;
     batch_ev.kind = TraceEventKind::kBatchExec;

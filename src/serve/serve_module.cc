@@ -38,7 +38,7 @@ void ServeModule::Start() {
 
 void ServeModule::Stop() {
   {
-    LockOrderGuard order(LockRank::kModule);
+    ModuleLockGuard guard;
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
     timer_.Interrupt();
@@ -59,7 +59,7 @@ template <typename Fn>
 bool ServeModule::Enter(Fn&& fn, bool expired) {
   std::vector<Handoff> sending;
   {
-    LockOrderGuard order(LockRank::kModule);
+    ModuleLockGuard guard;
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
       return false;
@@ -72,7 +72,7 @@ bool ServeModule::Enter(Fn&& fn, bool expired) {
     sending.swap(outbox_);
   }
   // Hand-offs leave with no lock held: forwarding takes the successors'
-  // module mutexes (and, at a merge, a fate stripe).
+  // module mutexes.
   for (Handoff& handoff : sending) {
     runtime_->OnModuleDone(handoff.req, module_id_, handoff.at);
   }
@@ -94,14 +94,6 @@ void ServeModule::OnModuleDone(RequestPtr req, int module_id) {
   outbox_.push_back(Handoff{std::move(req), clock_.Now()});
 }
 
-void ServeModule::Drop(RequestPtr req, int module_id, DropReason reason) {
-  runtime_->Drop(req, module_id, clock_.Now(), reason);
-}
-
-bool ServeModule::IsTerminal(const Request& req) const { return runtime_->IsTerminal(req); }
-
 RequestLifecycle& ServeModule::lifecycle() { return runtime_->lifecycle(); }
-
-TraceRecorder* ServeModule::trace() { return runtime_->trace(); }
 
 }  // namespace pard

@@ -24,13 +24,14 @@
 // on the measured execution, like real kernel-time variance. One thread per
 // module replaces a thread per emulated GPU.
 //
-// The ServeModule is its ModuleRuntime's ModuleHost: drops resolve the
-// request's fate at once, and requests that finish this module go to an
-// outbox that the thread which fired their completion forwards to their
-// successors only after releasing the mutex — so no thread ever holds two
-// module mutexes. The Request Broker is the runtime's ControlPlane, which
-// the ModuleRuntime asks directly, as in the simulator, against the control
-// snapshot it holds.
+// The ServeModule is its ModuleRuntime's ModuleHost: requests that finish
+// this module go to an outbox that the thread which fired their completion
+// forwards to their successors only after releasing the mutex — so no
+// thread ever holds two module mutexes. Drops claim the request's fate at
+// once, through the runtime's RequestLifecycle, which takes no lock. The
+// Request Broker is the runtime's ControlPlane, which the ModuleRuntime
+// asks directly, as in the simulator, against the control snapshot it
+// holds.
 //
 // The control loop (runtime/control_loop.h, on the runtime's control
 // thread) enters the module through With(): the sync, scaling, fault and
@@ -42,10 +43,10 @@
 // control thread enters it, so for the few µs of the hand-off pass some
 // modules decide against the new view and some against the previous one.
 //
-// Concurrency contract (lock ranks per common/lock_order.h):
-//   - mu_ (kModule) guards everything above, the module's admission RNG and
-//     its held control snapshot included. Under it a thread may take a fate
-//     stripe (drops, IsTerminal), never another module's mutex.
+// Concurrency contract (common/lock_order.h):
+//   - mu_ guards everything above, the module's admission RNG, its held
+//     control snapshot and, at a DAG merge, each request's arrival count
+//     included. A thread that holds it never takes another module's mutex.
 //   - The control loop's sync copies the module's state, wait samples
 //     included, under mu_, and later stores the new snapshot under it.
 //   - Start() and Stop() come from the thread that runs the serve run,
@@ -89,8 +90,8 @@ class ServeModule final : private ModuleHost {
   // Idempotent.
   void Stop();
 
-  // Delivery from upstream (any thread; DAG merge readiness is already
-  // settled).
+  // Delivery from upstream (any thread). A DAG merge counts the delivery
+  // under the module mutex (ModuleRuntime::Receive).
   void Receive(RequestPtr req);
 
   // Control entry (control thread): runs fn on the module's ModuleRuntime
@@ -115,16 +116,13 @@ class ServeModule final : private ModuleHost {
 
   // --- ModuleHost -------------------------------------------------------------
   void OnModuleDone(RequestPtr req, int module_id) override;
-  void Drop(RequestPtr req, int module_id, DropReason reason) override;
-  bool IsTerminal(const Request& req) const override;
   RequestLifecycle& lifecycle() override;
-  TraceRecorder* trace() override;
 
   ServeRuntime* runtime_;
   const ServeClock& clock_;
   const int module_id_;
 
-  std::mutex mu_;  // LockRank::kModule.
+  std::mutex mu_;  // Taken under a ModuleLockGuard.
   bool stop_ = false;
   ServeTimer timer_;
   std::unique_ptr<ModuleRuntime> module_;

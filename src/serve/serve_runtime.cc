@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/lock_order.h"
 #include "models/registry.h"
 #include "runtime/batch_planner.h"
 #include "serve/load_generator.h"
@@ -84,28 +83,6 @@ ControlLoop::Substrate ServeRuntime::ControlSubstrate() {
   return substrate;
 }
 
-bool ServeRuntime::IsTerminal(const Request& req) const {
-  LockOrderGuard order(LockRank::kFate);
-  std::lock_guard<std::mutex> lock(FateMutex(req));
-  return req.Terminal();
-}
-
-template <typename Transition>
-void ServeRuntime::ResolveFate(Request& req, Transition transition) {
-  {
-    LockOrderGuard order(LockRank::kFate);
-    std::lock_guard<std::mutex> lock(FateMutex(req));
-    if (!transition(req)) {
-      return;  // Already resolved on another branch or thread.
-    }
-    in_flight_.fetch_sub(1, std::memory_order_release);
-  }
-  // Instrumentation outside the fate stripe: counters and trace shards are
-  // lock-free, but keeping the stripe's critical section minimal keeps the
-  // traced and untraced paths contention-identical.
-  lifecycle_.RecordFate(req);
-}
-
 void ServeRuntime::Inject(SimTime scheduled) {
   (void)scheduled;  // Open loop: the *actual* instant is the send time.
   const SimTime now = clock_.Now();
@@ -114,13 +91,11 @@ void ServeRuntime::Inject(SimTime scheduled) {
   // fields and the drawn route are immutable once the request is visible to
   // any other thread (runtime/request.h).
   RequestPtr req = lifecycle_.NewRequest();
-  const bool admitted = lifecycle_.Inject(req, now);
-  in_flight_.fetch_add(1, std::memory_order_release);
-  if (!admitted) {
+  if (!lifecycle_.Inject(req, now)) {
     // Weighted ingress shed: lock-free threshold read on RunTrace's thread;
     // the request is recorded for conservation but never reaches the broker
     // backlog or any module queue.
-    Drop(req, spec_.SourceModule(), now, DropReason::kTenantShed);
+    lifecycle_.Drop(*req, spec_.SourceModule(), now, DropReason::kTenantShed);
     return;
   }
   if (serve_.broker_threads > 1) {
@@ -152,30 +127,16 @@ void ServeRuntime::BrokerLoop() {
 }
 
 void ServeRuntime::Deliver(const RequestPtr& req, int module_id) {
-  if (lifecycle_.IsMerge(module_id)) {
-    // DAG merge: the merge counter shares the request's fate stripe, so a
-    // sibling branch's drop and this arrival serialize.
-    LockOrderGuard order(LockRank::kFate);
-    std::lock_guard<std::mutex> lock(FateMutex(*req));
-    if (!lifecycle_.MergeReady(*req, module_id)) {
-      return;
-    }
-  }
   modules_[static_cast<std::size_t>(module_id)]->Receive(req);
 }
 
 void ServeRuntime::OnModuleDone(const RequestPtr& req, int module_id, SimTime now) {
-  if (IsTerminal(*req)) {
+  if (req->Terminal()) {
     return;  // Dropped on a parallel branch while this one executed.
   }
   if (!lifecycle_.Forward(*req, module_id, [&](int sub) { Deliver(req, sub); })) {
-    ResolveFate(*req, [&](Request& r) { return lifecycle_.Complete(r, now); });
+    lifecycle_.Complete(*req, now);
   }
-}
-
-void ServeRuntime::Drop(const RequestPtr& req, int module_id, SimTime now,
-                        DropReason reason) {
-  ResolveFate(*req, [&](Request& r) { return lifecycle_.Drop(r, module_id, now, reason); });
 }
 
 void ServeRuntime::ControlThread() {
@@ -242,13 +203,13 @@ void ServeRuntime::RunTrace(const std::vector<SimTime>& arrivals) {
     ReplayArrivals(clock_, arrivals, [this](SimTime t) { Inject(t); });
 
     // Drain: wait for in-flight requests to resolve, bounded by SLO + drain.
+    // The poll reads the lifecycle's in-flight count, so it never scans the
+    // request log while workers race the deadline.
     const SimTime last_arrival = arrivals.empty() ? 0 : arrivals.back();
     const SimTime deadline = last_arrival + spec_.slo() + options_.drain;
     const auto poll = static_cast<Duration>(2.0 * kUsPerMs * clock_.speedup());  // 2 wall ms.
-    bool drained = AllTerminal();
-    while (!drained && clock_.Now() < deadline) {
+    while (lifecycle_.InFlight() > 0 && clock_.Now() < deadline) {
       clock_.SleepUntil(clock_.Now() + poll);
-      drained = AllTerminal();
     }
     // On a deadline hit with work still queued (e.g. a drop-free policy
     // under overload) the backlog is abandoned here rather than served out.

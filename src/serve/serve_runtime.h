@@ -31,16 +31,14 @@
 //
 // The request lifecycle — stamping, DAG merge readiness and routing, fates
 // and their accounting, the retry verdict — is the simulator's own
-// (runtime/request_lifecycle.h); this runtime supplies the fate
-// synchronisation around it.
+// (runtime/request_lifecycle.h), called the same way.
 //
-// Concurrency contract (ranks per common/lock_order.h). There is no global
-// runtime mutex. Mutable state is partitioned by owner:
-//   - Request fate/finish transitions, DAG merge counters: 16 fate stripes
-//     (kFate, keyed by request id) — the highest rank, so any thread may
-//     resolve a fate while holding a module lock, never the reverse. The
-//     lifecycle's accounting (counters, trace) runs after the stripe is
-//     released.
+// Concurrency contract (common/lock_order.h). There is no global runtime
+// mutex. Mutable state is partitioned by owner:
+//   - A request's fate is a claim (Request::ClaimFate, one compare-and-swap)
+//     that any thread may take, with or without its module lock; the winner
+//     alone writes the terminal fields and does the accounting. A DAG
+//     merge's arrival count belongs to the merge module's mutex.
 //   - The lifecycle's injection state (request log, id counter and
 //     dynamic-path RNG) belongs to the thread running RunTrace alone; its
 //     final conservation sweep reads it only after every thread has joined.
@@ -62,7 +60,6 @@
 #ifndef PARD_SERVE_SERVE_RUNTIME_H_
 #define PARD_SERVE_SERVE_RUNTIME_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -121,15 +118,7 @@ class ServeRuntime {
   // Routes a request that finished `module_id` at `now`; called with no
   // module lock held.
   void OnModuleDone(const RequestPtr& req, int module_id, SimTime now);
-  void Drop(const RequestPtr& req, int module_id, SimTime now, DropReason reason);
-  // Thread-safe read of req.fate (fates flip on other threads' branches).
-  bool IsTerminal(const Request& req) const;
   RequestLifecycle& lifecycle() { return lifecycle_; }
-
-  // Observability (null when disabled). Trace emission goes through the
-  // recorder's per-thread SPSC shards, so any worker/broker thread may emit
-  // without synchronization; see obs/trace_recorder.h.
-  TraceRecorder* trace() { return options_.trace; }
 
   // Resilience counters (valid while running and after RunTrace returns).
   std::uint64_t retries() const { return lifecycle_.retries(); }
@@ -138,8 +127,6 @@ class ServeRuntime {
   std::uint64_t watchdog_recoveries() const { return loop_.watchdog_recoveries(); }
 
  private:
-  static constexpr std::size_t kFateStripes = 16;
-
   void Inject(SimTime scheduled);
   // Broker pool thread: pops ingress backlog entries and delivers them to
   // the source module. Only active with broker_threads > 1.
@@ -152,13 +139,7 @@ class ServeRuntime {
   // AND before rethrowing a mid-run exception, so no thread is left running
   // into a destroyed runtime.
   void Shutdown();
-  // Merge bookkeeping, then delivery to the module.
   void Deliver(const RequestPtr& req, int module_id);
-  // Runs one lifecycle fate transition (returning false when the request
-  // already has a fate) under the request's fate stripe, then its lock-free
-  // accounting outside the stripe.
-  template <typename Transition>
-  void ResolveFate(Request& req, Transition transition);
   // The control thread fires the loop's jobs on control_timer_, the only
   // thread to touch it once the run starts. Every periodic job keeps an
   // event pending, so a stop is seen within one sync period.
@@ -166,12 +147,6 @@ class ServeRuntime {
   // The loop's jobs run on the control timer and enter modules under their
   // locks, within the serve.max_total_threads worker budget.
   ControlLoop::Substrate ControlSubstrate();
-  // O(1): reads the in-flight counter, so the 2 ms drain poll never scans
-  // the request log while workers race the deadline.
-  bool AllTerminal() const { return in_flight_.load(std::memory_order_acquire) == 0; }
-  std::mutex& FateMutex(const Request& req) const {
-    return fate_mu_[static_cast<std::size_t>(req.id) % kFateStripes];
-  }
 
   PipelineSpec spec_;
   RuntimeOptions options_;
@@ -184,15 +159,6 @@ class ServeRuntime {
   BackendFleet fleet_;
   ControlLoop loop_;
   std::vector<std::unique_ptr<ServeModule>> modules_;
-
-  // Striped fate locks (LockRank::kFate): request fate/finish transitions
-  // and DAG merge counters for request r serialize on stripe r.id % 16.
-  // Nothing else is ever acquired under a fate stripe.
-  mutable std::array<std::mutex, kFateStripes> fate_mu_;
-  // Injected-but-not-terminal count; bumped in Inject, dropped on the fate
-  // transition in ResolveFate (under the request's fate stripe, but atomic
-  // so the drain loop can read without any lock).
-  std::atomic<std::size_t> in_flight_{0};
 
   // Ingress backlog for the broker pool (broker_threads > 1). Leaf mutex:
   // held only around deque operations, never across a delivery.

@@ -337,10 +337,7 @@ class IdleHost final : public ModuleHost {
  public:
   explicit IdleHost(RequestLifecycle* lifecycle) : lifecycle_(lifecycle) {}
   void OnModuleDone(RequestPtr, int) override { ADD_FAILURE() << "no request was injected"; }
-  void Drop(RequestPtr, int, DropReason) override { ADD_FAILURE() << "no request was injected"; }
-  bool IsTerminal(const Request& req) const override { return req.Terminal(); }
   RequestLifecycle& lifecycle() override { return *lifecycle_; }
-  TraceRecorder* trace() override { return nullptr; }
 
  private:
   RequestLifecycle* lifecycle_;

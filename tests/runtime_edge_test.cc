@@ -1,13 +1,15 @@
 // Edge-case coverage for the serving runtime: DAG drop interactions, invalid
 // accounting across branches, state-board staleness, network delay,
-// queue-order consequences, and the end-of-run record check
-// (CheckRunInvariants), one test per rule.
+// queue-order consequences, the end-of-run record check
+// (CheckRunInvariants), one test per rule, and racing fate claims.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/naive_policy.h"
@@ -452,6 +454,55 @@ TEST(RunInvariants, Rule5TenantWithoutACatalog) {
   FinishedRun run;
   run.requests.back()->tenant = 0;
   EXPECT_NE(run.Message().find("rule 5 ("), std::string::npos) << run.Message();
+}
+
+// ---- Fate claims: any thread may drop or complete a request; one wins.
+
+TEST(RequestLifecycle, RacingDropsAndCompletionsClaimEachFateOnce) {
+  // Four threads race over every request of a da run: even ones drop it,
+  // odd ones complete it. Every hop is stamped as executed, so either fate
+  // is legal, and each request must take exactly one.
+  constexpr int kRequests = 2000;
+  constexpr int kThreads = 4;
+  const PipelineSpec spec = MakeDagLiveVideo();
+  MetricsRegistry registry;
+  RuntimeOptions options;
+  options.metrics = &registry;
+  RequestLifecycle lifecycle(spec, options);
+  for (SimTime sent = 0; sent < kRequests; ++sent) {
+    const RequestPtr req = lifecycle.NewRequest();
+    ASSERT_TRUE(lifecycle.Inject(req, sent));
+    for (HopRecord& hop : req->hops) {
+      hop.arrive = hop.batch_entry = hop.exec_start = hop.exec_end = sent;
+      hop.executed = true;
+    }
+  }
+  ASSERT_EQ(lifecycle.InFlight(), static_cast<std::size_t>(kRequests));
+  std::atomic<bool> go{false};
+  std::atomic<int> wins{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (const RequestPtr& req : lifecycle.requests()) {
+        const bool won = t % 2 == 0
+                             ? lifecycle.Drop(*req, t, req->sent, DropReason::kBrokerCandidate)
+                             : lifecycle.Complete(*req, req->sent);
+        wins.fetch_add(won ? 1 : 0, std::memory_order_relaxed);
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(wins.load(), kRequests);
+  EXPECT_EQ(registry.GetCounter("fate.completed")->Value() +
+                registry.GetCounter("fate.dropped.broker_candidate")->Value(),
+            kRequests);
+  EXPECT_EQ(lifecycle.InFlight(), 0u);
+  lifecycle.EndRun(kRequests);  // Throws CheckError on a broken record.
 }
 
 TEST(Runtime, BatchSizesPlannedPerModule) {

@@ -580,7 +580,7 @@ TEST(ServeRuntime, ShardedBrokersWithScalingAndFaultsConserve) {
   // bursts, the scaling engine adds cold-starting workers, and a fault
   // schedule kills and recovers a worker mid-run. Every request must still
   // resolve exactly once — and a TSan-clean pass pins the contracts
-  // (module-held control snapshots, striped fate locks, module mutexes and
+  // (module-held control snapshots, fate claims, module mutexes and
   // outboxes).
   ExperimentConfig config = Fig08SmokeConfig("da", "pard");
   config.duration_s = 2.5;

@@ -1,4 +1,4 @@
-// LockOrderGuard, and the ControlPlane's snapshots: their epochs, and
+// ModuleLockGuard, and the ControlPlane's snapshots: their epochs, and
 // decisions against the snapshot a module holds.
 #include <gtest/gtest.h>
 
@@ -20,33 +20,18 @@ namespace {
 
 #ifndef NDEBUG
 
-TEST(LockOrder, InOrderAcquisitionPasses) {
-  LockOrderGuard module(LockRank::kModule);
-  LockOrderGuard fate(LockRank::kFate);
-}
-
-TEST(LockOrder, OutOfOrderAcquisitionThrows) {
-  {
-    LockOrderGuard fate(LockRank::kFate);
-    EXPECT_THROW(LockOrderGuard module(LockRank::kModule), CheckError);
-  }
-  // The failed guard must not corrupt the stack: in-order still works.
-  LockOrderGuard module(LockRank::kModule);
-  LockOrderGuard fate(LockRank::kFate);
-}
-
-TEST(LockOrder, EqualRankAcquisitionThrows) {
+TEST(LockOrder, SecondModuleLockThrows) {
   // Two module locks at once would deadlock against a sibling doing the same
-  // in the opposite order; the hierarchy forbids holding two equal ranks.
-  LockOrderGuard module(LockRank::kModule);
-  EXPECT_THROW(LockOrderGuard sibling(LockRank::kModule), CheckError);
+  // in the opposite order.
+  ModuleLockGuard module;
+  EXPECT_THROW(ModuleLockGuard sibling, CheckError);
 }
 
-TEST(LockOrder, ReleaseUnwindsTheStack) {
+TEST(LockOrder, ReleasedModuleLockAllowsTheNext) {
   {
-    LockOrderGuard fate(LockRank::kFate);
+    ModuleLockGuard module;
   }
-  LockOrderGuard module(LockRank::kModule);  // Fine: the stack is empty again.
+  ModuleLockGuard next;  // Fine: the first was released.
 }
 
 #endif  // NDEBUG
