@@ -8,6 +8,7 @@
 //  - warm-epoch Request Broker decisions (between state syncs every
 //    admission reuses the epoch-cached estimate)
 //  - state synchronization payload construction (paper: <3.2 kbps/worker)
+//  - arrival generation (thinning a rate curve: every run's set-up)
 //  - end-to-end experiment runs (the number every other speedup rolls into)
 //
 // Machine-readable output: pass --json to emit the google-benchmark JSON
@@ -44,6 +45,8 @@
 #include "runtime/control_plane.h"
 #include "sim/simulation.h"
 #include "stats/minmax_heap.h"
+#include "trace/arrival_generator.h"
+#include "trace/traces.h"
 
 namespace pard {
 namespace {
@@ -626,6 +629,42 @@ void BM_TenantConsolidationRun(benchmark::State& state) {
   state.counters["weighted_good_per_cost"] = benchmark::Counter(value_per_cost);
 }
 BENCHMARK(BM_TenantConsolidationRun)->Unit(benchmark::kMillisecond);
+
+// --- Arrival generation ----------------------------------------------------
+
+// Thinning a rate curve into arrivals, which every run of either substrate
+// does before it starts. Arg 0 is perfbench's sim-lv-tweet stream (the tweet
+// curve at 200 req/s from curve seed 7, 1000 s: ~824k candidates, 237,560
+// arrivals), arg 1 its serve-da-mmpp-tenants stream (150 / 600 req/s MMPP,
+// 150 s). The curve is built once; each iteration samples it from a fresh
+// generator.
+void BM_GenerateArrivals(benchmark::State& state) {
+  const bool mmpp = state.range(0) == 1;
+  const SimTime end = SecToUs(mmpp ? 150.0 : 1000.0);
+  const RateFunction curve = [&] {
+    if (mmpp) {
+      MmppOptions options;
+      options.base_rate = 150.0;
+      options.burst_rate = 600.0;
+      Rng rng = Rng(7).Fork("mmpp-schedule");
+      return MakeMmppTrace(options, end, rng);
+    }
+    TraceOptions options;
+    options.duration_s = 1000.0;
+    options.base_rate = 200.0;
+    options.seed = 7;
+    return MakeTrace("tweet", options);
+  }();
+  std::size_t arrivals = 0;
+  for (auto _ : state) {
+    Rng rng = Rng(1).Fork(mmpp ? "arrivals:mmpp" : "arrivals:tweet");
+    std::vector<SimTime> out = GenerateArrivals(curve, 0, end, rng);
+    arrivals = out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["arrivals"] = benchmark::Counter(static_cast<double>(arrivals));
+}
+BENCHMARK(BM_GenerateArrivals)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- End to end ------------------------------------------------------------
 

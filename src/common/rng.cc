@@ -14,8 +14,6 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // FNV-1a over the tag bytes, used to derive fork seeds.
 std::uint64_t HashTag(std::string_view tag) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -39,23 +37,6 @@ Rng Rng::Fork(std::string_view tag) const {
   return Rng(seed_ ^ Rotl(HashTag(tag), 17));
 }
 
-std::uint64_t Rng::NextU64() {
-  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::Uniform(double lo, double hi) {
   PARD_CHECK(lo <= hi);
   return lo + (hi - lo) * NextDouble();
@@ -74,15 +55,6 @@ std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
     v = NextU64();
   } while (v >= limit);
   return lo + static_cast<std::int64_t>(v % span);
-}
-
-double Rng::Exponential(double mean) {
-  PARD_CHECK(mean > 0);
-  double u;
-  do {
-    u = NextDouble();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
 }
 
 double Rng::Normal(double mean, double stddev) {

@@ -10,8 +10,11 @@
 #ifndef PARD_COMMON_RNG_H_
 #define PARD_COMMON_RNG_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string_view>
+
+#include "common/check.h"
 
 namespace pard {
 
@@ -26,6 +29,10 @@ class Rng {
   Rng Fork(std::string_view tag) const;
 
   // Raw 64 uniform bits.
+  //
+  // NextU64, NextDouble and Exponential are defined inline below, so the
+  // arrival sampler's two draws per thinning candidate cost no call. Their
+  // arithmetic is what it was out of line, so every stream is unchanged.
   std::uint64_t NextU64();
 
   // Uniform in [0, 1).
@@ -54,9 +61,37 @@ class Rng {
   bool Bernoulli(double p);
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t s_[4];
   std::uint64_t seed_;
 };
+
+inline std::uint64_t Rng::NextU64() {
+  const std::uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = Rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 high bits -> double in [0, 1).
+  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::Exponential(double mean) {
+  PARD_CHECK(mean > 0);
+  double u;
+  do {
+    u = NextDouble();
+  } while (u <= 0.0);
+  return -mean * std::log(u);
+}
 
 }  // namespace pard
 

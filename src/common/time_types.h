@@ -22,9 +22,21 @@ inline constexpr SimTime kUsPerMs = 1000;
 inline constexpr SimTime kUsPerSec = 1000 * 1000;
 inline constexpr SimTime kSimTimeMax = std::numeric_limits<SimTime>::max();
 
+// Rounds a microsecond count to the nearest tick, halves away from zero:
+// exactly std::llround(us). On [0, 2^52) it truncates and adds one when the
+// (exactly computed) fraction is at least 0.5, with no libm call; negatives,
+// larger values, infinities and NaN go to std::llround itself.
+inline Duration RoundToTick(double us) {
+  if (us >= 0.0 && us < 0x1p52) {
+    const auto whole = static_cast<Duration>(us);
+    return whole + (us - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+  }
+  return static_cast<Duration>(std::llround(us));
+}
+
 // Conversions. The *ToUs functions round to the nearest tick.
-inline Duration MsToUs(double ms) { return static_cast<Duration>(std::llround(ms * 1e3)); }
-inline Duration SecToUs(double sec) { return static_cast<Duration>(std::llround(sec * 1e6)); }
+inline Duration MsToUs(double ms) { return RoundToTick(ms * 1e3); }
+inline Duration SecToUs(double sec) { return RoundToTick(sec * 1e6); }
 inline double UsToMs(Duration us) { return static_cast<double>(us) / 1e3; }
 inline double UsToSec(Duration us) { return static_cast<double>(us) / 1e6; }
 

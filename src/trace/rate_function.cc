@@ -33,11 +33,7 @@ double RateFunction::At(SimTime t) const {
   const auto it = std::upper_bound(
       points_.begin(), points_.end(), t,
       [](SimTime value, const Point& p) { return value < p.t; });
-  const Point& hi = *it;
-  const Point& lo = *(it - 1);
-  const double frac =
-      static_cast<double>(t - lo.t) / static_cast<double>(hi.t - lo.t);
-  return lo.rate + frac * (hi.rate - lo.rate);
+  return Interpolate(*(it - 1), *it, t);
 }
 
 double RateFunction::MaxRate() const {

@@ -29,6 +29,15 @@ class RateFunction {
   // defined range).
   double At(SimTime t) const;
 
+  // At's interpolation between neighbouring points, for lo.t <= t < hi.t.
+  // The arrival sampler evaluates the curve through it too, so both round
+  // alike.
+  static double Interpolate(const Point& lo, const Point& hi, SimTime t) {
+    const double frac =
+        static_cast<double>(t - lo.t) / static_cast<double>(hi.t - lo.t);
+    return lo.rate + frac * (hi.rate - lo.rate);
+  }
+
   // Maximum rate over the defined points.
   double MaxRate() const;
   // Time-average rate over [begin, end].

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -28,6 +29,30 @@ TEST(TimeTypes, SecRoundTrip) {
 TEST(TimeTypes, NegativeDurations) {
   EXPECT_EQ(MsToUs(-2.0), -2000);
   EXPECT_DOUBLE_EQ(UsToMs(-1000), -1.0);
+}
+
+TEST(TimeTypes, RoundingMatchesLlround) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> us = {0.0, -0.0, 0.49999999999999994, 1.4999999999999998,
+                            0x1p52 - 1.5, 0x1p52 - 0.5, std::nextafter(0x1p52, 0.0), 0x1p52,
+                            0x1p52 + 1, 0x1p53, 1e18, 1e19, -0x1p52 + 0.5, -1e19,
+                            inf, -inf, std::nan("")};
+  for (int k = -1000; k <= 1000; ++k) {  // Exact halves and their neighbours.
+    const double half = k + 0.5;
+    us.insert(us.end(), {half, std::nextafter(half, -inf), std::nextafter(half, inf)});
+  }
+  Rng rng(42);
+  for (int i = 0; i < 100000; ++i) {
+    us.push_back(std::ldexp(rng.Uniform(-1.0, 1.0), static_cast<int>(rng.UniformInt(-4, 60))));
+  }
+  for (const double x : us) {
+    EXPECT_EQ(RoundToTick(x), static_cast<Duration>(std::llround(x))) << x;
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const double sec = rng.Uniform(-10.0, 2000.0);
+    EXPECT_EQ(SecToUs(sec), static_cast<Duration>(std::llround(sec * 1e6))) << sec;
+    EXPECT_EQ(MsToUs(sec), static_cast<Duration>(std::llround(sec * 1e3))) << sec;
+  }
 }
 
 // ---- check ------------------------------------------------------------------

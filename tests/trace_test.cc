@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -304,6 +305,129 @@ TEST(ArrivalGenerator, DeterministicInRng) {
   Rng a(9);
   Rng b(9);
   EXPECT_EQ(GenerateArrivals(f, 0, SecToUs(10), a), GenerateArrivals(f, 0, SecToUs(10), b));
+}
+
+// The thinning loop GenerateArrivals replaced, kept verbatim (with
+// SecToUs spelled as std::llround) as the reference the segment walk must
+// reproduce draw for draw.
+std::vector<SimTime> ReferenceArrivals(const RateFunction& rate, SimTime begin, SimTime end,
+                                       Rng& rng) {
+  const double max_rate = rate.MaxRate();
+  std::vector<SimTime> arrivals;
+  double t = UsToSec(begin);
+  const double t_end = UsToSec(end);
+  while (true) {
+    t += rng.Exponential(1.0 / max_rate);
+    if (t >= t_end) {
+      break;
+    }
+    const SimTime ts = static_cast<SimTime>(std::llround(t * 1e6));
+    if (rng.NextDouble() < rate.At(ts) / max_rate) {
+      arrivals.push_back(ts);
+    }
+  }
+  return arrivals;
+}
+
+// Runs both samplers from equal generators, checks that they draw the same
+// arrivals and leave the generators alike, and returns the arrival count.
+std::size_t ExpectSameAsReference(const RateFunction& rate, SimTime begin, SimTime end,
+                                  std::uint64_t seed, const std::string& what) {
+  Rng fast(seed);
+  Rng reference(seed);
+  const std::vector<SimTime> got = GenerateArrivals(rate, begin, end, fast);
+  const std::vector<SimTime> want = ReferenceArrivals(rate, begin, end, reference);
+  EXPECT_EQ(got.size(), want.size()) << what << " seed " << seed;
+  EXPECT_TRUE(got == want) << what << " seed " << seed;
+  EXPECT_EQ(fast.NextU64(), reference.NextU64()) << what << " seed " << seed;
+  return got.size();
+}
+
+TEST(ArrivalGenerator, MatchesReferenceThinning) {
+  std::size_t arrivals = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    // The five shapes, with the curve redrawn per seed; the 1000 s ones at
+    // a lower base rate to keep the test quick.
+    for (const char* name : {"wiki", "tweet", "azure", "poisson", "mmpp"}) {
+      for (const double duration_s : {30.0, 1000.0}) {
+        TraceOptions o = DefaultOptions();
+        o.duration_s = duration_s;
+        o.base_rate = duration_s > 100.0 ? 40.0 : 250.0;
+        o.seed = seed;
+        const RateFunction f = MakeTrace(name, o);
+        const std::string what = std::string(name) + " " + std::to_string(duration_s);
+        arrivals += ExpectSameAsReference(f, 0, SecToUs(duration_s), seed, what);
+      }
+    }
+    // Windows: starting inside the curve, starting before its first point
+    // (at a negative time, so the rounding takes its std::llround path),
+    // and ending past its last point.
+    TraceOptions o = DefaultOptions();
+    o.duration_s = 30.0;
+    o.seed = seed;
+    const RateFunction tweet = MakeTrace("tweet", o);
+    arrivals += ExpectSameAsReference(tweet, SecToUs(12.5), SecToUs(20), seed, "begin > 0");
+    arrivals += ExpectSameAsReference(tweet, -SecToUs(3), SecToUs(10), seed, "begin < 0");
+    arrivals += ExpectSameAsReference(tweet, SecToUs(25), SecToUs(45), seed, "end past last");
+    const RateFunction late({{SecToUs(4), 300.0}, {SecToUs(6), 20.0}, {SecToUs(7), 150.0}});
+    arrivals += ExpectSameAsReference(late, 0, SecToUs(10), seed, "first point at 4 s");
+    arrivals += ExpectSameAsReference(RateFunction({{SecToUs(1), 80.0}}), 0, SecToUs(5), seed,
+                                      "one point");
+    // MMPP step curves, including ones whose last segment is 1 us long,
+    // at rates high enough that many candidates share a microsecond.
+    Rng mmpp_rng(seed);
+    arrivals += ExpectSameAsReference(MakeMmppTrace(TestMmpp(), SecToUs(150), mmpp_rng), 0,
+                                      SecToUs(150), seed, "mmpp 150 s");
+    MmppOptions tiny = TestMmpp();
+    tiny.base_rate = 5e5;
+    tiny.burst_rate = 4e6;
+    tiny.mean_base_s = 1e-6;
+    tiny.mean_burst_s = 1e-6;
+    for (SimTime end = 3; end < 40; ++end) {
+      Rng rng(3);
+      const RateFunction f = MakeMmppTrace(tiny, end, rng);
+      arrivals += ExpectSameAsReference(f, 0, end, seed, "1 us tail to " + std::to_string(end));
+    }
+    // Zero rates, a steep rise, slow and fast falls, and a fall from a
+    // large rate to a tiny one, whose interpolation rounds by a large share
+    // of the lower rate.
+    const RateFunction ramps({{0, 0.0},
+                              {SecToUs(1), 0.0},
+                              {SecToUs(1) + 10, 900.0},
+                              {SecToUs(2), 900.0},
+                              {SecToUs(2.5), 0.25},
+                              {SecToUs(3), 0.0},
+                              {SecToUs(3.2), 0.0},
+                              {SecToUs(3.2) + 1, 500.0},
+                              {SecToUs(4), 1000.3},
+                              {SecToUs(6), 0.1},
+                              {SecToUs(6) + 3, 0.0},
+                              {SecToUs(7), 333.3}});
+    arrivals += ExpectSameAsReference(ramps, 0, SecToUs(8), seed, "ramps");
+  }
+  EXPECT_GT(arrivals, 100000u);
+}
+
+TEST(ArrivalGenerator, PaperScaleTweetArrivalsArePinned) {
+  // perfbench's sim-lv-tweet stream on seed 1: the count and an FNV-1a hash
+  // of the arrivals, as the plain thinning loop drew them.
+  TraceOptions o;
+  o.duration_s = 1000.0;
+  o.base_rate = 200.0;
+  o.seed = 7;
+  const RateFunction f = MakeTrace("tweet", o);
+  Rng rng = Rng(1).Fork("arrivals:tweet");
+  const std::vector<SimTime> arrivals = GenerateArrivals(f, 0, SecToUs(1000), rng);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const SimTime t : arrivals) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (static_cast<std::uint64_t>(t) >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(arrivals.size(), 237560u);
+  EXPECT_EQ(hash, 0xd105fba3f84e9200ULL);
+  EXPECT_EQ(rng.NextU64(), 0xda215cfa518022cdULL);
 }
 
 TEST(ArrivalGenerator, UniformArrivalsEvenlySpaced) {

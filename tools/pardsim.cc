@@ -179,6 +179,15 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.Usage("pardsim").c_str());
     return 0;
   }
+  // pardsim takes flags only: a stray word is a mistake (often the path
+  // after a bare boolean such as --json), not something to run without.
+  if (!flags.positional().empty()) {
+    std::fprintf(stderr,
+                 "%s: unexpected argument; pardsim takes only flags, and a boolean flag "
+                 "such as --json takes no separate value\n",
+                 flags.positional().front().c_str());
+    return 2;
+  }
   // Numbers a run cannot use are flag errors, so they fail here rather than
   // in the run (or, worse, run quietly), whichever substrate runs.
   for (const char* name : {"duration-s", "base-rate", "window-s", "provision", "speedup",
