@@ -40,6 +40,7 @@
 #include "resilience/chaos.h"
 #include "runtime/backend_fleet.h"
 #include "runtime/request.h"
+#include "runtime/request_arena.h"
 #include "runtime/request_queue.h"
 #include "runtime/state_board.h"
 #include "runtime/control_plane.h"
@@ -418,12 +419,12 @@ struct AdmissionHarness {
 };
 
 void RunAdmissionLoop(benchmark::State& state, AdmissionHarness& harness) {
-  HopRecord hops[5];
-  Request req;
+  // One arena per thread: arenas are single-threaded.
+  const RequestPtr owned = NewRequest(std::make_shared<RequestArena>(), 5);
+  Request& req = *owned;
   req.id = static_cast<std::uint64_t>(state.thread_index()) + 1;
   req.sent = kUsPerSec;
   req.slo = harness.spec.slo();
-  req.hops = HopSlots(hops, 5);
   const SimTime now = kUsPerSec + 5 * kUsPerMs;
   AdmissionContext ctx;
   ctx.request = &req;
@@ -470,12 +471,11 @@ void RunObsAdmissionLoop(benchmark::State& state, TraceRecorder* trace,
   Counter* admitted = metrics != nullptr ? metrics->GetCounter("module.m0.admitted") : nullptr;
   TraceShard* shard = trace != nullptr ? trace->ThisThreadShard() : nullptr;
   std::vector<TraceEvent> scratch;
-  HopRecord hops[5];
-  Request req;
+  const RequestPtr owned = NewRequest(std::make_shared<RequestArena>(), 5);
+  Request& req = *owned;
   req.id = 1;
   req.sent = kUsPerSec;
   req.slo = harness->spec.slo();
-  req.hops = HopSlots(hops, 5);
   const SimTime now = kUsPerSec + 5 * kUsPerMs;
   AdmissionContext ctx;
   ctx.request = &req;

@@ -101,9 +101,11 @@ struct ObsSession {
 };
 
 // The fields a finished run fills alike in both substrates; `end` is the
-// run's final virtual time, which closes the fleet's cost integral.
+// run's final virtual time, which closes the fleet's cost integral, and
+// `tenants` the catalog the run used, which weighs its requests.
 template <typename Runtime>
-void FillRunResult(Runtime& runtime, SimTime end, DropPolicy& policy, ExperimentResult& result) {
+void FillRunResult(Runtime& runtime, SimTime end, DropPolicy& policy,
+                   const std::vector<TenantSpec>& tenants, ExperimentResult& result) {
   result.worker_history = runtime.worker_history();
   result.retries = runtime.retries();
   result.fleet_cost = runtime.fleet().AccumulatedCost(end);
@@ -112,7 +114,7 @@ void FillRunResult(Runtime& runtime, SimTime end, DropPolicy& policy, Experiment
   if (auto* pard = dynamic_cast<PardPolicy*>(&policy)) {
     result.transitions = pard->transition_log();
   }
-  result.analysis = std::make_unique<RunAnalysis>(runtime.requests(), result.spec);
+  result.analysis = std::make_unique<RunAnalysis>(runtime.requests(), result.spec, tenants);
 }
 
 }  // namespace
@@ -130,7 +132,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   PipelineRuntime pipeline(result.spec, runtime, policy.get(), result.mean_input_rate);
   pipeline.RunTrace(arrivals);
   obs.Export(config);
-  FillRunResult(pipeline, pipeline.sim().Now(), *policy, result);
+  FillRunResult(pipeline, pipeline.sim().Now(), *policy, runtime.tenants, result);
   return result;
 }
 
@@ -147,7 +149,7 @@ ExperimentResult RunServeExperiment(const ExperimentConfig& config, const ServeO
   ServeRuntime server(result.spec, runtime, policy.get(), result.mean_input_rate, serve);
   server.RunTrace(arrivals);
   obs.Export(config);
-  FillRunResult(server, server.clock().Now(), *policy, result);
+  FillRunResult(server, server.clock().Now(), *policy, runtime.tenants, result);
   return result;
 }
 

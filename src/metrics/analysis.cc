@@ -24,8 +24,9 @@ std::vector<int> BinCounts(const std::vector<SimTime>& times, SimTime begin, Sim
 
 }  // namespace
 
-RunAnalysis::RunAnalysis(std::vector<RequestPtr> requests, const PipelineSpec& spec)
-    : requests_(std::move(requests)), spec_(spec) {}
+RunAnalysis::RunAnalysis(std::vector<RequestPtr> requests, const PipelineSpec& spec,
+                         std::vector<TenantSpec> tenants)
+    : requests_(std::move(requests)), spec_(spec), tenants_(std::move(tenants)) {}
 
 std::size_t RunAnalysis::GoodCount() const {
   std::size_t n = 0;
@@ -122,7 +123,6 @@ std::vector<TenantBreakdown> RunAnalysis::PerTenant() const {
     }
     TenantBreakdown& t = tenants[static_cast<std::size_t>(r->tenant)];
     ++t.total;
-    t.weight = r->weight;
     if (r->Good()) {
       ++t.good;
     } else if (r->CountsDropped()) {
@@ -133,11 +133,19 @@ std::vector<TenantBreakdown> RunAnalysis::PerTenant() const {
   return tenants;
 }
 
+double RunAnalysis::WeightOf(const Request& r) const {
+  if (r.tenant < 0 || tenants_.empty()) {
+    return 1.0;
+  }
+  PARD_CHECK(static_cast<std::size_t>(r.tenant) < tenants_.size());
+  return tenants_[static_cast<std::size_t>(r.tenant)].weight;
+}
+
 double RunAnalysis::WeightedGoodCount() const {
   double sum = 0.0;
   for (const RequestPtr& r : requests_) {
     if (r->Good()) {
-      sum += r->weight;
+      sum += WeightOf(*r);
     }
   }
   return sum;
@@ -146,7 +154,7 @@ double RunAnalysis::WeightedGoodCount() const {
 double RunAnalysis::WeightedTotal() const {
   double sum = 0.0;
   for (const RequestPtr& r : requests_) {
-    sum += r->weight;
+    sum += WeightOf(*r);
   }
   return sum;
 }
@@ -163,7 +171,7 @@ RunAnalysis RunAnalysis::Slice(SimTime begin, SimTime end) const {
       slice.push_back(r);
     }
   }
-  return RunAnalysis(std::move(slice), spec_);
+  return RunAnalysis(std::move(slice), spec_, tenants_);
 }
 
 double RunAnalysis::MinNormalizedGoodput(Duration window) const {

@@ -5,13 +5,16 @@
 // them: goodput (windowed, normalized, minimum-over-windows), drop rate
 // (average, transient, maximum-over-windows), invalid rate (wasted GPU
 // time), per-module drop placement, queueing-delay and budget-consumption
-// series, and the sumQ/sumW/sumD distributions.
+// series, and the sumQ/sumW/sumD distributions. Weighted goodput weighs each
+// request by its tenant's weight in the run's tenant catalog, which the
+// records do not store.
 #ifndef PARD_METRICS_ANALYSIS_H_
 #define PARD_METRICS_ANALYSIS_H_
 
 #include <vector>
 
 #include "pipeline/pipeline_spec.h"
+#include "pipeline/tenant_spec.h"
 #include "runtime/request.h"
 #include "stats/empirical_distribution.h"
 
@@ -26,12 +29,11 @@ struct SeriesPoint {
 // serializes it into the report's "tenants" block). `drop_reasons` has
 // size kNumDropReasons and its non-zero entries sum to `dropped` — the
 // same conservation invariant as the run-wide counts, pinned per tenant by
-// tests/tenant_test.cc.
+// tests/tenant_test.cc. The tenant's weight is in the run's catalog.
 struct TenantBreakdown {
   std::size_t total = 0;
   std::size_t good = 0;
   std::size_t dropped = 0;
-  double weight = 1.0;  // Stamped on the tenant's requests at injection.
   std::vector<std::size_t> drop_reasons;
 
   double NormalizedGoodput() const {
@@ -41,7 +43,10 @@ struct TenantBreakdown {
 
 class RunAnalysis {
  public:
-  RunAnalysis(std::vector<RequestPtr> requests, const PipelineSpec& spec);
+  // `tenants` is the catalog the run used (RuntimeOptions::tenants), empty
+  // for an untenanted run; request tenant tags index it.
+  RunAnalysis(std::vector<RequestPtr> requests, const PipelineSpec& spec,
+              std::vector<TenantSpec> tenants = {});
 
   // --- Scalar summaries ----------------------------------------------------
   std::size_t Total() const { return requests_.size(); }
@@ -66,8 +71,9 @@ class RunAnalysis {
   // One breakdown per tenant id (max tag + 1 entries); empty for untenanted
   // runs. Requests without a tag (tenant < 0) are excluded.
   std::vector<TenantBreakdown> PerTenant() const;
-  // Σ request.weight over good requests / over all requests. Untenanted
-  // requests carry weight 1.0, so these degenerate to the unweighted counts.
+  // Σ weight over good requests / over all requests, in log order, where a
+  // request's weight is its tenant's in the catalog. Untenanted requests
+  // weigh 1.0, so without a catalog these are the unweighted counts.
   double WeightedGoodCount() const;
   double WeightedTotal() const;
   // WeightedGoodCount / WeightedTotal — the weighted global objective the
@@ -123,9 +129,11 @@ class RunAnalysis {
  private:
   SimTime SpanBegin() const;
   SimTime SpanEnd() const;
+  double WeightOf(const Request& r) const;
 
   std::vector<RequestPtr> requests_;
   PipelineSpec spec_;
+  std::vector<TenantSpec> tenants_;
 };
 
 }  // namespace pard

@@ -50,6 +50,9 @@ void PipelineSpec::Validate() const {
   PARD_CHECK_MSG(!modules_.empty(), "pipeline has no modules");
   PARD_CHECK_MSG(slo_ > 0, "pipeline SLO must be positive");
   const int n = NumModules();
+  // A request counts its hop slots in one byte (runtime/request.h).
+  PARD_CHECK_MSG(n <= UINT8_MAX, "pipeline has " << n << " modules; at most " << UINT8_MAX
+                                                 << " are supported");
   for (int i = 0; i < n; ++i) {
     const ModuleSpec& m = modules_[static_cast<std::size_t>(i)];
     PARD_CHECK_MSG(m.id == i, "module ids must be dense and ordered");

@@ -48,8 +48,9 @@ class PipelineSpec {
   const ModuleSpec& Module(int id) const;
   const std::vector<ModuleSpec>& modules() const { return modules_; }
 
-  // Validates DAG structure: dense ids, at most INT8_MAX pres and subs per
-  // module, pres/subs symmetry, acyclicity, exactly one source and one sink.
+  // Validates DAG structure: at most UINT8_MAX modules with dense ids, at
+  // most INT8_MAX pres and subs per module, pres/subs symmetry, acyclicity,
+  // exactly one source and one sink.
   // Throws CheckError with a description on violation. Construction and
   // FromJson validate automatically.
   void Validate() const;

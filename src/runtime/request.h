@@ -14,11 +14,16 @@
 // allocates a request and its hop slots as one record in the run's
 // RequestArena (runtime/request_arena.h), stamps the identity fields and the
 // route at injection, and is the only writer of the terminal fields and
-// merge_arrivals. `hops` is a view: copies of a Request share its hop slots,
-// which live as long as the arena, i.e. as long as any RequestPtr of the run.
+// merge_arrivals. `hops` is a positional view: it stores only the hop count
+// and finds the slots right after the Request that holds it, where
+// NewRequest places them. So a Request cannot be copied or moved (a copy's
+// view would read past the copy), and a standalone Request has no hops.
+// The slots live as long as the arena, i.e. as long as any RequestPtr of the
+// run. A request's tenant weight is not stored: the analysis reads it from
+// the run's tenant catalog (metrics/analysis.h).
 //
 // Concurrency contract (serving runtime): identity fields (id, sent, tenant,
-// weight, slo, dynamic_path), and with them the derived Deadline(), and every
+// slo, dynamic_path), and with them the derived Deadline(), and every
 // hop's branch_choice and expected_arrivals are immutable after injection.
 // The rest of hops[k], merge_arrivals included, is written only under
 // module k's mutex, by whichever thread is running module k's state machine.
@@ -74,43 +79,47 @@ struct HopRecord {
 // The route fields must stay in the padding: every hop slot costs 40 B.
 static_assert(sizeof(HopRecord) == 40);
 
-// A request's hop records, indexed by module id: a non-owning view of the
-// slots allocated with the request (runtime/request_arena.h).
+struct Request;
+class RequestArena;
+
+// A request's hop records, indexed by module id: a view of the slots
+// allocated right after the request (runtime/request_arena.h). It holds only
+// their count, one byte in the request's tail padding, so a pipeline has at
+// most UINT8_MAX modules (PipelineSpec::Validate enforces it). Not copyable:
+// a copy would look for slots after itself.
 class HopSlots {
  public:
   HopSlots() = default;
-  HopSlots(HopRecord* data, std::size_t size) : data_(data), size_(size) {}
+  HopSlots(const HopSlots&) = delete;
+  HopSlots& operator=(const HopSlots&) = delete;
 
-  HopRecord& operator[](std::size_t k) { return data_[k]; }
-  const HopRecord& operator[](std::size_t k) const { return data_[k]; }
-  HopRecord* begin() { return data_; }
-  HopRecord* end() { return data_ + size_; }
-  const HopRecord* begin() const { return data_; }
-  const HopRecord* end() const { return data_ + size_; }
+  HopRecord& operator[](std::size_t k) { return begin()[k]; }
+  const HopRecord& operator[](std::size_t k) const { return begin()[k]; }
+  inline HopRecord* begin();
+  HopRecord* end() { return begin() + size_; }
+  inline const HopRecord* begin() const;
+  const HopRecord* end() const { return begin() + size_; }
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
-  HopRecord* data_ = nullptr;
-  std::size_t size_ = 0;
+  // Only NewRequest sizes a view, once it has placed the slots.
+  friend std::shared_ptr<Request> NewRequest(const std::shared_ptr<RequestArena>& arena,
+                                             int num_hops);
+
+  std::uint8_t size_ = 0;
 };
 
-// Fields are ordered by size so the header packs into 72 B.
+// Fields are ordered by size so the header packs into 48 B, the hop count
+// in its last byte.
 struct Request {
   std::uint64_t id = 0;
   SimTime sent = 0;
   Duration slo = 0;
   SimTime finish = -1;  // Completion or drop time.
+
   // Multi-tenant identity (immutable after injection, like id/sent/slo):
-  // `weight` is the tenant's goodput value per completed request (1.0
-  // untenanted) — weighted goodput sums it over good requests
-  // (metrics/analysis.h).
-  double weight = 1.0;
-
-  // Indexed by module id; unvisited modules keep arrive == -1.
-  HopSlots hops;
-
-  // Index into RuntimeOptions::tenants, or -1 for untenanted runs.
+  // index into RuntimeOptions::tenants, or -1 for untenanted runs.
   int tenant = -1;
   int drop_module = -1;  // Module where the policy dropped it (-1 otherwise).
   // Times this request was re-enqueued after a worker failure/hang
@@ -127,6 +136,9 @@ struct Request {
   // Dynamic-path routing (§5.2): the request takes one drawn branch at each
   // fork, recorded in its hops' branch_choice and expected_arrivals.
   bool dynamic_path = false;
+
+  // Indexed by module id; unvisited modules keep arrive == -1.
+  HopSlots hops;
 
   // The absolute SLO deadline.
   SimTime Deadline() const { return sent + slo; }
@@ -162,11 +174,21 @@ struct Request {
   }
 };
 
-// With its hop slots a 5-module request costs 72 + 5 x 40 = 272 B.
-static_assert(sizeof(Request) == 72);
+// With its hop slots a 5-module request costs 48 + 5 x 40 = 248 B.
+static_assert(sizeof(Request) == 48);
+static_assert(!std::is_copy_constructible_v<Request> && !std::is_copy_assignable_v<Request>);
+static_assert(std::is_standard_layout_v<Request>, "HopSlots finds its Request with offsetof");
 
 // The arena never runs destructors.
 static_assert(std::is_trivially_destructible_v<Request>);
+
+// The slots start at the first byte after the Request that holds this view.
+HopRecord* HopSlots::begin() {
+  unsigned char* request = reinterpret_cast<unsigned char*>(this) - offsetof(Request, hops);
+  return reinterpret_cast<HopRecord*>(request + sizeof(Request));
+}
+
+const HopRecord* HopSlots::begin() const { return const_cast<HopSlots*>(this)->begin(); }
 
 // Points into the run's arena and owns the arena, not the request: every
 // RequestPtr of a run shares one control block (runtime/request_arena.h).

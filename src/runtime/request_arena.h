@@ -8,7 +8,11 @@
 // per module — so injecting makes one heap call per block, not per request.
 // A record is aligned to its own types (8 B for both parts), not
 // max_align_t, so nothing is lost to rounding: a request through a 5-module
-// pipeline costs 72 + 5 x 40 = 272 B, 240 records per block.
+// pipeline costs a 48 B header plus 5 x 40 B of slots = 248 B, 264 records
+// per block. The request's `hops` view finds the slots by position, right
+// after the header, so NewRequest is the only way to make a request with
+// hops. A pipeline has at most 255 modules, so the largest record,
+// 48 + 255 x 40 = 10,248 B, fits a block with room to spare.
 //
 // RequestLifecycle owns the run's arena and allocates for both substrates:
 // the simulator's event loop and the thread running serve's RunTrace, its
@@ -27,10 +31,12 @@
 #define PARD_RUNTIME_REQUEST_ARENA_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <vector>
 
+#include "common/check.h"
 #include "runtime/request.h"
 
 namespace pard {
@@ -39,13 +45,10 @@ class RequestArena {
  public:
   static constexpr std::size_t kBlockBytes = 64 * 1024;
 
-  // `align` must be a power of two no larger than alignof(max_align_t).
+  // `align` must be a power of two no larger than alignof(max_align_t), and
+  // `bytes` at most kBlockBytes.
   void* Allocate(std::size_t bytes, std::size_t align) {
-    if (bytes > kBlockBytes) {
-      // Oversized one-off: give it a dedicated block, keep the current one.
-      blocks_.push_back(std::make_unique<unsigned char[]>(bytes));
-      return blocks_.back().get();
-    }
+    PARD_CHECK(bytes <= kBlockBytes);
     std::size_t offset = (offset_ + align - 1) & ~(align - 1);
     if (offset + bytes > kBlockBytes) {
       blocks_.push_back(std::make_unique<unsigned char[]>(kBlockBytes));
@@ -62,17 +65,17 @@ class RequestArena {
   std::size_t offset_ = kBlockBytes;
 };
 
-// A fresh request with `num_hops` default hop slots, allocated from `arena`
-// as one record and owned by the arena.
+// A fresh request with `num_hops` (at most UINT8_MAX) default hop slots,
+// allocated from `arena` as one record and owned by the arena.
 inline RequestPtr NewRequest(const std::shared_ptr<RequestArena>& arena, int num_hops) {
   static_assert(alignof(HopRecord) <= alignof(Request) && sizeof(Request) % alignof(HopRecord) == 0,
                 "hop slots follow the request unpadded");
+  PARD_CHECK(num_hops >= 0 && num_hops <= UINT8_MAX);
   const auto n = static_cast<std::size_t>(num_hops);
   void* record = arena->Allocate(sizeof(Request) + n * sizeof(HopRecord), alignof(Request));
   auto* req = ::new (record) Request();
-  auto* slots = reinterpret_cast<HopRecord*>(static_cast<unsigned char*>(record) + sizeof(Request));
-  std::uninitialized_value_construct_n(slots, n);
-  req->hops = HopSlots(slots, n);
+  req->hops.size_ = static_cast<std::uint8_t>(n);
+  std::uninitialized_value_construct_n(req->hops.begin(), n);
   return RequestPtr(arena, req);
 }
 

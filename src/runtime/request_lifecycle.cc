@@ -76,7 +76,6 @@ bool RequestLifecycle::Inject(const RequestPtr& req, SimTime now) {
     // arrivals and every downstream stream match the untenanted run.
     r.tenant = governor_->TenantOf(r.id);
     const TenantSpec& tenant = governor_->Tenant(r.tenant);
-    r.weight = tenant.weight;
     r.slo = static_cast<Duration>(std::llround(static_cast<double>(r.slo) * tenant.slo_scale));
   }
   if (options_.dynamic_paths) {

@@ -124,9 +124,10 @@ struct RuntimeOptions {
   // [both] Multi-tenant catalog (pipeline/tenant_spec.h). Empty (default) =
   // the historical single-tenant behaviour, bit-identical to untenanted
   // goldens. Non-empty: requests are hash-assigned to tenants at injection
-  // (share-weighted), stamped with the tenant's scaled SLO and weight, and
-  // the TenantGovernor (core/tenant_governor.h) sheds lowest-weight traffic
-  // at ingress under overload, bounded by each tenant's admit_floor.
+  // (share-weighted) and stamped with the tenant's scaled SLO, RunAnalysis
+  // weighs them by the tenant's weight in this catalog, and the
+  // TenantGovernor (core/tenant_governor.h) sheds lowest-weight traffic at
+  // ingress under overload, bounded by each tenant's admit_floor.
   std::vector<TenantSpec> tenants;
 
   // [both] Chaos injection + self-healing (resilience/). All defaults are

@@ -10,6 +10,7 @@
 #include "harness/experiment.h"
 #include "pipeline/apps.h"
 #include "runtime/pipeline_runtime.h"
+#include "runtime/request_arena.h"
 #include "trace/arrival_generator.h"
 
 namespace pard {
@@ -88,7 +89,7 @@ TEST(DynamicPath, StaticPipelinesUnaffected) {
 // boundary: with no elapsed time and a zero-length current batch, the view
 // drops iff L_sub > SLO. Checks L_sub == `expected` exactly: kept at an SLO of
 // `expected`, dropped 1 us below it.
-void ExpectPathEstimate(const PolicyView& view, Request req, Duration expected) {
+void ExpectPathEstimate(const PolicyView& view, Request& req, Duration expected) {
   AdmissionContext ctx;
   ctx.request = &req;
   ctx.module_id = 0;
@@ -116,25 +117,22 @@ TEST(DynamicPath, EstimatorFiltersInconsistentPaths) {
   policy.Bind(&da, &board);
   const std::shared_ptr<const PolicyView> view = policy.MakeView();
 
-  HopRecord face_hops[5];
-  face_hops[0].branch_choice = 1;  // Face branch (da's subs[1]) chosen at the fork.
-  Request via_face;
-  via_face.dynamic_path = true;
-  via_face.hops = HopSlots(face_hops, 5);
+  const auto arena = std::make_shared<RequestArena>();
+  const RequestPtr via_face = NewRequest(arena, 5);
+  via_face->hops[0].branch_choice = 1;  // Face branch (da's subs[1]) chosen at the fork.
+  via_face->dynamic_path = true;
   // Static estimate from module 0 takes the slow pose path: 50+5+5 = 60 ms.
   EXPECT_EQ(policy.estimator()->EstimateSubsequent(0), 60 * kUsPerMs);
   // Path-aware estimate follows the chosen face branch: 5+5+5 = 15 ms.
-  ExpectPathEstimate(*view, via_face, 15 * kUsPerMs);
+  ExpectPathEstimate(*view, *via_face, 15 * kUsPerMs);
 
-  HopRecord pose_hops[5];
-  pose_hops[0].branch_choice = 0;  // Pose, subs[0].
-  Request via_pose;
-  via_pose.dynamic_path = true;
-  via_pose.hops = HopSlots(pose_hops, 5);
-  ExpectPathEstimate(*view, via_pose, 60 * kUsPerMs);
+  const RequestPtr via_pose = NewRequest(arena, 5);
+  via_pose->hops[0].branch_choice = 0;  // Pose, subs[0].
+  via_pose->dynamic_path = true;
+  ExpectPathEstimate(*view, *via_pose, 60 * kUsPerMs);
 
   // Static requests fall back to the conservative maximum.
-  ExpectPathEstimate(*view, Request(), 60 * kUsPerMs);
+  ExpectPathEstimate(*view, *NewRequest(arena, 5), 60 * kUsPerMs);
 }
 
 TEST(DynamicPath, PredictionDoesNotHurtDropRate) {

@@ -205,6 +205,33 @@ TEST(RunAnalysis, RemainingBudgetOrdersByBatchEntry) {
   EXPECT_NEAR(budgets[1], 350.0 * kUsPerMs, 1e-6);
 }
 
+// A request weighs its tenant's catalog weight, an untagged one 1.0, and a
+// slice keeps the catalog.
+TEST(RunAnalysis, WeightsComeFromTheCatalog) {
+  std::vector<RequestPtr> reqs;
+  reqs.push_back(Synthetic(1, 0, MsToUs(400), RequestFate::kCompleted, MsToUs(100), 3));
+  reqs.push_back(Synthetic(2, 0, MsToUs(400), RequestFate::kCompleted, MsToUs(100), 3));
+  reqs.push_back(Synthetic(3, 0, MsToUs(400), RequestFate::kDropped, MsToUs(50), 3, 1));
+  reqs.push_back(Synthetic(4, MsToUs(500), MsToUs(400), RequestFate::kCompleted, MsToUs(600), 3));
+  reqs[0]->tenant = 0;
+  reqs[1]->tenant = 1;
+  reqs[2]->tenant = 1;
+  std::vector<TenantSpec> catalog(2);
+  catalog[0].weight = 4.0;
+  catalog[1].weight = 2.0;
+
+  const RunAnalysis weighted(reqs, Tm(), catalog);
+  EXPECT_DOUBLE_EQ(weighted.WeightedGoodCount(), 4.0 + 2.0 + 1.0);
+  EXPECT_DOUBLE_EQ(weighted.WeightedTotal(), 4.0 + 2.0 + 2.0 + 1.0);
+  const RunAnalysis first = weighted.Slice(0, MsToUs(100));
+  EXPECT_DOUBLE_EQ(first.WeightedGoodCount(), 6.0);
+  EXPECT_DOUBLE_EQ(first.WeightedTotal(), 8.0);
+
+  const RunAnalysis plain(reqs, Tm());
+  EXPECT_DOUBLE_EQ(plain.WeightedGoodCount(), 3.0);
+  EXPECT_DOUBLE_EQ(plain.WeightedTotal(), 4.0);
+}
+
 TEST(RunAnalysis, EmptyRunIsAllZeros) {
   RunAnalysis a({}, Tm());
   EXPECT_EQ(a.Total(), 0u);

@@ -165,31 +165,60 @@ std::string ToJsonText(const std::vector<ModuleSpec>& modules) {
   return text + "]}";
 }
 
+// Builds `modules` directly and parses them: both must throw a CheckError
+// whose message holds each of `needles`.
+void ExpectRejected(const std::vector<ModuleSpec>& modules,
+                    const std::vector<std::string>& needles) {
+  for (const bool parsed : {false, true}) {
+    try {
+      if (parsed) {
+        PipelineSpec::FromJsonText(ToJsonText(modules));
+      } else {
+        PipelineSpec("wide", MsToUs(500), modules);
+      }
+      ADD_FAILURE() << "a spec past the limit was accepted (parsed: " << parsed << ")";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      for (const std::string& needle : needles) {
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 // Requests count a module's deliveries and name its chosen sub in 8-bit hop
 // fields (runtime/request.h), so a module has at most INT8_MAX pres and subs,
 // checked both when a spec is built directly and when one is parsed.
 TEST(PipelineSpec, ValidateRejectsMoreBranchesThanRouteFieldsHold) {
-  const auto expect_limit_named = [](const std::vector<ModuleSpec>& modules, int wide) {
-    for (const bool parsed : {false, true}) {
-      try {
-        if (parsed) {
-          PipelineSpec::FromJsonText(ToJsonText(modules));
-        } else {
-          PipelineSpec("wide", MsToUs(500), modules);
-        }
-        ADD_FAILURE() << "a module with 128 branches was accepted";
-      } catch (const CheckError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("module " + std::to_string(wide) + " has"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("127"), std::string::npos) << what;
-      }
-    }
-  };
-  expect_limit_named(ForkJoin(128, false), 0);   // 128 subs at the fork.
-  expect_limit_named(ForkJoin(128, true), 131);  // 128 pres at the merge.
+  ExpectRejected(ForkJoin(128, false), {"module 0 has", "127"});    // 128 subs at the fork.
+  ExpectRejected(ForkJoin(128, true), {"module 131 has", "127"});   // 128 pres at the merge.
   EXPECT_NO_THROW(PipelineSpec::FromJsonText(ToJsonText(ForkJoin(127, false))));
   EXPECT_NO_THROW(PipelineSpec("wide", MsToUs(500), ForkJoin(127, true)));
+}
+
+// A chain of `n` modules, 0 -> 1 -> ... -> n - 1.
+std::vector<ModuleSpec> Chain(int n) {
+  std::vector<ModuleSpec> modules(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ModuleSpec& m = modules[static_cast<std::size_t>(i)];
+    m.id = i;
+    m.model = "object_detection";
+    if (i > 0) {
+      m.pres.push_back(i - 1);
+    }
+    if (i + 1 < n) {
+      m.subs.push_back(i + 1);
+    }
+  }
+  return modules;
+}
+
+// A request counts its hop slots in one byte (runtime/request.h), so a
+// pipeline has at most UINT8_MAX modules, built directly or parsed.
+TEST(PipelineSpec, ValidateRejectsMoreModulesThanTheHopCountHolds) {
+  ExpectRejected(Chain(256), {"pipeline has 256 modules", "at most 255"});
+  EXPECT_NO_THROW(PipelineSpec("long", MsToUs(500), Chain(255)));
+  EXPECT_NO_THROW(PipelineSpec::FromJsonText(ToJsonText(Chain(255))));
 }
 
 TEST(PipelineSpec, JsonRoundTrip) {

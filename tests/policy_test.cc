@@ -19,14 +19,12 @@
 namespace pard {
 namespace {
 
-// The returned copy shares its hop slots with the arena record, and the
-// arena lives as long as the test binary.
-Request MakeRequest(SimTime sent, Duration slo) {
-  static const auto arena = std::make_shared<RequestArena>();
-  Request r = *NewRequest(arena, 8);
-  r.id = 1;
-  r.sent = sent;
-  r.slo = slo;
+// A request with 8 hop slots, taken from an arena of its own.
+RequestPtr MakeRequest(SimTime sent, Duration slo) {
+  RequestPtr r = NewRequest(std::make_shared<RequestArena>(), 8);
+  r->id = 1;
+  r->sent = sent;
+  r->slo = slo;
   return r;
 }
 
@@ -70,10 +68,10 @@ TEST(NexusPolicy, KeepsWhenCurrentModuleFits) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv);
   const auto view = Bound(policy, lv, board);
-  const Request req = MakeRequest(0, MsToUs(500));
+  const RequestPtr req = MakeRequest(0, MsToUs(500));
   // batch ends at 100ms + 10ms execution = 110ms << 500ms: keep, even though
   // four more modules follow (the reactive blindness the paper critiques).
-  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, MsToUs(90), MsToUs(100), 10 * kUsPerMs)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(*req, 0, MsToUs(90), MsToUs(100), 10 * kUsPerMs)));
 }
 
 TEST(NexusPolicy, DropsWhenCurrentModuleAloneBusts) {
@@ -81,8 +79,8 @@ TEST(NexusPolicy, DropsWhenCurrentModuleAloneBusts) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv);
   const auto view = Bound(policy, lv, board);
-  const Request req = MakeRequest(0, MsToUs(500));
-  EXPECT_TRUE(view->ShouldDrop(MakeContext(req, 0, MsToUs(495), MsToUs(495), 10 * kUsPerMs)));
+  const RequestPtr req = MakeRequest(0, MsToUs(500));
+  EXPECT_TRUE(view->ShouldDrop(MakeContext(*req, 0, MsToUs(495), MsToUs(495), 10 * kUsPerMs)));
 }
 
 TEST(NexusPolicy, UsesArrivalOrder) {
@@ -100,13 +98,13 @@ TEST(ClipperPolicy, DropsOnlyAfterCumulativeBudgetExceeded) {
   StateBoard board = QuietBoard(tm);
   const auto view = Bound(policy, tm, board);
   const std::vector<Duration> budgets = CumulativeSplitBudgets(tm, PlanBatchSizes(tm));
-  const Request req = MakeRequest(0, tm.slo());
+  const RequestPtr req = MakeRequest(0, tm.slo());
   // Just inside module 0's cumulative budget: keep.
-  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, budgets[0] - 1, budgets[0] - 1, 1000)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(*req, 0, budgets[0] - 1, budgets[0] - 1, 1000)));
   // Just past it: drop — even though the end-to-end SLO still has room.
-  EXPECT_TRUE(view->ShouldDrop(MakeContext(req, 0, budgets[0] + 1, budgets[0] + 1, 1000)));
+  EXPECT_TRUE(view->ShouldDrop(MakeContext(*req, 0, budgets[0] + 1, budgets[0] + 1, 1000)));
   // The same elapsed time at a later module is fine (bigger cumulative budget).
-  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 2, budgets[0] + 1, budgets[0] + 1, 1000)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(*req, 2, budgets[0] + 1, budgets[0] + 1, 1000)));
   // FIFO, like Clipper.
   EXPECT_EQ(view->ChoosePopSide(0, 0), PopSide::kOldest);
 }
@@ -123,16 +121,16 @@ TEST(OverloadControlPolicy, ShedsWhenQueueDelayAboveThreshold) {
   const auto quiet = Bound(policy, tm, board);
   ASSERT_TRUE(quiet->NeedsAdmissionRng());
   Rng rng(1);  // The admitting module hands over its own RNG.
-  const Request req = MakeRequest(0, tm.slo());
-  EXPECT_TRUE(quiet->AdmitAtModule(req, 1, 0, &rng));  // Not overloaded.
+  const RequestPtr req = MakeRequest(0, tm.slo());
+  EXPECT_TRUE(quiet->AdmitAtModule(*req, 1, 0, &rng));  // Not overloaded.
   ModuleState overloaded;
   overloaded.module_id = 1;
   overloaded.avg_queue_delay = 25.0 * kUsPerMs;
   board.Publish(std::move(overloaded));
   const auto view = policy.MakeView();  // The next sync's view.
-  EXPECT_FALSE(view->AdmitAtModule(req, 1, 0, &rng));  // Module itself sheds.
-  EXPECT_FALSE(view->AdmitAtModule(req, 0, 0, &rng));  // Ingress sheds for it.
-  EXPECT_TRUE(view->AdmitAtModule(req, 2, 0, &rng));   // Other modules unaffected.
+  EXPECT_FALSE(view->AdmitAtModule(*req, 1, 0, &rng));  // Module itself sheds.
+  EXPECT_FALSE(view->AdmitAtModule(*req, 0, 0, &rng));  // Ingress sheds for it.
+  EXPECT_TRUE(view->AdmitAtModule(*req, 2, 0, &rng));   // Other modules unaffected.
 }
 
 TEST(OverloadControlPolicy, NeverDropsAtBroker) {
@@ -140,8 +138,8 @@ TEST(OverloadControlPolicy, NeverDropsAtBroker) {
   const PipelineSpec tm = MakeTrafficMonitoring();
   StateBoard board = QuietBoard(tm);
   const auto view = Bound(policy, tm, board);
-  const Request req = MakeRequest(0, tm.slo());
-  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, 0, 0, 1000)));
+  const RequestPtr req = MakeRequest(0, tm.slo());
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(*req, 0, 0, 0, 1000)));
 }
 
 // ---- PARD ------------------------------------------------------------------------
@@ -153,11 +151,11 @@ TEST(PardPolicy, ProactivelyDropsForDownstreamBudget) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv, 10 * kUsPerMs);
   const auto view = Bound(policy, lv, board);
-  const Request req = MakeRequest(0, MsToUs(500));
+  const RequestPtr req = MakeRequest(0, MsToUs(500));
   // At module 0 with 440ms already burned: 4 downstream modules need ~40ms+
   // of exec alone, so PARD drops where Nexus (current-module-only) keeps.
   const AdmissionContext ctx =
-      MakeContext(req, 0, MsToUs(440), MsToUs(440), 10 * kUsPerMs);
+      MakeContext(*req, 0, MsToUs(440), MsToUs(440), 10 * kUsPerMs);
   EXPECT_TRUE(view->ShouldDrop(ctx));
   NexusPolicy nexus;
   EXPECT_FALSE(Bound(nexus, lv, board)->ShouldDrop(ctx));
@@ -168,8 +166,8 @@ TEST(PardPolicy, KeepsWhenBudgetSuffices) {
   const PipelineSpec lv = MakeLiveVideo();
   StateBoard board = QuietBoard(lv, 10 * kUsPerMs);
   const auto view = Bound(policy, lv, board);
-  const Request req = MakeRequest(0, MsToUs(500));
-  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, MsToUs(10), MsToUs(10), 10 * kUsPerMs)));
+  const RequestPtr req = MakeRequest(0, MsToUs(500));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(*req, 0, MsToUs(10), MsToUs(10), 10 * kUsPerMs)));
 }
 
 TEST(PardPolicy, BackwardOnlyMatchesNexusPredicate) {
@@ -181,9 +179,9 @@ TEST(PardPolicy, BackwardOnlyMatchesNexusPredicate) {
   StateBoard board = QuietBoard(lv);
   const auto view = Bound(policy, lv, board);
   const auto nexus_view = Bound(nexus, lv, board);
-  const Request req = MakeRequest(0, MsToUs(500));
+  const RequestPtr req = MakeRequest(0, MsToUs(500));
   for (SimTime t : {MsToUs(100), MsToUs(300), MsToUs(480), MsToUs(495)}) {
-    const AdmissionContext ctx = MakeContext(req, 0, t, t, 10 * kUsPerMs);
+    const AdmissionContext ctx = MakeContext(*req, 0, t, t, 10 * kUsPerMs);
     EXPECT_EQ(view->ShouldDrop(ctx), nexus_view->ShouldDrop(ctx)) << t;
   }
 }
@@ -232,12 +230,12 @@ TEST(PardPolicy, StaticSplitUsesCumulativeBudgets) {
   StateBoard board = QuietBoard(tm);
   const auto view = Bound(policy, tm, board);
   const std::vector<Duration> budgets = CumulativeSplitBudgets(tm, PlanBatchSizes(tm));
-  const Request req = MakeRequest(0, tm.slo());
+  const RequestPtr req = MakeRequest(0, tm.slo());
   const Duration d = 10 * kUsPerMs;
   // Finishing inside module 0's cumulative budget: keep.
-  EXPECT_FALSE(view->ShouldDrop(MakeContext(req, 0, 0, budgets[0] - d - 1, d)));
+  EXPECT_FALSE(view->ShouldDrop(MakeContext(*req, 0, 0, budgets[0] - d - 1, d)));
   // Finishing beyond it: drop (proactive within the module, unlike Clipper).
-  EXPECT_TRUE(view->ShouldDrop(MakeContext(req, 0, 0, budgets[0] - d + 1, d)));
+  EXPECT_TRUE(view->ShouldDrop(MakeContext(*req, 0, 0, budgets[0] - d + 1, d)));
 }
 
 TEST(PardPolicy, WclSplitReactsToRuntimeWorstCase) {
@@ -247,9 +245,9 @@ TEST(PardPolicy, WclSplitReactsToRuntimeWorstCase) {
   const PipelineSpec tm = MakeTrafficMonitoring();
   StateBoard board = QuietBoard(tm);
   policy.Bind(&tm, &board);
-  const Request req = MakeRequest(0, tm.slo());
+  const RequestPtr req = MakeRequest(0, tm.slo());
   const Duration d = 10 * kUsPerMs;
-  const AdmissionContext at_m0 = MakeContext(req, 0, 0, MsToUs(250), d);
+  const AdmissionContext at_m0 = MakeContext(*req, 0, 0, MsToUs(250), d);
 
   // Sink module dominates the runtime worst case: nearly the whole SLO is
   // reallocated to it, module 0's cumulative budget collapses, and the

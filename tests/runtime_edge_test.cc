@@ -22,6 +22,7 @@
 #include "pipeline/apps.h"
 #include "resilience/chaos.h"
 #include "runtime/pipeline_runtime.h"
+#include "runtime/request_arena.h"
 #include "runtime/request_lifecycle.h"
 #include "trace/arrival_generator.h"
 
@@ -379,6 +380,42 @@ TEST(Runtime, RequestsOfARunShareOneOwner) {
   }
   const RequestPtr other = run().front();
   EXPECT_NE(other.owner_before(requests.front()), requests.front().owner_before(other));
+}
+
+// The hop view holds only a count and finds its slots right after the
+// Request that holds it, where NewRequest places them: records of one block
+// lie back to back, and a stamp written through one RequestPtr reads back
+// through another.
+TEST(RequestArena, HopSlotsFollowTheirRequest) {
+  const auto bytes = [](const void* p) { return static_cast<const unsigned char*>(p); };
+  for (const int n : {1, 5, 255}) {
+    const auto arena = std::make_shared<RequestArena>();
+    const RequestPtr first = NewRequest(arena, n);
+    const RequestPtr second = NewRequest(arena, n);
+    const auto num_hops = static_cast<std::size_t>(n);
+    ASSERT_EQ(first->hops.size(), num_hops);
+    EXPECT_EQ(bytes(&first->hops[0]), bytes(first.get()) + sizeof(Request)) << n;
+    EXPECT_EQ(static_cast<std::size_t>(bytes(second.get()) - bytes(first.get())),
+              sizeof(Request) + num_hops * sizeof(HopRecord))
+        << n;
+    std::size_t visited = 0;
+    for (HopRecord& hop : first->hops) {
+      hop.exec_end = 1000 + static_cast<SimTime>(visited++);
+    }
+    EXPECT_EQ(visited, num_hops);
+    const RequestPtr copy = first;
+    for (std::size_t k = 0; k < num_hops; ++k) {
+      EXPECT_EQ(copy->hops[k].exec_end, 1000 + static_cast<SimTime>(k)) << n << " hop " << k;
+    }
+    // The last slot ends where the next record starts: writing it left the
+    // next header and its slots alone.
+    EXPECT_EQ(second->finish, -1) << n;
+    EXPECT_EQ(second->hops.size(), num_hops);
+    EXPECT_EQ(second->hops[0].exec_end, -1) << n;
+  }
+  const Request standalone;
+  EXPECT_TRUE(standalone.hops.empty());
+  EXPECT_EQ(standalone.hops.begin(), standalone.hops.end());
 }
 
 // ---- The end-of-run record check: each test corrupts one field of one

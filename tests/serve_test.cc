@@ -49,6 +49,7 @@
 #include "pipeline/backend_profile.h"
 #include "runtime/backend_fleet.h"
 #include "runtime/drop_policy.h"
+#include "runtime/request_arena.h"
 #include "runtime/request_lifecycle.h"
 #include "runtime/state_board.h"
 #include "runtime/control_plane.h"
@@ -717,12 +718,11 @@ TEST(ControlPlaneRefresh, ParallelRefreshDeterministicAcrossThreadCounts) {
     EXPECT_EQ(a.refreshed, b.refreshed) << round;
     EXPECT_EQ(a.skipped, b.skipped) << round;
 
-    std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
-    Request req;
+    const RequestPtr owned = NewRequest(std::make_shared<RequestArena>(), lv.NumModules());
+    Request& req = *owned;
     req.id = 1;
     req.slo = lv.slo();
     req.sent = now;
-    req.hops = HopSlots(hops.data(), hops.size());
     for (int m = 0; m < lv.NumModules(); ++m) {
       EXPECT_EQ(policy_1.estimator()->EstimateSubsequent(m),
                 policy_4.estimator()->EstimateSubsequent(m))
@@ -774,11 +774,12 @@ TEST(ControlPlaneRefresh, OffLockSyncPublishesCleanlyUnderConcurrentReaders) {
   for (int t = 0; t < static_cast<int>(readers.size()); ++t) {
     threads.Spawn([&, t]() {
       Reader& reader = readers[static_cast<std::size_t>(t)];
-      std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
-      Request req;
+      // Each thread takes its request from an arena of its own: arenas are
+      // single-threaded.
+      const RequestPtr owned = NewRequest(std::make_shared<RequestArena>(), lv.NumModules());
+      Request& req = *owned;
       req.id = static_cast<std::uint64_t>(t) + 1;
       req.slo = lv.slo();
-      req.hops = HopSlots(hops.data(), hops.size());
       Rng admit_rng(static_cast<std::uint64_t>(t) + 1);  // Each module's own, in a run.
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {

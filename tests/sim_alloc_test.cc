@@ -183,12 +183,14 @@ struct InjectionCost {
   std::uint64_t arena_blocks = 0;
 };
 
+constexpr int kWarmupRequests = 1000;
+
 InjectionCost InjectionAllocations(const PipelineSpec& spec, bool dynamic_paths, int count) {
   RuntimeOptions options;
   options.dynamic_paths = dynamic_paths;
   RequestLifecycle lifecycle(spec, options);
   SimTime now = 0;
-  for (int i = 0; i < 1000; ++i) {
+  for (int i = 0; i < kWarmupRequests; ++i) {
     lifecycle.Inject(lifecycle.NewRequest(), ++now);
   }
   const std::uint64_t calls_before = g_allocations.load();
@@ -213,11 +215,18 @@ TEST(RequestAllocation, InjectionMakesNoHeapCallPerRequest) {
     ASSERT_EQ(spec.NumModules(), 5);
     const InjectionCost cost = InjectionAllocations(spec, dag, kRequests);
     EXPECT_LT(cost.calls, kRequests / 100u) << spec.app_name();
-    // A 5-module record is 72 + 5 x 40 = 272 B, 240 to a block, so 100k
-    // requests fill at most ceil(100000 / 240) = 417 blocks and need at
-    // least 100000 x 272 B / 64 KiB = 415.
-    EXPECT_LE(cost.arena_blocks, 417u) << spec.app_name();
-    EXPECT_GE(cost.arena_blocks, 415u) << spec.app_name();
+    // The arena fills a block with whole records before it opens the next,
+    // so r records take ceil(r / per_block) blocks, and the measured ones
+    // take those of warm-up + measured less those of the warm-up alone. A
+    // 5-module record is 48 + 5 x 40 = 248 B, 264 to a block: 383 - 4 = 379.
+    const std::size_t record = sizeof(Request) + 5 * sizeof(HopRecord);
+    const std::size_t per_block = RequestArena::kBlockBytes / record;
+    const auto blocks_for = [per_block](std::size_t records) {
+      return (records + per_block - 1) / per_block;
+    };
+    const std::size_t warm = kWarmupRequests;
+    EXPECT_EQ(cost.arena_blocks, blocks_for(warm + kRequests) - blocks_for(warm))
+        << spec.app_name();
   }
 }
 

@@ -13,6 +13,7 @@
 #include "core/pard_policy.h"
 #include "pipeline/apps.h"
 #include "runtime/control_plane.h"
+#include "runtime/request_arena.h"
 #include "runtime/state_board.h"
 
 namespace pard {
@@ -127,11 +128,10 @@ TEST(ControlPlaneSnapshot, SnapshotDecisionsMatchThePolicyOnAnIdenticalBoard) {
   const std::shared_ptr<const PolicyView> direct_view = policy_direct.MakeView();
   const ControlSnapshot held = plane.snapshot();  // What each module takes.
 
-  std::vector<HopRecord> hops(static_cast<std::size_t>(lv.NumModules()));
-  Request req;
+  const RequestPtr owned = NewRequest(std::make_shared<RequestArena>(), lv.NumModules());
+  Request& req = *owned;
   req.id = 1;
   req.slo = lv.slo();
-  req.hops = HopSlots(hops.data(), hops.size());
   int drops = 0;
   for (int m = 0; m < lv.NumModules(); ++m) {
     for (Duration age = 0; age <= req.slo + 20 * kUsPerMs; age += 5 * kUsPerMs) {
