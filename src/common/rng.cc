@@ -7,13 +7,6 @@
 namespace pard {
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 // FNV-1a over the tag bytes, used to derive fork seeds.
 std::uint64_t HashTag(std::string_view tag) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -29,7 +22,8 @@ std::uint64_t HashTag(std::string_view tag) {
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) {
-    s = SplitMix64(sm);
+    s = Mix64(sm);
+    sm += 0x9e3779b97f4a7c15ULL;
   }
 }
 

@@ -4,9 +4,9 @@
 // through named Fork()s, so experiments are reproducible bit-for-bit and two
 // policies evaluated on "the same workload" really see identical arrivals.
 //
-// The generator is xoshiro256++ seeded via SplitMix64 — fast, high quality,
-// and trivially embeddable (no <random> engine state-size or portability
-// surprises across standard libraries).
+// The generator is xoshiro256++ seeded via splitmix64 (Mix64) — fast, high
+// quality, and trivially embeddable (no <random> engine state-size or
+// portability surprises across standard libraries).
 #ifndef PARD_COMMON_RNG_H_
 #define PARD_COMMON_RNG_H_
 
@@ -17,6 +17,17 @@
 #include "common/check.h"
 
 namespace pard {
+
+// The splitmix64 step and finalizer. A pure function, so the callers that
+// hash with it (Rng's seeding, trace sampling, tenant assignment and
+// admission) draw from no stream, and it is stable across platforms and
+// standard libraries.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 class Rng {
  public:

@@ -23,9 +23,9 @@
 // pre-heterogeneity kernel. The
 // distribution is built by Monte-Carlo over each module's recent-wait
 // reservoir (the paper keeps M = 10 000 samples per module; see
-// RuntimeOptions::reservoir_capacity), falling back to the uniform [0, d_i]
-// model for modules without observations. For DAG pipelines the estimate is
-// the maximum over all downstream paths.
+// kReservoirCapacity in runtime/module_runtime.cc), falling back to the
+// uniform [0, d_i] model for modules without observations. For DAG
+// pipelines the estimate is the maximum over all downstream paths.
 //
 // All Monte-Carlo work is epoch-cached, matching the paper's asynchronous-
 // update cost model (§5.4): the cache is refreshed at most once per board
@@ -86,10 +86,10 @@ struct EstimatorOptions {
   double lambda = 0.1;
   // Monte-Carlo draw count for the aggregated wait distribution. Distinct
   // from the paper's M = 10 000, which is the per-module reservoir SIZE the
-  // draws sample from (RuntimeOptions::reservoir_capacity keeps that
-  // default). 512 draws put the lambda = 0.1 quantile within a couple of
-  // percent of the converged value (see estimator_test's Irwin–Hall checks)
-  // at ~1/20th the per-epoch refresh cost; raise it (pardsim --mc-samples,
+  // draws sample from (kReservoirCapacity in runtime/module_runtime.cc).
+  // 512 draws put the lambda = 0.1 quantile within a couple of percent of
+  // the converged value (see estimator_test's Irwin–Hall checks) at ~1/20th
+  // the per-epoch refresh cost; raise it (pardsim --mc-samples,
   // PolicyParams::mc_samples) when reproducing the paper's exact overhead
   // numbers or probing tail quantiles.
   int mc_samples = kDefaultMcSamples;

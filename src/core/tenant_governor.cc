@@ -4,21 +4,11 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace pard {
 
 namespace {
-
-// Standalone splitmix64 — the same finalizer common/rng.h seeds xoshiro
-// with, reimplemented here so tenant hashing never touches (or forks) the
-// run's RNG streams: consuming a draw would perturb arrivals and break
-// bit-identity with untenanted runs.
-inline std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Distinct stream tags so the assignment draw and the admission draw of the
 // same request are independent.
@@ -53,7 +43,7 @@ TenantGovernor::TenantGovernor(std::vector<TenantSpec> catalog, std::uint64_t se
 }
 
 int TenantGovernor::TenantOf(std::uint64_t request_id) const {
-  const double u = ToUnit(SplitMix64(request_id ^ seed_ ^ kAssignTag));
+  const double u = ToUnit(Mix64(request_id ^ seed_ ^ kAssignTag));
   for (std::size_t t = 0; t + 1 < cumulative_share_.size(); ++t) {
     if (u < cumulative_share_[t]) {
       return static_cast<int>(t);
@@ -64,7 +54,7 @@ int TenantGovernor::TenantOf(std::uint64_t request_id) const {
 
 bool TenantGovernor::AdmitAtIngress(std::uint64_t request_id, int tenant) {
   TenantState& state = state_[static_cast<std::size_t>(tenant)];
-  const std::uint64_t draw = SplitMix64(request_id ^ seed_ ^ kAdmitTag);
+  const std::uint64_t draw = Mix64(request_id ^ seed_ ^ kAdmitTag);
   if (draw <= state.threshold.load(std::memory_order_relaxed)) {
     return true;
   }

@@ -1,167 +1,229 @@
 #include "metrics/analysis.h"
 
 #include <algorithm>
-#include <cmath>
+#include <functional>
 
 #include "common/check.h"
 
 namespace pard {
 namespace {
 
-// Bins a set of timestamps into counts of width `bin` starting at `begin`.
-std::vector<int> BinCounts(const std::vector<SimTime>& times, SimTime begin, SimTime end,
-                           Duration bin) {
-  const std::size_t n = static_cast<std::size_t>((end - begin) / bin) + 1;
-  std::vector<int> counts(n, 0);
-  for (SimTime t : times) {
-    if (t < begin || t > end) {
+// Per bin of width `width` from `begin`: the requests sent in it, and those
+// of them that `pick` picks. Every send falls in [begin, end].
+struct SendBins {
+  std::vector<int> arrivals;
+  std::vector<int> picked;
+};
+
+template <typename Pick>
+SendBins BinBySend(const std::vector<RequestPtr>& requests, SimTime begin, SimTime end,
+                   Duration width, Pick pick) {
+  const std::size_t n = static_cast<std::size_t>((end - begin) / width) + 1;
+  SendBins bins{std::vector<int>(n, 0), std::vector<int>(n, 0)};
+  for (const RequestPtr& r : requests) {
+    const std::size_t i = static_cast<std::size_t>((r->sent - begin) / width);
+    ++bins.arrivals[i];
+    bins.picked[i] += std::invoke(pick, *r) ? 1 : 0;
+  }
+  return bins;
+}
+
+// `better` folded from `init` over every sliding window of `window` across
+// the run's sends: the share of the window's arrivals that `pick` picks.
+// Windows without arrivals are skipped.
+template <typename Pick, typename Better>
+double WindowShare(const std::vector<RequestPtr>& requests, SimTime begin, SimTime end,
+                   Duration window, Pick pick, double init, Better better) {
+  PARD_CHECK(window > 0);
+  if (requests.empty()) {
+    return 0.0;
+  }
+  // Slide at half-window granularity over send times.
+  const Duration step = std::max<Duration>(window / 2, 1);
+  const SendBins bins = BinBySend(requests, begin, end, step, pick);
+  const std::size_t n = bins.arrivals.size();
+  // Windows wider than the run degenerate to the whole-span ratio.
+  const std::size_t bins_per_window =
+      std::min(n, std::max<std::size_t>(1, static_cast<std::size_t>(window / step)));
+  double result = init;
+  for (std::size_t i = 0; i + bins_per_window <= n; ++i) {
+    int arrivals = 0;
+    int picked = 0;
+    for (std::size_t j = i; j < i + bins_per_window; ++j) {
+      arrivals += bins.arrivals[j];
+      picked += bins.picked[j];
+    }
+    if (arrivals > 0) {
+      result = better(result, static_cast<double>(picked) / static_cast<double>(arrivals));
+    }
+  }
+  return result;
+}
+
+// Per bin of width `bin` from the run's first send: the share of the bin's
+// arrivals that `pick` picks, or `if_empty` for a bin without arrivals.
+template <typename Pick>
+std::vector<SeriesPoint> ShareSeries(const std::vector<RequestPtr>& requests, SimTime begin,
+                                     SimTime end, Duration bin, Pick pick, double if_empty) {
+  PARD_CHECK(bin > 0);
+  if (requests.empty()) {
+    return {};
+  }
+  const SendBins bins = BinBySend(requests, begin, end, bin, pick);
+  std::vector<SeriesPoint> out;
+  out.reserve(bins.arrivals.size());
+  for (std::size_t i = 0; i < bins.arrivals.size(); ++i) {
+    const double value = bins.arrivals[i] > 0 ? static_cast<double>(bins.picked[i]) /
+                                                    static_cast<double>(bins.arrivals[i])
+                                              : if_empty;
+    out.push_back(SeriesPoint{begin + static_cast<SimTime>(i) * bin, value});
+  }
+  return out;
+}
+
+// Per module, the mean of `quantity` over the executed hops of the requests
+// that `keep` keeps; 0 at a module where none executed. Executed hops only:
+// requests dropped at the pull point would skew the congestion measure with
+// their (unbounded) doomed waits.
+template <typename Keep, typename Quantity>
+std::vector<double> MeanOverExecutedHops(const std::vector<RequestPtr>& requests, int num_modules,
+                                         Keep keep, Quantity quantity) {
+  const std::size_t n = static_cast<std::size_t>(num_modules);
+  std::vector<double> mean(n, 0.0);
+  std::vector<std::size_t> count(n, 0);
+  for (const RequestPtr& r : requests) {
+    if (!std::invoke(keep, *r)) {
       continue;
     }
-    ++counts[static_cast<std::size_t>((t - begin) / bin)];
+    for (std::size_t m = 0; m < n; ++m) {
+      const HopRecord& hop = r->hops[m];
+      if (hop.executed) {
+        mean[m] += static_cast<double>(std::invoke(quantity, hop));
+        ++count[m];
+      }
+    }
   }
-  return counts;
+  for (std::size_t m = 0; m < n; ++m) {
+    if (count[m] > 0) {
+      mean[m] /= static_cast<double>(count[m]);
+    }
+  }
+  return mean;
+}
+
+// The distribution over requests with an executed hop of the sum of
+// `quantity` over their executed hops.
+template <typename Quantity>
+EmpiricalDistribution SumOverExecutedHops(const std::vector<RequestPtr>& requests,
+                                          Quantity quantity) {
+  std::vector<double> sums;
+  for (const RequestPtr& r : requests) {
+    double total = 0.0;
+    bool any = false;
+    for (const HopRecord& hop : r->hops) {
+      if (hop.executed) {
+        total += static_cast<double>(std::invoke(quantity, hop));
+        any = true;
+      }
+    }
+    if (any) {
+      sums.push_back(total);
+    }
+  }
+  return EmpiricalDistribution(std::move(sums));
 }
 
 }  // namespace
 
 RunAnalysis::RunAnalysis(std::vector<RequestPtr> requests, const PipelineSpec& spec,
                          std::vector<TenantSpec> tenants)
-    : requests_(std::move(requests)), spec_(spec), tenants_(std::move(tenants)) {}
-
-std::size_t RunAnalysis::GoodCount() const {
-  std::size_t n = 0;
+    : requests_(std::move(requests)),
+      spec_(spec),
+      tenants_(std::move(tenants)),
+      drop_reasons_(static_cast<std::size_t>(kNumDropReasons), 0),
+      module_drops_(static_cast<std::size_t>(spec_.NumModules()), 0) {
+  // A tenant below the highest tag that sent nothing keeps this entry.
+  TenantBreakdown no_requests;
+  no_requests.drop_reasons.assign(static_cast<std::size_t>(kNumDropReasons), 0);
+  SimTime begin = kSimTimeMax;
   for (const RequestPtr& r : requests_) {
-    n += r->Good() ? 1 : 0;
-  }
-  return n;
-}
+    const bool good = r->Good();
+    const bool dropped = r->CountsDropped();
+    const Duration gpu = r->TotalGpuTime();
+    const auto reason = static_cast<std::size_t>(r->drop_reason);
+    begin = std::min(begin, r->sent);
+    span_end_ = std::max(span_end_, std::max(r->sent, r->finish));
+    gpu_time_ += gpu;
+    good_ += good ? 1 : 0;
+    if (dropped) {
+      ++dropped_;
+      ++drop_reasons_[reason];
+      dropped_gpu_time_ += gpu;
+      const int module = r->fate == RequestFate::kDropped ? r->drop_module : spec_.SinkModule();
+      PARD_CHECK(module >= 0 && module < spec_.NumModules());
+      ++module_drops_[static_cast<std::size_t>(module)];
+    }
 
-std::size_t RunAnalysis::DroppedCount() const {
-  std::size_t n = 0;
-  for (const RequestPtr& r : requests_) {
-    n += r->CountsDropped() ? 1 : 0;
-  }
-  return n;
-}
+    double weight = 1.0;  // Untenanted, or a run without a catalog.
+    if (r->tenant >= 0 && !tenants_.empty()) {
+      PARD_CHECK(static_cast<std::size_t>(r->tenant) < tenants_.size());
+      weight = tenants_[static_cast<std::size_t>(r->tenant)].weight;
+    }
+    weighted_total_ += weight;
+    if (good) {
+      weighted_good_ += weight;
+    }
 
-std::vector<std::size_t> RunAnalysis::DropReasonCounts() const {
-  std::vector<std::size_t> counts(static_cast<std::size_t>(kNumDropReasons), 0);
-  for (const RequestPtr& r : requests_) {
-    if (r->CountsDropped()) {
-      ++counts[static_cast<std::size_t>(r->drop_reason)];
+    if (r->tenant < 0) {
+      continue;
+    }
+    const auto t = static_cast<std::size_t>(r->tenant);
+    if (t >= per_tenant_.size()) {
+      per_tenant_.resize(t + 1, no_requests);
+    }
+    TenantBreakdown& tenant = per_tenant_[t];
+    ++tenant.total;
+    if (good) {
+      ++tenant.good;
+    } else if (dropped) {
+      ++tenant.dropped;
+      ++tenant.drop_reasons[reason];
     }
   }
-  return counts;
+  span_begin_ = begin == kSimTimeMax ? 0 : begin;
 }
 
 double RunAnalysis::DropRate() const {
   if (requests_.empty()) {
     return 0.0;
   }
-  return static_cast<double>(DroppedCount()) / static_cast<double>(requests_.size());
+  return static_cast<double>(dropped_) / static_cast<double>(requests_.size());
 }
 
 double RunAnalysis::InvalidRate() const {
-  Duration total = 0;
-  Duration invalid = 0;
-  for (const RequestPtr& r : requests_) {
-    const Duration gpu = r->TotalGpuTime();
-    total += gpu;
-    if (r->CountsDropped()) {
-      invalid += gpu;
-    }
-  }
-  if (total == 0) {
+  if (gpu_time_ == 0) {
     return 0.0;
   }
-  return static_cast<double>(invalid) / static_cast<double>(total);
-}
-
-SimTime RunAnalysis::SpanBegin() const {
-  SimTime begin = kSimTimeMax;
-  for (const RequestPtr& r : requests_) {
-    begin = std::min(begin, r->sent);
-  }
-  return begin == kSimTimeMax ? 0 : begin;
-}
-
-SimTime RunAnalysis::SpanEnd() const {
-  SimTime end = 0;
-  for (const RequestPtr& r : requests_) {
-    end = std::max(end, std::max(r->sent, r->finish));
-  }
-  return end;
+  return static_cast<double>(dropped_gpu_time_) / static_cast<double>(gpu_time_);
 }
 
 double RunAnalysis::MeanGoodput() const {
   if (requests_.empty()) {
     return 0.0;
   }
-  const double span = UsToSec(std::max<Duration>(SpanEnd() - SpanBegin(), 1));
-  return static_cast<double>(GoodCount()) / span;
+  const double span = UsToSec(std::max<Duration>(span_end_ - span_begin_, 1));
+  return static_cast<double>(good_) / span;
 }
 
 double RunAnalysis::NormalizedGoodput() const {
   if (requests_.empty()) {
     return 0.0;
   }
-  return static_cast<double>(GoodCount()) / static_cast<double>(requests_.size());
-}
-
-std::vector<TenantBreakdown> RunAnalysis::PerTenant() const {
-  int num_tenants = 0;
-  for (const RequestPtr& r : requests_) {
-    num_tenants = std::max(num_tenants, r->tenant + 1);
-  }
-  std::vector<TenantBreakdown> tenants(static_cast<std::size_t>(num_tenants));
-  for (TenantBreakdown& t : tenants) {
-    t.drop_reasons.assign(static_cast<std::size_t>(kNumDropReasons), 0);
-  }
-  for (const RequestPtr& r : requests_) {
-    if (r->tenant < 0) {
-      continue;
-    }
-    TenantBreakdown& t = tenants[static_cast<std::size_t>(r->tenant)];
-    ++t.total;
-    if (r->Good()) {
-      ++t.good;
-    } else if (r->CountsDropped()) {
-      ++t.dropped;
-      ++t.drop_reasons[static_cast<std::size_t>(r->drop_reason)];
-    }
-  }
-  return tenants;
-}
-
-double RunAnalysis::WeightOf(const Request& r) const {
-  if (r.tenant < 0 || tenants_.empty()) {
-    return 1.0;
-  }
-  PARD_CHECK(static_cast<std::size_t>(r.tenant) < tenants_.size());
-  return tenants_[static_cast<std::size_t>(r.tenant)].weight;
-}
-
-double RunAnalysis::WeightedGoodCount() const {
-  double sum = 0.0;
-  for (const RequestPtr& r : requests_) {
-    if (r->Good()) {
-      sum += WeightOf(*r);
-    }
-  }
-  return sum;
-}
-
-double RunAnalysis::WeightedTotal() const {
-  double sum = 0.0;
-  for (const RequestPtr& r : requests_) {
-    sum += WeightOf(*r);
-  }
-  return sum;
+  return static_cast<double>(good_) / static_cast<double>(requests_.size());
 }
 
 double RunAnalysis::WeightedNormalizedGoodput() const {
-  const double total = WeightedTotal();
-  return total == 0.0 ? 0.0 : WeightedGoodCount() / total;
+  return weighted_total_ == 0.0 ? 0.0 : weighted_good_ / weighted_total_;
 }
 
 RunAnalysis RunAnalysis::Slice(SimTime begin, SimTime end) const {
@@ -175,172 +237,28 @@ RunAnalysis RunAnalysis::Slice(SimTime begin, SimTime end) const {
 }
 
 double RunAnalysis::MinNormalizedGoodput(Duration window) const {
-  PARD_CHECK(window > 0);
-  if (requests_.empty()) {
-    return 0.0;
-  }
-  const SimTime begin = SpanBegin();
-  const SimTime end = SpanEnd();
-  std::vector<SimTime> sent;
-  std::vector<SimTime> good_sent;
-  sent.reserve(requests_.size());
-  for (const RequestPtr& r : requests_) {
-    sent.push_back(r->sent);
-    if (r->Good()) {
-      good_sent.push_back(r->sent);
-    }
-  }
-  // Slide at half-window granularity over send times.
-  const Duration step = std::max<Duration>(window / 2, 1);
-  const std::vector<int> arrivals = BinCounts(sent, begin, end, step);
-  const std::vector<int> good = BinCounts(good_sent, begin, end, step);
-  // Windows wider than the run degenerate to the whole-span ratio.
-  const std::size_t bins_per_window = std::min(
-      arrivals.size(),
-      std::max<std::size_t>(1, static_cast<std::size_t>(window / step)));
-  double min_ratio = 1.0;
-  for (std::size_t i = 0; i + bins_per_window <= arrivals.size(); ++i) {
-    int a = 0;
-    int g = 0;
-    for (std::size_t j = i; j < i + bins_per_window; ++j) {
-      a += arrivals[j];
-      g += good[j];
-    }
-    if (a > 0) {
-      min_ratio = std::min(min_ratio, static_cast<double>(g) / static_cast<double>(a));
-    }
-  }
-  return min_ratio;
+  return WindowShare(requests_, span_begin_, span_end_, window, &Request::Good, 1.0,
+                     [](double a, double b) { return std::min(a, b); });
 }
 
 double RunAnalysis::MaxWindowDropRate(Duration window) const {
-  PARD_CHECK(window > 0);
-  if (requests_.empty()) {
-    return 0.0;
-  }
-  const SimTime begin = SpanBegin();
-  const SimTime end = SpanEnd();
-  std::vector<SimTime> sent;
-  std::vector<SimTime> dropped_sent;
-  for (const RequestPtr& r : requests_) {
-    sent.push_back(r->sent);
-    if (r->CountsDropped()) {
-      dropped_sent.push_back(r->sent);
-    }
-  }
-  const Duration step = std::max<Duration>(window / 2, 1);
-  const std::vector<int> arrivals = BinCounts(sent, begin, end, step);
-  const std::vector<int> dropped = BinCounts(dropped_sent, begin, end, step);
-  const std::size_t bins_per_window = std::min(
-      arrivals.size(),
-      std::max<std::size_t>(1, static_cast<std::size_t>(window / step)));
-  double max_ratio = 0.0;
-  for (std::size_t i = 0; i + bins_per_window <= arrivals.size(); ++i) {
-    int a = 0;
-    int d = 0;
-    for (std::size_t j = i; j < i + bins_per_window; ++j) {
-      a += arrivals[j];
-      d += dropped[j];
-    }
-    if (a > 0) {
-      max_ratio = std::max(max_ratio, static_cast<double>(d) / static_cast<double>(a));
-    }
-  }
-  return max_ratio;
-}
-
-std::vector<SeriesPoint> RunAnalysis::GoodputSeries(Duration bin) const {
-  PARD_CHECK(bin > 0);
-  std::vector<SimTime> finish;
-  for (const RequestPtr& r : requests_) {
-    if (r->Good()) {
-      finish.push_back(r->finish);
-    }
-  }
-  const SimTime begin = SpanBegin();
-  const SimTime end = SpanEnd();
-  std::vector<SeriesPoint> out;
-  if (requests_.empty()) {
-    return out;
-  }
-  const std::vector<int> counts = BinCounts(finish, begin, end, bin);
-  out.reserve(counts.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    out.push_back(SeriesPoint{begin + static_cast<SimTime>(i) * bin,
-                              static_cast<double>(counts[i]) / UsToSec(bin)});
-  }
-  return out;
+  return WindowShare(requests_, span_begin_, span_end_, window, &Request::CountsDropped, 0.0,
+                     [](double a, double b) { return std::max(a, b); });
 }
 
 std::vector<SeriesPoint> RunAnalysis::NormalizedGoodputSeries(Duration bin) const {
-  PARD_CHECK(bin > 0);
-  if (requests_.empty()) {
-    return {};
-  }
-  const SimTime begin = SpanBegin();
-  const SimTime end = SpanEnd();
-  std::vector<SimTime> sent;
-  std::vector<SimTime> good_sent;
-  for (const RequestPtr& r : requests_) {
-    sent.push_back(r->sent);
-    if (r->Good()) {
-      good_sent.push_back(r->sent);
-    }
-  }
-  const std::vector<int> arrivals = BinCounts(sent, begin, end, bin);
-  const std::vector<int> good = BinCounts(good_sent, begin, end, bin);
-  std::vector<SeriesPoint> out;
-  out.reserve(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const double value =
-        arrivals[i] > 0 ? static_cast<double>(good[i]) / static_cast<double>(arrivals[i]) : 1.0;
-    out.push_back(SeriesPoint{begin + static_cast<SimTime>(i) * bin, value});
-  }
-  return out;
+  return ShareSeries(requests_, span_begin_, span_end_, bin, &Request::Good, 1.0);
 }
 
 std::vector<SeriesPoint> RunAnalysis::TransientDropRateSeries(Duration bin) const {
-  PARD_CHECK(bin > 0);
-  if (requests_.empty()) {
-    return {};
-  }
-  const SimTime begin = SpanBegin();
-  const SimTime end = SpanEnd();
-  std::vector<SimTime> sent;
-  std::vector<SimTime> dropped_sent;
-  for (const RequestPtr& r : requests_) {
-    sent.push_back(r->sent);
-    if (r->CountsDropped()) {
-      dropped_sent.push_back(r->sent);
-    }
-  }
-  const std::vector<int> arrivals = BinCounts(sent, begin, end, bin);
-  const std::vector<int> dropped = BinCounts(dropped_sent, begin, end, bin);
-  std::vector<SeriesPoint> out;
-  out.reserve(arrivals.size());
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const double value =
-        arrivals[i] > 0 ? static_cast<double>(dropped[i]) / static_cast<double>(arrivals[i]) : 0.0;
-    out.push_back(SeriesPoint{begin + static_cast<SimTime>(i) * bin, value});
-  }
-  return out;
+  return ShareSeries(requests_, span_begin_, span_end_, bin, &Request::CountsDropped, 0.0);
 }
 
 std::vector<double> RunAnalysis::PerModuleDropShare() const {
-  const int n = spec_.NumModules();
-  std::vector<double> share(static_cast<std::size_t>(n), 0.0);
-  std::size_t total = 0;
-  for (const RequestPtr& r : requests_) {
-    if (!r->CountsDropped()) {
-      continue;
-    }
-    ++total;
-    const int module = r->fate == RequestFate::kDropped ? r->drop_module : spec_.SinkModule();
-    share[static_cast<std::size_t>(module)] += 1.0;
-  }
-  if (total > 0) {
+  std::vector<double> share(module_drops_.begin(), module_drops_.end());
+  if (dropped_ > 0) {
     for (double& s : share) {
-      s /= static_cast<double>(total);
+      s /= static_cast<double>(dropped_);
     }
   }
   return share;
@@ -351,111 +269,27 @@ std::vector<double> RunAnalysis::MeanQueueDelayPerModule() const {
 }
 
 std::vector<double> RunAnalysis::MeanQueueDelayPerModule(SimTime begin, SimTime end) const {
-  const int n = spec_.NumModules();
-  std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
-  std::vector<std::size_t> count(static_cast<std::size_t>(n), 0);
-  for (const RequestPtr& r : requests_) {
-    if (r->sent < begin || r->sent > end) {
-      continue;
-    }
-    for (int m = 0; m < n; ++m) {
-      const HopRecord& hop = r->hops[static_cast<std::size_t>(m)];
-      // Executed hops only: requests dropped at the pull point would skew
-      // the congestion measure with their (unbounded) doomed waits.
-      if (hop.executed) {
-        sum[static_cast<std::size_t>(m)] += static_cast<double>(hop.QueueDelay());
-        ++count[static_cast<std::size_t>(m)];
-      }
-    }
-  }
-  std::vector<double> mean(static_cast<std::size_t>(n), 0.0);
-  for (int m = 0; m < n; ++m) {
-    if (count[static_cast<std::size_t>(m)] > 0) {
-      mean[static_cast<std::size_t>(m)] =
-          sum[static_cast<std::size_t>(m)] / static_cast<double>(count[static_cast<std::size_t>(m)]);
-    }
-  }
-  return mean;
+  return MeanOverExecutedHops(
+      requests_, spec_.NumModules(),
+      [begin, end](const Request& r) { return r.sent >= begin && r.sent <= end; },
+      &HopRecord::QueueDelay);
 }
 
 std::vector<double> RunAnalysis::MeanConsumedBudgetPerModule() const {
-  const int n = spec_.NumModules();
-  std::vector<double> sum(static_cast<std::size_t>(n), 0.0);
-  std::vector<std::size_t> count(static_cast<std::size_t>(n), 0);
-  for (const RequestPtr& r : requests_) {
-    if (!r->Good()) {
-      continue;
-    }
-    for (int m = 0; m < n; ++m) {
-      const HopRecord& hop = r->hops[static_cast<std::size_t>(m)];
-      if (hop.executed) {
-        sum[static_cast<std::size_t>(m)] += static_cast<double>(hop.exec_end - hop.arrive);
-        ++count[static_cast<std::size_t>(m)];
-      }
-    }
-  }
-  std::vector<double> mean(static_cast<std::size_t>(n), 0.0);
-  for (int m = 0; m < n; ++m) {
-    if (count[static_cast<std::size_t>(m)] > 0) {
-      mean[static_cast<std::size_t>(m)] =
-          sum[static_cast<std::size_t>(m)] / static_cast<double>(count[static_cast<std::size_t>(m)]);
-    }
-  }
-  return mean;
+  return MeanOverExecutedHops(requests_, spec_.NumModules(), &Request::Good,
+                              [](const HopRecord& hop) { return hop.exec_end - hop.arrive; });
 }
 
 EmpiricalDistribution RunAnalysis::SumQueueDistribution() const {
-  std::vector<double> sums;
-  for (const RequestPtr& r : requests_) {
-    double total = 0.0;
-    bool any = false;
-    for (const HopRecord& hop : r->hops) {
-      if (hop.executed) {
-        total += static_cast<double>(hop.QueueDelay());
-        any = true;
-      }
-    }
-    if (any) {
-      sums.push_back(total);
-    }
-  }
-  return EmpiricalDistribution(std::move(sums));
+  return SumOverExecutedHops(requests_, &HopRecord::QueueDelay);
 }
 
 EmpiricalDistribution RunAnalysis::SumWaitDistribution() const {
-  std::vector<double> sums;
-  for (const RequestPtr& r : requests_) {
-    double total = 0.0;
-    bool any = false;
-    for (const HopRecord& hop : r->hops) {
-      if (hop.executed) {
-        total += static_cast<double>(hop.BatchWait());
-        any = true;
-      }
-    }
-    if (any) {
-      sums.push_back(total);
-    }
-  }
-  return EmpiricalDistribution(std::move(sums));
+  return SumOverExecutedHops(requests_, &HopRecord::BatchWait);
 }
 
 EmpiricalDistribution RunAnalysis::SumExecDistribution() const {
-  std::vector<double> sums;
-  for (const RequestPtr& r : requests_) {
-    double total = 0.0;
-    bool any = false;
-    for (const HopRecord& hop : r->hops) {
-      if (hop.executed) {
-        total += static_cast<double>(hop.ExecDuration());
-        any = true;
-      }
-    }
-    if (any) {
-      sums.push_back(total);
-    }
-  }
-  return EmpiricalDistribution(std::move(sums));
+  return SumOverExecutedHops(requests_, &HopRecord::ExecDuration);
 }
 
 std::vector<double> RunAnalysis::RemainingBudgetAt(int module_id, std::size_t count,

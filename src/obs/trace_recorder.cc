@@ -5,20 +5,11 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 
 namespace pard {
 namespace {
-
-// splitmix64 finalizer: cheap, well-mixed, and stable across platforms —
-// the sampling decision must not depend on std:: hashing implementation
-// details or run-to-run state.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 const char* EventName(const TraceEvent& ev) {
   switch (ev.kind) {

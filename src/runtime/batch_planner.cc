@@ -52,11 +52,14 @@ std::vector<int> PlanWorkers(const PipelineSpec& spec, const std::vector<int>& b
   return workers;
 }
 
+// Cluster size of the paper's testbed: 64 GPU containers.
+constexpr int kTotalGpus = 64;
+
 std::vector<int> PlanInitialWorkers(const PipelineSpec& spec, const std::vector<int>& batch_sizes,
                                     const RuntimeOptions& options, double expected_rate) {
   if (options.fixed_workers.empty()) {
     return PlanWorkers(spec, batch_sizes, expected_rate, options.provision_headroom,
-                       options.max_workers_per_module, options.total_gpus);
+                       kMaxWorkersPerModule, kTotalGpus);
   }
   PARD_CHECK_MSG(static_cast<int>(options.fixed_workers.size()) == spec.NumModules(),
                  "fixed_workers size must match module count");

@@ -15,6 +15,10 @@
 
 namespace pard {
 
+// Every runtime's per-module worker cap: the initial plan, scaling and
+// fault recovery (ModuleRuntime::SetTargetUnits, AddWorkers) all respect it.
+inline constexpr int kMaxWorkersPerModule = 32;
+
 // Per-module batch sizes for the pipeline under its SLO.
 std::vector<int> PlanBatchSizes(const PipelineSpec& spec);
 
@@ -26,7 +30,7 @@ std::vector<int> PlanWorkers(const PipelineSpec& spec, const std::vector<int>& b
 
 // A runtime's initial worker plan: options.fixed_workers when set (one entry
 // per module), else PlanWorkers for `expected_rate` with the options'
-// headroom and caps.
+// headroom, kMaxWorkersPerModule and the paper's 64-GPU testbed.
 std::vector<int> PlanInitialWorkers(const PipelineSpec& spec, const std::vector<int>& batch_sizes,
                                     const RuntimeOptions& options, double expected_rate);
 

@@ -7,9 +7,17 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
+#include "runtime/batch_planner.h"
 #include "runtime/request_lifecycle.h"
 
 namespace pard {
+namespace {
+
+// Capacity of each module's batch-wait reservoir (the paper's M = 10 000
+// samples).
+constexpr std::size_t kReservoirCapacity = 10000;
+
+}  // namespace
 
 ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, ControlPlane* control,
                              BackendFleet* fleet, const ModuleSpec& spec,
@@ -27,7 +35,7 @@ ModuleRuntime::ModuleRuntime(ModuleTimer* timer, ModuleHost* host, ControlPlane*
       admission_rng_(Rng(options.seed).Fork("admission:" + std::to_string(spec.id))),
       queue_delay_window_(options.stats_window),
       stage_latency_window_(options.stats_window),
-      wait_reservoir_(static_cast<std::size_t>(options.reservoir_capacity)),
+      wait_reservoir_(kReservoirCapacity),
       rate_monitor_(options.stats_window) {
   PARD_CHECK(batch_size_ >= 1);
   PARD_CHECK(initial_workers >= 1);
@@ -190,13 +198,13 @@ void ModuleRuntime::SetTargetWorkers(int target) {
 
 void ModuleRuntime::SetTargetUnits(double target_units, int max_new_workers) {
   target_units =
-      std::clamp(target_units, 1.0, static_cast<double>(options_.max_workers_per_module));
+      std::clamp(target_units, 1.0, static_cast<double>(kMaxWorkersPerModule));
   ReapRetired();
   double provisioned = ProvisionedUnits();
   // The per-module worker cap bounds the roster even when slow backends
   // contribute less than one unit each.
   for (int added = 0; provisioned < target_units && added < max_new_workers &&
-                      ProvisionedWorkers() < options_.max_workers_per_module;
+                      ProvisionedWorkers() < kMaxWorkersPerModule;
        ++added) {
     provisioned += ProvisionColdWorker();
   }
@@ -218,7 +226,7 @@ void ModuleRuntime::SetTargetUnits(double target_units, int max_new_workers) {
 int ModuleRuntime::AddWorkers(int count) {
   ReapRetired();
   // The per-module cap binds recovery events exactly like scaling.
-  count = std::min(count, options_.max_workers_per_module - ProvisionedWorkers());
+  count = std::min(count, kMaxWorkersPerModule - ProvisionedWorkers());
   for (int i = 0; i < count; ++i) {
     ProvisionColdWorker();
   }

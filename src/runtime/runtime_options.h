@@ -56,10 +56,6 @@ struct RuntimeOptions {
   // [both] Sliding-window length for queue-delay smoothing and rate
   // tracking, virtual us (paper default: 5 s linear-weighted).
   Duration stats_window = 5 * kUsPerSec;
-  // [both] Capacity of the per-module batch-wait reservoir (paper:
-  // M = 10 000 samples).
-  int reservoir_capacity = 10000;
-
   // [sim] Per-hop transfer latency between modules (data-plane network),
   // virtual us. Default 500 us. Only the simulator's delivery
   // (PipelineRuntime::Deliver) adds it; serve forwards a request to the
@@ -79,16 +75,13 @@ struct RuntimeOptions {
   // 1.15x), and the scaling engine (if enabled) adjusts them at runtime
   // every `scaling_epoch` (default 10 s virtual). New workers become active
   // after `cold_start` (default 2 s virtual) unless their backend profile
-  // overrides it. Worker counts clamp to `max_workers_per_module` (default
-  // 32) and the cluster-wide `total_gpus` budget (default 64, the paper's
-  // testbed size).
+  // overrides it. Worker counts clamp to kMaxWorkersPerModule (32) and the
+  // initial plan to the cluster's 64 GPUs (runtime/batch_planner.h).
   std::vector<int> fixed_workers;
   double provision_headroom = 1.15;
   bool enable_scaling = false;
   Duration scaling_epoch = 10 * kUsPerSec;
   Duration cold_start = 2 * kUsPerSec;  // Model cold start on scale-up.
-  int max_workers_per_module = 32;
-  int total_gpus = 64;  // Cluster size (paper testbed: 64 GPU containers).
 
   // [both] Cost-aware provisioning (off by default): instead of assigning
   // backend-catalog profiles to new worker slots round-robin, each

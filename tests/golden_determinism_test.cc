@@ -115,6 +115,90 @@ TEST(GoldenDeterminism, Fig14aSmokePard) {
   ExpectGolden(Find("fig14a-smoke-pard"), RunExperiment(Fig14aSmoke("pard")));
 }
 
+// RunAnalysis' parameterized families on fig14a-smoke-pard: windows and
+// series (which bin by send time), per-module means and per-request sums
+// over executed hops (which fold floating-point sums in log order, then
+// module order), and the Fig. 12d budget read-out. Harvested before the
+// analysis read the log in one pass; compared exactly like the rows above.
+struct AnalysisGolden {
+  double min_normalized_goodput_10s;
+  double max_window_drop_rate_10s;
+  std::size_t goodput_series_size_5s;
+  double goodput_series_sum_5s;
+  std::size_t drop_series_size_5s;
+  double drop_series_sum_5s;
+  double mean_queue_delay[5];
+  double mean_consumed_budget[5];
+  double drop_share[5];
+  double sum_queue_p50, sum_queue_p99;
+  double sum_wait_p50, sum_wait_p99;
+  double sum_exec_p50, sum_exec_p99;
+  double remaining_budget_m1[8];
+};
+
+constexpr AnalysisGolden kFig14aSmokePardAnalysis = {
+    0.89427609427609422,
+    0.10572390572390572,
+    1u,
+    0.89427609427609422,
+    1u,
+    0.10572390572390572,
+    {28597.25903614458, 0, 2104.6686746987953, 590.36144578313258, 0},
+    {146473.66189759035, 50219.858433734938, 43565.656626506025, 37542.120481927712,
+     41680.554216867473},
+    {1, 0, 0, 0, 0},
+    26326,
+    129145.27,
+    94844,
+    154045,
+    217000,
+    223000,
+    {485000, 485000, 485000, 467616, 473530, 470371, 474969, 470685},
+};
+
+double SeriesSum(const std::vector<SeriesPoint>& series) {
+  double sum = 0.0;
+  for (const SeriesPoint& p : series) {
+    sum += p.value;
+  }
+  return sum;
+}
+
+void ExpectRow(const char* what, const std::vector<double>& got, const double* want,
+               std::size_t size) {
+  ASSERT_EQ(got.size(), size) << what;
+  for (std::size_t i = 0; i < size; ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << "[" << i << "]";
+  }
+}
+
+TEST(GoldenDeterminism, Fig14aSmokePardAnalysisFamilies) {
+  const ExperimentResult result = RunExperiment(Fig14aSmoke("pard"));
+  const RunAnalysis& a = *result.analysis;
+  const AnalysisGolden& g = kFig14aSmokePardAnalysis;
+  EXPECT_EQ(a.MinNormalizedGoodput(SecToUs(10)), g.min_normalized_goodput_10s);
+  EXPECT_EQ(a.MaxWindowDropRate(SecToUs(10)), g.max_window_drop_rate_10s);
+  const std::vector<SeriesPoint> goodput = a.NormalizedGoodputSeries(SecToUs(5));
+  const std::vector<SeriesPoint> drops = a.TransientDropRateSeries(SecToUs(5));
+  EXPECT_EQ(goodput.size(), g.goodput_series_size_5s);
+  EXPECT_EQ(SeriesSum(goodput), g.goodput_series_sum_5s);
+  EXPECT_EQ(drops.size(), g.drop_series_size_5s);
+  EXPECT_EQ(SeriesSum(drops), g.drop_series_sum_5s);
+  ExpectRow("queue delay", a.MeanQueueDelayPerModule(), g.mean_queue_delay, 5);
+  ExpectRow("consumed budget", a.MeanConsumedBudgetPerModule(), g.mean_consumed_budget, 5);
+  ExpectRow("drop share", a.PerModuleDropShare(), g.drop_share, 5);
+  const EmpiricalDistribution q = a.SumQueueDistribution();
+  const EmpiricalDistribution w = a.SumWaitDistribution();
+  const EmpiricalDistribution d = a.SumExecDistribution();
+  EXPECT_EQ(q.Quantile(0.5), g.sum_queue_p50);
+  EXPECT_EQ(q.Quantile(0.99), g.sum_queue_p99);
+  EXPECT_EQ(w.Quantile(0.5), g.sum_wait_p50);
+  EXPECT_EQ(w.Quantile(0.99), g.sum_wait_p99);
+  EXPECT_EQ(d.Quantile(0.5), g.sum_exec_p50);
+  EXPECT_EQ(d.Quantile(0.99), g.sum_exec_p99);
+  ExpectRow("remaining budget", a.RemainingBudgetAt(1, 8), g.remaining_budget_m1, 8);
+}
+
 TEST(GoldenDeterminism, Fig14aSmokeClipper) {
   ExpectGolden(Find("fig14a-smoke-clipper"), RunExperiment(Fig14aSmoke("clipper++")));
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "metrics/analysis.h"
 #include "pipeline/apps.h"
 #include "runtime/request_arena.h"
@@ -117,6 +118,20 @@ TEST(RunAnalysis, MinNormalizedGoodputFindsWorstWindow) {
   EXPECT_NEAR(a.MaxWindowDropRate(SecToUs(4)), 1.0, 1e-9);
 }
 
+TEST(RunAnalysis, WindowMetricsCountLateCompletionsAsDropped) {
+  std::vector<RequestPtr> reqs;
+  // 20s of traffic at 1 req/s; seconds 10..14 all complete past the SLO.
+  for (int i = 0; i < 20; ++i) {
+    const bool late = i >= 10 && i < 15;
+    reqs.push_back(Synthetic(static_cast<std::uint64_t>(i), SecToUs(i), MsToUs(400),
+                             late ? RequestFate::kLate : RequestFate::kCompleted,
+                             SecToUs(i) + (late ? MsToUs(900) : MsToUs(50)), 3));
+  }
+  RunAnalysis a(reqs, Tm());
+  EXPECT_EQ(a.MaxWindowDropRate(SecToUs(4)), 1.0);
+  EXPECT_EQ(a.MinNormalizedGoodput(SecToUs(4)), 0.0);
+}
+
 TEST(RunAnalysis, TransientSeriesSumsToCounts) {
   std::vector<RequestPtr> reqs;
   for (int i = 0; i < 30; ++i) {
@@ -136,19 +151,30 @@ TEST(RunAnalysis, TransientSeriesSumsToCounts) {
   EXPECT_NEAR(mean, 1.0 / 3.0, 0.05);
 }
 
-TEST(RunAnalysis, GoodputSeriesCountsCompletions) {
+// Bin 1 gets no arrivals: an empty bin reads full goodput and no drops, the
+// others their exact ratios; a late completion counts as dropped.
+TEST(RunAnalysis, SeriesReadEmptyBinsAsFullGoodputAndNoDrops) {
   std::vector<RequestPtr> reqs;
-  for (int i = 0; i < 10; ++i) {
-    reqs.push_back(Synthetic(static_cast<std::uint64_t>(i), SecToUs(i), MsToUs(400),
-                             RequestFate::kCompleted, SecToUs(i) + MsToUs(100), 3));
-  }
+  reqs.push_back(Synthetic(1, 0, MsToUs(400), RequestFate::kCompleted, MsToUs(100), 3));
+  reqs.push_back(Synthetic(2, MsToUs(500), MsToUs(400), RequestFate::kDropped, MsToUs(510), 3, 0));
+  reqs.push_back(Synthetic(3, SecToUs(2), MsToUs(400), RequestFate::kCompleted, MsToUs(2100), 3));
+  reqs.push_back(Synthetic(4, MsToUs(2200), MsToUs(400), RequestFate::kCompleted, MsToUs(2300), 3));
+  reqs.push_back(Synthetic(5, MsToUs(2400), MsToUs(50), RequestFate::kLate, MsToUs(2500), 3));
   RunAnalysis a(reqs, Tm());
-  const auto series = a.GoodputSeries(SecToUs(1));
-  double total = 0.0;
-  for (const SeriesPoint& p : series) {
-    total += p.value;  // req/s in 1s bins -> sums to count.
+  const std::vector<SeriesPoint> good = a.NormalizedGoodputSeries(SecToUs(1));
+  const std::vector<SeriesPoint> drops = a.TransientDropRateSeries(SecToUs(1));
+  ASSERT_EQ(good.size(), 3u);
+  ASSERT_EQ(drops.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(good[i].t, SecToUs(static_cast<double>(i)));
+    EXPECT_EQ(drops[i].t, SecToUs(static_cast<double>(i)));
   }
-  EXPECT_NEAR(total, 10.0, 1e-9);
+  EXPECT_EQ(good[0].value, 0.5);
+  EXPECT_EQ(good[1].value, 1.0);
+  EXPECT_EQ(good[2].value, 2.0 / 3.0);
+  EXPECT_EQ(drops[0].value, 0.5);
+  EXPECT_EQ(drops[1].value, 0.0);
+  EXPECT_EQ(drops[2].value, 1.0 / 3.0);
 }
 
 TEST(RunAnalysis, QueueDelayPerModuleAveragesExecutedHops) {
@@ -162,6 +188,24 @@ TEST(RunAnalysis, QueueDelayPerModuleAveragesExecutedHops) {
   const std::vector<double> q = a.MeanQueueDelayPerModule();
   EXPECT_NEAR(q[0], 6.0 * kUsPerMs, 1e-6);
   EXPECT_DOUBLE_EQ(q[1], 0.0);  // No executed hops at module 1.
+}
+
+// Both bounds of the send-time range are inclusive.
+TEST(RunAnalysis, QueueDelayPerModuleKeepsRequestsSentInRange) {
+  std::vector<RequestPtr> reqs;
+  for (int i = 1; i <= 4; ++i) {
+    auto r = Synthetic(static_cast<std::uint64_t>(i), SecToUs(i), MsToUs(400),
+                       RequestFate::kCompleted, SecToUs(i) + MsToUs(100), 3);
+    AddHop(r, 0, SecToUs(i), MsToUs(1 << (i - 1)), 0, MsToUs(10), MsToUs(10));
+    reqs.push_back(r);
+  }
+  RunAnalysis a(reqs, Tm());
+  // Sent at 2s and 3s, queued 2ms and 4ms.
+  const std::vector<double> q = a.MeanQueueDelayPerModule(SecToUs(2), SecToUs(3));
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_EQ(q[0], 3.0 * kUsPerMs);
+  EXPECT_EQ(q[1], 0.0);
+  EXPECT_EQ(a.MeanQueueDelayPerModule()[0], 3.75 * kUsPerMs);
 }
 
 TEST(RunAnalysis, ConsumedBudgetCountsGoodRequestsOnly) {
@@ -230,6 +274,39 @@ TEST(RunAnalysis, WeightsComeFromTheCatalog) {
   const RunAnalysis plain(reqs, Tm());
   EXPECT_DOUBLE_EQ(plain.WeightedGoodCount(), 3.0);
   EXPECT_DOUBLE_EQ(plain.WeightedTotal(), 4.0);
+
+  // A tag the catalog does not hold has no weight.
+  reqs[3]->tenant = 2;
+  EXPECT_THROW(RunAnalysis(reqs, Tm(), catalog).WeightedGoodCount(), CheckError);
+}
+
+// A tenant between two tagged ones that sent nothing still gets an entry,
+// all zeros with one count per drop reason; untagged requests count nowhere.
+TEST(RunAnalysis, PerTenantSizesEveryTenantUpToTheHighestTag) {
+  std::vector<RequestPtr> reqs;
+  reqs.push_back(Synthetic(1, 0, MsToUs(400), RequestFate::kCompleted, MsToUs(100), 3));
+  reqs.push_back(Synthetic(2, 0, MsToUs(400), RequestFate::kDropped, MsToUs(50), 3, 1));
+  reqs.push_back(Synthetic(3, 0, MsToUs(400), RequestFate::kCompleted, MsToUs(100), 3));
+  reqs[0]->tenant = 0;
+  reqs[1]->tenant = 2;
+  reqs[1]->drop_reason = DropReason::kPurgeExpired;
+  RunAnalysis a(reqs, Tm());
+  const std::vector<TenantBreakdown> tenants = a.PerTenant();
+  ASSERT_EQ(tenants.size(), 3u);
+  for (const TenantBreakdown& t : tenants) {
+    ASSERT_EQ(t.drop_reasons.size(), static_cast<std::size_t>(kNumDropReasons));
+  }
+  EXPECT_EQ(tenants[0].total, 1u);
+  EXPECT_EQ(tenants[0].good, 1u);
+  EXPECT_EQ(tenants[1].total, 0u);
+  EXPECT_EQ(tenants[1].good, 0u);
+  EXPECT_EQ(tenants[1].dropped, 0u);
+  for (std::size_t count : tenants[1].drop_reasons) {
+    EXPECT_EQ(count, 0u);
+  }
+  EXPECT_EQ(tenants[2].total, 1u);
+  EXPECT_EQ(tenants[2].dropped, 1u);
+  EXPECT_EQ(tenants[2].drop_reasons[static_cast<std::size_t>(DropReason::kPurgeExpired)], 1u);
 }
 
 TEST(RunAnalysis, EmptyRunIsAllZeros) {
@@ -238,7 +315,10 @@ TEST(RunAnalysis, EmptyRunIsAllZeros) {
   EXPECT_DOUBLE_EQ(a.DropRate(), 0.0);
   EXPECT_DOUBLE_EQ(a.InvalidRate(), 0.0);
   EXPECT_DOUBLE_EQ(a.MeanGoodput(), 0.0);
-  EXPECT_TRUE(a.GoodputSeries(SecToUs(1)).empty());
+  EXPECT_TRUE(a.NormalizedGoodputSeries(SecToUs(1)).empty());
+  EXPECT_TRUE(a.TransientDropRateSeries(SecToUs(1)).empty());
+  EXPECT_DOUBLE_EQ(a.MinNormalizedGoodput(SecToUs(1)), 0.0);
+  EXPECT_DOUBLE_EQ(a.MaxWindowDropRate(SecToUs(1)), 0.0);
 }
 
 }  // namespace
